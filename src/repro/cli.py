@@ -141,14 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--comm", action="store_true",
                        help="also print the per-round communication "
                             "ledger (shuffle/broadcast words)")
-        native_opts(p)
-
-    def native_opts(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--no-native", action="store_true",
-                       help="force the pure-python kernel backend "
-                            "(disables compiled/batched DP kernels; "
-                            "distances and ledgers are identical either "
-                            "way, only wall-clock changes)")
 
     def telemetry_opts(p: argparse.ArgumentParser) -> None:
         p.add_argument("--trace", type=str, default=None, metavar="PATH",
@@ -318,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "faults) and exit 1 when any error budget "
                          "burns above 1x")
     data_plane_opts(sv)
-    native_opts(sv)
     telemetry_opts(sv)
     registry_opts(sv)
 
@@ -340,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="root seed; query i runs with seed+i")
     sb.add_argument("--queries", type=int, default=8,
                     help="number of concurrent queries (default 8)")
-    native_opts(sb)
     registry_opts(sb)
 
     from .registry import DEFAULT_HISTORY_PATH
@@ -569,8 +559,6 @@ def _print_result(title: str, answer: int, exact: Optional[int],
     if profile_rows:
         data["profiled_kernels"] = ",".join(
             sorted({str(row["kernel"]) for row in profile_rows}))
-    from .strings.native import kernel_backend
-    data["kernel_backend"] = kernel_backend()
     print(format_kv(title, data))
     if show_comm:
         from .analysis import format_communication
@@ -634,9 +622,6 @@ def _finish_run(args, command: str, engine, eres, s, t,
     params = {"n": len(s), "x": eres.params.get("x"),
               "eps": eres.params.get("eps"),
               "seed": args.seed, "budget": _effective_budget(args)}
-    from .strings.native import kernel_backend
-    extra = dict(extra or {})
-    extra.setdefault("kernel_backend", kernel_backend())
     record = make_record(
         command, params, summary,
         guarantees=report.to_dict() if report is not None else None,
@@ -801,8 +786,6 @@ def _cmd_top(args) -> int:
                 if 'engine="' in key:
                     engine = key.split('engine="', 1)[1].split('"')[0]
                 view[f"queries[{engine}]"] = int(value)
-        if prof.get("backend"):
-            view["kernel_backend"] = prof["backend"]
         kernels = prof.get("kernels") or {}
         if kernels:
             from .obs.profile import hot_kernels
@@ -1026,10 +1009,6 @@ def _generate_kind(distance: str) -> str:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
 
-    if getattr(args, "no_native", False):
-        from .strings.native import set_backend
-        set_backend("pure")
-
     if args.command == "table1":
         from .baselines.theory import table1_rows
         rows = table1_rows(args.n, args.x)
@@ -1102,7 +1081,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return code
 
     if args.command == "engines":
-        from .strings.native import kernel_backend, numba_available
         engines = all_engines()
         if args.distance:
             engines = [e for e in engines
@@ -1120,7 +1098,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                      "work_exponent": c.cost.work_exponent,
                      "default_x": c.default_x,
                      "default_eps": c.default_eps,
-                     "kernel_backend": kernel_backend(),
                      "primary": c.primary}, sort_keys=True))
             return 0
         rows = []
@@ -1135,9 +1112,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(format_table(
             ["engine", "distances", "guarantee", "model", "regime",
              "cost", "paper"], rows))
-        print(f"\nkernel backend: {kernel_backend()} "
-              f"(numba {'available' if numba_available() else 'absent'};"
-              " force pure with --no-native or REPRO_NO_NATIVE=1)")
         return 0
 
     if args.command == "chaos":
@@ -1237,10 +1211,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                     engine=o.engine)
                 append_record(args.history, record)
         if args.json:
-            from .strings.native import kernel_backend
             extra = {"queries": args.queries, "algo": args.algo,
-                     "workers": args.workers,
-                     "kernel_backend": kernel_backend()}
+                     "workers": args.workers}
             if slo_reports is not None:
                 extra["slo"] = slo_reports
             batch = make_record(
@@ -1311,14 +1283,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         # (tools/check_slo.py) needs to rebuild one sample per query:
         # the deterministic ledger facts plus the clock-derived latency
         # and the trace id joining the row back to spans and history.
-        from .strings.native import kernel_backend
         record = make_record(
             "serve-bench",
             {"n": args.n, "x": args.x, "eps": args.eps,
              "seed": args.seed, "budget": budget},
             summary, guarantees=guarantees,
             extra={"queries": args.queries,
-                   "kernel_backend": kernel_backend(),
                    "per_query": [
                        {"query_id": o.query_id, "algo": o.algo,
                         "engine": o.engine,

@@ -33,7 +33,7 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..metrics import get_registry
-from ..mpc.distcache import distance_cache, pair_key
+from ..mpc.distcache import cached_batch, distance_cache, pair_key
 from ..mpc.plan import Pipeline, RoundSpec
 from ..mpc.shm import DataPlane
 from ..mpc.simulator import MPCSimulator
@@ -41,7 +41,6 @@ from ..params import EditParams
 from ..strings.approx import make_inner
 from ..strings.banded import levenshtein_doubling_batch
 from ..strings.edit_distance import levenshtein_last_row
-from ..strings.native import kernel_backend
 from .combine import EditTuple, run_edit_combine_machine
 from .config import EditConfig
 from .graph import NodeId, RepDistances, build_candidate_nodes, node_string
@@ -79,63 +78,32 @@ def _solver_pair_distances(pairs: List[Tuple[np.ndarray, np.ndarray]],
                            solver_kind: str, eps_inner: float) -> List[int]:
     """Inner-solver distances for explicit (string, window) pairs.
 
-    The ``banded`` solver under a native backend batches all cache
-    misses into one :func:`levenshtein_doubling_batch` call; other
-    solvers (and the ``pure`` backend) evaluate per pair exactly as
-    before.  Intra-batch duplicate content keys resolve as one miss
-    plus :meth:`DistanceCache.hit` repeats, keeping cache counters and
-    kernel work byte-identical to the per-call path.
+    The ``banded`` solver batches all cache misses into one
+    :func:`levenshtein_doubling_batch` call (through
+    :func:`~repro.mpc.distcache.cached_batch`); other solvers evaluate
+    per pair.
     """
     solver = make_inner(solver_kind, eps_inner)
     cache = distance_cache()
-    if solver_kind != "banded" or kernel_backend() == "pure" \
-            or len(pairs) <= 1:
-        out = []
-        for a, b in pairs:
-            if cache is None:
-                out.append(int(solver(a, b)))
-                continue
-            key = pair_key("ed-pair", a, b, solver_kind, eps_inner)
-            d = cache.lookup(key)
-            if d is None:
-                d = int(solver(a, b))
-                cache.store(key, d)
-            out.append(int(d))
-        return out
-    dists = [0] * len(pairs)
-    jobs: List[Tuple[np.ndarray, np.ndarray]] = []
-    targets: List[List[int]] = []  # pair indices each job resolves
-    job_keys: List[object] = []
-    if cache is None:
-        for idx, (a, b) in enumerate(pairs):
-            jobs.append((a, b))
-            targets.append([idx])
-            job_keys.append(None)
-    else:
-        pending: Dict[object, List[int]] = {}
-        for idx, (a, b) in enumerate(pairs):
-            key = pair_key("ed-pair", a, b, solver_kind, eps_inner)
-            slot = pending.get(key)
-            if slot is not None:
-                cache.hit()      # would have hit the per-call cache
-                slot.append(idx)
-                continue
-            d = cache.lookup(key)
-            if d is not None:
-                dists[idx] = int(d)
-                continue
-            pending[key] = tgt = [idx]
-            jobs.append((a, b))
-            targets.append(tgt)
-            job_keys.append(key)
-    if jobs:
-        vals = levenshtein_doubling_batch(jobs)
-        for val, tgt, key in zip(vals, targets, job_keys):
-            for idx in tgt:
-                dists[idx] = int(val)
-            if key is not None:
-                cache.store(key, int(val))
-    return dists
+
+    def key_of(pair: Tuple[np.ndarray, np.ndarray]) -> Tuple:
+        return pair_key("ed-pair", pair[0], pair[1], solver_kind, eps_inner)
+
+    if solver_kind == "banded":
+        return cached_batch(cache, pairs, key_of,
+                            levenshtein_doubling_batch)
+    out = []
+    for a, b in pairs:
+        if cache is None:
+            out.append(int(solver(a, b)))
+            continue
+        key = key_of((a, b))
+        d = cache.lookup(key)
+        if d is None:
+            d = int(solver(a, b))
+            cache.store(key, d)
+        out.append(int(d))
+    return out
 
 
 def run_rep_distance_machine(payload: Dict[str, object]) -> np.ndarray:
@@ -154,7 +122,7 @@ def run_rep_distance_machine(payload: Dict[str, object]) -> np.ndarray:
     blocks: List[Tuple[NodeId, np.ndarray]] = payload["blocks"]  # type: ignore
     groups: List[Tuple[int, np.ndarray, List[int]]] = \
         payload["cs_groups"]                                   # type: ignore
-    # All (rep, block) pairs batch as one native dispatch (rep-major
+    # All (rep, block) pairs batch as one kernel call (rep-major
     # order, matching the output layout); the start-grouped candidate
     # slices keep their shared-last-row evaluation, which is already one
     # kernel call per group.

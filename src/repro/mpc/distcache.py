@@ -25,7 +25,8 @@ the metrics registry is enabled.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Hashable, Optional, Tuple
+from typing import (Any, Callable, Dict, Hashable, List, Optional, Sequence,
+                    Tuple, TypeVar)
 
 import numpy as np
 
@@ -33,10 +34,12 @@ from ..metrics import get_registry
 
 __all__ = ["DistanceCache", "enable_distance_cache",
            "disable_distance_cache", "distance_cache", "cached_distance",
-           "pair_key"]
+           "cached_batch", "pair_key"]
 
 _M_HITS = get_registry().counter("distance_cache.hits")
 _M_MISSES = get_registry().counter("distance_cache.misses")
+
+_Job = TypeVar("_Job")
 
 
 class DistanceCache:
@@ -73,7 +76,7 @@ class DistanceCache:
         evaluation: the first occurrence is a :meth:`lookup` miss, and
         each repeat is satisfied from the pending batch result.  Those
         repeats are hits in the per-call world, so batch paths call this
-        to keep hit/miss counters byte-identical across backends.
+        to keep hit/miss counters equal to per-call cached lookups.
         """
         self.hits += 1
         _M_HITS.inc()
@@ -131,3 +134,42 @@ def cached_distance(key: Hashable, compute: Callable[[], int]) -> int:
         value = compute()
         cache.store(key, value)
     return value
+
+
+def cached_batch(cache: Optional[DistanceCache], jobs: List[_Job],
+                 key_of: Callable[[_Job], Hashable],
+                 evaluate: Callable[[List[_Job]], Sequence[int]]
+                 ) -> List[int]:
+    """``evaluate(jobs)`` through *cache*, evaluating the misses as one batch.
+
+    The first occurrence of a key is a :meth:`DistanceCache.lookup`;
+    later occurrences in the same batch are recorded with
+    :meth:`DistanceCache.hit` and take the first one's value, so hit/miss
+    counters and kernel work equal those of per-job cached calls.  Only
+    the LRU insertion *order* differs — results are stored after the
+    batch — which matters only when one batch approaches the capacity.
+    ``key_of`` runs only when *cache* is not ``None``.
+    """
+    if cache is None:
+        return [int(v) for v in evaluate(jobs)]
+    out = [0] * len(jobs)
+    pending: Dict[Hashable, List[int]] = {}  # miss key -> job indices
+    misses: List[_Job] = []
+    for idx, job in enumerate(jobs):
+        key = key_of(job)
+        slot = pending.get(key)
+        if slot is not None:
+            cache.hit()
+            slot.append(idx)
+            continue
+        value = cache.lookup(key)
+        if value is not None:
+            out[idx] = int(value)
+            continue
+        pending[key] = [idx]
+        misses.append(job)
+    for (key, idxs), value in zip(pending.items(), evaluate(misses)):
+        for idx in idxs:
+            out[idx] = int(value)
+        cache.store(key, int(value))
+    return out

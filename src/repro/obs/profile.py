@@ -102,39 +102,25 @@ class KernelProbe:
         disabled sentinel."""
         if t0 < 0.0:
             return
-        if _DELAYS:
-            extra = _DELAYS.get(self.kernel, 0.0)
-            if extra > 0.0:
-                # Sleep inside the measured window so an injected
-                # slowdown is genuinely *observed* by the profiler,
-                # not merely configured.
-                time.sleep(extra)
-        dt = time.perf_counter() - t0
-        for data in _accumulators():
-            rec = data.get(self.kernel)
-            if rec is None:
-                data[self.kernel] = [1, cells, dt]
-            else:
-                rec[0] += 1
-                rec[1] += cells
-                rec[2] += dt
+        self.end_batch(t0, 1, cells)
 
     def end_batch(self, t0: float, calls: int, cells: int) -> None:
         """Charge *calls* logical calls totalling *cells* DP cells to
         one timing window ending now.
 
-        Batched kernel dispatch evaluates many logical calls inside one
-        native invocation; folding the batch as ``calls`` calls keeps
-        profile call/cell counts byte-identical to the per-call path —
-        only the seconds column reflects the batching win.
+        A batched kernel evaluates many logical calls inside one NumPy
+        invocation; folding the batch as ``calls`` calls keeps profile
+        call/cell counts equal to those of the same jobs issued one at a
+        time — only the seconds column reflects the batching win.
         """
         if t0 < 0.0:
             return
         if _DELAYS:
             extra = _DELAYS.get(self.kernel, 0.0)
             if extra > 0.0:
-                # One injected delay per logical call, as the per-call
-                # path would have observed.
+                # Sleep inside the measured window, once per logical
+                # call, so an injected slowdown is genuinely *observed*
+                # by the profiler, not merely configured.
                 time.sleep(extra * calls)
         dt = time.perf_counter() - t0
         for data in _accumulators():
@@ -295,15 +281,8 @@ class _GlobalProfile:
                                "seconds": round(v[2], 6)}
                            for k, v in prof.items()}
                        for q, prof in self.queries.items()}
-        # Lazy import: the strings kernels import this module at load
-        # time, so the backend lookup must not run until requested.
-        try:
-            from ..strings.native import kernel_backend
-            backend = kernel_backend()
-        except Exception:  # pragma: no cover - defensive
-            backend = "unknown"
-        return {"enabled": _ENABLED, "backend": backend,
-                "kernels": kernels, "queries": queries}
+        return {"enabled": _ENABLED, "kernels": kernels,
+                "queries": queries}
 
     def reset(self) -> None:
         with self._lock:

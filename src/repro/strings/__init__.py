@@ -3,9 +3,9 @@
 These are the sequential building blocks every MPC machine executes
 locally: Wagner–Fischer and banded edit distance, fitting (substring)
 alignment, LIS/LCS, the sparse Ulam-distance chain DP, and the CGKS-style
-approximate inner solver.  Each hot kernel dispatches through
-:mod:`repro.strings.native` (numba / NumPy-batch / pure backends) without
-changing ledgers, cell counts, or profile attribution.
+approximate inner solver.  The sparse Ulam and banded kernels take their
+jobs as batches (:mod:`repro.strings.native`); their scalar entry points
+are batches of one.
 """
 
 from .approx import (InnerSolver, cgks_edit_upper_bound, geometric_offsets,
@@ -20,7 +20,6 @@ from .fitting import fitting_alignment, fitting_distance, fitting_last_row
 from .hirschberg import hirschberg_script
 from .lcs import lcs_length, lcs_length_duplicate_free, position_map
 from .lis import lis_indices, lis_length, longest_increasing_subsequence
-from .native import kernel_backend, numba_available, set_backend, use_backend
 from .polylog import ako_edit_upper_bound, ako_guarantee_factor, ako_window
 from .transform import EditOp, apply_script, gap_script, script_cost
 from .types import INF, StringLike, as_array
@@ -39,7 +38,6 @@ __all__ = [
     "hirschberg_script",
     "lcs_length", "lcs_length_duplicate_free", "position_map",
     "lis_indices", "lis_length", "longest_increasing_subsequence",
-    "kernel_backend", "numba_available", "set_backend", "use_backend",
     "ako_edit_upper_bound", "ako_guarantee_factor", "ako_window",
     "EditOp", "apply_script", "gap_script", "script_cost",
     "INF", "StringLike", "as_array",

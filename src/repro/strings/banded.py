@@ -9,9 +9,10 @@ giving exact distance in ``O(d·min(m, n))`` work for distance ``d``.
 
 These kernels power the ``inner="banded"`` option of the MPC edit-distance
 algorithm and every distance-threshold query (``ed ≤ τ``) of the
-large-distance phases.  All metering happens here, above the
-:mod:`repro.strings.native` dispatch point, so ledgers and cell counts are
-byte-identical whichever backend runs the band.
+large-distance phases.  Each scalar entry point is a batch of one: the
+early exits live once, in the batch loops, and every band evaluation is
+metered once, in :func:`_banded_values_group`, before
+:func:`repro.strings.native.banded_values_batch` runs it.
 """
 
 from __future__ import annotations
@@ -34,39 +35,21 @@ _M_CALLS = get_registry().counter("strings.kernel_calls", kernel="banded")
 _PROBE = kernel_probe("banded")
 
 
-def _banded_value(A: np.ndarray, B: np.ndarray, k: int) -> int:
-    """Metered band-constrained DP optimum — the dispatch choke point.
+def _banded_values_group(pairs: Sequence[Tuple[np.ndarray, np.ndarray]],
+                         k: int) -> np.ndarray:
+    """Metered band-constrained DP optima for many pairs at one ``k``.
 
-    Requires ``m, n > 0`` and ``|m - n| <= k`` (callers handle the early
-    exits).  The returned value is the cost of the best alignment whose
+    Every pair needs ``m, n > 0`` and ``|m - n| <= k`` (callers handle
+    the early exits).  Each value is the cost of the best alignment whose
     path stays inside the band: always an upper bound on the distance,
     and exact whenever it is ``<= k``.  Values above ``k`` certify
     ``ed > k`` without being the distance themselves.
-    """
-    m, n = len(A), len(B)
-    # Row i covers columns j in [i-k, i+k] clipped to [0, n].
-    cells = (2 * k + 1) * m + n + 1
-    add_work(cells)
-    _M_CELLS.inc(cells)
-    _M_CALLS.inc()
-    t0 = _PROBE.begin()
-    try:
-        fn = native.native_kernel("banded")
-        if fn is not None:
-            return int(fn(A, B, k))
-        return native.np_banded_value(A, B, k)
-    finally:
-        _PROBE.end(t0, cells)
 
-
-def _banded_values_group(pairs: Sequence[Tuple[np.ndarray, np.ndarray]],
-                         k: int) -> np.ndarray:
-    """Batched :func:`_banded_value` with identical logical accounting.
-
-    Work, ``strings.dp_cells`` and ``strings.kernel_calls`` advance by
-    exactly the per-pair sums; the probe folds one timing window over
-    ``len(pairs)`` logical calls, so profile calls/cells match the
-    scalar path byte-for-byte.
+    Each pair is one logical call of ``(2k+1)·m + n + 1`` cells (row
+    ``i`` covers columns ``[i-k, i+k]`` clipped to ``[0, n]``): work,
+    ``strings.dp_cells`` and ``strings.kernel_calls`` advance by the
+    per-pair sums, and the probe folds one timing window over
+    ``len(pairs)`` calls.
     """
     total = sum((2 * k + 1) * len(A) + len(B) + 1 for A, B in pairs)
     add_work(total)
@@ -79,6 +62,35 @@ def _banded_values_group(pairs: Sequence[Tuple[np.ndarray, np.ndarray]],
         _PROBE.end_batch(t0, len(pairs), total)
 
 
+def _banded_batch(pairs: Sequence[Tuple[StringLike, StringLike]],
+                  k: int) -> List[Optional[int]]:
+    """Exact distance per pair if it is at most ``k``, else ``None``.
+
+    A length gap beyond ``k`` certifies ``None`` in ``O(1)`` (no
+    conversion, no band): every edit changes the length by at most one,
+    so ``|len(a) - len(b)|`` lower-bounds the distance.  An empty side
+    is decided directly; every other pair runs in one metered band group.
+    """
+    results: List[Optional[int]] = [None] * len(pairs)
+    jobs: List[Tuple[int, np.ndarray, np.ndarray]] = []
+    for i, (a, b) in enumerate(pairs):
+        if abs(len(a) - len(b)) > k:
+            add_work(1)
+            continue
+        A, B = as_array(a), as_array(b)
+        if len(A) == 0 or len(B) == 0:
+            d = len(A) + len(B)
+            results[i] = d if d <= k else None
+            continue
+        jobs.append((i, A, B))
+    if jobs:
+        vals = _banded_values_group([(A, B) for _, A, B in jobs], k)
+        for (i, _, _), v in zip(jobs, vals):
+            if v <= k:
+                results[i] = int(v)
+    return results
+
+
 def levenshtein_banded(a: StringLike, b: StringLike,
                        k: int) -> Optional[int]:
     """Exact edit distance if it is at most ``k``, else ``None``.
@@ -88,19 +100,7 @@ def levenshtein_banded(a: StringLike, b: StringLike,
     """
     if k < 0:
         raise ValueError("threshold k must be non-negative")
-    if abs(len(a) - len(b)) > k:
-        # |m - n| lower-bounds the distance: certify failure before even
-        # converting the inputs (the common case in threshold cascades).
-        add_work(1)
-        return None
-    A, B = as_array(a), as_array(b)
-    m, n = len(A), len(B)
-    if m == 0:
-        return n if n <= k else None
-    if n == 0:
-        return m if m <= k else None
-    result = _banded_value(A, B, k)
-    return result if result <= k else None
+    return _banded_batch([(a, b)], k)[0]
 
 
 def levenshtein_doubling(a: StringLike, b: StringLike,
@@ -110,7 +110,39 @@ def levenshtein_doubling(a: StringLike, b: StringLike,
     Starts with band ``k0`` and widens until the banded DP certifies the
     answer.  Total work ``O(d·min(m, n))`` where ``d`` is the distance —
     the standard output-sensitive trick; much faster than full
-    Wagner–Fischer for similar strings.
+    Wagner–Fischer for similar strings.  A batch of one
+    :func:`levenshtein_doubling_batch`.
+    """
+    return levenshtein_doubling_batch([(a, b)], k0)[0]
+
+
+def within_threshold(a: StringLike, b: StringLike, tau: int) -> bool:
+    """Decide ``ed(a, b) ≤ tau`` in ``O(tau·min(m, n))`` work.
+
+    A length difference beyond ``tau`` certifies ``False`` in ``O(1)``.
+    """
+    return within_threshold_batch([(a, b)], tau)[0]
+
+
+def within_threshold_batch(pairs: Sequence[Tuple[StringLike, StringLike]],
+                           tau: int) -> List[bool]:
+    """:func:`within_threshold` over many pairs at one ``tau``.
+
+    The pairs that survive the early exits run as one batched band
+    evaluation.
+    """
+    if tau < 0:
+        raise ValueError("threshold tau must be non-negative")
+    return [d is not None for d in _banded_batch(pairs, tau)]
+
+
+def levenshtein_doubling_batch(pairs: Sequence[Tuple[StringLike,
+                                                     StringLike]],
+                               k0: int = 1) -> List[int]:
+    """:func:`levenshtein_doubling` over many pairs.
+
+    Each pair follows its own band schedule; pairs currently at the same
+    band width run as one batched band evaluation per round.
 
     A failed band is not thrown away: the band-constrained optimum is
     the cost of a *real* alignment, hence an upper bound on the
@@ -118,89 +150,6 @@ def levenshtein_doubling(a: StringLike, b: StringLike,
     proved ``d > k``), and otherwise the next band is clamped to that
     upper bound, so the widened run is guaranteed to certify.
     """
-    A, B = as_array(a), as_array(b)
-    m, n = len(A), len(B)
-    if m == 0 or n == 0:
-        add_work(1)
-        return m + n
-    k = max(k0, abs(m - n), 1)
-    bound = m + n
-    while True:
-        kk = min(k, bound)
-        value = _banded_value(A, B, kk)
-        if value <= kk + 1:
-            # value <= kk is certified exact; value == kk + 1 combines
-            # the band's lower bound d > kk with the alignment's upper
-            # bound d <= kk + 1, so it is exact too — no re-run.
-            return value
-        if k >= bound:
-            # Distance can never exceed m + n; the full band is exact.
-            raise AssertionError("banded DP failed at full band width")
-        k = min(2 * k, value)
-
-
-def within_threshold(a: StringLike, b: StringLike, tau: int) -> bool:
-    """Decide ``ed(a, b) ≤ tau`` in ``O(tau·min(m, n))`` work.
-
-    A length difference beyond ``tau`` certifies ``False`` in ``O(1)``
-    (no conversion, no band) — every edit changes the length by at most
-    one, so ``|len(a) - len(b)|`` lower-bounds the distance.
-    """
-    if tau < 0:
-        raise ValueError("threshold tau must be non-negative")
-    if abs(len(a) - len(b)) > tau:
-        add_work(1)
-        return False
-    return levenshtein_banded(a, b, tau) is not None
-
-
-def within_threshold_batch(pairs: Sequence[Tuple[StringLike, StringLike]],
-                           tau: int) -> List[bool]:
-    """Batched :func:`within_threshold` over many pairs at one ``tau``.
-
-    Returns exactly ``[within_threshold(a, b, tau) for a, b in pairs]``
-    with identical ledgers and cell counts; under a native backend the
-    surviving pairs run as one batched band evaluation.
-    """
-    if tau < 0:
-        raise ValueError("threshold tau must be non-negative")
-    if native.kernel_backend() == "pure" or len(pairs) <= 1:
-        return [within_threshold(a, b, tau) for a, b in pairs]
-    results: List[Optional[bool]] = [None] * len(pairs)
-    jobs: List[Tuple[int, np.ndarray, np.ndarray]] = []
-    for i, (a, b) in enumerate(pairs):
-        if abs(len(a) - len(b)) > tau:
-            add_work(1)
-            results[i] = False
-            continue
-        A, B = as_array(a), as_array(b)
-        m, n = len(A), len(B)
-        if m == 0:
-            results[i] = n <= tau
-            continue
-        if n == 0:
-            results[i] = m <= tau
-            continue
-        jobs.append((i, A, B))
-    if jobs:
-        vals = _banded_values_group([(A, B) for _, A, B in jobs], tau)
-        for (i, _, _), v in zip(jobs, vals):
-            results[i] = bool(v <= tau)
-    return results  # type: ignore[return-value]
-
-
-def levenshtein_doubling_batch(pairs: Sequence[Tuple[StringLike,
-                                                     StringLike]],
-                               k0: int = 1) -> List[int]:
-    """Batched :func:`levenshtein_doubling` over many pairs.
-
-    Pairs advance through the same per-pair band schedule as the scalar
-    loop (so ledgers and cell counts match byte-for-byte), but pairs
-    currently sitting at the same band width run as one batched band
-    evaluation per round.
-    """
-    if native.kernel_backend() == "pure" or len(pairs) <= 1:
-        return [levenshtein_doubling(a, b, k0) for a, b in pairs]
     out: List[Optional[int]] = [None] * len(pairs)
     # Mutable per-pair state: [result slot, A, B, current k, bound].
     active: List[list] = []
@@ -223,9 +172,13 @@ def levenshtein_doubling_batch(pairs: Sequence[Tuple[StringLike,
             for rec, v in zip(recs, vals):
                 value = int(v)
                 if value <= kk + 1:
+                    # value <= kk is certified exact; value == kk + 1
+                    # combines the band's lower bound d > kk with the
+                    # alignment's upper bound d <= kk + 1: exact too.
                     out[rec[0]] = value
                     continue
                 if rec[3] >= rec[4]:
+                    # Distance never exceeds m + n: the full band is exact.
                     raise AssertionError(
                         "banded DP failed at full band width")
                 rec[3] = min(2 * rec[3], value)

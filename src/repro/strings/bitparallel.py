@@ -20,7 +20,6 @@ from typing import Dict
 from ..metrics import get_registry
 from ..mpc.accounting import add_work
 from ..obs.profile import kernel_probe
-from . import native
 from .types import StringLike, as_array
 
 __all__ = ["myers_levenshtein", "myers_last_row", "myers_fitting_row"]
@@ -50,14 +49,6 @@ def _rows(a: StringLike, b: StringLike, global_carry: bool):
     _M_CELLS.inc(cells)
     _M_CALLS.inc()
     t0 = _PROBE.begin()
-    # Native path: the word-blocked (multi-word uint64) Myers loop, which
-    # widens the compiled dispatch range past 64 symbols.  Python's
-    # unbounded ints below remain the exact fallback for any length.
-    rows = native.myers_rows_native(A, B, global_carry)
-    if rows is not None:
-        _PROBE.end(t0, cells)
-        return rows
-
     mask = (1 << m) - 1
     hibit = 1 << (m - 1)
     peq: Dict[int, int] = {}
@@ -115,11 +106,6 @@ def myers_levenshtein(a: StringLike, b: StringLike) -> int:
     _M_CELLS.inc(cells)
     _M_CALLS.inc()
     t0 = _PROBE.begin()
-    rows = native.myers_rows_native(A, B, True)
-    if rows is not None:
-        _PROBE.end(t0, cells)
-        return int(rows[n])
-
     mask = (1 << m) - 1
     hibit = 1 << (m - 1)
     peq: Dict[int, int] = {}

@@ -19,7 +19,6 @@ import numpy as np
 from ..metrics import get_registry
 from ..mpc.accounting import add_work
 from ..obs.profile import kernel_probe
-from . import native
 from .types import StringLike, as_array
 
 __all__ = ["levenshtein", "levenshtein_last_row", "levenshtein_script",
@@ -66,11 +65,6 @@ def levenshtein_last_row(a: StringLike, b: StringLike) -> np.ndarray:
         from .bitparallel import myers_last_row
         return myers_last_row(A, B)
     t0 = _PROBE_ROW.begin()
-    fn = native.native_kernel("row")
-    if fn is not None:
-        row = fn(A, B, False)
-        _PROBE_ROW.end(t0, m * n)
-        return row
     offsets = np.arange(n + 1, dtype=np.int64)
     for i in range(1, m + 1):
         mismatch = (B != A[i - 1]).astype(np.int64)

@@ -23,7 +23,6 @@ import numpy as np
 from ..metrics import get_registry
 from ..mpc.accounting import add_work
 from ..obs.profile import kernel_probe
-from . import native
 from .edit_distance import levenshtein_last_row
 from .types import StringLike, as_array
 
@@ -56,11 +55,6 @@ def fitting_last_row(pattern: StringLike, text: StringLike) -> np.ndarray:
     _M_CELLS.inc(cells)
     _M_CALLS.inc()
     t0 = _PROBE.begin()
-    fn = native.native_kernel("row")
-    if fn is not None:
-        row = fn(P, T, True)
-        _PROBE.end(t0, cells)
-        return row
     offsets = np.arange(n + 1, dtype=np.int64)
     for i in range(1, m + 1):
         mismatch = (T != P[i - 1]).astype(np.int64)

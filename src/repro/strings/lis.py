@@ -16,7 +16,6 @@ import numpy as np
 from ..metrics import get_registry
 from ..mpc.accounting import add_work
 from ..obs.profile import kernel_probe
-from . import native
 from .types import StringLike, as_array
 
 __all__ = ["lis_length", "lis_indices", "longest_increasing_subsequence"]
@@ -37,11 +36,6 @@ def lis_length(seq: StringLike, strict: bool = True) -> int:
     add_work(cells)
     _M_CELLS.inc(cells)
     t0 = _PROBE.begin()
-    fn = native.native_kernel("lis")
-    if fn is not None:
-        size = int(fn(arr, strict))
-        _PROBE.end(t0, cells)
-        return size
     find = bisect_left if strict else bisect_right
     tails: List[int] = []
     for v in arr.tolist():

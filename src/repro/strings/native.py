@@ -1,142 +1,51 @@
-"""Native-speed kernel backends: numba-compiled scalars, NumPy batches.
+"""NumPy DP kernels behind the metered sparse-Ulam and banded entry points.
 
-The six ``strings.dp_cells`` kernels dominate wall-clock at every scale
-(ROADMAP: a single n=256 ulam run burns ~5.8M cells over ~22k
-``ulam_sparse`` calls), so this module gives each of them a faster
-*implementation* behind the exact same metered entry point.  Three
-backends, best available wins:
+Under Theorems 4 and 9 every machine runs many small exact DPs on
+windows, so the two hottest ``strings.dp_cells`` kernels take their jobs
+as lists: :func:`chain_dp_batch` (the sparse Ulam chain DP behind
+``ulam_sparse``) and :func:`banded_values_batch` (the Ukkonen band
+behind ``banded``).  Each picks its implementation by input size alone:
 
-``numba``
-    ``@njit``-compiled scalar loops plus ``prange`` batch loops.  Only
-    active when the ``numba`` package imports *and* each kernel warms
-    (compiles) successfully — any failure quietly degrades that kernel
-    to the next tier, so a broken toolchain can never break a run.
-``batch``
-    Pure NumPy, no new dependency: scalar calls run the existing
-    row-vectorised loops, while the *batch* entry points
-    (:func:`chain_dp_batch`, :func:`banded_values_batch`) evaluate many
-    small kernel jobs as a handful of whole-matrix NumPy operations —
-    the win that matters for machines issuing thousands of tiny
-    ``ulam_sparse`` / ``within_threshold`` calls.
-``pure``
-    The seed behaviour: every call runs the original per-call kernel.
-    Forced by ``REPRO_NO_NATIVE=1`` or the ``--no-native`` CLI flag.
+* one job runs the scalar row-vectorised kernel (:func:`np_chain_dp`,
+  :func:`np_banded_value`);
+* two or more jobs run the padded batch kernel, which evaluates every
+  job as a handful of whole-matrix NumPy operations per DP step.
 
-Dispatch contract
------------------
-Backends change *implementations only*.  Metering (``add_work``,
-``strings.dp_cells`` / ``strings.kernel_calls`` counters) and
-:class:`~repro.obs.profile.KernelProbe` attribution live in the public
-kernel wrappers (:mod:`repro.strings.banded`, :mod:`repro.strings.ulam`,
-…) **above** this module, so distances, ledgers, cell counts and profile
-``calls``/``cells`` are byte-identical across backends — only the
-``seconds`` column moves.  Batch entry points charge per *logical* call
-via :meth:`KernelProbe.end_batch`, keeping the same invariant.
+Both implementations return identical values, so the choice only moves
+wall-clock.  Metering (``add_work``, the ``strings.dp_cells`` /
+``strings.kernel_calls`` counters and the
+:class:`~repro.obs.profile.KernelProbe`) happens once per group in the
+callers, :mod:`repro.strings.ulam` and :mod:`repro.strings.banded`.
 
 This module must not import other ``repro.strings`` kernel modules
-(they import it), nor metrics/accounting (metering stays above the
-dispatch point).
+(they import it), nor metrics/accounting (metering stays in the
+callers).
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .types import INF
 
-__all__ = ["kernel_backend", "set_backend", "use_backend",
-           "numba_available", "native_kernel",
-           "chain_dp_batch", "banded_values_batch",
-           "np_banded_value", "np_chain_dp", "myers_words_rows"]
+__all__ = ["chain_dp_batch", "banded_values_batch",
+           "np_banded_value", "np_chain_dp"]
 
-_VALID_BACKENDS = ("numba", "batch", "pure")
-
-#: Explicit override installed by :func:`set_backend` (None = auto).
-_forced: Optional[str] = None
-
-#: Lazily-resolved numba module: unchecked sentinel, a module, or None.
-_numba_mod: object = "unchecked"
-
-_ENV_FLAG = "REPRO_NO_NATIVE"
-_TRUTHY = ("1", "true", "yes", "on")
-
-
-def numba_available() -> bool:
-    """Whether the ``numba`` package imports (checked once, lazily)."""
-    global _numba_mod
-    if _numba_mod == "unchecked":
-        try:
-            import numba  # type: ignore
-            _numba_mod = numba
-        except Exception:
-            _numba_mod = None
-    return _numba_mod is not None
-
-
-def kernel_backend() -> str:
-    """The active backend name: ``numba``, ``batch`` or ``pure``.
-
-    Resolution order: :func:`set_backend` override, then the
-    ``REPRO_NO_NATIVE`` environment flag (forces ``pure``), then the
-    best available tier (``numba`` if it imports, else ``batch``).
-    """
-    if _forced is not None:
-        return _forced
-    if os.environ.get(_ENV_FLAG, "").strip().lower() in _TRUTHY:
-        return "pure"
-    return "numba" if numba_available() else "batch"
-
-
-def set_backend(name: Optional[str]) -> None:
-    """Force the kernel backend (``None`` restores auto-selection).
-
-    Forcing ``numba`` when the package is unavailable raises — a forced
-    backend is a promise, not a preference.
-    """
-    global _forced
-    if name is None:
-        _forced = None
-        return
-    if name not in _VALID_BACKENDS:
-        raise ValueError(f"unknown kernel backend {name!r} "
-                         f"(expected one of {_VALID_BACKENDS})")
-    if name == "numba" and not numba_available():
-        raise ValueError("numba backend requested but numba is not "
-                         "importable")
-    _forced = name
-
-
-class use_backend:
-    """Context manager: force a backend for a block, then restore.
-
-    The equivalence tests run every kernel under ``use_backend("pure")``
-    and the active backend and assert identical results and ledgers.
-    """
-
-    def __init__(self, name: Optional[str]) -> None:
-        self._name = name
-
-    def __enter__(self) -> "use_backend":
-        self._saved = _forced
-        set_backend(self._name)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        global _forced
-        _forced = self._saved
+#: Up to this many match points the scalar chain DP runs on plain
+#: Python lists, which beat NumPy's per-call overhead on tiny arrays.
+PY_DP_CUTOFF = 96
 
 
 # ---------------------------------------------------------------------------
-# NumPy scalar implementations (the `batch`/fallback tier for scalar calls)
+# Scalar kernels (one job)
 
 def np_banded_value(A: np.ndarray, B: np.ndarray, k: int) -> int:
     """Band-constrained DP optimum (may exceed ``k``): row-vectorised.
 
     Requires ``len(A) > 0``, ``len(B) > 0`` and ``|len(A)-len(B)| <= k``
-    (the wrapper handles the early-exit cases).  The value is the cost
+    (the metered caller handles the early-exit cases).  The value is the cost
     of the best alignment whose path stays within the band — a real
     alignment, hence always an upper bound on the true distance, and
     exact whenever it is ``<= k``.
@@ -169,12 +78,13 @@ def np_banded_value(A: np.ndarray, B: np.ndarray, k: int) -> int:
 
 
 def np_chain_dp(i_pts: np.ndarray, p_pts: np.ndarray, m: int, n: int,
-                c: int, py_cutoff: int) -> int:
-    """Scalar sparse chain DP (the seed implementation, relocated).
+                py_cutoff: int = PY_DP_CUTOFF) -> int:
+    """Scalar sparse chain DP over match points sorted by ``i``.
 
-    Python lists below *py_cutoff* match points (they beat NumPy's
+    Python lists up to *py_cutoff* match points (they beat NumPy's
     per-call overhead on tiny arrays), NumPy per-column slices above.
     """
+    c = len(i_pts)
     best = max(m, n)  # empty chain: substitute everything
     if c == 0:
         return best
@@ -212,7 +122,7 @@ def np_chain_dp(i_pts: np.ndarray, p_pts: np.ndarray, m: int, n: int,
 
 
 # ---------------------------------------------------------------------------
-# NumPy batch kernels (the `batch` backend's reason to exist)
+# Padded batch kernels (two or more jobs)
 
 def _np_chain_dp_chunk(jobs: Sequence[Tuple[np.ndarray, np.ndarray,
                                             int, int]],
@@ -321,410 +231,19 @@ def _np_banded_values_batch(pairs: Sequence[Tuple[np.ndarray, np.ndarray]],
 
 
 # ---------------------------------------------------------------------------
-# Multi-word Myers bit-parallel rows (reference implementation)
-
-_M64 = (1 << 64) - 1
-
-
-def myers_words_rows(A: np.ndarray, B: np.ndarray,
-                     global_carry: bool) -> np.ndarray:
-    """Myers/Hyyrö rows over explicit 64-bit word blocks.
-
-    The unbounded-int implementation in :mod:`repro.strings.bitparallel`
-    handles any pattern length through Python's arbitrary-width
-    integers; a fixed-width native backend cannot, so this is the
-    word-blocked variant that widens the native dispatch range past 64
-    symbols: the pattern's bit-vectors are split into ``⌈m/64⌉`` words
-    and every carry (the D0 addition, the ``<< 1`` shifts) is chained
-    word-to-word explicitly.  This reference version runs on plain
-    Python ints (word-masked); the numba tier compiles the same
-    word-level loop over ``uint64`` arrays.  Returns exactly
-    ``bitparallel._rows(A, B, global_carry)``.
-    """
-    m, n = len(A), len(B)
-    out = np.empty(n + 1, dtype=np.int64)
-    if m == 0:
-        out[:] = np.arange(n + 1) if global_carry else 0
-        return out
-    words = (m + 63) // 64
-    last_mask = ((1 << (m - 64 * (words - 1))) - 1) or _M64
-    wmask = [_M64] * (words - 1) + [last_mask]
-    zero = [0] * words
-    peq: Dict[int, List[int]] = {}
-    for i, ch in enumerate(A.tolist()):
-        wv = peq.get(ch)
-        if wv is None:
-            wv = peq[ch] = list(zero)
-        wv[i // 64] |= 1 << (i % 64)
-    pv = list(wmask)
-    mv = list(zero)
-    score = m
-    hb = 1 << ((m - 1) % 64)      # high bit lives in the last word
-    out[0] = m
-    shift_in = 1 if global_carry else 0
-    xv = list(zero)
-    ph_s = list(zero)
-    mh_s = list(zero)
-    for j, ch in enumerate(B.tolist(), start=1):
-        eq = peq.get(ch, zero)
-        add_carry = 0
-        ph_carry = shift_in
-        mh_carry = 0
-        for w in range(words):
-            eqw, pvw, mvw = eq[w], pv[w], mv[w]
-            xv[w] = eqw | mvw
-            s = (eqw & pvw) + pvw + add_carry
-            add_carry = s >> 64
-            xh = ((s & _M64) ^ pvw) | eqw
-            ph = mvw | (~(xh | pvw) & wmask[w])
-            mh = pvw & xh
-            if w == words - 1:
-                if ph & hb:
-                    score += 1
-                if mh & hb:
-                    score -= 1
-            ph_s[w] = ((ph << 1) | ph_carry) & wmask[w]
-            mh_s[w] = ((mh << 1) | mh_carry) & wmask[w]
-            ph_carry = (ph >> 63) & 1
-            mh_carry = (mh >> 63) & 1
-        for w in range(words):
-            pv[w] = mh_s[w] | (~(xv[w] | ph_s[w]) & wmask[w])
-            mv[w] = ph_s[w] & xv[w]
-        out[j] = score
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numba tier: builders compile lazily; any failure degrades gracefully
-
-#: kernel name -> compiled callable, or None after a failed build.
-_nb_fns: Dict[str, Optional[Callable]] = {}
-
-
-def _build_banded() -> Callable:
-    import numba
-
-    @numba.njit(cache=True)
-    def nb_banded(A, B, k):
-        m, n = A.shape[0], B.shape[0]
-        prev = np.full(n + 1, INF, dtype=np.int64)
-        hi0 = min(k, n)
-        for j in range(hi0 + 1):
-            prev[j] = j
-        cur = np.empty(n + 1, dtype=np.int64)
-        for i in range(1, m + 1):
-            lo = i - k if i - k > 0 else 0
-            hi = i + k if i + k < n else n
-            for j in range(n + 1):
-                cur[j] = INF
-            if lo == 0:
-                cur[0] = i
-                start = 1
-            else:
-                start = lo
-            for j in range(start, hi + 1):
-                v = prev[j - 1] + (0 if B[j - 1] == A[i - 1] else 1)
-                t = prev[j] + 1
-                if t < v:
-                    v = t
-                t = cur[j - 1] + 1
-                if t < v:
-                    v = t
-                cur[j] = v
-            prev, cur = cur, prev
-        return prev[n]
-
-    one = np.zeros(1, dtype=np.int64)
-    nb_banded(one, one, 1)        # warm: surface compile errors here
-    return nb_banded
-
-
-def _build_chain_dp() -> Callable:
-    import numba
-
-    @numba.njit(cache=True)
-    def nb_chain_dp(I, P, m, n):
-        c = I.shape[0]
-        best = m if m > n else n
-        if c == 0:
-            return best
-        D = np.empty(c, dtype=np.int64)
-        out = best
-        for j in range(c):
-            ij, pj = I[j], P[j]
-            v = ij if ij > pj else pj
-            for k in range(j):
-                pk = P[k]
-                if pk < pj:
-                    di = ij - I[k] - 1
-                    dp = pj - pk - 1
-                    cand = D[k] + (di if di > dp else dp)
-                    if cand < v:
-                        v = cand
-            D[j] = v
-            ti = m - 1 - ij
-            tp = n - 1 - pj
-            tail = ti if ti > tp else tp
-            if v + tail < out:
-                out = v + tail
-        return out
-
-    one = np.zeros(1, dtype=np.int64)
-    nb_chain_dp(one, one, 1, 1)
-    return nb_chain_dp
-
-
-def _build_chain_dp_batch() -> Callable:
-    import numba
-    nb_chain_dp = native_kernel("chain_dp")
-    if nb_chain_dp is None:
-        raise RuntimeError("scalar chain_dp kernel unavailable")
-
-    @numba.njit(cache=True, parallel=True)
-    def nb_chain_dp_batch(Iflat, Pflat, offs, ms, ns, out):
-        for idx in numba.prange(out.shape[0]):
-            lo, hi = offs[idx], offs[idx + 1]
-            out[idx] = nb_chain_dp(Iflat[lo:hi], Pflat[lo:hi],
-                                   ms[idx], ns[idx])
-
-    one = np.zeros(1, dtype=np.int64)
-    nb_chain_dp_batch(one, one, np.array([0, 1], dtype=np.int64),
-                      np.ones(1, dtype=np.int64),
-                      np.ones(1, dtype=np.int64),
-                      np.empty(1, dtype=np.int64))
-    return nb_chain_dp_batch
-
-
-def _build_banded_batch() -> Callable:
-    import numba
-    nb_banded = native_kernel("banded")
-    if nb_banded is None:
-        raise RuntimeError("scalar banded kernel unavailable")
-
-    @numba.njit(cache=True, parallel=True)
-    def nb_banded_batch(Aflat, Aoffs, Bflat, Boffs, k, out):
-        for idx in numba.prange(out.shape[0]):
-            out[idx] = nb_banded(Aflat[Aoffs[idx]:Aoffs[idx + 1]],
-                                 Bflat[Boffs[idx]:Boffs[idx + 1]], k)
-
-    one = np.zeros(1, dtype=np.int64)
-    offs = np.array([0, 1], dtype=np.int64)
-    nb_banded_batch(one, offs, one, offs, 1,
-                    np.empty(1, dtype=np.int64))
-    return nb_banded_batch
-
-
-def _build_lis() -> Callable:
-    import numba
-
-    @numba.njit(cache=True)
-    def nb_lis(arr, strict):
-        n = arr.shape[0]
-        tails = np.empty(n, dtype=np.int64)
-        size = 0
-        for i in range(n):
-            v = arr[i]
-            lo, hi = 0, size
-            while lo < hi:            # bisect_left / bisect_right
-                mid = (lo + hi) // 2
-                tv = tails[mid]
-                if tv < v or (not strict and tv == v):
-                    lo = mid + 1
-                else:
-                    hi = mid
-            tails[lo] = v
-            if lo == size:
-                size += 1
-        return size
-
-    nb_lis(np.zeros(1, dtype=np.int64), True)
-    return nb_lis
-
-
-def _build_row() -> Callable:
-    import numba
-
-    @numba.njit(cache=True)
-    def nb_row(A, B, free_start):
-        m, n = A.shape[0], B.shape[0]
-        row = np.empty(n + 1, dtype=np.int64)
-        for j in range(n + 1):
-            row[j] = 0 if free_start else j
-        for i in range(1, m + 1):
-            diag = row[0]
-            row[0] = i
-            for j in range(1, n + 1):
-                v = diag + (0 if B[j - 1] == A[i - 1] else 1)
-                t = row[j] + 1
-                if t < v:
-                    v = t
-                t = row[j - 1] + 1
-                if t < v:
-                    v = t
-                diag = row[j]
-                row[j] = v
-        return row
-
-    one = np.zeros(1, dtype=np.int64)
-    nb_row(one, one, True)
-    return nb_row
-
-
-def _build_myers() -> Callable:
-    import numba
-
-    @numba.njit(cache=True)
-    def nb_myers(peq, bidx, m, global_carry, out):
-        # Word-blocked Myers/Hyyrö: the numba twin of myers_words_rows.
-        words = peq.shape[1]
-        rem = m - 64 * (words - 1)
-        last_mask = np.uint64(2 ** 63 - 1 + 2 ** 63) if rem == 64 \
-            else np.uint64((1 << rem) - 1)
-        full = np.uint64(2 ** 63 - 1 + 2 ** 63)
-        one = np.uint64(1)
-        zero64 = np.uint64(0)
-        pv = np.empty(words, dtype=np.uint64)
-        mv = np.zeros(words, dtype=np.uint64)
-        xv = np.empty(words, dtype=np.uint64)
-        ph_s = np.empty(words, dtype=np.uint64)
-        mh_s = np.empty(words, dtype=np.uint64)
-        for w in range(words - 1):
-            pv[w] = full
-        pv[words - 1] = last_mask
-        score = m
-        hb = one << np.uint64((m - 1) % 64)
-        out[0] = m
-        shift_in = one if global_carry else zero64
-        n = bidx.shape[0]
-        for j in range(1, n + 1):
-            s_idx = bidx[j - 1]
-            add_carry = zero64
-            ph_carry = shift_in
-            mh_carry = zero64
-            for w in range(words):
-                eqw = peq[s_idx, w] if s_idx >= 0 else zero64
-                pvw = pv[w]
-                mvw = mv[w]
-                wm = last_mask if w == words - 1 else full
-                xv[w] = eqw | mvw
-                a1 = eqw & pvw
-                s1 = a1 + pvw
-                c1 = one if s1 < a1 else zero64
-                s2 = s1 + add_carry
-                c2 = one if s2 < s1 else zero64
-                add_carry = c1 | c2
-                xh = (s2 ^ pvw) | eqw
-                ph = (mvw | (~(xh | pvw))) & wm
-                mh = pvw & xh
-                if w == words - 1:
-                    if ph & hb:
-                        score += 1
-                    if mh & hb:
-                        score -= 1
-                ph_s[w] = ((ph << one) | ph_carry) & wm
-                mh_s[w] = ((mh << one) | mh_carry) & wm
-                ph_carry = (ph >> np.uint64(63)) & one
-                mh_carry = (mh >> np.uint64(63)) & one
-            for w in range(words):
-                wm = last_mask if w == words - 1 else full
-                pv[w] = (mh_s[w] | (~(xv[w] | ph_s[w]))) & wm
-                mv[w] = ph_s[w] & xv[w]
-            out[j] = score
-        return out
-
-    peq = np.zeros((1, 1), dtype=np.uint64)
-    nb_myers(peq, np.zeros(1, dtype=np.int64), 1, True,
-             np.empty(2, dtype=np.int64))
-    return nb_myers
-
-
-_NB_BUILDERS: Dict[str, Callable[[], Callable]] = {
-    "banded": _build_banded,
-    "chain_dp": _build_chain_dp,
-    "chain_dp_batch": _build_chain_dp_batch,
-    "banded_batch": _build_banded_batch,
-    "lis": _build_lis,
-    "row": _build_row,
-    "myers": _build_myers,
-}
-
-
-def native_kernel(name: str) -> Optional[Callable]:
-    """The compiled numba kernel *name*, or ``None``.
-
-    ``None`` means: backend is not ``numba``, or this kernel failed to
-    compile (recorded once; the caller falls back to its NumPy/pure
-    loop — graceful per-kernel degradation, never an error).
-    """
-    if kernel_backend() != "numba":
-        return None
-    if name in _nb_fns:
-        return _nb_fns[name]
-    builder = _NB_BUILDERS.get(name)
-    fn: Optional[Callable] = None
-    if builder is not None:
-        try:
-            fn = builder()
-        except Exception:
-            fn = None
-    _nb_fns[name] = fn
-    return fn
-
-
-def myers_rows_native(A: np.ndarray, B: np.ndarray,
-                      global_carry: bool) -> Optional[np.ndarray]:
-    """Word-blocked native Myers rows, or ``None`` to use the pure path.
-
-    Builds the per-symbol word table with vectorised NumPy (sorted
-    unique symbols + ``searchsorted``), then runs the compiled
-    word-level loop.  Only the implementation differs from
-    ``bitparallel._rows`` — metering stays in the caller.
-    """
-    fn = native_kernel("myers")
-    if fn is None:
-        return None
-    m, n = len(A), len(B)
-    words = (m + 63) // 64
-    syms, sym_idx = np.unique(A, return_inverse=True)
-    peq = np.zeros((len(syms), words), dtype=np.uint64)
-    bits = np.uint64(1) << (np.arange(m, dtype=np.uint64)
-                            % np.uint64(64))
-    np.bitwise_or.at(peq, (sym_idx, np.arange(m) // 64), bits)
-    bidx = np.searchsorted(syms, B)
-    bidx = np.where((bidx < len(syms)) & (syms[np.minimum(
-        bidx, len(syms) - 1)] == B), bidx, -1).astype(np.int64)
-    out = np.empty(n + 1, dtype=np.int64)
-    return fn(peq, bidx, m, global_carry, out)
-
-
-# ---------------------------------------------------------------------------
-# Batch entry points (dispatch: numba prange -> NumPy batch)
+# Entry points: the scalar kernel for one job, the batch kernel for more
 
 def chain_dp_batch(jobs: Sequence[Tuple[np.ndarray, np.ndarray,
                                         int, int]]) -> np.ndarray:
     """Sparse chain DP over many jobs ``(i_pts, p_pts, m, n)``.
 
-    Match points must already be band-filtered (the metered wrapper
-    :func:`repro.strings.ulam.ulam_auto_batch` does this, charging the
-    exact per-job cells the scalar kernel would).  Not meant for the
-    ``pure`` backend — callers loop the scalar kernel there.
+    Every match point takes part: the metered callers in
+    :mod:`repro.strings.ulam` apply any band filter first and charge the
+    per-job cells.
     """
-    fn = native_kernel("chain_dp_batch")
-    if fn is not None:
-        offs = np.zeros(len(jobs) + 1, dtype=np.int64)
-        for i, job in enumerate(jobs):
-            offs[i + 1] = offs[i] + len(job[0])
-        Iflat = np.concatenate([job[0] for job in jobs]) \
-            if offs[-1] else np.zeros(0, dtype=np.int64)
-        Pflat = np.concatenate([job[1] for job in jobs]) \
-            if offs[-1] else np.zeros(0, dtype=np.int64)
-        ms = np.array([job[2] for job in jobs], dtype=np.int64)
-        ns = np.array([job[3] for job in jobs], dtype=np.int64)
-        out = np.empty(len(jobs), dtype=np.int64)
-        fn(Iflat.astype(np.int64, copy=False),
-           Pflat.astype(np.int64, copy=False), offs, ms, ns, out)
-        return out
-    return _np_chain_dp_batch(jobs)
+    if len(jobs) > 1:
+        return _np_chain_dp_batch(jobs)
+    return np.array([np_chain_dp(*job) for job in jobs], dtype=np.int64)
 
 
 def banded_values_batch(pairs: Sequence[Tuple[np.ndarray, np.ndarray]],
@@ -734,16 +253,7 @@ def banded_values_batch(pairs: Sequence[Tuple[np.ndarray, np.ndarray]],
     Contract as :func:`np_banded_value` (per pair): ``m, n > 0`` and
     ``|m - n| <= k``; values may exceed ``k`` (the caller thresholds).
     """
-    fn = native_kernel("banded_batch")
-    if fn is not None:
-        Aoffs = np.zeros(len(pairs) + 1, dtype=np.int64)
-        Boffs = np.zeros(len(pairs) + 1, dtype=np.int64)
-        for i, (a, b) in enumerate(pairs):
-            Aoffs[i + 1] = Aoffs[i] + len(a)
-            Boffs[i + 1] = Boffs[i] + len(b)
-        Aflat = np.concatenate([a for a, _ in pairs])
-        Bflat = np.concatenate([b for _, b in pairs])
-        out = np.empty(len(pairs), dtype=np.int64)
-        fn(Aflat, Aoffs, Bflat, Boffs, k, out)
-        return out
-    return _np_banded_values_batch(pairs, k)
+    if len(pairs) > 1:
+        return _np_banded_values_batch(pairs, k)
+    return np.array([np_banded_value(A, B, k) for A, B in pairs],
+                    dtype=np.int64)

@@ -20,13 +20,19 @@ Kernels
 * :func:`ulam_from_matches` — exact sparse chain DP, optional diagonal
   band (Ukkonen-style pruning, exactness certified when the result is
   within the band).
-* :func:`ulam_auto` — banded doubling wrapper around the sparse DP.
+* :func:`ulam_auto` / :func:`ulam_auto_batch` — one certified banded
+  pass of the sparse DP, band taken from the LIS upper bound.
 * :func:`local_ulam_from_matches` / :func:`local_ulam` — free-window
   variant implementing the `lulam` contract ``(γ, κ, d*)`` of Lemma 1.
+
+Every sparse chain DP is metered once, in :func:`_chain_dp_group`, and
+runs through :func:`repro.strings.native.chain_dp_batch`; the scalar
+entry points are batches of one.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -44,10 +50,6 @@ _M_CELLS_SPARSE = get_registry().counter("strings.dp_cells",
 _M_CALLS_SPARSE = get_registry().counter("strings.kernel_calls",
                                          kernel="ulam_sparse")
 _PROBE_SPARSE = kernel_probe("ulam_sparse")
-
-#: Below this many match points the chain DP runs on plain Python lists,
-#: which beat NumPy's per-call overhead on tiny arrays.
-_PY_DP_CUTOFF = 96
 
 __all__ = [
     "is_duplicate_free", "check_duplicate_free", "ulam_distance",
@@ -119,6 +121,28 @@ def match_points(pattern: StringLike, text: StringLike
             np.asarray(pos, dtype=np.int64))
 
 
+def _chain_dp_group(jobs: List[Tuple[np.ndarray, np.ndarray, int, int]]
+                    ) -> List[int]:
+    """Metered sparse chain DP over band-filtered ``(i, p, m, n)`` jobs.
+
+    Each job is one logical ``ulam_sparse`` call of ``c² + 1`` cells for
+    its ``c`` match points: work, ``strings.dp_cells`` and
+    ``strings.kernel_calls`` advance by the per-job sums, and the probe
+    folds one timing window over ``len(jobs)`` calls.
+    """
+    if not jobs:
+        return []
+    cells = sum(len(job[0]) * len(job[0]) + 1 for job in jobs)
+    add_work(cells)
+    _M_CELLS_SPARSE.inc(cells)
+    _M_CALLS_SPARSE.inc(len(jobs))
+    t0 = _PROBE_SPARSE.begin()
+    try:
+        return [int(v) for v in native.chain_dp_batch(jobs)]
+    finally:
+        _PROBE_SPARSE.end_batch(t0, len(jobs), cells)
+
+
 def ulam_from_matches(i_pts: np.ndarray, p_pts: np.ndarray, m: int, n: int,
                       band: Optional[int] = None) -> int:
     """Exact Ulam distance from match points via the sparse chain DP.
@@ -137,37 +161,12 @@ def ulam_from_matches(i_pts: np.ndarray, p_pts: np.ndarray, m: int, n: int,
         standard Ukkonen argument: an alignment of cost ``d`` never
         leaves the ``d``-diagonal band).
 
-    Work is ``O(c²)`` for ``c`` participating match points, executed as
-    ``c`` whole-vector NumPy operations.
+    Work is ``O(c²)`` for ``c`` participating match points.
     """
     if band is not None:
         keep = np.abs(i_pts - p_pts) <= band
         i_pts, p_pts = i_pts[keep], p_pts[keep]
-    c = len(i_pts)
-    cells = c * c + 1
-    add_work(cells)
-    _M_CELLS_SPARSE.inc(cells)
-    _M_CALLS_SPARSE.inc()
-    t0 = _PROBE_SPARSE.begin()
-    try:
-        return _ulam_chain_dp(i_pts, p_pts, m, n, c)
-    finally:
-        _PROBE_SPARSE.end(t0, cells)
-
-
-def _ulam_chain_dp(i_pts: np.ndarray, p_pts: np.ndarray, m: int, n: int,
-                   c: int) -> int:
-    """The metered body of :func:`ulam_from_matches` (probe-bracketed).
-
-    Dispatch choke point: the compiled scalar kernel when the numba
-    backend is active, otherwise the relocated list/NumPy loop in
-    :func:`repro.strings.native.np_chain_dp`.  Metering lives in the
-    callers, so backends only change speed.
-    """
-    fn = native.native_kernel("chain_dp")
-    if fn is not None:
-        return int(fn(i_pts, p_pts, m, n))
-    return native.np_chain_dp(i_pts, p_pts, m, n, c, _PY_DP_CUTOFF)
+    return _chain_dp_group([(i_pts, p_pts, m, n)])[0]
 
 
 def ulam_auto(i_pts: np.ndarray, p_pts: np.ndarray, m: int, n: int) -> int:
@@ -178,41 +177,23 @@ def ulam_auto(i_pts: np.ndarray, p_pts: np.ndarray, m: int, n: int) -> int:
     alignment of cost ``d`` keeps its matches within the ``d``-diagonal
     band; therefore a single banded run with ``band = indel ≥ d`` is
     certified exact, with output-sensitive pruning for similar pairs.
+    A batch of one :func:`ulam_auto_batch`.
     """
-    from bisect import bisect_left
-    c = len(i_pts)
-    # LIS of the p-sequence (points are i-sorted): patience sorting.
-    tails: list = []
-    for v in p_pts.tolist():
-        pos = bisect_left(tails, v)
-        if pos == len(tails):
-            tails.append(v)
-        else:
-            tails[pos] = v
-    add_work(c)
-    indel = m + n - 2 * len(tails)
-    band = max(indel, abs(m - n), 1)
-    return ulam_from_matches(i_pts, p_pts, m, n, band=band)
+    return ulam_auto_batch([(i_pts, p_pts, m, n)])[0]
 
 
 def ulam_auto_batch(jobs: List[Tuple[np.ndarray, np.ndarray, int, int]]
                     ) -> List[int]:
-    """Batched :func:`ulam_auto` over many ``(i_pts, p_pts, m, n)`` jobs.
+    """:func:`ulam_auto` over many ``(i_pts, p_pts, m, n)`` jobs.
 
     The per-machine batching path: candidate machines issue thousands of
-    tiny sparse-DP calls, so the band/LIS prologue runs per job (cheap,
-    and it determines each job's band) while all chain DPs execute as
-    one native batch call.  Work, ``strings.dp_cells`` and profile
-    call/cell counts advance exactly as ``[ulam_auto(*job) for job in
-    jobs]`` would; only wall-clock differs.
+    tiny sparse-DP calls, so the LIS prologue runs per job (cheap, and it
+    determines each job's band) while all chain DPs run as one metered
+    group.
     """
-    if native.kernel_backend() == "pure" or len(jobs) <= 1:
-        return [ulam_auto(i, p, m, n) for i, p, m, n in jobs]
-    from bisect import bisect_left
     filtered: List[Tuple[np.ndarray, np.ndarray, int, int]] = []
-    total_cells = 0
     for i_pts, p_pts, m, n in jobs:
-        c = len(i_pts)
+        # LIS of the p-sequence (points are i-sorted): patience sorting.
         tails: list = []
         for v in p_pts.tolist():
             pos = bisect_left(tails, v)
@@ -220,21 +201,11 @@ def ulam_auto_batch(jobs: List[Tuple[np.ndarray, np.ndarray, int, int]]
                 tails.append(v)
             else:
                 tails[pos] = v
-        add_work(c)
+        add_work(len(i_pts))
         band = max(m + n - 2 * len(tails), abs(m - n), 1)
         keep = np.abs(i_pts - p_pts) <= band
-        i_f, p_f = i_pts[keep], p_pts[keep]
-        cells = len(i_f) * len(i_f) + 1
-        add_work(cells)
-        _M_CELLS_SPARSE.inc(cells)
-        _M_CALLS_SPARSE.inc()
-        total_cells += cells
-        filtered.append((i_f, p_f, m, n))
-    t0 = _PROBE_SPARSE.begin()
-    try:
-        return [int(v) for v in native.chain_dp_batch(filtered)]
-    finally:
-        _PROBE_SPARSE.end_batch(t0, len(jobs), total_cells)
+        filtered.append((i_pts[keep], p_pts[keep], m, n))
+    return _chain_dp_group(filtered)
 
 
 def local_ulam_from_matches(i_pts: np.ndarray, p_pts: np.ndarray,

@@ -26,10 +26,9 @@ import numpy as np
 
 from ..metrics import get_registry
 from ..mpc.accounting import add_work
-from ..mpc.distcache import distance_cache
+from ..mpc.distcache import cached_batch, distance_cache
 from ..mpc.shm import SharedSlice
-from ..strings.native import kernel_backend
-from ..strings.ulam import local_ulam_from_matches, ulam_auto, ulam_auto_batch
+from ..strings.ulam import local_ulam_from_matches, ulam_auto_batch
 from .config import UlamConfig
 
 _M_WINDOWS = get_registry().counter("ulam.candidate_windows")
@@ -114,66 +113,17 @@ def _grid(lo: float, hi: float, gap: int, n: int) -> List[int]:
 
 def _window_distances(windows: List[Tuple[int, int, np.ndarray, np.ndarray]],
                       B: int, cache) -> List[int]:
-    """Sparse Ulam distances for candidate windows, batched when native.
+    """Sparse Ulam distances for candidate windows, as one batch.
 
-    Under the ``pure`` backend each window runs the scalar
-    :func:`ulam_auto` (with per-call cache lookups) exactly as before;
-    native backends collect all cache misses and evaluate them in one
-    :func:`ulam_auto_batch` call.  Intra-batch duplicate *content* keys
-    are deduplicated before evaluation: the first occurrence counts as
-    the miss, repeats are recorded via :meth:`DistanceCache.hit`, so
-    hit/miss counters and kernel work stay byte-identical to the scalar
-    path.  (Only the LRU *insertion order* can differ — batch results
-    are stored after the batch — which matters only when one machine's
-    windows approach the cache capacity.)
+    All cache misses are evaluated in one :func:`ulam_auto_batch` call
+    (:func:`~repro.mpc.distcache.cached_batch` folds intra-batch
+    duplicates into cache hits).
     """
-    if kernel_backend() == "pure" or len(windows) <= 1:
-        out = []
-        for sp, ep, i_sel, p_rel in windows:
-            if cache is None:
-                d = ulam_auto(i_sel, p_rel, B, ep - sp)
-            else:
-                key = ("ulam", i_sel.tobytes(), p_rel.tobytes(), B, ep - sp)
-                d = cache.lookup(key)
-                if d is None:
-                    d = ulam_auto(i_sel, p_rel, B, ep - sp)
-                    cache.store(key, int(d))
-            out.append(int(d))
-        return out
-    dists = [0] * len(windows)
-    jobs: List[Tuple[np.ndarray, np.ndarray, int, int]] = []
-    targets: List[List[int]] = []  # window indices each job resolves
-    job_keys: List[object] = []
-    if cache is None:
-        for idx, (sp, ep, i_sel, p_rel) in enumerate(windows):
-            jobs.append((i_sel, p_rel, B, ep - sp))
-            targets.append([idx])
-            job_keys.append(None)
-    else:
-        pending: Dict[object, List[int]] = {}
-        for idx, (sp, ep, i_sel, p_rel) in enumerate(windows):
-            key = ("ulam", i_sel.tobytes(), p_rel.tobytes(), B, ep - sp)
-            slot = pending.get(key)
-            if slot is not None:
-                cache.hit()          # would have hit the per-call cache
-                slot.append(idx)
-                continue
-            d = cache.lookup(key)
-            if d is not None:
-                dists[idx] = int(d)
-                continue
-            pending[key] = tgt = [idx]
-            jobs.append((i_sel, p_rel, B, ep - sp))
-            targets.append(tgt)
-            job_keys.append(key)
-    if jobs:
-        vals = ulam_auto_batch(jobs)
-        for val, tgt, key in zip(vals, targets, job_keys):
-            for idx in tgt:
-                dists[idx] = int(val)
-            if key is not None:
-                cache.store(key, int(val))
-    return dists
+    jobs = [(i_sel, p_rel, B, ep - sp) for sp, ep, i_sel, p_rel in windows]
+    return cached_batch(
+        cache, jobs,
+        lambda job: ("ulam", job[0].tobytes(), job[1].tobytes(), B, job[3]),
+        ulam_auto_batch)
 
 
 def run_block_machine(payload: BlockPayload) -> List[CandidateTuple]:

@@ -245,23 +245,16 @@ class TestRegressionAttribution:
         with enabled():
             _, rec_a = _ulam_record()
             import repro.ulam.candidates as cand
-            real = cand.ulam_auto
-
-            def doubled(*args, **kwargs):
-                real(*args, **kwargs)
-                return real(*args, **kwargs)
-
             real_batch = cand.ulam_auto_batch
 
             def doubled_batch(jobs):
                 real_batch(jobs)
                 return real_batch(jobs)
 
-            # Double every candidate evaluation — scalar and batched
-            # dispatch alike (regressing the gated total_work) — and
-            # slow the sparse kernel so the wall-clock delta is
-            # unmistakably its own.
-            monkeypatch.setattr(cand, "ulam_auto", doubled)
+            # Double every candidate evaluation (all of them go through
+            # one batch call per machine), regressing the gated
+            # total_work, and slow the sparse kernel so the wall-clock
+            # delta is unmistakably its own.
             monkeypatch.setattr(cand, "ulam_auto_batch", doubled_batch)
             with inject_slowdown("ulam_sparse", 2e-5):
                 _, rec_b = _ulam_record()

@@ -172,6 +172,25 @@ class TestRecordProfile:
         assert record_profile({"summary": "corrupt"}) == []
 
 
+class TestLegacyRecords:
+    def test_kernel_backend_field_passes_through(self, tmp_path):
+        # Older records carry the name of the kernel backend that ran
+        # them; new records omit it, and readers must ignore it.
+        current = _record()
+        legacy = dict(current, kernel_backend="batch")
+        path = str(tmp_path / "h.jsonl")
+        append_record(path, legacy)
+        append_record(path, current)
+        read_legacy, read_current = read_history(path)
+        assert read_legacy == legacy
+        assert "kernel_backend" not in read_current
+        assert compare_records(read_legacy, read_current) == \
+            compare_records(read_current, read_current)
+        assert compare_records(read_current, read_legacy) == \
+            compare_records(read_current, read_current)
+        assert format_record(read_legacy) == format_record(read_current)
+
+
 class TestBaselines:
     def test_record_key_identity(self):
         assert record_key(_record()) == record_key(_record())

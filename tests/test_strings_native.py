@@ -1,11 +1,15 @@
-"""Backend equivalence for the native/batched string kernels.
+"""Batch ≡ list of scalar calls for the batched string kernels.
 
-The dispatch contract of :mod:`repro.strings.native` is that backends
-("pure" vs the ambient batch/numba backend) differ **only** in
+The sparse Ulam and banded kernels take their jobs as batches; each
+scalar entry point is a batch of one, and
+:mod:`repro.strings.native` runs one job on the scalar NumPy kernel and
+two or more on the padded batch kernel.  Batching may only move
 wall-clock: distances, abstract work, ``strings.*`` metric deltas,
 kernel-probe call/cell attribution and distance-cache hit/miss counters
-are byte-identical.  These tests drive every batch entry point through
-both backends on random and boundary inputs and compare all of it.
+must equal those of the same inputs issued one scalar call at a time.
+These tests compare both on random and boundary inputs, and check the
+answers against the independent exact kernels (``levenshtein``,
+``ulam_distance``, a brute-force DP).
 """
 
 from __future__ import annotations
@@ -15,20 +19,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.ulam.candidates as cand
 from repro.metrics import enabled as metrics_enabled
 from repro.metrics import scoped_snapshot
 from repro.mpc import WorkMeter
 from repro.mpc.distcache import DistanceCache
 from repro.obs import profile as obs_profile
 from repro.obs.profile import collect_profile
-from repro.strings import (kernel_backend, levenshtein_doubling,
-                           levenshtein_doubling_batch, numba_available,
-                           set_backend, ulam_auto, ulam_auto_batch,
-                           use_backend, within_threshold,
+from repro.strings import (levenshtein, levenshtein_doubling,
+                           levenshtein_doubling_batch, ulam_auto,
+                           ulam_auto_batch, ulam_distance,
+                           ulam_from_matches, within_threshold,
                            within_threshold_batch)
 from repro.strings import native
-from repro.strings.bitparallel import _rows
-from repro.strings.native import myers_words_rows
 
 from .helpers import brute_edit_distance
 
@@ -44,51 +47,26 @@ def _metered(fn):
     return result, meter.total, scope.delta(), shape
 
 
-def _assert_backends_agree(fn, normalize=list):
-    with use_backend("pure"):
-        res_p, work_p, met_p, prof_p = _metered(fn)
-    res_b, work_b, met_b, prof_b = _metered(fn)
-    assert normalize(res_p) == normalize(res_b)
-    assert work_p == work_b
-    assert met_p == met_b
-    assert prof_p == prof_b
-    return normalize(res_b)
+def _assert_batch_matches_scalars(batch, scalar, items):
+    """``batch(items)`` against ``[scalar(*x) for x in items]``: same
+    results, work, metric delta and profile calls/cells."""
+    res_b, work_b, met_b, prof_b = _metered(lambda: batch(items))
+    res_s, work_s, met_s, prof_s = _metered(
+        lambda: [scalar(*x) for x in items])
+    assert list(res_b) == res_s
+    assert work_b == work_s
+    assert met_b == met_s
+    assert prof_b == prof_s
+    return list(res_b)
 
 
-class TestBackendSelection:
-    def test_default_backend(self):
-        expected = "numba" if numba_available() else "batch"
-        assert kernel_backend() == expected
+def _threshold(tau):
+    return (lambda items: within_threshold_batch(items, tau),
+            lambda a, b: within_threshold(a, b, tau))
 
-    def test_env_flag_forces_pure(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
-        assert kernel_backend() == "pure"
-        monkeypatch.setenv("REPRO_NO_NATIVE", "0")
-        assert kernel_backend() != "pure"
 
-    def test_set_backend_roundtrip(self):
-        set_backend("pure")
-        try:
-            assert kernel_backend() == "pure"
-        finally:
-            set_backend(None)
-        assert kernel_backend() != "pure"
-
-    def test_set_backend_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            set_backend("cuda")
-
-    def test_set_backend_rejects_missing_numba(self):
-        if numba_available():  # pragma: no cover - numba containers
-            pytest.skip("numba present")
-        with pytest.raises(ValueError):
-            set_backend("numba")
-
-    def test_use_backend_restores_on_exit(self):
-        before = kernel_backend()
-        with use_backend("pure"):
-            assert kernel_backend() == "pure"
-        assert kernel_backend() == before
+def _doubling():
+    return levenshtein_doubling_batch, levenshtein_doubling
 
 
 def _random_pairs(rng, n_pairs=40, max_len=24, sigma=4):
@@ -104,12 +82,10 @@ class TestThresholdBatchEquivalence:
     def test_matches_scalar_and_brute_force(self, rng):
         pairs = _random_pairs(rng)
         for tau in (0, 1, 3, 8):
-            batch = _assert_backends_agree(
-                lambda: within_threshold_batch(pairs, tau))
+            batch = _assert_batch_matches_scalars(*_threshold(tau), pairs)
             for (a, b), got in zip(pairs, batch):
                 assert got == (brute_edit_distance(a.tolist(),
                                                    b.tolist()) <= tau)
-                assert got == within_threshold(a, b, tau)
 
     def test_boundary_pairs(self):
         empty = np.zeros(0, dtype=np.int64)
@@ -119,10 +95,8 @@ class TestThresholdBatchEquivalence:
                  (far, far[:2]),       # length gap > tau: shortcut path
                  (a, a + 1)]
         for tau in (0, 2, 5):
-            batch = _assert_backends_agree(
-                lambda: within_threshold_batch(pairs, tau))
-            assert batch == [within_threshold(x, y, tau)
-                             for x, y in pairs]
+            batch = _assert_batch_matches_scalars(*_threshold(tau), pairs)
+            assert batch == [levenshtein(x, y) <= tau for x, y in pairs]
 
     def test_tau_at_exact_distance_boundary(self, rng):
         for _ in range(25):
@@ -131,28 +105,24 @@ class TestThresholdBatchEquivalence:
             b = rng.integers(0, 3, n).astype(np.int64)
             d = brute_edit_distance(a.tolist(), b.tolist())
             for tau in (max(d - 1, 0), d, d + 1):
-                got = _assert_backends_agree(
-                    lambda: within_threshold_batch([(a, b)], tau))
-                assert got == [d <= tau]
+                got = _assert_batch_matches_scalars(
+                    *_threshold(tau), [(a, b), (b, a)])
+                assert got == [d <= tau, d <= tau]
 
 
 class TestDoublingBatchEquivalence:
     def test_matches_scalar_and_brute_force(self, rng):
         pairs = _random_pairs(rng, n_pairs=30, max_len=18, sigma=3)
-        batch = _assert_backends_agree(
-            lambda: levenshtein_doubling_batch(pairs))
+        batch = _assert_batch_matches_scalars(*_doubling(), pairs)
         for (a, b), got in zip(pairs, batch):
             assert got == brute_edit_distance(a.tolist(), b.tolist())
-            assert got == levenshtein_doubling(a, b)
 
     def test_empty_and_identical(self):
         empty = np.zeros(0, dtype=np.int64)
         a = np.arange(6, dtype=np.int64)
         pairs = [(empty, empty), (empty, a), (a, a), (a, a[::-1].copy())]
-        batch = _assert_backends_agree(
-            lambda: levenshtein_doubling_batch(pairs))
-        assert batch == [0, 6, 0, brute_edit_distance(a.tolist(),
-                                                      a[::-1].tolist())]
+        batch = _assert_batch_matches_scalars(*_doubling(), pairs)
+        assert batch == [0, 6, 0, levenshtein(a, a[::-1])]
 
 
 class TestDoublingLowerBoundReuse:
@@ -197,25 +167,100 @@ def _synthetic_ulam_jobs(rng, n_jobs=25, max_pts=20):
     return jobs
 
 
+def _strings_for_matches(i_pts, p_pts, m, n):
+    """Duplicate-free ``(pattern, text)`` whose match points are exactly
+    ``(i_pts, p_pts)``: pattern ``0..m-1``, unmatched text slots get
+    symbols no pattern position uses."""
+    pattern = np.arange(m, dtype=np.int64)
+    text = np.arange(m, m + n, dtype=np.int64)
+    text[p_pts] = i_pts
+    return pattern, text
+
+
 class TestUlamBatchEquivalence:
     def test_matches_scalar(self, rng):
         jobs = _synthetic_ulam_jobs(rng)
-        batch = _assert_backends_agree(lambda: ulam_auto_batch(jobs))
-        assert batch == [ulam_auto(*job) for job in jobs]
+        batch = _assert_batch_matches_scalars(ulam_auto_batch, ulam_auto,
+                                              jobs)
+        for job, got in zip(jobs, batch):
+            assert got == ulam_distance(*_strings_for_matches(*job))
 
     def test_empty_jobs(self):
         empty = np.zeros(0, dtype=np.int64)
         jobs = [(empty, empty, 0, 0), (empty, empty, 3, 5)]
-        batch = _assert_backends_agree(lambda: ulam_auto_batch(jobs))
+        batch = _assert_batch_matches_scalars(ulam_auto_batch, ulam_auto,
+                                              jobs)
         assert batch == [0, 5]
 
 
+_BATCHES = {
+    "threshold": _threshold(2),
+    "doubling": _doubling(),
+    "ulam_auto": (ulam_auto_batch, ulam_auto),
+}
+
+
+class TestBatchSizes:
+    """The size-based scalar/batch choice at its two small ends."""
+
+    @pytest.mark.parametrize("name", sorted(_BATCHES))
+    def test_empty_batch_charges_nothing(self, name):
+        batch, _ = _BATCHES[name]
+        assert _metered(lambda: batch([])) == ([], 0, {}, {})
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 8])
+    def test_banded_batch_of_one_closed_form_cells(self, rng, k):
+        a = rng.integers(0, 4, 12).astype(np.int64)
+        b = rng.integers(0, 4, 12 + min(k, 2)).astype(np.int64)
+        cells = (2 * k + 1) * len(a) + len(b) + 1
+        got, work, met, prof = _metered(
+            lambda: within_threshold_batch([(a, b)], k))
+        assert got == [levenshtein(a, b) <= k]
+        assert work == cells
+        assert prof == {"banded": [1, cells]}
+        assert {key: v["value"] for key, v in met.items()
+                if "banded" in key} == {
+            'strings.dp_cells{kernel=banded}': cells,
+            'strings.kernel_calls{kernel=banded}': 1}
+
+    @pytest.mark.parametrize("c", [0, 1, 5, 40, 120])
+    def test_sparse_batch_of_one_closed_form_cells(self, rng, c):
+        m = n = c + 7
+        i_pts = np.sort(rng.choice(m, size=c, replace=False))
+        p_pts = np.sort(rng.choice(n, size=c, replace=False))
+        got, work, met, prof = _metered(
+            lambda: ulam_from_matches(i_pts, p_pts, m, n))
+        assert got == ulam_distance(*_strings_for_matches(i_pts, p_pts,
+                                                          m, n))
+        assert work == c * c + 1
+        assert prof == {"ulam_sparse": [1, c * c + 1]}
+        assert {key: v["value"] for key, v in met.items()
+                if "ulam_sparse" in key} == {
+            'strings.dp_cells{kernel=ulam_sparse}': c * c + 1,
+            'strings.kernel_calls{kernel=ulam_sparse}': 1}
+
+
+def _cached_scalar_windows(windows, B, cache):
+    """The per-window reference: one cached :func:`ulam_auto` call each."""
+    out = []
+    for sp, ep, i_sel, p_rel in windows:
+        if cache is None:
+            out.append(ulam_auto(i_sel, p_rel, B, ep - sp))
+            continue
+        key = ("ulam", i_sel.tobytes(), p_rel.tobytes(), B, ep - sp)
+        d = cache.lookup(key)
+        if d is None:
+            d = ulam_auto(i_sel, p_rel, B, ep - sp)
+            cache.store(key, d)
+        out.append(int(d))
+    return out
+
+
 class TestCacheFolding:
-    """Intra-batch dedupe keeps cache hit/miss counters byte-identical
-    to the scalar per-call path."""
+    """Intra-batch dedupe keeps cache hit/miss counters equal to those
+    of per-window cached scalar calls."""
 
     def _windows(self, rng):
-        from repro.ulam.candidates import _window_distances
         windows = []
         for _ in range(6):
             c = int(rng.integers(2, 10))
@@ -223,65 +268,66 @@ class TestCacheFolding:
                                        replace=False)).astype(np.int64)
             p_rel = rng.permutation(c).astype(np.int64)
             windows.append((0, 16, i_sel, p_rel))
-        # Duplicate content: repeats must be hits on both backends.
+        # Duplicate content: repeats must be cache hits.
         windows += [windows[0], windows[2], windows[0]]
-        return _window_distances, windows
+        return windows
+
+    def _check_exact(self, windows, dists):
+        for (sp, ep, i_sel, p_rel), d in zip(windows, dists):
+            assert d == ulam_distance(
+                *_strings_for_matches(i_sel, p_rel, 16, ep - sp))
 
     def test_hit_miss_counters_match(self, rng):
-        fn, windows = self._windows(rng)
-        with use_backend("pure"):
-            cache_p = DistanceCache()
-            dists_p = fn(windows, 16, cache_p)
+        windows = self._windows(rng)
+        cache_s = DistanceCache()
+        res_s = _metered(
+            lambda: _cached_scalar_windows(windows, 16, cache_s))
         cache_b = DistanceCache()
-        dists_b = fn(windows, 16, cache_b)
-        assert dists_p == dists_b
-        assert (cache_p.hits, cache_p.misses) == \
-            (cache_b.hits, cache_b.misses)
+        res_b = _metered(
+            lambda: cand._window_distances(windows, 16, cache_b))
+        assert res_b == res_s
+        assert (cache_b.hits, cache_b.misses) == \
+            (cache_s.hits, cache_s.misses)
         assert cache_b.hits == 3
+        self._check_exact(windows, res_b[0])
 
     def test_uncached_path_matches(self, rng):
-        fn, windows = self._windows(rng)
-        with use_backend("pure"):
-            dists_p = fn(windows, 16, None)
-        assert fn(windows, 16, None) == dists_p
+        windows = self._windows(rng)
+        res_b = _metered(lambda: cand._window_distances(windows, 16, None))
+        assert res_b == _metered(
+            lambda: _cached_scalar_windows(windows, 16, None))
+        self._check_exact(windows, res_b[0])
 
 
 class TestBlockMachineEquivalence:
-    def test_run_block_machine_identical(self):
-        from repro.ulam.candidates import make_block_payload, \
-            run_block_machine
+    def test_run_block_machine_identical(self, monkeypatch):
         from repro.ulam.config import UlamConfig
         rng = np.random.default_rng(3)
         n = 64
         positions = rng.permutation(n).astype(np.int64)
         positions[rng.choice(n, size=8, replace=False)] = -1
-        payload = make_block_payload(
+        payload = cand.make_block_payload(
             0, n, positions, n_t=n, eps_prime=0.25,
             u_guesses=[2, 8, 32], theta=0.3, seed=11,
             config=UlamConfig.practical())
-        with use_backend("pure"):
-            tuples_p, work_p, met_p, prof_p = _metered(
-                lambda: run_block_machine(dict(payload)))
         tuples_b, work_b, met_b, prof_b = _metered(
-            lambda: run_block_machine(dict(payload)))
-        assert tuples_p == tuples_b
-        assert work_p == work_b
-        assert met_p == met_b
-        assert prof_p == prof_b
+            lambda: cand.run_block_machine(dict(payload)))
+        monkeypatch.setattr(cand, "ulam_auto_batch",
+                            lambda jobs: [ulam_auto(*job) for job in jobs])
+        assert _metered(lambda: cand.run_block_machine(dict(payload))) == \
+            (tuples_b, work_b, met_b, prof_b)
+        # Every candidate distance is the exact Ulam distance between the
+        # block s[lo:hi) and its window of the target.
+        s = np.arange(n, dtype=np.int64)
+        t = np.arange(n, 2 * n, dtype=np.int64)
+        present = positions >= 0
+        t[positions[present]] = s[present]
+        assert tuples_b
+        for lo, hi, sp, ep, d in tuples_b:
+            assert d == ulam_distance(s[lo:hi], t[sp:ep])
 
 
 class TestMyersMultiWord:
-    def test_matches_single_word_rows(self, rng):
-        for m in (1, 5, 63, 64, 65, 127, 128, 130):
-            for n in (0, 1, 8, 40):
-                a = rng.integers(0, 200, m).astype(np.int64)
-                b = rng.integers(0, 260, n).astype(np.int64)
-                for carry in (True, False):
-                    rows = myers_words_rows(a, b, carry)
-                    ref = _rows(a, b, carry)
-                    assert np.array_equal(np.asarray(rows),
-                                          np.asarray(ref)), (m, n, carry)
-
     def test_distance_at_word_boundaries(self, rng):
         from repro.strings.bitparallel import myers_levenshtein
         for m in (63, 64, 65, 128, 129):
@@ -301,9 +347,8 @@ class TestBackendProperties:
     def test_threshold_batch_property(self, a, b, tau):
         aa = np.array(a, dtype=np.int64)
         bb = np.array(b, dtype=np.int64)
-        pairs = [(aa, bb), (bb, aa)]
-        got = _assert_backends_agree(
-            lambda: within_threshold_batch(pairs, tau))
+        got = _assert_batch_matches_scalars(*_threshold(tau),
+                                            [(aa, bb), (bb, aa)])
         d = brute_edit_distance(a, b)
         assert got == [d <= tau, d <= tau]
 
@@ -312,13 +357,13 @@ class TestBackendProperties:
     def test_doubling_batch_property(self, a, b):
         aa = np.array(a, dtype=np.int64)
         bb = np.array(b, dtype=np.int64)
-        got = _assert_backends_agree(
-            lambda: levenshtein_doubling_batch([(aa, bb)]))
-        assert got == [brute_edit_distance(a, b)]
+        got = _assert_batch_matches_scalars(*_doubling(),
+                                            [(aa, bb), (bb, aa)])
+        assert got == [brute_edit_distance(a, b)] * 2
 
 
 class TestNumPyKernelPrimitives:
-    """The shared NumPy reference kernels behind both batch paths."""
+    """The scalar and padded batch kernels behind both entry points."""
 
     def test_banded_values_batch_matches_scalar(self, rng):
         pairs = []
@@ -329,13 +374,16 @@ class TestNumPyKernelPrimitives:
                           rng.integers(0, 4, n).astype(np.int64)))
         for k in (4, 7, 21):
             good = [(a, b) for a, b in pairs if abs(len(a) - len(b)) <= k]
-            vals = native._np_banded_values_batch(good, k)
+            vals = native.banded_values_batch(good, k)
             for (a, b), v in zip(good, vals):
                 assert v == native.np_banded_value(a, b, k)
+                assert native.banded_values_batch([(a, b)], k) == [v]
 
     def test_chain_dp_batch_matches_scalar(self, rng):
         jobs = _synthetic_ulam_jobs(rng, n_jobs=30)
-        vals = native._np_chain_dp_batch(jobs)
-        for (i_pts, p_pts, m, n), v in zip(jobs, vals):
-            assert v == native.np_chain_dp(i_pts, p_pts, m, n,
-                                           len(i_pts), 0)
+        vals = native.chain_dp_batch(jobs)
+        for job, v in zip(jobs, vals):
+            # Both scalar sub-paths: Python lists and NumPy slices.
+            assert v == native.np_chain_dp(*job)
+            assert v == native.np_chain_dp(*job, py_cutoff=0)
+            assert native.chain_dp_batch([job]) == [v]

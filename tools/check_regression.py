@@ -18,7 +18,7 @@ seconds and is immune to CI machine noise.
 When both records carry kernel profiles (``summary.profile``), every
 comparison also prints the top kernels by wall-clock delta — a failure
 names *which kernel* regressed, and an improvement credits the
-accelerated kernel (e.g. a native backend landing), not just which
+accelerated kernel (e.g. a batched kernel landing), not just which
 metric moved (see ``repro profdiff`` for the manual version of the
 same attribution).
 
@@ -56,7 +56,7 @@ def kernel_attribution(base: dict, fresh: dict, top: int = 3) -> str:
     between the two records' kernel profiles.  Best-effort — returns
     ``""`` when either record predates the profiler.  Printed for
     regressions *and* improvements: a faster run should credit the
-    accelerated kernel (e.g. a native backend landing) just as a slower
+    accelerated kernel (e.g. a batched kernel landing) just as a slower
     one blames the responsible kernel."""
     a = totals_from_record(base)
     b = totals_from_record(fresh)
