@@ -4,9 +4,9 @@ Two claims are measured on the Ulam workload (protocol of E21: the
 variants are interleaved within each repetition and compared pairwise
 per rep, so back-to-back runs see the same system load):
 
-1. **Free when disabled** (the library default): ``KernelProbe.begin``
-   is one module-attribute read returning the ``-1.0`` sentinel and
-   ``end`` one float comparison, so a run with the profiler off must
+1. **Free when disabled** (the library default): the exit of a
+   kernel's ``charge`` bracket is one float comparison and machine
+   meters carry no kernel map, so a run with the profiler off must
    leave *zero* trace — no ``profile`` block in the summary, no global
    aggregate growth.
 2. **Cheap when enabled**: full per-(kernel, round, machine)
@@ -15,8 +15,8 @@ per rep, so back-to-back runs see the same system load):
 
 One identity is asserted as well: the profiler's per-kernel DP-cell
 total must exactly equal the metrics registry's ``strings.dp_cells``
-counter for the same kernel over the machine rounds — two independent
-observation paths, one execution.
+counter for the same kernel over the machine rounds — two views of the
+same charges, one execution.
 """
 
 import time

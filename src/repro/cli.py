@@ -852,10 +852,9 @@ def _resolve_profile_run(spec: str, history_path: str):
     return "record", matches[-1]
 
 
-def _profile_totals(kind: str, payload):
-    from .obs.profile import totals_from_record, totals_from_spans
-    return (totals_from_spans(payload) if kind == "spans"
-            else totals_from_record(payload))
+def _profile_totals(payload):
+    from .obs.profile import kernel_rows, kernel_totals
+    return kernel_totals(kernel_rows(payload))
 
 
 def _format_profile_totals(totals: dict, top: int = 0,
@@ -882,10 +881,11 @@ def _format_profile_totals(totals: dict, top: int = 0,
 
 
 def _cmd_profile(args) -> int:
-    from .obs.profile import (flame_from_record, flame_from_spans,
+    from .obs.profile import (collapsed_stacks, kernel_rows, kernel_totals,
                               write_collapsed)
     kind, payload = _resolve_profile_run(args.run, args.history)
-    totals = _profile_totals(kind, payload)
+    rows = kernel_rows(payload)
+    totals = kernel_totals(rows)
     if not totals:
         print(f"{args.run}: no kernel profile data (was the run made "
               "with profiling on? CLI runs enable it automatically; "
@@ -906,9 +906,7 @@ def _cmd_profile(args) -> int:
         print(_format_profile_totals(totals, top=args.top,
                                      per_call=args.per_call))
     if args.flame is not None:
-        lines = (flame_from_spans(payload, weight=args.weight)
-                 if kind == "spans"
-                 else flame_from_record(payload, weight=args.weight))
+        lines = collapsed_stacks(rows, weight=args.weight)
         write_collapsed(lines, args.flame)
         print(f"collapsed stacks ({args.weight}) written to "
               f"{args.flame} ({len(lines)} frames; render with "
@@ -926,10 +924,8 @@ def _cmd_profile(args) -> int:
 
 def _cmd_profdiff(args) -> int:
     from .obs.profile import diff_profiles, format_profile_diff
-    kind_a, payload_a = _resolve_profile_run(args.a, args.history)
-    kind_b, payload_b = _resolve_profile_run(args.b, args.history)
-    totals_a = _profile_totals(kind_a, payload_a)
-    totals_b = _profile_totals(kind_b, payload_b)
+    totals_a = _profile_totals(_resolve_profile_run(args.a, args.history)[1])
+    totals_b = _profile_totals(_resolve_profile_run(args.b, args.history)[1])
     for label, totals in ((args.a, totals_a), (args.b, totals_b)):
         if not totals:
             print(f"{label}: no kernel profile data", file=sys.stderr)
@@ -960,10 +956,9 @@ def _kernel_attribution(baseline: dict, fresh: dict) -> str:
     """Top-3 kernel wall-clock deltas between two run records, or ``""``
     when either side predates the kernel profiler (tolerant, so the
     gate's attribution is best-effort)."""
-    from .obs.profile import (diff_profiles, format_profile_diff,
-                              totals_from_record)
-    a = totals_from_record(baseline)
-    b = totals_from_record(fresh)
+    from .obs.profile import diff_profiles, format_profile_diff
+    a = _profile_totals(baseline)
+    b = _profile_totals(fresh)
     if not a or not b:
         return ""
     rows = diff_profiles(a, b, by="seconds")

@@ -17,6 +17,10 @@ Design
   library users who never call :func:`enable` pay one attribute load and
   one branch per *kernel call* (not per DP cell) — measured < 5 %
   enabled and unmeasurable disabled (benchmark E21).
+* The string kernels' ``strings.dp_cells`` / ``strings.kernel_calls``
+  series are ticked only by :class:`repro.mpc.accounting.charge`, the
+  one bracket that also charges the work ledger and the kernel
+  profile, so all three views count the same calls and cells.
 * Three instrument types, all labelled:
 
   - :class:`Counter` — monotone totals (``inc``): DP cells, candidate

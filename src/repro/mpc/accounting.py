@@ -19,18 +19,30 @@ parameter::
 
 Meters nest: inner meters also charge all enclosing meters, which lets the
 simulator meter a whole round while a machine meters itself.
+
+A DP kernel reports each call exactly once, through the :class:`charge`
+bracket around its loop.  The one ``(kernel, calls, cells)`` event feeds
+three views: the work ledger (every active meter's ``total``), the
+metrics registry (``strings.dp_cells`` / ``strings.kernel_calls``) and,
+with the kernel profiler on (:mod:`repro.obs.profile`), the per-kernel
+``[calls, cells, seconds]`` map of every active meter opened while
+profiling — so the per-machine meter of
+:func:`repro.mpc.machine.execute_task` yields both a machine's work and
+its kernel profile.
 """
 
 from __future__ import annotations
 
 import copy
 import threading
+import time
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
 
-from ..metrics import merge_snapshots
+from ..metrics import Counter, get_registry, merge_snapshots
+from ..obs import profile as _profile
 
-__all__ = ["WorkMeter", "add_work", "RoundStats", "RunStats"]
+__all__ = ["WorkMeter", "add_work", "charge", "RoundStats", "RunStats"]
 
 _local = threading.local()
 
@@ -74,14 +86,22 @@ class isolated_meters:
 
 
 class WorkMeter:
-    """Accumulates abstract work units charged via :func:`add_work`."""
+    """Accumulates abstract work units charged via :func:`add_work`.
 
-    __slots__ = ("total",)
+    ``kernels`` is ``None`` unless the kernel profiler was on when the
+    meter opened; then it maps kernel name to ``[calls, cells,
+    seconds]`` for every :class:`charge` bracket run inside the meter.
+    """
+
+    __slots__ = ("total", "kernels")
 
     def __init__(self) -> None:
         self.total = 0
+        self.kernels: Optional[Dict[str, list]] = None
 
     def __enter__(self) -> "WorkMeter":
+        if _profile._ENABLED:
+            self.kernels = {}
         _stack().append(self)
         return self
 
@@ -90,6 +110,68 @@ class WorkMeter:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"WorkMeter(total={self.total})"
+
+
+#: kernel name -> its ``(strings.dp_cells, strings.kernel_calls)``
+#: counter handles, created on the kernel's first charge.
+_HANDLES: Dict[str, Tuple[Counter, Counter]] = {}
+
+
+class charge:
+    """``with charge(kernel, calls, cells): <loop>`` — the one way a DP
+    kernel reports itself.
+
+    Entering adds *cells* to every active :class:`WorkMeter` and ticks
+    ``strings.dp_cells{kernel}`` by *cells* and
+    ``strings.kernel_calls{kernel}`` by *calls* (a batched kernel
+    charges its whole batch as *calls* logical calls).  With the kernel
+    profiler on, the block is timed and ``[calls, cells, seconds]``
+    folds into the ``kernels`` map of every active meter that has one;
+    off, the exit is one float comparison.  An
+    :class:`~repro.obs.profile.inject_slowdown` delay for *kernel*
+    sleeps inside the timed window, once per logical call.
+    """
+
+    __slots__ = ("kernel", "calls", "cells", "_t0")
+
+    def __init__(self, kernel: str, calls: int, cells: int) -> None:
+        self.kernel = kernel
+        self.calls = calls
+        self.cells = cells
+
+    def __enter__(self) -> "charge":
+        cells = self.cells
+        for meter in _stack():
+            meter.total += cells
+        handles = _HANDLES.get(self.kernel)
+        if handles is None:
+            registry = get_registry()
+            handles = _HANDLES[self.kernel] = (
+                registry.counter("strings.dp_cells", kernel=self.kernel),
+                registry.counter("strings.kernel_calls",
+                                 kernel=self.kernel))
+        handles[0].inc(cells)
+        handles[1].inc(self.calls)
+        self._t0 = time.perf_counter() if _profile._ENABLED else -1.0
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._t0 < 0.0:
+            return
+        if _profile._DELAYS:
+            time.sleep(_profile._DELAYS.get(self.kernel, 0.0) * self.calls)
+        dt = time.perf_counter() - self._t0
+        for meter in _stack():
+            kernels = meter.kernels
+            if kernels is None:
+                continue
+            rec = kernels.get(self.kernel)
+            if rec is None:
+                kernels[self.kernel] = [self.calls, self.cells, dt]
+            else:
+                rec[0] += self.calls
+                rec[1] += self.cells
+                rec[2] += dt
 
 
 @dataclass

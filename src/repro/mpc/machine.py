@@ -27,7 +27,6 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
-from ..obs.profile import collect_profile
 from .accounting import WorkMeter, isolated_meters
 from .shm import resolve_payload
 
@@ -110,11 +109,13 @@ class MachineResult:
     ``time.perf_counter()`` start (a system-wide monotonic clock on
     Linux, hence comparable across workers and the driver).
 
-    ``profile`` rides the same way for the kernel profiler
-    (:mod:`repro.obs.profile`): ``{kernel: [calls, cells, seconds]}``
-    collected around the machine function, or ``None`` when profiling
-    was disabled in the executing process — the simulator folds it into
-    the round ledger exactly like span data.
+    ``work`` and ``profile`` come from the one
+    :class:`~repro.mpc.accounting.WorkMeter` opened around the machine
+    function: its ``total`` and its kernel map ``{kernel: [calls,
+    cells, seconds]}`` for the kernel profiler
+    (:mod:`repro.obs.profile`), ``None`` when profiling was disabled in
+    the executing process — the simulator folds it into the round
+    ledger exactly like span data.
     """
 
     output: Any
@@ -146,10 +147,9 @@ def execute_task(task: MachineTask,
     """
     start = time.perf_counter()
     payload = merge_broadcast(resolve_payload(task.payload), broadcast)
-    with isolated_meters(), WorkMeter() as meter, \
-            collect_profile() as prof:
+    with isolated_meters(), WorkMeter() as meter:
         output = task.fn(payload)
     return MachineResult(output=output, work=meter.total,
                          wall_seconds=time.perf_counter() - start,
                          worker=os.getpid(), started=start,
-                         profile=prof.data)
+                         profile=meter.kernels)

@@ -12,28 +12,26 @@ Three pillars, built on the correlation ids the service mints per query
   error-budget burn rates, behind ``repro serve --slo`` and the
   ``tools/check_slo.py`` CI gate;
 * **kernel profiler** (:mod:`.profile`) — per-(kernel, round, machine,
-  query) wall-clock/cells attribution riding the ``strings.dp_cells``
-  choke points, with flamegraph export (``repro profile``), the
-  differential profiler (``repro profdiff``) and a ``/profile``
-  endpoint on the exporter.
+  query) wall-clock/cells attribution riding the one
+  :class:`~repro.mpc.accounting.charge` bracket of each kernel call,
+  with flamegraph export (``repro profile``), the differential
+  profiler (``repro profdiff``) and a ``/profile`` endpoint on the
+  exporter.
 """
 
 from .exporter import ObservabilityServer, prometheus_exposition, \
     render_health
-from .profile import (KernelProbe, collect_profile, diff_profiles,
-                      flame_from_record, flame_from_spans, global_profile,
-                      hot_kernels, inject_slowdown, kernel_probe,
-                      profiling_enabled, reset_global_profile,
-                      totals_from_record, totals_from_spans,
-                      write_collapsed)
+from .profile import (collapsed_stacks, diff_profiles, global_profile,
+                      hot_kernels, inject_slowdown, kernel_rows,
+                      kernel_totals, profiling_enabled,
+                      reset_global_profile, write_collapsed)
 from .slo import (SLO, QuerySample, SLOMonitor, SLOReport, burn_rate,
                   default_slos, sample_from_outcome, sample_from_record)
 
 __all__ = ["ObservabilityServer", "prometheus_exposition", "render_health",
-           "KernelProbe", "kernel_probe", "collect_profile",
            "profiling_enabled", "inject_slowdown", "global_profile",
            "reset_global_profile", "hot_kernels", "diff_profiles",
-           "totals_from_record", "totals_from_spans",
-           "flame_from_record", "flame_from_spans", "write_collapsed",
+           "kernel_rows", "kernel_totals", "collapsed_stacks",
+           "write_collapsed",
            "SLO", "QuerySample", "SLOMonitor", "SLOReport", "burn_rate",
            "default_slos", "sample_from_outcome", "sample_from_record"]

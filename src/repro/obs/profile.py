@@ -3,39 +3,36 @@
 The metrics registry (:mod:`repro.metrics`) counts *what* the string
 kernels did (``strings.dp_cells`` per kernel label) and span telemetry
 (:mod:`repro.mpc.telemetry`) records *where machine time went* — but
-neither says which *kernel* owned a machine's wall-clock.  This module
-closes that gap with a deliberately tiny probe riding the exact choke
-points that already tick ``strings.dp_cells``:
+neither says which *kernel* owned a machine's wall-clock.  The profiler
+closes that gap without a mechanism of its own: every DP kernel already
+reports each call once, through the
+:class:`~repro.mpc.accounting.charge` bracket around its loop, and with
+profiling **on** that bracket also times the loop and folds
+``[calls, cells, seconds]`` into the ``kernels`` map of every active
+:class:`~repro.mpc.accounting.WorkMeter` opened while profiling.  Off
+(the default), meters carry ``kernels = None`` and the bracket's exit
+is one float comparison.
 
-* each instrumented kernel holds a module-level :class:`KernelProbe`
-  (``_PROBE = kernel_probe("banded")``) and brackets its hot loop with
-  ``t0 = _PROBE.begin()`` / ``_PROBE.end(t0, cells)``;
-* when profiling is **off** (the default) ``begin`` is a single module
-  attribute read returning the ``-1.0`` sentinel and ``end`` is one
-  float comparison — the same cheap-no-op discipline as
-  :func:`repro.mpc.accounting.add_work` and the metrics registry;
-* when **on**, ``end`` charges ``(calls, cells, seconds)`` to every
-  active :class:`collect_profile` accumulator on a thread-local stack
-  (the :class:`~repro.mpc.accounting.WorkMeter` pattern), and
-  :func:`repro.mpc.machine.execute_task` opens one accumulator per
-  machine so per-kernel attribution crosses the process-pool boundary
-  as a plain dict on :class:`~repro.mpc.machine.MachineResult` —
-  exactly like spans do.
-
-The simulator folds machine profiles into
-``RoundStats.kernel_profile`` (driving the ``profile`` block of
+:func:`repro.mpc.machine.execute_task` opens one meter per machine, so
+a machine's work and its kernel profile come from the same
+accumulator and cross the process-pool boundary together on
+:class:`~repro.mpc.machine.MachineResult` — exactly like spans do.  The
+simulator folds machine profiles into ``RoundStats.kernel_profile``
+(driving the ``profile`` block of
 :meth:`~repro.mpc.accounting.RunStats.summary`, hence history records)
-and into a process-global aggregate served by the
-``/profile`` endpoint of :class:`repro.obs.ObservabilityServer`.  The
-global aggregate keys a bounded per-query breakdown on the ambient
-:func:`~repro.mpc.telemetry.current_trace` pair, so service queries
-get per-query attribution through the existing contextvar scopes.
+and into a process-global aggregate served by the ``/profile`` endpoint
+of :class:`repro.obs.ObservabilityServer`.  The global aggregate keys a
+bounded per-query breakdown on the ambient
+:func:`~repro.mpc.telemetry.current_trace` pair, so service queries get
+per-query attribution through the existing contextvar scopes.
 
 On top of the raw data this module provides the presentation layer:
-collapsed-stack (Brendan Gregg flamegraph) export, per-kernel totals,
-and the differential profiler behind ``repro profdiff`` /
-``tools/check_regression.py`` — a failing gate names the top kernels
-responsible instead of just the regressed metric.
+one row format for recorded profiles (:func:`kernel_rows` reads a
+history record or a span trace), per-kernel totals, collapsed-stack
+(Brendan Gregg flamegraph) export, and the differential profiler
+behind ``repro profdiff`` / ``tools/check_regression.py`` — a failing
+gate names the top kernels responsible instead of just the regressed
+metric.
 
 :func:`inject_slowdown` deliberately delays one named kernel (inside
 the measured window), the chaos-style facility the differential
@@ -46,96 +43,25 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
-import time
+from ..registry import record_profile
 
-__all__ = ["KernelProbe", "kernel_probe", "collect_profile",
-           "enable", "disable", "profiling_enabled", "enabled",
+__all__ = ["enable", "disable", "profiling_enabled", "enabled",
            "inject_slowdown", "merge_profile",
            "fold_global", "global_profile", "reset_global_profile",
-           "totals_from_rows", "totals_from_record", "totals_from_spans",
+           "kernel_rows", "kernel_totals", "collapsed_stacks",
            "hot_kernels", "diff_profiles", "format_profile_diff",
-           "flame_from_record", "flame_from_spans", "write_collapsed"]
+           "write_collapsed"]
 
-#: Master switch.  Read once per probe hit; rebound by enable()/disable().
+#: Master switch, read by :class:`repro.mpc.accounting.charge` and
+#: :class:`~repro.mpc.accounting.WorkMeter`; rebound by
+#: enable()/disable().
 _ENABLED = False
 
 #: kernel name -> injected per-call delay in seconds (testing facility).
 #: Empty in production, so the hot path pays one falsy check.
 _DELAYS: Dict[str, float] = {}
-
-_local = threading.local()
-
-
-def _accumulators() -> List[Dict[str, List[float]]]:
-    accs = getattr(_local, "accs", None)
-    if accs is None:
-        accs = []
-        _local.accs = accs
-    return accs
-
-
-class KernelProbe:
-    """Per-kernel timing probe bracketing a kernel's hot loop.
-
-    Held at module level by each instrumented kernel; ``begin``/``end``
-    collapse to an attribute read plus a float comparison when
-    profiling is disabled, so the probe can sit on every call path
-    unconditionally.
-    """
-
-    __slots__ = ("kernel",)
-
-    def __init__(self, kernel: str) -> None:
-        self.kernel = kernel
-
-    def begin(self) -> float:
-        """Start timing; returns the ``-1.0`` sentinel when disabled."""
-        if not _ENABLED:
-            return -1.0
-        return time.perf_counter()
-
-    def end(self, t0: float, cells: int) -> None:
-        """Charge one call of *cells* DP cells ending now to all
-        active accumulators.  No-op when ``begin`` returned the
-        disabled sentinel."""
-        if t0 < 0.0:
-            return
-        self.end_batch(t0, 1, cells)
-
-    def end_batch(self, t0: float, calls: int, cells: int) -> None:
-        """Charge *calls* logical calls totalling *cells* DP cells to
-        one timing window ending now.
-
-        A batched kernel evaluates many logical calls inside one NumPy
-        invocation; folding the batch as ``calls`` calls keeps profile
-        call/cell counts equal to those of the same jobs issued one at a
-        time — only the seconds column reflects the batching win.
-        """
-        if t0 < 0.0:
-            return
-        if _DELAYS:
-            extra = _DELAYS.get(self.kernel, 0.0)
-            if extra > 0.0:
-                # Sleep inside the measured window, once per logical
-                # call, so an injected slowdown is genuinely *observed*
-                # by the profiler, not merely configured.
-                time.sleep(extra * calls)
-        dt = time.perf_counter() - t0
-        for data in _accumulators():
-            rec = data.get(self.kernel)
-            if rec is None:
-                data[self.kernel] = [calls, cells, dt]
-            else:
-                rec[0] += calls
-                rec[1] += cells
-                rec[2] += dt
-
-
-def kernel_probe(kernel: str) -> KernelProbe:
-    """A probe handle for *kernel* (module-level, like metric handles)."""
-    return KernelProbe(kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +108,8 @@ class enabled:
 class inject_slowdown:
     """Deliberately delay every call of one kernel (testing facility).
 
-    The delay is applied *inside* the probe's measured window, so the
+    The delay is applied *inside* the timed window of the kernel's
+    :class:`~repro.mpc.accounting.charge` bracket, so the
     profiler observes it as genuine kernel wall-clock — which is the
     point: the differential profiler's acceptance tests slow one kernel
     and assert ``repro profdiff`` convicts exactly that kernel.
@@ -202,31 +129,6 @@ class inject_slowdown:
             _DELAYS.pop(self.kernel, None)
         else:
             _DELAYS[self.kernel] = self._saved
-
-
-class collect_profile:
-    """Accumulate per-kernel ``[calls, cells, seconds]`` for a block.
-
-    ``data`` is ``None`` when profiling is disabled (so callers ship
-    nothing), else a plain picklable dict — the exact shape that rides
-    :class:`~repro.mpc.machine.MachineResult` back to the driver.
-    Collectors nest and stack per thread, like
-    :class:`~repro.mpc.accounting.WorkMeter`.
-    """
-
-    __slots__ = ("data",)
-
-    def __enter__(self) -> "collect_profile":
-        if _ENABLED:
-            self.data: Optional[Dict[str, List[float]]] = {}
-            _accumulators().append(self.data)
-        else:
-            self.data = None
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self.data is not None:
-            _accumulators().remove(self.data)
 
 
 def merge_profile(into: Dict[str, List[float]],
@@ -316,37 +218,45 @@ def reset_global_profile() -> None:
 # ---------------------------------------------------------------------------
 # Totals, hot kernels and the differential profiler
 
-def totals_from_rows(rows: Sequence[Mapping[str, object]]
-                     ) -> Dict[str, Dict[str, float]]:
-    """Per-kernel totals from a summary ``profile`` block's rows."""
+def kernel_rows(run) -> List[dict]:
+    """Recorded kernel profile as rows of ``frame, kernel, calls, cells,
+    seconds``: the one format every reader below consumes.
+
+    *run* is a history record (a mapping; one row per (round, kernel)
+    of its ``summary.profile`` block, framed ``engine;round``) or a
+    span trace (a sequence; one row per kernel of each profiled machine
+    span, framed ``run;round;machine[i]``).
+    """
+    if isinstance(run, Mapping):
+        root = run.get("engine") or run.get("command") or "run"
+        return [{"frame": f"{root};{row.get('round')}",
+                 "kernel": str(row.get("kernel")),
+                 "calls": row.get("calls", 0) or 0,
+                 "cells": row.get("cells", 0) or 0,
+                 "seconds": row.get("seconds", 0.0) or 0.0}
+                for row in record_profile(run)]
+    root = next((getattr(s, "name", "run") for s in run
+                 if getattr(s, "kind", "") == "run"), "run")
+    return [{"frame": f"{root};{s.name};machine[{s.machine}]",
+             "kernel": kernel, "calls": rec[0], "cells": rec[1],
+             "seconds": rec[2]}
+            for s in run
+            if getattr(s, "kind", "") == "machine"
+            and getattr(s, "profile", None)
+            for kernel, rec in s.profile.items()]
+
+
+def kernel_totals(rows: Sequence[Mapping[str, object]]
+                  ) -> Dict[str, Dict[str, float]]:
+    """Per-kernel ``{calls, cells, seconds}`` totals of
+    :func:`kernel_rows` rows."""
     totals: Dict[str, Dict[str, float]] = {}
     for row in rows:
-        kernel = str(row.get("kernel"))
-        t = totals.setdefault(kernel,
+        t = totals.setdefault(row["kernel"],
                               {"calls": 0, "cells": 0, "seconds": 0.0})
-        t["calls"] += row.get("calls", 0) or 0
-        t["cells"] += row.get("cells", 0) or 0
-        t["seconds"] += row.get("seconds", 0.0) or 0.0
+        for metric in t:
+            t[metric] += row[metric]
     return totals
-
-
-def totals_from_record(record: Mapping[str, object]
-                       ) -> Dict[str, Dict[str, float]]:
-    """Per-kernel totals from a history record's ``summary.profile``."""
-    summary = record.get("summary") or {}
-    rows = summary.get("profile") if isinstance(summary, Mapping) else None
-    return totals_from_rows(rows or [])
-
-
-def totals_from_spans(spans: Sequence[object]) -> Dict[str, Dict[str, float]]:
-    """Per-kernel totals from machine spans carrying ``profile`` data."""
-    totals: Dict[str, List[float]] = {}
-    for s in spans:
-        prof = getattr(s, "profile", None)
-        if prof:
-            merge_profile(totals, prof)
-    return {k: {"calls": int(v[0]), "cells": int(v[1]), "seconds": v[2]}
-            for k, v in totals.items()}
 
 
 def hot_kernels(totals: Mapping[str, Mapping[str, float]],
@@ -364,9 +274,9 @@ def diff_profiles(a: Mapping[str, Mapping[str, float]],
                   by: str = "seconds") -> List[dict]:
     """Rank kernels by their A→B delta on metric *by* (descending |Δ|).
 
-    *a* and *b* are per-kernel totals (:func:`totals_from_record` /
-    :func:`totals_from_spans`).  Each row carries both sides of every
-    metric so the CLI can print one table whatever the ranking metric.
+    *a* and *b* are per-kernel totals (:func:`kernel_totals`).  Each
+    row carries both sides of every metric so the CLI can print one
+    table whatever the ranking metric.
     """
     rows: List[dict] = []
     for kernel in sorted(set(a) | set(b)):
@@ -439,41 +349,15 @@ def _weight(rec: Mapping[str, float], weight: str) -> int:
     return int(rec.get(weight, 0))
 
 
-def flame_from_record(record: Mapping[str, object],
-                      weight: str = "seconds") -> List[str]:
-    """Collapsed-stack lines (``engine;round;kernel N``) from a record.
-
-    Round-level attribution: history records carry the summary's
-    ``profile`` block, whose rows are already folded per (round,
-    kernel).  Use :func:`flame_from_spans` on a span trace for the
-    per-machine frames.
-    """
-    root = (record.get("engine") or record.get("command") or "run")
-    summary = record.get("summary") or {}
-    rows = summary.get("profile") if isinstance(summary, Mapping) else None
-    folded: "OrderedDict[str, int]" = OrderedDict()
-    for row in rows or []:
-        frame = f"{root};{row.get('round')};{row.get('kernel')}"
-        folded[frame] = folded.get(frame, 0) + _weight(row, weight)
-    return [f"{frame} {value}" for frame, value in folded.items() if value]
-
-
-def flame_from_spans(spans: Sequence[object],
+def collapsed_stacks(rows: Sequence[Mapping[str, object]],
                      weight: str = "seconds") -> List[str]:
-    """Collapsed-stack lines (``run;round;machine[i];kernel N``) from
-    machine spans carrying ``profile`` data."""
-    root = next((getattr(s, "name", "run") for s in spans
-                 if getattr(s, "kind", "") == "run"), "run")
+    """Collapsed-stack lines (``frame;kernel N``) of :func:`kernel_rows`
+    rows: round-level frames from a record, per-machine frames from a
+    span trace."""
     folded: "OrderedDict[str, int]" = OrderedDict()
-    for s in spans:
-        prof = getattr(s, "profile", None)
-        if not prof or getattr(s, "kind", "") != "machine":
-            continue
-        for kernel, rec in prof.items():
-            frame = (f"{root};{s.name};machine[{s.machine}];{kernel}")
-            value = _weight({"calls": rec[0], "cells": rec[1],
-                             "seconds": rec[2]}, weight)
-            folded[frame] = folded.get(frame, 0) + value
+    for row in rows:
+        frame = f"{row['frame']};{row['kernel']}"
+        folded[frame] = folded.get(frame, 0) + _weight(row, weight)
     return [f"{frame} {value}" for frame, value in folded.items() if value]
 
 

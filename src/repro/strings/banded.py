@@ -11,8 +11,9 @@ These kernels power the ``inner="banded"`` option of the MPC edit-distance
 algorithm and every distance-threshold query (``ed ≤ τ``) of the
 large-distance phases.  Each scalar entry point is a batch of one: the
 early exits live once, in the batch loops, and every band evaluation is
-metered once, in :func:`_banded_values_group`, before
-:func:`repro.strings.native.banded_values_batch` runs it.
+charged once, by the :class:`~repro.mpc.accounting.charge` bracket in
+:func:`_banded_values_group` around
+:func:`repro.strings.native.banded_values_batch`.
 """
 
 from __future__ import annotations
@@ -21,18 +22,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..metrics import get_registry
-from ..mpc.accounting import add_work
-from ..obs.profile import kernel_probe
+from ..mpc.accounting import add_work, charge
 from . import native
 from .types import StringLike, as_array
 
 __all__ = ["levenshtein_banded", "levenshtein_doubling", "within_threshold",
            "within_threshold_batch", "levenshtein_doubling_batch"]
-
-_M_CELLS = get_registry().counter("strings.dp_cells", kernel="banded")
-_M_CALLS = get_registry().counter("strings.kernel_calls", kernel="banded")
-_PROBE = kernel_probe("banded")
 
 
 def _banded_values_group(pairs: Sequence[Tuple[np.ndarray, np.ndarray]],
@@ -46,20 +41,12 @@ def _banded_values_group(pairs: Sequence[Tuple[np.ndarray, np.ndarray]],
     ``ed > k`` without being the distance themselves.
 
     Each pair is one logical call of ``(2k+1)·m + n + 1`` cells (row
-    ``i`` covers columns ``[i-k, i+k]`` clipped to ``[0, n]``): work,
-    ``strings.dp_cells`` and ``strings.kernel_calls`` advance by the
-    per-pair sums, and the probe folds one timing window over
-    ``len(pairs)`` calls.
+    ``i`` covers columns ``[i-k, i+k]`` clipped to ``[0, n]``), charged
+    as ``len(pairs)`` calls in one bracket.
     """
     total = sum((2 * k + 1) * len(A) + len(B) + 1 for A, B in pairs)
-    add_work(total)
-    _M_CELLS.inc(total)
-    _M_CALLS.inc(len(pairs))
-    t0 = _PROBE.begin()
-    try:
+    with charge("banded", len(pairs), total):
         return native.banded_values_batch(pairs, k)
-    finally:
-        _PROBE.end_batch(t0, len(pairs), total)
 
 
 def _banded_batch(pairs: Sequence[Tuple[StringLike, StringLike]],

@@ -17,17 +17,10 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..metrics import get_registry
-from ..mpc.accounting import add_work
-from ..obs.profile import kernel_probe
+from ..mpc.accounting import charge
 from .types import StringLike, as_array
 
 __all__ = ["myers_levenshtein", "myers_last_row", "myers_fitting_row"]
-
-_M_CELLS = get_registry().counter("strings.dp_cells", kernel="bitparallel")
-_M_CALLS = get_registry().counter("strings.kernel_calls",
-                                  kernel="bitparallel")
-_PROBE = kernel_probe("bitparallel")
 
 
 def _rows(a: StringLike, b: StringLike, global_carry: bool):
@@ -44,38 +37,32 @@ def _rows(a: StringLike, b: StringLike, global_carry: bool):
     if m == 0:
         out[:] = np.arange(n + 1) if global_carry else 0
         return out
-    cells = max(n, 1) * (1 + m // 64)
-    add_work(cells)
-    _M_CELLS.inc(cells)
-    _M_CALLS.inc()
-    t0 = _PROBE.begin()
     mask = (1 << m) - 1
     hibit = 1 << (m - 1)
     peq: Dict[int, int] = {}
-    for i, ch in enumerate(A.tolist()):
-        peq[ch] = peq.get(ch, 0) | (1 << i)
-
     pv = mask
     mv = 0
     score = m
     out[0] = m
     carry = 1 if global_carry else 0
-    for j, ch in enumerate(B.tolist(), start=1):
-        eq = peq.get(ch, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | (~(xh | pv) & mask)
-        mh = pv & xh
-        if ph & hibit:
-            score += 1
-        if mh & hibit:
-            score -= 1
-        out[j] = score
-        ph = ((ph << 1) | carry) & mask
-        mh = (mh << 1) & mask
-        pv = mh | (~(xv | ph) & mask)
-        mv = ph & xv
-    _PROBE.end(t0, cells)
+    with charge("bitparallel", 1, max(n, 1) * (1 + m // 64)):
+        for i, ch in enumerate(A.tolist()):
+            peq[ch] = peq.get(ch, 0) | (1 << i)
+        for j, ch in enumerate(B.tolist(), start=1):
+            eq = peq.get(ch, 0)
+            xv = eq | mv
+            xh = (((eq & pv) + pv) ^ pv) | eq
+            ph = mv | (~(xh | pv) & mask)
+            mh = pv & xh
+            if ph & hibit:
+                score += 1
+            if mh & hibit:
+                score -= 1
+            out[j] = score
+            ph = ((ph << 1) | carry) & mask
+            mh = (mh << 1) & mask
+            pv = mh | (~(xv | ph) & mask)
+            mv = ph & xv
     return out
 
 
@@ -101,33 +88,27 @@ def myers_levenshtein(a: StringLike, b: StringLike) -> int:
     m, n = len(A), len(B)
     if m == 0 or n == 0:
         return m + n
-    cells = n * (1 + m // 64)
-    add_work(cells)
-    _M_CELLS.inc(cells)
-    _M_CALLS.inc()
-    t0 = _PROBE.begin()
     mask = (1 << m) - 1
     hibit = 1 << (m - 1)
     peq: Dict[int, int] = {}
-    for i, ch in enumerate(A.tolist()):
-        peq[ch] = peq.get(ch, 0) | (1 << i)
-
     pv = mask          # vertical +1 deltas: D[i][0] = i
     mv = 0
     score = m
-    for ch in B.tolist():
-        eq = peq.get(ch, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | (~(xh | pv) & mask)
-        mh = pv & xh
-        if ph & hibit:
-            score += 1
-        if mh & hibit:
-            score -= 1
-        ph = ((ph << 1) | 1) & mask   # carry: D[0][j] - D[0][j-1] = +1
-        mh = (mh << 1) & mask
-        pv = mh | (~(xv | ph) & mask)
-        mv = ph & xv
-    _PROBE.end(t0, cells)
+    with charge("bitparallel", 1, n * (1 + m // 64)):
+        for i, ch in enumerate(A.tolist()):
+            peq[ch] = peq.get(ch, 0) | (1 << i)
+        for ch in B.tolist():
+            eq = peq.get(ch, 0)
+            xv = eq | mv
+            xh = (((eq & pv) + pv) ^ pv) | eq
+            ph = mv | (~(xh | pv) & mask)
+            mh = pv & xh
+            if ph & hibit:
+                score += 1
+            if mh & hibit:
+                score -= 1
+            ph = ((ph << 1) | 1) & mask   # carry: D[0][j]-D[0][j-1] = +1
+            mh = (mh << 1) & mask
+            pv = mh | (~(xv | ph) & mask)
+            mv = ph & xv
     return score

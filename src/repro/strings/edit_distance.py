@@ -16,27 +16,11 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ..metrics import get_registry
-from ..mpc.accounting import add_work
-from ..obs.profile import kernel_probe
+from ..mpc.accounting import add_work, charge
 from .types import StringLike, as_array
 
 __all__ = ["levenshtein", "levenshtein_last_row", "levenshtein_script",
            "hamming"]
-
-# Metric handles are module-level so the hot path pays one guarded
-# method call per kernel invocation (not per DP cell); see repro.metrics.
-_M_CELLS_ROW = get_registry().counter("strings.dp_cells", kernel="wf_row")
-_M_CALLS_ROW = get_registry().counter("strings.kernel_calls",
-                                      kernel="wf_row")
-_M_CELLS_SCRIPT = get_registry().counter("strings.dp_cells",
-                                         kernel="script")
-_M_CELLS_HAMMING = get_registry().counter("strings.dp_cells",
-                                          kernel="hamming")
-#: Wall-clock probe for the NumPy row loop only — calls dispatched to the
-#: bit-parallel backend are attributed to kernel "bitparallel" by its own
-#: probe, so profile attribution stays exclusive per executed loop.
-_PROBE_ROW = kernel_probe("wf_row")
 
 #: pattern length above which the bit-parallel backend takes over (the
 #: NumPy row loop iterates over the pattern; Myers iterates over the
@@ -49,34 +33,35 @@ def levenshtein_last_row(a: StringLike, b: StringLike) -> np.ndarray:
 
     Entry ``j`` of the result is ``ed(a, b[:j])``.  This is the shared
     engine behind :func:`levenshtein` and the fitting-alignment kernels.
+
+    The work ledger charges ``max(m,1)·max(n,1)`` cells whichever path
+    runs (the goldens pin that figure), but only the NumPy row loop is
+    charged as kernel ``wf_row``: an empty side runs no loop, and a
+    Myers-dispatched call is charged as ``bitparallel`` by its own scan.
     """
     A, B = as_array(a), as_array(b)
     m, n = len(A), len(B)
-    add_work(max(m, 1) * max(n, 1))
-    _M_CELLS_ROW.inc(max(m, 1) * max(n, 1))
-    _M_CALLS_ROW.inc()
     row = np.arange(n + 1, dtype=np.int64)
-    if m == 0:
-        return row
-    if n == 0:
-        return np.array([m], dtype=np.int64)
+    if m == 0 or n == 0:
+        add_work(max(m, 1) * max(n, 1))
+        return row if m == 0 else np.array([m], dtype=np.int64)
     if m >= _BITPARALLEL_MIN_M and n >= 8:
         # long patterns: Myers' bit-parallel scan beats the row loop
         from .bitparallel import myers_last_row
+        add_work(m * n)
         return myers_last_row(A, B)
-    t0 = _PROBE_ROW.begin()
     offsets = np.arange(n + 1, dtype=np.int64)
-    for i in range(1, m + 1):
-        mismatch = (B != A[i - 1]).astype(np.int64)
-        # t[j] (for j = 1..n): best of substitute / delete-from-a.
-        t = np.minimum(row[:-1] + mismatch, row[1:] + 1)
-        # Resolve the insert (left) dependency with a running minimum.
-        u = np.empty(n + 1, dtype=np.int64)
-        u[0] = i
-        u[1:] = t - offsets[1:]
-        np.minimum.accumulate(u, out=u)
-        row = u + offsets
-    _PROBE_ROW.end(t0, m * n)
+    with charge("wf_row", 1, m * n):
+        for i in range(1, m + 1):
+            mismatch = (B != A[i - 1]).astype(np.int64)
+            # t[j] (for j = 1..n): best of substitute / delete-from-a.
+            t = np.minimum(row[:-1] + mismatch, row[1:] + 1)
+            # Resolve the insert (left) dependency with a running minimum.
+            u = np.empty(n + 1, dtype=np.int64)
+            u[0] = i
+            u[1:] = t - offsets[1:]
+            np.minimum.accumulate(u, out=u)
+            row = u + offsets
     return row
 
 
@@ -97,9 +82,8 @@ def hamming(a: StringLike, b: StringLike) -> int:
     A, B = as_array(a), as_array(b)
     if len(A) != len(B):
         raise ValueError("hamming distance requires equal-length strings")
-    add_work(len(A))
-    _M_CELLS_HAMMING.inc(len(A))
-    return int(np.count_nonzero(A != B))
+    with charge("hamming", 1, len(A)):
+        return int(np.count_nonzero(A != B))
 
 
 def levenshtein_script(a: StringLike, b: StringLike
@@ -113,20 +97,19 @@ def levenshtein_script(a: StringLike, b: StringLike
     """
     A, B = as_array(a), as_array(b)
     m, n = len(A), len(B)
-    add_work(max(m, 1) * max(n, 1))
-    _M_CELLS_SCRIPT.inc(max(m, 1) * max(n, 1))
     d = np.zeros((m + 1, n + 1), dtype=np.int64)
     d[0, :] = np.arange(n + 1)
     d[:, 0] = np.arange(m + 1)
     offsets = np.arange(n + 1, dtype=np.int64)
-    for i in range(1, m + 1):
-        mismatch = (B != A[i - 1]).astype(np.int64)
-        t = np.minimum(d[i - 1, :-1] + mismatch, d[i - 1, 1:] + 1)
-        u = np.empty(n + 1, dtype=np.int64)
-        u[0] = i
-        u[1:] = t - offsets[1:]
-        np.minimum.accumulate(u, out=u)
-        d[i] = u + offsets
+    with charge("script", 1, max(m, 1) * max(n, 1)):
+        for i in range(1, m + 1):
+            mismatch = (B != A[i - 1]).astype(np.int64)
+            t = np.minimum(d[i - 1, :-1] + mismatch, d[i - 1, 1:] + 1)
+            u = np.empty(n + 1, dtype=np.int64)
+            u[0] = i
+            u[1:] = t - offsets[1:]
+            np.minimum.accumulate(u, out=u)
+            d[i] = u + offsets
     ops: List[Tuple[str, int, int]] = []
     i, j = m, n
     while i > 0 or j > 0:

@@ -20,51 +20,43 @@ from typing import Tuple
 
 import numpy as np
 
-from ..metrics import get_registry
-from ..mpc.accounting import add_work
-from ..obs.profile import kernel_probe
+from ..mpc.accounting import add_work, charge
 from .edit_distance import levenshtein_last_row
 from .types import StringLike, as_array
 
 __all__ = ["fitting_last_row", "fitting_distance", "fitting_alignment"]
-
-# Counter and probe cover the NumPy row loop only: fitting calls
-# dispatched to the bit-parallel backend are attributed to kernel
-# "bitparallel" there, keeping per-kernel attribution exclusive.
-_M_CELLS = get_registry().counter("strings.dp_cells", kernel="fitting")
-_M_CALLS = get_registry().counter("strings.kernel_calls", kernel="fitting")
-_PROBE = kernel_probe("fitting")
 
 
 def fitting_last_row(pattern: StringLike, text: StringLike) -> np.ndarray:
     """Final row of the free-start DP.
 
     Entry ``j`` is ``min over g ≤ j of ed(pattern, text[g:j])``.
+
+    Like :func:`~repro.strings.levenshtein_last_row`, the ledger charges
+    ``max(m,1)·max(n,1)`` cells whichever path runs; only the row loop
+    is charged as kernel ``fitting``.
     """
     P, T = as_array(pattern), as_array(text)
     m, n = len(P), len(T)
-    add_work(max(m, 1) * max(n, 1))
     row = np.zeros(n + 1, dtype=np.int64)   # free start: D[0][j] = 0
     if m == 0 or n == 0:
+        add_work(max(m, 1) * max(n, 1))
         return row + (0 if m == 0 else m)
     from .edit_distance import _BITPARALLEL_MIN_M
     if m >= _BITPARALLEL_MIN_M and n >= 8:
         from .bitparallel import myers_fitting_row
+        add_work(m * n)
         return myers_fitting_row(P, T)
-    cells = m * n
-    _M_CELLS.inc(cells)
-    _M_CALLS.inc()
-    t0 = _PROBE.begin()
     offsets = np.arange(n + 1, dtype=np.int64)
-    for i in range(1, m + 1):
-        mismatch = (T != P[i - 1]).astype(np.int64)
-        t = np.minimum(row[:-1] + mismatch, row[1:] + 1)
-        u = np.empty(n + 1, dtype=np.int64)
-        u[0] = i
-        u[1:] = t - offsets[1:]
-        np.minimum.accumulate(u, out=u)
-        row = u + offsets
-    _PROBE.end(t0, cells)
+    with charge("fitting", 1, m * n):
+        for i in range(1, m + 1):
+            mismatch = (T != P[i - 1]).astype(np.int64)
+            t = np.minimum(row[:-1] + mismatch, row[1:] + 1)
+            u = np.empty(n + 1, dtype=np.int64)
+            u[0] = i
+            u[1:] = t - offsets[1:]
+            np.minimum.accumulate(u, out=u)
+            row = u + offsets
     return row
 
 

@@ -13,15 +13,15 @@ from typing import List
 
 import numpy as np
 
-from ..metrics import get_registry
-from ..mpc.accounting import add_work
-from ..obs.profile import kernel_probe
+from ..mpc.accounting import charge
 from .types import StringLike, as_array
 
 __all__ = ["lis_length", "lis_indices", "longest_increasing_subsequence"]
 
-_M_CELLS = get_registry().counter("strings.dp_cells", kernel="lis")
-_PROBE = kernel_probe("lis")
+
+def _cells(n: int) -> int:
+    """Charged work of one patience sort over *n* values."""
+    return n * max(int(np.ceil(np.log2(n))), 1) if n else 1
 
 
 def lis_length(seq: StringLike, strict: bool = True) -> int:
@@ -31,20 +31,15 @@ def lis_length(seq: StringLike, strict: bool = True) -> int:
     4
     """
     arr = as_array(seq)
-    n = len(arr)
-    cells = n * max(int(np.ceil(np.log2(n))), 1) if n else 1
-    add_work(cells)
-    _M_CELLS.inc(cells)
-    t0 = _PROBE.begin()
     find = bisect_left if strict else bisect_right
     tails: List[int] = []
-    for v in arr.tolist():
-        pos = find(tails, v)
-        if pos == len(tails):
-            tails.append(v)
-        else:
-            tails[pos] = v
-    _PROBE.end(t0, cells)
+    with charge("lis", 1, _cells(len(arr))):
+        for v in arr.tolist():
+            pos = find(tails, v)
+            if pos == len(tails):
+                tails.append(v)
+            else:
+                tails[pos] = v
     return len(tails)
 
 
@@ -56,33 +51,26 @@ def lis_indices(seq: StringLike, strict: bool = True) -> List[int]:
     """
     arr = as_array(seq)
     n = len(arr)
-    cells = n * max(int(np.ceil(np.log2(n))), 1) if n else 1
-    add_work(cells)
-    t0 = _PROBE.begin()
     find = bisect_left if strict else bisect_right
     tails: List[int] = []          # tail values per pile
     tail_idx: List[int] = []       # index of that tail element
     parent = [-1] * n
-    values = arr.tolist()
-    for i, v in enumerate(values):
-        pos = find(tails, v)
-        if pos == len(tails):
-            tails.append(v)
-            tail_idx.append(i)
-        else:
-            tails[pos] = v
-            tail_idx[pos] = i
-        parent[i] = tail_idx[pos - 1] if pos > 0 else -1
-    if not tails:
-        _PROBE.end(t0, cells)
-        return []
     out: List[int] = []
-    i = tail_idx[-1]
-    while i != -1:
-        out.append(i)
-        i = parent[i]
+    with charge("lis", 1, _cells(n)):
+        for i, v in enumerate(arr.tolist()):
+            pos = find(tails, v)
+            if pos == len(tails):
+                tails.append(v)
+                tail_idx.append(i)
+            else:
+                tails[pos] = v
+                tail_idx[pos] = i
+            parent[i] = tail_idx[pos - 1] if pos > 0 else -1
+        i = tail_idx[-1] if tails else -1
+        while i != -1:
+            out.append(i)
+            i = parent[i]
     out.reverse()
-    _PROBE.end(t0, cells)
     return out
 
 

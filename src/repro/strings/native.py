@@ -12,10 +12,9 @@ behind ``banded``).  Each picks its implementation by input size alone:
   job as a handful of whole-matrix NumPy operations per DP step.
 
 Both implementations return identical values, so the choice only moves
-wall-clock.  Metering (``add_work``, the ``strings.dp_cells`` /
-``strings.kernel_calls`` counters and the
-:class:`~repro.obs.profile.KernelProbe`) happens once per group in the
-callers, :mod:`repro.strings.ulam` and :mod:`repro.strings.banded`.
+wall-clock.  Each group is charged once, by the
+:class:`~repro.mpc.accounting.charge` bracket in the callers,
+:mod:`repro.strings.ulam` and :mod:`repro.strings.banded`.
 
 This module must not import other ``repro.strings`` kernel modules
 (they import it), nor metrics/accounting (metering stays in the

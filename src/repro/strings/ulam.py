@@ -25,8 +25,9 @@ Kernels
 * :func:`local_ulam_from_matches` / :func:`local_ulam` — free-window
   variant implementing the `lulam` contract ``(γ, κ, d*)`` of Lemma 1.
 
-Every sparse chain DP is metered once, in :func:`_chain_dp_group`, and
-runs through :func:`repro.strings.native.chain_dp_batch`; the scalar
+Every sparse chain DP is charged once, by the
+:class:`~repro.mpc.accounting.charge` bracket in :func:`_chain_dp_group`,
+and runs through :func:`repro.strings.native.chain_dp_batch`; the scalar
 entry points are batches of one.
 """
 
@@ -37,19 +38,11 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..metrics import get_registry
-from ..mpc.accounting import add_work
-from ..obs.profile import kernel_probe
+from ..mpc.accounting import add_work, charge
 from . import native
 from .edit_distance import levenshtein
 from .lcs import lcs_length_duplicate_free, position_map
 from .types import INF, StringLike, as_array
-
-_M_CELLS_SPARSE = get_registry().counter("strings.dp_cells",
-                                         kernel="ulam_sparse")
-_M_CALLS_SPARSE = get_registry().counter("strings.kernel_calls",
-                                         kernel="ulam_sparse")
-_PROBE_SPARSE = kernel_probe("ulam_sparse")
 
 __all__ = [
     "is_duplicate_free", "check_duplicate_free", "ulam_distance",
@@ -123,24 +116,17 @@ def match_points(pattern: StringLike, text: StringLike
 
 def _chain_dp_group(jobs: List[Tuple[np.ndarray, np.ndarray, int, int]]
                     ) -> List[int]:
-    """Metered sparse chain DP over band-filtered ``(i, p, m, n)`` jobs.
+    """Charged sparse chain DP over band-filtered ``(i, p, m, n)`` jobs.
 
     Each job is one logical ``ulam_sparse`` call of ``c² + 1`` cells for
-    its ``c`` match points: work, ``strings.dp_cells`` and
-    ``strings.kernel_calls`` advance by the per-job sums, and the probe
-    folds one timing window over ``len(jobs)`` calls.
+    its ``c`` match points, charged as ``len(jobs)`` calls in one
+    bracket.
     """
     if not jobs:
         return []
     cells = sum(len(job[0]) * len(job[0]) + 1 for job in jobs)
-    add_work(cells)
-    _M_CELLS_SPARSE.inc(cells)
-    _M_CALLS_SPARSE.inc(len(jobs))
-    t0 = _PROBE_SPARSE.begin()
-    try:
+    with charge("ulam_sparse", len(jobs), cells):
         return [int(v) for v in native.chain_dp_batch(jobs)]
-    finally:
-        _PROBE_SPARSE.end_batch(t0, len(jobs), cells)
 
 
 def ulam_from_matches(i_pts: np.ndarray, p_pts: np.ndarray, m: int, n: int,
@@ -223,13 +209,9 @@ def local_ulam_from_matches(i_pts: np.ndarray, p_pts: np.ndarray,
     ``i_pts`` must be strictly increasing (sorted by pattern index).
     """
     c = len(i_pts)
-    cells = c * c + 1
-    add_work(cells)
-    _M_CELLS_SPARSE.inc(cells)
-    if c == 0:
-        return 0, 0, m
-    t0 = _PROBE_SPARSE.begin()
-    try:
+    with charge("ulam_sparse", 1, c * c + 1):
+        if c == 0:
+            return 0, 0, m
         D = np.empty(c, dtype=np.int64)
         parent = np.full(c, -1, dtype=np.int64)
         for j in range(c):
@@ -254,8 +236,6 @@ def local_ulam_from_matches(i_pts: np.ndarray, p_pts: np.ndarray,
         gamma = int(p_pts[j])
         kappa = int(p_pts[j_best]) + 1
         return gamma, kappa, dist
-    finally:
-        _PROBE_SPARSE.end(t0, cells)
 
 
 def local_ulam(pattern: StringLike, text: StringLike

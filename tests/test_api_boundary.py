@@ -109,28 +109,33 @@ def test_checker_flags_metrics_mutation_in_benchmarks(tmp_path):
     assert "bench_rogue.py:1" in proc.stdout
 
 
-def test_checker_flags_kernel_probe_outside_repro(tmp_path):
+def test_checker_flags_kernel_charge_outside_repro(tmp_path):
     bad = tmp_path / "examples"
     bad.mkdir(parents=True)
-    (bad / "rogue_probe.py").write_text(
-        "from repro.obs.profile import kernel_probe\n"
-        "_P = kernel_probe('sneaky')\n")
+    (bad / "rogue_charge.py").write_text(
+        "from repro.mpc.accounting import charge\n"
+        "with charge('sneaky', 1, 10):\n"
+        "    pass\n")
     proc = _check(tmp_path)
     assert proc.returncode == 1
-    assert "rogue_probe.py:2" in proc.stdout
-    assert "kernel-probe" in proc.stdout
-    assert "profile_rows" in proc.stdout         # the fix hint
+    assert "rogue_charge.py:2" in proc.stdout
+    assert "kernel charge outside src/repro/" in proc.stdout
+    assert "WorkMeter (total, kernels)" in proc.stdout    # the fix hint
 
 
-def test_checker_allows_kernel_probe_in_repro_and_own_tests(tmp_path):
+def test_checker_allows_kernel_charge_in_repro_and_own_tests(tmp_path):
     src = tmp_path / "src" / "repro" / "strings"
     src.mkdir(parents=True)
     (src / "banded.py").write_text(
-        "_PROBE = kernel_probe('banded')\n")
+        "with charge('banded', len(pairs), total):\n"
+        "    pass\n")
     tests = tmp_path / "tests"
     tests.mkdir()
     (tests / "test_obs_profile.py").write_text(
-        "probe = kernel_probe('demo')\n")
+        "with charge('demo', 1, 10):\n"
+        "    pass\n")
+    (tests / "test_ledger.py").write_text(
+        "ledger.charge(5)\n")          # a method, not the bracket
     proc = _check(tmp_path)
     assert proc.returncode == 0, proc.stdout
 

@@ -1,4 +1,4 @@
-"""Kernel-attribution profiler: probes, flame export, differential gate.
+"""Kernel-attribution profiler: charges, flame export, differential gate.
 
 The acceptance bar of the profiling layer: a run made with profiling on
 carries per-(round, kernel) wall-clock attribution in its summary (and
@@ -17,15 +17,16 @@ import sys
 import time
 
 from repro.engines import EngineRequest, get_engine
+from repro.metrics import enabled as metrics_enabled
+from repro.metrics import scoped_snapshot
+from repro.mpc.accounting import WorkMeter, charge
 from repro.mpc.telemetry import Span
 from repro.obs import profile
-from repro.obs.profile import (collect_profile, diff_profiles, enabled,
-                               flame_from_record, flame_from_spans,
+from repro.obs.profile import (collapsed_stacks, diff_profiles, enabled,
                                format_profile_diff, global_profile,
-                               hot_kernels, inject_slowdown, kernel_probe,
-                               merge_profile, reset_global_profile,
-                               totals_from_record, totals_from_spans,
-                               write_collapsed)
+                               hot_kernels, inject_slowdown, kernel_rows,
+                               kernel_totals, merge_profile,
+                               reset_global_profile, write_collapsed)
 from repro.registry import make_record, record_profile
 from repro.workloads.permutations import planted_pair
 
@@ -35,31 +36,51 @@ N = 128
 SEED = 3
 
 
-def _spin(probe, cells=10):
-    t0 = probe.begin()
-    time.sleep(1e-4)
-    probe.end(t0, cells)
+def _spin(kernel="demo", calls=1, cells=10):
+    with charge(kernel, calls, cells):
+        time.sleep(1e-4)
 
 
-class TestKernelProbe:
-    def test_disabled_probe_is_inert(self):
-        probe = kernel_probe("demo")
-        assert probe.begin() == -1.0
-        with collect_profile() as prof:
-            _spin(probe)
-        assert prof.data is None  # nothing to ship over the pool
+class TestCharge:
+    def test_disabled_profiler_times_nothing(self):
+        # An injected delay sleeps inside the timed window only, so an
+        # untimed bracket does not pay it.
+        t0 = time.perf_counter()
+        with WorkMeter() as meter, inject_slowdown("demo", 0.5):
+            with charge("demo", 1, 10):
+                pass
+        assert time.perf_counter() - t0 < 0.25
+        assert meter.total == 10        # the ledger is still charged
+        assert meter.kernels is None    # nothing to ship over the pool
 
-    def test_enabled_probe_charges_all_active_collectors(self):
-        probe = kernel_probe("demo")
-        with enabled(), collect_profile() as outer:
-            _spin(probe, cells=10)
-            with collect_profile() as inner:
-                _spin(probe, cells=7)
-        calls, cells, seconds = outer.data["demo"]
-        assert (calls, cells) == (2, 17)
+    def test_meter_opened_before_enable_collects_no_profile(self):
+        with WorkMeter() as meter, enabled():
+            _spin()
+        assert meter.total == 10
+        assert meter.kernels is None
+
+    def test_nested_meters_both_receive_the_charge(self):
+        with enabled(), WorkMeter() as outer:
+            _spin(cells=10)
+            with WorkMeter() as inner:
+                _spin(calls=3, cells=7)
+        assert (outer.total, inner.total) == (17, 7)
+        calls, cells, seconds = outer.kernels["demo"]
+        assert (calls, cells) == (4, 17)
         assert seconds >= 2e-4
-        assert inner.data["demo"][0] == 1
-        assert inner.data["demo"][1] == 7
+        assert inner.kernels["demo"][:2] == [3, 7]
+
+    def test_one_charge_feeds_ledger_registry_and_profile(self):
+        with metrics_enabled(), enabled():
+            with scoped_snapshot() as scope, WorkMeter() as meter:
+                _spin(calls=2, cells=9)
+        assert meter.total == 9
+        assert meter.kernels["demo"][:2] == [2, 9]
+        assert scope.delta() == {
+            "strings.dp_cells{kernel=demo}": {"type": "counter",
+                                              "value": 9},
+            "strings.kernel_calls{kernel=demo}": {"type": "counter",
+                                                  "value": 2}}
 
     def test_merge_profile_sums_per_kernel(self):
         into = {"a": [1, 10, 0.5]}
@@ -67,20 +88,18 @@ class TestKernelProbe:
         assert into == {"a": [3, 15, 0.75], "b": [1, 1, 0.125]}
 
     def test_inject_slowdown_is_observed_then_restored(self):
-        probe = kernel_probe("victim")
-        bystander = kernel_probe("bystander")
-        with enabled(), collect_profile() as prof:
+        with enabled(), WorkMeter() as meter:
             with inject_slowdown("victim", 0.05):
-                t0 = probe.begin()
-                probe.end(t0, 1)
-                t0 = bystander.begin()
-                bystander.end(t0, 1)
-            t0 = probe.begin()
-            probe.end(t0, 1)
-        assert prof.data["victim"][2] >= 0.05
-        assert prof.data["bystander"][2] < 0.05
+                with charge("victim", 1, 1):
+                    pass
+                with charge("bystander", 1, 1):
+                    pass
+            with charge("victim", 1, 1):
+                pass
+        assert meter.kernels["victim"][2] >= 0.05
+        assert meter.kernels["bystander"][2] < 0.05
         # After the context exits, the second victim call is fast again.
-        assert prof.data["victim"][2] < 0.10
+        assert meter.kernels["victim"][2] < 0.10
 
     def test_global_aggregate_folds_and_caps_queries(self):
         reset_global_profile()
@@ -163,12 +182,12 @@ class TestFlameExport:
                    "calls": 2, "cells": 50, "seconds": 0.5}]}}
 
     def test_flame_from_record_folds_round_kernel_frames(self):
-        lines = flame_from_record(self.RECORD)
-        assert lines == [
+        rows = kernel_rows(self.RECORD)
+        assert collapsed_stacks(rows) == [
             "ulam-mpc;ulam/1-candidates;ulam_sparse 250000",
             "ulam-mpc;ulam/1-candidates;lis 1000",
             "ulam-mpc;ulam/2-verify;ulam_sparse 500000"]
-        by_cells = flame_from_record(self.RECORD, weight="cells")
+        by_cells = collapsed_stacks(rows, weight="cells")
         assert "ulam-mpc;ulam/1-candidates;ulam_sparse 100" in by_cells
 
     def test_flame_from_spans_keeps_machine_frames(self):
@@ -181,9 +200,10 @@ class TestFlameExport:
             Span(kind="machine", name="ulam/1", machine=0, start=0.0,
                  end=0.2),  # unprofiled machines contribute no frame
         ]
-        assert flame_from_spans(spans) == [
+        rows = kernel_rows(spans)
+        assert collapsed_stacks(rows) == [
             "ulam;ulam/1;machine[2];ulam_sparse 250000"]
-        assert flame_from_spans(spans, weight="cells") == [
+        assert collapsed_stacks(rows, weight="cells") == [
             "ulam;ulam/1;machine[2];ulam_sparse 50"]
 
     def test_write_collapsed_roundtrip(self, tmp_path):
@@ -235,7 +255,8 @@ class TestDifferentialProfiler:
         record = {"summary": {"profile": [
             {"round": "r", "kernel": "k", "calls": 3, "cells": 15,
              "seconds": 0.75}]}}
-        assert totals_from_spans(spans) == totals_from_record(record)
+        assert kernel_totals(kernel_rows(spans)) == \
+            kernel_totals(kernel_rows(record))
 
 
 class TestRegressionAttribution:
@@ -269,8 +290,9 @@ class TestRegressionAttribution:
             > rec_a["summary"]["total_work"] * 1.15
 
         # ...and the differential profiler convicts ulam_sparse.
-        rows = diff_profiles(totals_from_record(rec_a),
-                             totals_from_record(rec_b), by="seconds")
+        rows = diff_profiles(kernel_totals(kernel_rows(rec_a)),
+                             kernel_totals(kernel_rows(rec_b)),
+                             by="seconds")
         assert rows[0]["kernel"] == "ulam_sparse"
         assert rows[0]["delta_seconds"] > 0
         assert rows[0]["delta_calls"] > 0

@@ -1,15 +1,21 @@
-"""Batch ≡ list of scalar calls for the batched string kernels.
+"""Batch ≡ list of scalar calls for the batched string kernels, and
+one charge per kernel call for every kernel.
 
 The sparse Ulam and banded kernels take their jobs as batches; each
 scalar entry point is a batch of one, and
 :mod:`repro.strings.native` runs one job on the scalar NumPy kernel and
 two or more on the padded batch kernel.  Batching may only move
 wall-clock: distances, abstract work, ``strings.*`` metric deltas,
-kernel-probe call/cell attribution and distance-cache hit/miss counters
-must equal those of the same inputs issued one scalar call at a time.
-These tests compare both on random and boundary inputs, and check the
-answers against the independent exact kernels (``levenshtein``,
-``ulam_distance``, a brute-force DP).
+kernel-profile call/cell attribution and distance-cache hit/miss
+counters must equal those of the same inputs issued one scalar call at
+a time.  These tests compare both on random and boundary inputs, and
+check the answers against the independent exact kernels
+(``levenshtein``, ``ulam_distance``, a brute-force DP).
+
+Every kernel entry point reports through one
+:class:`~repro.mpc.accounting.charge` bracket, so its registry deltas
+and its profile rows must agree call for call and cell for cell, while
+the work ledger keeps its pinned totals (:class:`TestOneChargePerCall`).
 """
 
 from __future__ import annotations
@@ -25,13 +31,15 @@ from repro.metrics import scoped_snapshot
 from repro.mpc import WorkMeter
 from repro.mpc.distcache import DistanceCache
 from repro.obs import profile as obs_profile
-from repro.obs.profile import collect_profile
-from repro.strings import (levenshtein, levenshtein_doubling,
-                           levenshtein_doubling_batch, ulam_auto,
-                           ulam_auto_batch, ulam_distance,
+from repro.strings import (fitting_last_row, hamming, levenshtein,
+                           levenshtein_doubling, levenshtein_doubling_batch,
+                           levenshtein_script, lis_indices, lis_length,
+                           local_ulam_from_matches, match_points,
+                           ulam_auto, ulam_auto_batch, ulam_distance,
                            ulam_from_matches, within_threshold,
                            within_threshold_batch)
 from repro.strings import native
+from repro.strings.bitparallel import myers_levenshtein
 
 from .helpers import brute_edit_distance
 
@@ -40,10 +48,9 @@ def _metered(fn):
     """``fn()`` under full metering; returns
     ``(result, work, metrics_delta, profile_calls_cells)``."""
     with metrics_enabled(), obs_profile.enabled():
-        with scoped_snapshot() as scope, WorkMeter() as meter, \
-                collect_profile() as prof:
+        with scoped_snapshot() as scope, WorkMeter() as meter:
             result = fn()
-    shape = {k: v[:2] for k, v in (prof.data or {}).items()}
+    shape = {k: v[:2] for k, v in meter.kernels.items()}
     return result, meter.total, scope.delta(), shape
 
 
@@ -133,10 +140,8 @@ class TestDoublingLowerBoundReuse:
     def test_transposition_resolved_in_one_band(self):
         # d("ab","ba") = 2: the k=1 band returns 2 = k+1, which the
         # bound argument certifies without a second, wider band.
-        with metrics_enabled(), obs_profile.enabled():
-            with collect_profile() as prof:
-                assert levenshtein_doubling("ab", "ba") == 2
-        assert prof.data["banded"][0] == 1  # exactly one banded call
+        _, _, _, prof = _metered(lambda: levenshtein_doubling("ab", "ba"))
+        assert prof["banded"][0] == 1  # exactly one banded call
 
     def test_disjoint_strings_jump_to_bound(self):
         # d = 40 (disjoint alphabets): successive bands learn d > k and
@@ -144,12 +149,9 @@ class TestDoublingLowerBoundReuse:
         # call count stays logarithmic and the cell total is pinned.
         a = np.zeros(40, dtype=np.int64)
         b = np.ones(40, dtype=np.int64)
-        with metrics_enabled(), obs_profile.enabled():
-            with collect_profile() as prof:
-                assert levenshtein_doubling(a, b) == 40
-        calls, cells = prof.data["banded"][:2]
-        assert calls == 7
-        assert cells == 8807
+        d, _, _, prof = _metered(lambda: levenshtein_doubling(a, b))
+        assert d == 40
+        assert prof["banded"] == [7, 8807]
 
 
 def _synthetic_ulam_jobs(rng, n_jobs=25, max_pts=20):
@@ -387,3 +389,60 @@ class TestNumPyKernelPrimitives:
             assert v == native.np_chain_dp(*job)
             assert v == native.np_chain_dp(*job, py_cutoff=0)
             assert native.chain_dp_batch([job]) == [v]
+
+
+def _word(n, seed):
+    return np.random.default_rng(seed).integers(0, 4, n).astype(np.int64)
+
+
+_PERM = np.random.default_rng(7).permutation(40).astype(np.int64)
+_I_PTS, _P_PTS = match_points(np.arange(40, dtype=np.int64), _PERM)
+_EMPTY = np.zeros(0, dtype=np.int64)
+
+#: Every DP kernel entry point, with the work it charged to a
+#: ``WorkMeter`` before charging went through one bracket: ledgers are
+#: paper-facing and must not move.  The ``levenshtein`` and
+#: ``fitting_last_row`` cases straddle the 96-symbol Myers cutoff, where
+#: the ledger charges the full table plus the Myers scan.
+_KERNEL_CALLS = {
+    "within_threshold": (
+        lambda: within_threshold(_word(30, 1), _word(32, 2), 6), 423),
+    "ulam_auto": (lambda: ulam_auto(_I_PTS, _P_PTS, 40, 40), 1641),
+    "local_ulam_matches": (
+        lambda: local_ulam_from_matches(_I_PTS, _P_PTS, 40), 1601),
+    "local_ulam_no_matches": (
+        lambda: local_ulam_from_matches(_EMPTY, _EMPTY, 5), 1),
+    "lis_length": (lambda: lis_length(_PERM), 240),
+    "lis_indices": (lambda: lis_indices(_PERM), 240),
+    "levenshtein_short": (
+        lambda: levenshtein(_word(40, 3), _word(50, 4)), 2000),
+    "levenshtein_myers": (
+        lambda: levenshtein(_word(120, 5), _word(130, 6)), 15860),
+    "levenshtein_empty": (lambda: levenshtein(_EMPTY, _word(9, 7)), 9),
+    "fitting_short": (
+        lambda: fitting_last_row(_word(20, 8), _word(60, 9)), 1200),
+    "fitting_myers": (
+        lambda: fitting_last_row(_word(100, 10), _word(150, 11)), 15300),
+    "fitting_empty": (lambda: fitting_last_row(_EMPTY, _word(9, 12)), 9),
+    "myers_levenshtein": (
+        lambda: myers_levenshtein(_word(70, 13), _word(80, 14)), 160),
+    "levenshtein_script": (
+        lambda: levenshtein_script(_word(12, 15), _word(14, 16)), 168),
+    "hamming": (lambda: hamming(_word(25, 17), _word(25, 18)), 25),
+}
+
+
+class TestOneChargePerCall:
+    """The registry and the profile are two views of one charge."""
+
+    @pytest.mark.parametrize("name", sorted(_KERNEL_CALLS))
+    def test_registry_profile_and_ledger_agree(self, name):
+        fn, ledger_work = _KERNEL_CALLS[name]
+        _, work, met, prof = _metered(fn)
+        registry = {}
+        for key, val in met.items():
+            metric, kernel = key[:-1].split("{kernel=")
+            slot = 0 if metric == "strings.kernel_calls" else 1
+            registry.setdefault(kernel, [0, 0])[slot] += val["value"]
+        assert registry == prof
+        assert work == ledger_work

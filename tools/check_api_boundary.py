@@ -18,11 +18,11 @@ Eight rules:
   Tests, examples and benchmarks consume snapshots read-only
   (``get_registry().snapshot()`` / ``RunStats.metrics``); the
   registry's own unit tests are the single sanctioned exception.
-* Kernel-probe creation (``kernel_probe``/``KernelProbe``) is likewise
-  internal to ``src/repro/``: wall-clock attribution rides the
-  instrumented kernels' own choke points, and everything outside
-  consumes profiles read-only (``RunStats.profile_rows``,
-  ``repro.obs.profile.global_profile``, ``collect_profile``); the
+* Kernel charging (``charge(kernel, calls, cells)``, the one bracket
+  through which a DP kernel reports work, counters and profile) is
+  likewise internal to ``src/repro/``: everything outside consumes the
+  results read-only (``WorkMeter.total``/``WorkMeter.kernels``,
+  ``RunStats.profile_rows``, ``repro.obs.profile.global_profile``); the
   profiler's own unit tests are the single sanctioned exception.
 * Raw ``multiprocessing.shared_memory`` is an internal privilege of
   ``src/repro/mpc/`` (the data plane owns segment lifecycle and
@@ -97,19 +97,18 @@ RULES = {
         "read-only via get_registry().snapshot() or RunStats.metrics "
         "(tests/test_metrics.py is the sanctioned exception).",
     ),
-    "kernel-probe": (
-        re.compile(r"\b(?:kernel_probe|KernelProbe)\s*\("),
+    "kernel-charge": (
+        re.compile(r"(?<![\w.])charge\s*\("),
         ("src", "benchmarks", "tests", "examples"),
-        # test_obs_profile.py exercises the probes themselves;
+        # test_obs_profile.py exercises the bracket itself;
         # test_api_boundary.py holds offending lines as string fixtures.
         ("src/repro/", "tests/test_obs_profile.py",
          "tests/test_api_boundary.py"),
-        "kernel-probe creation outside src/repro/",
-        "Wall-clock attribution is internal to the instrumented "
-        "kernels: consume profiles read-only via "
-        "RunStats.profile_rows, repro.obs.profile.global_profile or "
-        "collect_profile (tests/test_obs_profile.py is the sanctioned "
-        "exception).",
+        "kernel charge outside src/repro/",
+        "Kernel charging is internal to the instrumented kernels: read "
+        "work and profiles via WorkMeter (total, kernels), "
+        "RunStats.profile_rows or repro.obs.profile.global_profile "
+        "(tests/test_obs_profile.py is the sanctioned exception).",
     ),
     "shared-memory": (
         re.compile(r"\bshared_memory\b|\bSharedMemory\s*\("),
@@ -229,7 +228,7 @@ def main(argv):
             print(hint)
         return 1
     print("API boundary clean: no direct run_round calls, sink "
-          "constructions, metrics mutation, kernel-probe creation, "
+          "constructions, metrics mutation, kernel charges, "
           "raw shared_memory use, driver imports, pool/data-plane "
           "construction, or HTTP server construction outside their "
           "sanctioned modules")

@@ -46,7 +46,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from repro.obs.profile import (diff_profiles, format_profile_diff,  # noqa: E402
-                               totals_from_record)
+                               kernel_rows, kernel_totals)
 from repro.registry import (REGRESSION_TOLERANCE, compare_records,  # noqa: E402
                             format_comparison, load_baseline, record_key)
 
@@ -58,8 +58,8 @@ def kernel_attribution(base: dict, fresh: dict, top: int = 3) -> str:
     regressions *and* improvements: a faster run should credit the
     accelerated kernel (e.g. a batched kernel landing) just as a slower
     one blames the responsible kernel."""
-    a = totals_from_record(base)
-    b = totals_from_record(fresh)
+    a = kernel_totals(kernel_rows(base))
+    b = kernel_totals(kernel_rows(fresh))
     if not a or not b:
         return ""
     rows = diff_profiles(a, b, by="seconds")
