@@ -15,7 +15,7 @@ Usage::
 
 from repro import mpc_ulam
 from repro.analysis import format_kv, format_recovery
-from repro.mpc import FaultPlan, ResilientSimulator, RetryPolicy
+from repro.mpc import FaultPlan, MPCSimulator, RetryPolicy
 from repro.params import UlamParams
 from repro.strings import ulam_distance
 from repro.workloads.permutations import planted_pair
@@ -31,9 +31,8 @@ def main() -> None:
     clean = mpc_ulam(s, t, x=0.4, eps=0.5, seed=0)
 
     plan = FaultPlan.from_spec("crash=0.1,straggle=0.1x4", seed=11)
-    sim = ResilientSimulator(memory_limit=params.memory_limit,
-                             fault_plan=plan,
-                             retry_policy=RetryPolicy(max_attempts=3))
+    sim = MPCSimulator(memory_limit=params.memory_limit, fault_plan=plan,
+                       retry_policy=RetryPolicy(max_attempts=3))
     chaotic = mpc_ulam(s, t, x=0.4, eps=0.5, seed=0, sim=sim)
 
     exact = ulam_distance(s, t)

@@ -114,6 +114,24 @@ def _cli_defaults(distance: str):
     return caps.default_x, caps.default_eps
 
 
+def _fault_spec(spec: str) -> str:
+    """argparse type of ``--fault-plan``: the spec, once it parses."""
+    from .mpc import FaultPlan
+    try:
+        FaultPlan.from_spec(spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad fault plan: {exc}")
+    return spec
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of ``--retries``: an integer >= 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -174,11 +192,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "way, only physical bytes change)")
 
     def chaos_opts(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--fault-plan", type=str, default=None,
+        p.add_argument("--fault-plan", type=_fault_spec, default=None,
                        metavar="SPEC",
                        help="inject failures, e.g. "
                             "'crash=0.05,straggle=0.1x4,corrupt=0.01'")
-        p.add_argument("--retries", type=int, default=3,
+        p.add_argument("--retries", type=_positive_int, default=3,
                        help="max execution attempts per machine "
                             "(default 3)")
         p.add_argument("--on-exhausted", choices=("raise", "drop"),
@@ -470,18 +488,18 @@ def _build_sim(args, memory_limit: int):
     Returns ``None`` when neither a fault plan nor telemetry was
     requested, so the driver creates its own default simulator."""
     tracer = _build_tracer(args)
-    if getattr(args, "fault_plan", None) is None:
-        if tracer is None:
-            return None
-        from .mpc import MPCSimulator
+    spec = getattr(args, "fault_plan", None)
+    if spec is None and tracer is None:
+        return None
+    from .mpc import FaultPlan, MPCSimulator, RetryPolicy
+    if spec is None:
         return MPCSimulator(memory_limit=memory_limit, tracer=tracer)
-    from .mpc import FaultPlan, ResilientSimulator, RetryPolicy
-    plan = FaultPlan.from_spec(args.fault_plan, seed=args.seed)
-    return ResilientSimulator(
-        memory_limit=memory_limit, fault_plan=plan,
-        retry_policy=RetryPolicy(max_attempts=args.retries),
-        on_exhausted=args.on_exhausted, realtime=args.realtime,
-        tracer=tracer)
+    return MPCSimulator(
+        memory_limit=memory_limit, tracer=tracer,
+        fault_plan=FaultPlan.from_spec(spec, seed=args.seed),
+        retry_policy=RetryPolicy(max_attempts=args.retries,
+                                 on_exhausted=args.on_exhausted),
+        realtime=args.realtime)
 
 
 def _run_traced(sim, label: str, thunk):

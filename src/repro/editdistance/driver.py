@@ -222,10 +222,10 @@ def mpc_edit_distance(s, t, x: float = 0.25, eps: float = 1.0,
         Approximation slack; the guarantee is ``3 + eps`` w.h.p.
     sim:
         Optional pre-configured simulator (executor / memory override).
-        A :class:`repro.mpc.ResilientSimulator` with a fault plan runs
-        every guess under injected failures: :meth:`spawn` propagates the
-        plan to the per-guess sub-simulators and :meth:`absorb` folds
-        their recovery counters back into the returned ledger.
+        A simulator with a ``fault_plan`` runs every guess under
+        injected failures: :meth:`spawn` propagates the plan to the
+        per-guess sub-simulators and :meth:`absorb` folds their
+        recovery counters back into the returned ledger.
     config:
         Algorithm constants; default :meth:`EditConfig.default`.
     seed:

@@ -304,7 +304,7 @@ def large_distance_phases(S: np.ndarray, T: np.ndarray,
             raise AssertionError("round-1 output/layout count mismatch")
         repdist = RepDistances()
         for out, (rids, bchunk, gchunk) in zip(outs, layouts):
-            if out is None:  # dropped machine (ResilientSimulator "drop")
+            if out is None:  # dropped machine (retry policy "drop")
                 continue
             k = 0
             for rep_idx in rids:

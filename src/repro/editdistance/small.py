@@ -197,7 +197,7 @@ def small_distance_phases(S: np.ndarray, T: np.ndarray,
 
     def collect_tuples(outs: List[object], _state: object) -> List[EditTuple]:
         # Per-block cap across machines (each machine capped locally
-        # already); dropped machines (ResilientSimulator "drop") are None.
+        # already); dropped machines (retry policy "drop") are None.
         by_block: Dict[int, List[EditTuple]] = {}
         for out in outs:
             if out is None:

@@ -6,16 +6,17 @@ resource accounting (rounds, machines, per-machine memory, total work and
 critical-path work).  See DESIGN.md §2 and §5 for the measurement
 conventions.
 
-The fault layer (:mod:`repro.mpc.faults`, :mod:`repro.mpc.chaos_executor`,
-:mod:`repro.mpc.retry`) additionally lets any algorithm run under a
-seeded, replayable failure model — machine crashes, stragglers, payload
-corruption — with bounded-retry recovery and per-round recovery
+The fault layer (:mod:`repro.mpc.faults`) additionally lets any
+algorithm run under a seeded, replayable failure model — machine
+crashes, stragglers, payload corruption: give
+:class:`~repro.mpc.simulator.MPCSimulator` a ``fault_plan`` and its
+round loop runs bounded-retry recovery waves with per-round recovery
 accounting.  See docs/ARCHITECTURE.md, "Failure model & recovery".
 
 The plan layer (:mod:`repro.mpc.plan`) is the declarative API drivers
 use: a :class:`~repro.mpc.plan.RoundSpec` bundles a round's machine
 function with its partitioner, optional broadcast blob, and collector,
-and a :class:`~repro.mpc.plan.Pipeline` runs spec sequences on either
+and a :class:`~repro.mpc.plan.Pipeline` runs spec sequences on a
 simulator while charging shuffle/broadcast volume to the ledger.  See
 docs/ARCHITECTURE.md, "Round plans & shuffle accounting".
 
@@ -37,18 +38,16 @@ when disabled.  See docs/ARCHITECTURE.md, "Telemetry & span model".
 
 from .accounting import (RoundStats, RunStats, WorkMeter, add_work,
                          isolated_meters)
-from .chaos_executor import FaultInjectingExecutor
 from .distcache import (DistanceCache, disable_distance_cache,
                         distance_cache, enable_distance_cache)
-from .errors import (MachineCrashed, MemoryLimitExceeded, MPCError,
-                     RoundFailedError, RoundProtocolError)
+from .errors import (MemoryLimitExceeded, MPCError, RoundFailedError,
+                     RoundProtocolError)
 from .executor import Executor, ProcessPoolExecutor, SerialExecutor
 from .faults import (CorruptedOutput, FailedOutput, FaultDecision,
-                     FaultPlan, fault_kind, is_failed)
+                     FaultPlan, RetryPolicy, fault_kind, is_failed)
 from .machine import Broadcast, MachineResult, MachineTask, execute_task
 from .partition import block_of, blocks, chunk, pack_by_weight
 from .plan import Pipeline, RoundSpec, run_plan
-from .retry import ResilientSimulator, RetryPolicy
 from .shm import (DataPlane, SharedSlice, active_segments,
                   detach_segments, payload_byte_stats, resolve_payload)
 from .simulator import MPCSimulator, prepare_broadcast
@@ -63,12 +62,11 @@ from .utils import distributed_equal
 __all__ = [
     "RoundStats", "RunStats", "WorkMeter", "add_work",
     "MemoryLimitExceeded", "MPCError", "RoundProtocolError",
-    "MachineCrashed", "RoundFailedError",
+    "RoundFailedError",
     "Executor", "ProcessPoolExecutor", "SerialExecutor",
-    "FaultInjectingExecutor",
     "CorruptedOutput", "FailedOutput", "FaultDecision", "FaultPlan",
     "fault_kind", "is_failed",
-    "ResilientSimulator", "RetryPolicy",
+    "RetryPolicy",
     "Broadcast", "MachineResult", "MachineTask", "execute_task",
     "block_of", "blocks", "chunk", "pack_by_weight",
     "Pipeline", "RoundSpec", "run_plan",

@@ -213,7 +213,7 @@ class RoundStats:
     payload_bytes: int = 0
     payload_bytes_avoided: int = 0
     # Recovery accounting (nonzero only under a fault plan; see
-    # repro.mpc.retry.ResilientSimulator).  ``attempts`` is the number of
+    # MPCSimulator.run_round in repro.mpc.simulator).  ``attempts`` is the number of
     # execution waves the round needed (1 = no failures);
     # ``failed_attempts`` counts the individual machine executions whose
     # output was discarded (so ``machines + failed_attempts`` is the

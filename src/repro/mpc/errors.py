@@ -47,26 +47,6 @@ class RoundProtocolError(MPCError):
     """A round was driven incorrectly (e.g. empty task list in strict mode)."""
 
 
-class MachineCrashed(MPCError):
-    """A machine task died mid-round (injected by a fault plan).
-
-    Raised inside the machine's own execution context; the
-    fault-injecting executor converts it into a
-    :class:`repro.mpc.faults.FailedOutput` sentinel at the task boundary
-    so sibling machines of the round are unaffected — exactly like a
-    container dying on a real cluster.
-    """
-
-    def __init__(self, round_name: str, machine_index: int,
-                 attempt: int) -> None:
-        self.round_name = round_name
-        self.machine_index = machine_index
-        self.attempt = attempt
-        super().__init__(
-            f"machine {machine_index} in round {round_name!r} crashed "
-            f"(attempt {attempt})")
-
-
 class RoundFailedError(MPCError):
     """A round could not be completed within its retry budget.
 

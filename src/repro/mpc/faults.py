@@ -7,7 +7,8 @@ garbage, and MapReduce-style infrastructures answer with task retry and
 speculative execution.  A :class:`FaultPlan` makes that failure behaviour
 a first-class, *seeded* component of the simulation, so every algorithm
 in the repository can be exercised under chaos and every observed failure
-is replayable.
+is replayable.  :class:`RetryPolicy` is the other half: how a simulator
+recovers from those failures (bounded retry waves, then drop or raise).
 
 Determinism contract
 --------------------
@@ -21,8 +22,8 @@ a task on a fresh container.
 Fault kinds
 -----------
 crash
-    The machine raises :class:`~repro.mpc.errors.MachineCrashed` *after*
-    doing its work (the work is genuinely wasted, as it is when a
+    The machine's output is replaced by a :class:`FailedOutput` *after*
+    it did its work (the work is genuinely wasted, as it is when a
     container dies while writing its output).
 straggle
     The machine finishes but its recorded work and wall time are
@@ -42,10 +43,12 @@ from __future__ import annotations
 
 import hashlib
 import random
+import time
 from dataclasses import dataclass
+from typing import Any, Callable, Optional
 
 __all__ = ["FaultDecision", "FaultPlan", "CorruptedOutput", "FailedOutput",
-           "is_failed", "fault_kind"]
+           "RetryPolicy", "is_failed", "fault_kind"]
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,7 @@ class CorruptedOutput:
 
     It deliberately carries no usable data, so any consumer that fails
     to validate its inputs will break loudly rather than silently fold
-    garbage into the answer.  :class:`~repro.mpc.retry.ResilientSimulator`
+    garbage into the answer.  A simulator running under a fault plan
     recognises it and reschedules the machine instead.
     """
 
@@ -87,9 +90,9 @@ class FailedOutput:
     usable output (crash or unexpected exception).
 
     The process-pool executor cannot propagate per-machine exceptions
-    without aborting the whole round, so the fault-injecting executor
-    converts them into this sentinel at the task boundary; the resilient
-    simulator turns sentinels back into retries (or
+    without aborting the whole round, so under a fault plan each task
+    converts them into this sentinel at the task boundary; the simulator
+    turns sentinels back into retries (or
     :class:`~repro.mpc.errors.RoundFailedError`).
     """
 
@@ -125,8 +128,8 @@ class FaultPlan:
     Parameters
     ----------
     crash:
-        Probability that an attempt crashes (raises
-        :class:`~repro.mpc.errors.MachineCrashed` after doing its work).
+        Probability that an attempt crashes (its output is lost after it
+        did its work).
     straggle:
         Probability that an attempt straggles.
     straggle_factor:
@@ -241,3 +244,110 @@ class FaultPlan:
     def expected_failure_rate(self) -> float:
         """Probability that a single attempt needs to be re-executed."""
         return 1.0 - (1.0 - self.crash) * (1.0 - self.corrupt)
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """How hard to try before declaring a round lost.
+
+    Parameters
+    ----------
+    max_attempts:
+        Total execution waves per round, first run included.  ``3``
+        means: run, then at most two retry waves for failed machines.
+    backoff_base:
+        Seconds slept before the first retry wave (``0`` disables real
+        sleeping — the default, so simulations stay fast).
+    backoff_factor:
+        Multiplier applied per further wave (exponential backoff).
+    jitter:
+        Fraction of the delay added as deterministic jitter, derived
+        from ``(round_name, attempt)`` with a keyed hash — not from
+        wall-clock or a global RNG — so replays sleep identically.
+    retry_budget:
+        Optional cap on the *total number of machine re-executions* per
+        round; exhausting it ends the round early even if
+        ``max_attempts`` waves remain.
+    on_exhausted:
+        ``"raise"`` (default) raises
+        :class:`~repro.mpc.errors.RoundFailedError` naming the round and
+        the still-failing machines; ``"drop"`` replaces their output
+        with ``None`` placeholders (keeping the output list aligned with
+        the payload list, so positional consumers stay correct) and
+        records the loss in the ledger — tolerable for the Ulam/edit
+        combiners, whose candidate sets are only pruned by a missing
+        machine.  A round whose *every* machine is dropped raises
+        regardless: with no surviving contribution there is nothing to
+        degrade to.
+    """
+
+    max_attempts: int = 3
+    backoff_base: float = 0.0
+    backoff_factor: float = 2.0
+    jitter: float = 0.1
+    retry_budget: Optional[int] = None
+    on_exhausted: str = "raise"
+
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be >= 1, got "
+                             f"{self.max_attempts!r}")
+        if self.backoff_base < 0:
+            raise ValueError("backoff_base must be >= 0")
+        if self.on_exhausted not in ("raise", "drop"):
+            raise ValueError("on_exhausted must be 'raise' or 'drop', got "
+                             f"{self.on_exhausted!r}")
+
+    def delay(self, round_name: str, attempt: int) -> float:
+        """Deterministic backoff before retry wave *attempt* (2-based)."""
+        if self.backoff_base == 0.0:
+            return 0.0
+        base = self.backoff_base * self.backoff_factor ** (attempt - 2)
+        key = f"{round_name}:{attempt}".encode()
+        digest = hashlib.blake2b(key, digest_size=4).digest()
+        frac = int.from_bytes(digest, "big") / 2 ** 32
+        return base * (1.0 + self.jitter * frac)
+
+
+@dataclass(frozen=True)
+class _InjectedCall:
+    """Picklable wrapper running one machine attempt under its decision.
+
+    A top-level object, so injection works identically under the
+    process-pool executor.  Unexpected exceptions from the machine
+    function are captured as ``FailedOutput(kind="error")``: a simulator
+    under a fault plan retries genuine machine bugs the same way it
+    retries injected crashes.  With ``realtime`` a straggler also sleeps
+    its inflation inside the worker, so the round's wall clock really
+    stretches.
+    """
+
+    fn: Callable[[Any], Any]
+    decision: FaultDecision
+    round_name: str
+    machine_index: int
+    attempt: int
+    realtime: bool
+
+    def __call__(self, payload: Any) -> Any:
+        start = time.perf_counter()
+        try:
+            output = self.fn(payload)
+        except Exception as exc:  # genuine machine bug: retryable too
+            return FailedOutput(kind="error", round_name=self.round_name,
+                                machine_index=self.machine_index,
+                                attempt=self.attempt, message=repr(exc))
+        if self.realtime and self.decision.straggle_factor > 1.0:
+            time.sleep((self.decision.straggle_factor - 1.0)
+                       * (time.perf_counter() - start))
+        if self.decision.crash:
+            return FailedOutput(
+                kind="crash", round_name=self.round_name,
+                machine_index=self.machine_index, attempt=self.attempt,
+                message=f"machine {self.machine_index} in round "
+                        f"{self.round_name!r} crashed "
+                        f"(attempt {self.attempt})")
+        if self.decision.corrupt:
+            return CorruptedOutput(self.round_name, self.machine_index,
+                                   self.attempt)
+        return output

@@ -43,7 +43,7 @@ class Broadcast:
 
     Wraps the driver-supplied dict for the trip through the executor
     stack.  :meth:`pickled` memoises the serialised form, so however many
-    execution waves a resilient simulator needs, the blob's own
+    execution waves a round needs under a fault plan, the blob's own
     ``__reduce__`` machinery runs at most once per round.
     """
 
@@ -141,8 +141,9 @@ def execute_task(task: MachineTask,
 
     Data-plane descriptors (:class:`repro.mpc.shm.SharedSlice`) inside
     the payload are resolved into numpy views *here*, in the executing
-    process — the single choke point shared by the serial, process-pool
-    and fault-injecting executors — and outside the work meter, because
+    process — the single choke point shared by the serial and
+    process-pool executors, with or without a fault plan — and outside
+    the work meter, because
     resolution is transport, not machine compute.
     """
     start = time.perf_counter()

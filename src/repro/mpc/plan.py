@@ -16,11 +16,10 @@ in the ledger.  This module makes both sides declarative and measured:
   collected volume and metered work charged to the round as
   ``shuffle_words`` / ``shuffle_work``);
 * a :class:`Pipeline` threads a state value through a sequence of specs
-  on any simulator — :class:`~repro.mpc.simulator.MPCSimulator` or
-  :class:`~repro.mpc.retry.ResilientSimulator`; under a fault plan with
-  ``on_exhausted="drop"``, dropped machines' ``None`` placeholders flow
-  into collectors untouched, so collectors must skip ``None`` exactly
-  like positional consumers always had to.
+  on a :class:`~repro.mpc.simulator.MPCSimulator`; under a fault plan
+  whose retry policy has ``on_exhausted="drop"``, dropped machines'
+  ``None`` placeholders flow into collectors untouched, so collectors
+  must skip ``None`` exactly like positional consumers always had to.
 
 Typical driver shape::
 
@@ -151,8 +150,8 @@ class Pipeline:
         outputs = self.sim.run_round(spec.name, spec.fn, payloads,
                                      allow_empty=spec.allow_empty,
                                      broadcast=broadcast)
-        # run_round appended the round's stats last — also true for the
-        # resilient subclass — so the ledger row is still addressable.
+        # run_round appended the round's stats last — with or without a
+        # fault plan — so the ledger row is still addressable.
         round_stats = self.sim.stats.rounds[-1]
         if reg.enabled:
             # Physical transport accounting: the pickle cost of this

@@ -16,24 +16,28 @@ Typical usage::
     sim.stats.summary()
 
 To run the same rounds under an injected failure model (machine crashes,
-stragglers, corrupted payloads) with bounded-retry recovery, use the
-:class:`repro.mpc.retry.ResilientSimulator` subclass — without a fault
-plan it executes this class's ``run_round`` unchanged.
+stragglers, corrupted payloads) with bounded-retry recovery, pass a
+:class:`~repro.mpc.faults.FaultPlan` (and optionally a
+:class:`~repro.mpc.faults.RetryPolicy`).  A round is then one or more
+execution waves: every task runs wrapped under its seeded fault
+decision, and the failed subset re-runs until it succeeds or the policy
+drops or raises.  Without a plan a round is a single wave of unwrapped
+tasks.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Any, Callable, List, Optional, Sequence
-
-from typing import Dict, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.profile import fold_global
 from .accounting import RoundStats, RunStats, add_work
-from .errors import MemoryLimitExceeded, RoundProtocolError
+from .errors import MemoryLimitExceeded, RoundFailedError, RoundProtocolError
 from .executor import Executor, SerialExecutor
-from .machine import Broadcast, MachineTask
+from .faults import (FaultPlan, RetryPolicy, _InjectedCall, fault_kind,
+                     is_failed)
+from .machine import Broadcast, MachineResult, MachineTask
 from .sizeof import sizeof
 from .telemetry import Span, Tracer, current_trace
 
@@ -93,20 +97,36 @@ class MPCSimulator:
         continues — handy for exploratory parameter sweeps.
     tracer:
         Optional :class:`~repro.mpc.telemetry.Tracer`; when set, every
-        machine invocation and every round emits a span.  ``None``
+        machine attempt and every round emits a span — discarded
+        attempts with ``wasted=True`` and their fault kind.  ``None``
         (default) disables telemetry entirely — the only cost is one
         ``is None`` check per round, the same cheap-no-op pattern as
         :func:`~repro.mpc.accounting.add_work`.
+    fault_plan:
+        The seeded failure model to inject.  ``None`` (default) disables
+        injection: tasks run unwrapped in a single wave and a machine
+        exception propagates.
+    retry_policy:
+        Recovery knobs under a fault plan (attempts, backoff, budget,
+        drop-or-raise); default :class:`~repro.mpc.faults.RetryPolicy`.
+    realtime:
+        Under a fault plan, stragglers really sleep their inflation.
     """
 
     def __init__(self, memory_limit: Optional[int] = None,
                  executor: Optional[Executor] = None,
                  strict: bool = True,
-                 tracer: Optional[Tracer] = None) -> None:
+                 tracer: Optional[Tracer] = None,
+                 fault_plan: Optional[FaultPlan] = None,
+                 retry_policy: Optional[RetryPolicy] = None,
+                 realtime: bool = False) -> None:
         self.memory_limit = memory_limit
         self.executor = executor or SerialExecutor()
         self.strict = strict
         self.tracer = tracer
+        self.fault_plan = fault_plan
+        self.retry_policy = retry_policy or RetryPolicy()
+        self.realtime = realtime
         self.stats = RunStats()
         self.violations: List[MemoryLimitExceeded] = []
 
@@ -130,7 +150,12 @@ class MPCSimulator:
 
         Every element of *payloads* is routed to its own machine, which
         runs ``fn(payload)``.  Returns the machine outputs in payload
-        order.
+        order.  Under a fault plan, failed machines are re-executed
+        (same payload, same machine index, fresh attempt number) until
+        they succeed or the retry policy is exhausted; a machine dropped
+        under ``on_exhausted="drop"`` leaves ``None`` at its position, so
+        consumers that pair outputs with payloads positionally stay
+        aligned and must skip ``None``.
 
         Parameters
         ----------
@@ -152,8 +177,10 @@ class MPCSimulator:
             (``fn({**broadcast, **payload})``).  Charged to each
             machine's memory exactly as if replicated into the payload,
             but shipped to process-pool workers once per worker per
-            round instead of once per machine.
+            round instead of once per machine, and wrapped once per
+            round, so retry waves reuse the same serialised bytes.
         """
+        start = time.perf_counter()
         payloads = list(payloads)
         if not payloads and not allow_empty:
             raise RoundProtocolError(
@@ -167,14 +194,21 @@ class MPCSimulator:
             self._check(name, i, "input", words)
             input_sizes.append(words)
 
-        start = time.perf_counter()
-        results = self.executor.run(
-            [MachineTask(fn=fn, payload=p) for p in payloads], blob)
+        if self.fault_plan is None:
+            results = self.executor.run(
+                [MachineTask(fn=fn, payload=p) for p in payloads], blob)
+            attempts = [1] * len(results)
+        else:
+            results, attempts = self._run_waves(
+                name, fn, payloads, blob, round_stats, input_sizes)
         round_stats.wall_seconds = time.perf_counter() - start
 
         tracer = self.tracer
         outputs: List[Any] = []
         for i, result in enumerate(results):
+            if result is None:      # dropped: placeholder keeps alignment
+                outputs.append(None)
+                continue
             out_words = sizeof(result.output)
             self._check(name, i, "output", out_words)
             round_stats.observe_machine(input_sizes[i], out_words,
@@ -189,7 +223,8 @@ class MPCSimulator:
             if tracer is not None:
                 tracer.emit(Span(
                     kind="machine", name=name, machine=i,
-                    worker=result.worker, start=result.started,
+                    attempt=attempts[i], worker=result.worker,
+                    start=result.started,
                     end=result.started + result.wall_seconds,
                     work=result.work, input_words=input_sizes[i],
                     output_words=out_words,
@@ -208,17 +243,106 @@ class MPCSimulator:
         self.stats.rounds.append(round_stats)
         return outputs
 
+    def _run_waves(self, name: str, fn: Callable[[Any], Any],
+                   payloads: List[Any], blob: Optional[Broadcast],
+                   round_stats: RoundStats, input_sizes: List[int]
+                   ) -> Tuple[List[Optional[MachineResult]], List[int]]:
+        """Run a round's execution waves under the fault plan.
+
+        Returns, per machine, its surviving result (``None`` when
+        dropped) and the attempt that produced it.  Discarded attempts
+        are charged to the round's recovery fields, to any enclosing
+        work meter (the cluster really burned that work) and, with a
+        tracer, to ``wasted`` machine spans; their kernel profiles are
+        not folded, so a run's hot spots stay attributed to the work
+        that counted.
+        """
+        plan, policy, tracer = self.fault_plan, self.retry_policy, self.tracer
+        results: List[Optional[MachineResult]] = [None] * len(payloads)
+        attempts = [1] * len(payloads)
+        pending = list(range(len(payloads)))
+        retried: set = set()
+        re_executions = 0
+        attempt = 0
+        while pending:
+            attempt += 1
+            if attempt > 1:
+                delay = policy.delay(name, attempt)
+                if delay > 0:
+                    time.sleep(delay)
+            calls = [_InjectedCall(fn=fn, decision=plan.decide(name, i,
+                                                               attempt),
+                                   round_name=name, machine_index=i,
+                                   attempt=attempt, realtime=self.realtime)
+                     for i in pending]
+            wave = self.executor.run(
+                [MachineTask(fn=call, payload=payloads[call.machine_index])
+                 for call in calls], blob)
+            failed: List[int] = []
+            for call, result in zip(calls, wave):
+                i = call.machine_index
+                factor = call.decision.straggle_factor
+                if factor > 1.0:
+                    # Spans read [started, started+wall_seconds), so
+                    # inflating wall_seconds stretches the straggler on
+                    # the trace timeline as it does in the ledger.
+                    result.work = int(result.work * factor)
+                    result.wall_seconds *= factor
+                if not is_failed(result.output):
+                    results[i] = result
+                    attempts[i] = attempt
+                    continue
+                failed.append(i)
+                round_stats.failed_attempts += 1
+                round_stats.wasted_work += result.work
+                round_stats.wasted_wall_seconds += result.wall_seconds
+                add_work(result.work)
+                if tracer is not None:
+                    tracer.emit(Span(
+                        kind="machine", name=name, machine=i,
+                        attempt=attempt, worker=result.worker,
+                        start=result.started,
+                        end=result.started + result.wall_seconds,
+                        work=result.work, input_words=input_sizes[i],
+                        broadcast_words=round_stats.broadcast_words,
+                        wasted=True, fault=fault_kind(result.output),
+                        profile=result.profile or {}))
+            if not failed:
+                break
+            out_of_budget = (policy.retry_budget is not None and
+                             re_executions + len(failed)
+                             > policy.retry_budget)
+            if attempt >= policy.max_attempts or out_of_budget:
+                if policy.on_exhausted == "raise" \
+                        or len(failed) == len(payloads):
+                    # An all-dropped round has no graceful degradation:
+                    # there is no surviving contribution to degrade to.
+                    raise RoundFailedError(name, failed, attempt)
+                round_stats.dropped_machines = len(failed)
+                break
+            retried.update(failed)
+            re_executions += len(failed)
+            pending = failed
+        round_stats.attempts = attempt
+        round_stats.retried_machines = len(retried)
+        return results, attempts
+
     # ------------------------------------------------------------------
     def spawn(self) -> "MPCSimulator":
-        """Create a sibling simulator sharing limits/executor but not stats.
+        """Create a sibling simulator sharing configuration but not stats.
 
         Used by drivers that explore several parameter guesses "in
         parallel" (the paper's ``n^δ`` guessing): each guess runs on its
         own simulator and the driver merges the statistics afterwards.
+        The sibling keeps the fault plan and retry policy, so every guess
+        stays under chaos and :meth:`absorb` folds its recovery counters
+        back into the parent ledger.
         """
         return MPCSimulator(memory_limit=self.memory_limit,
                             executor=self.executor, strict=self.strict,
-                            tracer=self.tracer)
+                            tracer=self.tracer, fault_plan=self.fault_plan,
+                            retry_policy=self.retry_policy,
+                            realtime=self.realtime)
 
     def absorb(self, other: "MPCSimulator") -> None:
         """Merge a sibling simulator's rounds as if run concurrently."""

@@ -55,8 +55,7 @@ from ..engines import (Engine, EngineRequest, NoEngineError,
                        select_engine)
 from ..metrics import get_registry, scoped_snapshot
 from ..mpc.executor import Executor, ProcessPoolExecutor, SerialExecutor
-from ..mpc.faults import FaultPlan
-from ..mpc.retry import ResilientSimulator, RetryPolicy
+from ..mpc.faults import FaultPlan, RetryPolicy
 from ..mpc.shm import active_segments
 from ..mpc.simulator import MPCSimulator
 from ..mpc.telemetry import Tracer, trace_context
@@ -165,8 +164,7 @@ class _QuerySpec:
     eps: Optional[float]
     seed: int
     fault_plan: Optional[FaultPlan] = None
-    max_attempts: int = 3
-    on_exhausted: str = "raise"
+    retry_policy: Optional[RetryPolicy] = None
     check_guarantees: bool = True
     extra: Dict[str, object] = field(default_factory=dict)
 
@@ -346,7 +344,9 @@ class DistanceService:
         service is closing, the corpus is unknown, the engine does not
         answer ``algo`` or refuses the corpus (size outside its regime,
         duplicates where it requires duplicate-free input), or the
-        query's per-machine memory exceeds ``machine_memory_cap``.
+        query's per-machine memory exceeds ``machine_memory_cap``, or
+        ``fault_plan`` comes with invalid retry settings
+        (``max_attempts < 1``, an unknown ``on_exhausted``).
         Must be called with a running event loop.
         """
         if self._closing:
@@ -361,10 +361,16 @@ class DistanceService:
         eng = self._resolve_engine(algo, engine, corpus,
                                    x=x, eps=eps, seed=seed)
         self._admit_caps(eng, algo, corpus, x)
+        retry_policy = None
+        if fault_plan is not None:
+            try:
+                retry_policy = RetryPolicy(max_attempts=max_attempts,
+                                           on_exhausted=on_exhausted)
+            except ValueError as exc:
+                raise AdmissionError(str(exc)) from exc
         spec = _QuerySpec(
             algo=algo, engine=eng, x=x, eps=eps, seed=seed,
-            fault_plan=fault_plan, max_attempts=max_attempts,
-            on_exhausted=on_exhausted,
+            fault_plan=fault_plan, retry_policy=retry_policy,
             check_guarantees=self._check_guarantees
             if check_guarantees is None else check_guarantees)
         try:
@@ -444,14 +450,10 @@ class DistanceService:
                 f"(0, {caps.regime.max_x}]")
 
     def _make_sim(self, spec: _QuerySpec, memory_limit: Optional[int]):
-        if spec.fault_plan is not None:
-            return ResilientSimulator(
-                memory_limit=memory_limit, executor=self._executor,
-                fault_plan=spec.fault_plan,
-                retry_policy=RetryPolicy(max_attempts=spec.max_attempts),
-                on_exhausted=spec.on_exhausted, tracer=self._tracer)
         return MPCSimulator(memory_limit=memory_limit,
-                            executor=self._executor, tracer=self._tracer)
+                            executor=self._executor, tracer=self._tracer,
+                            fault_plan=spec.fault_plan,
+                            retry_policy=spec.retry_policy)
 
     # -- execution -----------------------------------------------------
     def _semaphores(self):

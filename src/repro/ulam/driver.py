@@ -126,9 +126,9 @@ class UlamQuery:
                     lo, hi, corpus.slice_positions(lo, hi),
                     self.seed * (1 << 20) + bi))
 
-            # A ResilientSimulator in drop mode leaves None at dropped
-            # machines' positions; their candidates are simply pruned
-            # by the collector.
+            # A simulator whose retry policy drops exhausted machines
+            # leaves None at their positions; their candidates are
+            # simply pruned by the collector.
             tuples: List[CandidateTuple] = Pipeline(sim).round(RoundSpec(
                 "ulam/1-candidates", run_block_machine,
                 partitioner=lambda _: payloads,
@@ -197,10 +197,10 @@ def mpc_ulam(s, t, x: float = 0.25, eps: float = 0.5,
     sim:
         Optional pre-configured simulator (e.g. with a process-pool
         executor or a custom memory cap).  By default a strict simulator
-        with the paper's memory limit is created.  Pass a
-        :class:`repro.mpc.ResilientSimulator` with a fault plan to run
-        the algorithm under injected machine failures with bounded-retry
-        recovery; with ``on_exhausted="drop"`` the combine step tolerates
+        with the paper's memory limit is created.  Pass one with a
+        ``fault_plan`` to run the algorithm under injected machine
+        failures with bounded-retry recovery; with a retry policy of
+        ``on_exhausted="drop"`` the combine step tolerates
         lost block machines (the candidate set is only pruned) and the
         result stays a valid upper bound.
     config:

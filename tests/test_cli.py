@@ -157,8 +157,23 @@ class TestChaosCommands:
         assert strip(first) == strip(second)
 
     def test_bad_fault_plan_spec_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SystemExit) as exc:
             main(["ulam", "--n", "128", "--fault-plan", "explode=1"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flags, option", [
+        (["--fault-plan", "crash=abc"], "--fault-plan"),
+        (["--fault-plan", "crash=1.5"], "--fault-plan"),
+        (["--fault-plan", "crash=0.1", "--retries", "0"], "--retries"),
+    ])
+    def test_bad_chaos_flags_are_usage_errors(self, capsys, flags, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["ulam", "--n", "128"] + flags)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        last = err.strip().splitlines()[-1]
+        assert last.startswith("repro ulam: error: argument " + option)
 
 
 class TestTelemetryCommands:
@@ -170,9 +185,8 @@ class TestTelemetryCommands:
         s, t, _ = planted_pair(n, budget, seed=0, style="mixed")
         sim = None
         if fault_plan is not None:
-            from repro.mpc import (FaultPlan, ResilientSimulator,
-                                   RetryPolicy)
-            sim = ResilientSimulator(
+            from repro.mpc import FaultPlan, MPCSimulator, RetryPolicy
+            sim = MPCSimulator(
                 memory_limit=UlamParams(n=n, x=0.4, eps=0.5).memory_limit,
                 fault_plan=FaultPlan.from_spec(fault_plan, seed=0),
                 retry_policy=RetryPolicy(max_attempts=retries))

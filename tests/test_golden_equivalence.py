@@ -84,12 +84,12 @@ class TestChaosThroughPipeline:
     PLAN_SPEC = "crash=0.1,straggle=0.1x4"
 
     def _chaos_sim(self, memory_limit, seed, on_exhausted="raise"):
-        from repro.mpc import FaultPlan, ResilientSimulator, RetryPolicy
-        return ResilientSimulator(
+        from repro.mpc import FaultPlan, MPCSimulator, RetryPolicy
+        return MPCSimulator(
             memory_limit=memory_limit,
             fault_plan=FaultPlan.from_spec(self.PLAN_SPEC, seed=seed),
-            retry_policy=RetryPolicy(max_attempts=4),
-            on_exhausted=on_exhausted)
+            retry_policy=RetryPolicy(max_attempts=4,
+                                     on_exhausted=on_exhausted))
 
     def test_ulam_chaos_matches_clean_distance(self):
         from repro.params import UlamParams

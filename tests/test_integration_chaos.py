@@ -12,8 +12,8 @@ import pytest
 from repro import mpc_edit_distance, mpc_ulam
 from repro.editdistance import EditConfig
 from repro.editdistance.large import large_distance_upper_bound
-from repro.mpc import (FaultPlan, MPCSimulator, ResilientSimulator,
-                       RetryPolicy, RoundFailedError)
+from repro.mpc import (FaultPlan, MPCSimulator, RetryPolicy,
+                       RoundFailedError)
 from repro.params import EditParams, UlamParams
 from repro.strings import levenshtein, ulam_distance
 from repro.workloads.permutations import planted_pair as perm_pair
@@ -31,14 +31,14 @@ def _ledger_key(stats):
 
 def _ulam_sim(n, x, eps, seed=7, **kw):
     kw.setdefault("retry_policy", RetryPolicy(max_attempts=3))
-    return ResilientSimulator(
+    return MPCSimulator(
         memory_limit=UlamParams(n=n, x=x, eps=eps).memory_limit,
         fault_plan=FaultPlan.from_spec(PLAN_SPEC, seed=seed), **kw)
 
 
 def _edit_sim(n, x, eps, seed=7, **kw):
     kw.setdefault("retry_policy", RetryPolicy(max_attempts=3))
-    return ResilientSimulator(
+    return MPCSimulator(
         memory_limit=EditParams(n=n, x=x, eps=eps).memory_limit,
         fault_plan=FaultPlan.from_spec(PLAN_SPEC, seed=seed), **kw)
 
@@ -104,7 +104,7 @@ class TestEditUnderChaos:
 class TestExhaustionModes:
     def test_raise_surfaces_round_and_machines(self):
         s, t, _ = perm_pair(256, 8, seed=1, style="mixed")
-        sim = ResilientSimulator(
+        sim = MPCSimulator(
             memory_limit=UlamParams(n=256, x=0.4, eps=0.5).memory_limit,
             fault_plan=FaultPlan(crash=1.0, seed=0),
             retry_policy=RetryPolicy(max_attempts=2))
@@ -118,11 +118,10 @@ class TestExhaustionModes:
         # tolerates a pruned candidate set, so a distance comes back and
         # the drop is visible in the ledger.
         s, t, _ = perm_pair(512, 32, seed=3, style="mixed")
-        sim = ResilientSimulator(
+        sim = MPCSimulator(
             memory_limit=UlamParams(n=512, x=0.4, eps=0.5).memory_limit,
             fault_plan=FaultPlan(crash=0.5, seed=9),
-            retry_policy=RetryPolicy(max_attempts=1),
-            on_exhausted="drop")
+            retry_policy=RetryPolicy(max_attempts=1, on_exhausted="drop"))
         res = mpc_ulam(s, t, x=0.4, eps=0.5, sim=sim)
         assert isinstance(res.distance, int)
         assert res.stats.dropped_machines > 0
@@ -134,11 +133,10 @@ class TestExhaustionModes:
         # is gone) and must surface RoundFailedError — never an
         # IndexError from indexing an empty output list.
         s, t, _ = perm_pair(256, 8, seed=1, style="mixed")
-        sim = ResilientSimulator(
+        sim = MPCSimulator(
             memory_limit=UlamParams(n=256, x=0.4, eps=0.5).memory_limit,
             fault_plan=FaultPlan(crash=1.0, seed=0),
-            retry_policy=RetryPolicy(max_attempts=2),
-            on_exhausted="drop")
+            retry_policy=RetryPolicy(max_attempts=2, on_exhausted="drop"))
         with pytest.raises(RoundFailedError):
             mpc_ulam(s, t, x=0.4, eps=0.5, sim=sim)
 
@@ -153,11 +151,10 @@ class TestDropAlignment:
 
     def test_small_regime_drop_stays_valid_upper_bound(self):
         s, t, _ = str_pair(256, 16, sigma=4, seed=2)
-        sim = ResilientSimulator(
+        sim = MPCSimulator(
             memory_limit=EditParams(n=256, x=0.25, eps=1.0).memory_limit,
             fault_plan=FaultPlan(crash=0.3, seed=1),
-            retry_policy=RetryPolicy(max_attempts=2),
-            on_exhausted="drop")
+            retry_policy=RetryPolicy(max_attempts=2, on_exhausted="drop"))
         res = mpc_edit_distance(s, t, x=0.25, eps=1.0, seed=0, sim=sim)
         assert res.stats.dropped_machines > 0
         assert res.distance >= levenshtein(s, t)
@@ -173,11 +170,10 @@ class TestDropAlignment:
         clean, _ = large_distance_upper_bound(
             s, t, params, guess=max(exact, 1), sim=clean_sim,
             config=cfg, seed=2)
-        sim = ResilientSimulator(
+        sim = MPCSimulator(
             memory_limit=params.memory_limit,
             fault_plan=FaultPlan(crash=0.4, seed=16),
-            retry_policy=RetryPolicy(max_attempts=2),
-            on_exhausted="drop")
+            retry_policy=RetryPolicy(max_attempts=2, on_exhausted="drop"))
         bound, _ = large_distance_upper_bound(
             s, t, params, guess=max(exact, 1), sim=sim, config=cfg,
             seed=2)

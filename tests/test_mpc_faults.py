@@ -1,11 +1,11 @@
-"""Unit tests for fault plans and the fault-injecting executor."""
+"""Unit tests for fault plans and their injection by the simulator."""
 
 import pytest
 
-from repro.mpc import (CorruptedOutput, FailedOutput, FaultDecision,
-                       FaultInjectingExecutor, FaultPlan, MachineTask,
-                       ProcessPoolExecutor, SerialExecutor, add_work,
-                       is_failed)
+from repro.mpc import (CorruptedOutput, Executor, FailedOutput,
+                       FaultDecision, FaultPlan, MPCSimulator,
+                       ProcessPoolExecutor, RetryPolicy, RoundFailedError,
+                       SerialExecutor, WorkMeter, add_work, is_failed)
 
 
 def _work10(payload):
@@ -93,71 +93,88 @@ class TestFaultPlanDecide:
             FaultPlan(straggle_factor=0.5)
 
 
-class TestFaultInjectingExecutor:
-    def _run(self, plan, fn=_work10, n=8, attempt=1, inner=None,
-             realtime=False):
-        ex = FaultInjectingExecutor(inner=inner, plan=plan,
-                                    realtime=realtime)
-        ex.set_round("r")
-        tasks = [MachineTask(fn=fn, payload=i) for i in range(n)]
-        return ex.run_attempt(tasks, range(n), attempt)
+class _Recording(Executor):
+    """Pass tasks to *inner* and keep what each wave really returned:
+    the raw outputs (sentinels included) and the pre-inflation work and
+    wall time, before the simulator folds the results."""
+
+    def __init__(self, inner=None):
+        self.inner = inner or SerialExecutor()
+        self.waves = []
+
+    def run(self, tasks, broadcast=None):
+        results = self.inner.run(tasks, broadcast)
+        self.waves.append([(r, r.output, r.work, r.wall_seconds)
+                           for r in results])
+        return results
+
+
+class TestFaultInjection:
+    """Injection as seen through ``MPCSimulator(fault_plan=...)``: one
+    wave, recorded below the simulator."""
+
+    def _run(self, plan, fn=_work10, n=8, inner=None):
+        ex = _Recording(inner)
+        sim = MPCSimulator(executor=ex, fault_plan=plan,
+                           retry_policy=RetryPolicy(max_attempts=1,
+                                                    on_exhausted="drop"))
+        try:
+            outs = sim.run_round("r", fn, list(range(n)))
+        except RoundFailedError:
+            outs = None
+        return outs, ex.waves[0]
 
     def test_no_plan_passthrough(self):
-        results = self._run(FaultPlan())
-        assert [r.output for r in results] == [i * 2 for i in range(8)]
-        assert all(r.work == 10 for r in results)
+        outs, wave = self._run(FaultPlan())
+        assert outs == [i * 2 for i in range(8)]
+        assert [out for _, out, _, _ in wave] == outs
+        assert all(r.work == 10 for r, _, _, _ in wave)
 
     def test_crash_becomes_failed_output(self):
-        results = self._run(FaultPlan(crash=1.0, seed=0))
-        for i, r in enumerate(results):
-            assert isinstance(r.output, FailedOutput)
-            assert r.output.kind == "crash"
-            assert r.output.machine_index == i
-            assert is_failed(r.output)
-        # the crashed attempt still burned its work
-        assert all(r.work == 10 for r in results)
+        with WorkMeter() as m:
+            outs, wave = self._run(FaultPlan(crash=1.0, seed=0))
+        assert outs is None     # every machine lost: the round fails
+        for i, (r, out, _, _) in enumerate(wave):
+            assert isinstance(out, FailedOutput)
+            assert out.kind == "crash"
+            assert out.machine_index == i
+            assert is_failed(out)
+            # the crashed attempt still burned its work
+            assert r.work == 10
+        assert m.total == 80
 
     def test_corrupt_becomes_sentinel(self):
-        results = self._run(FaultPlan(corrupt=1.0, seed=0))
-        for r in results:
-            assert isinstance(r.output, CorruptedOutput)
-            assert is_failed(r.output)
+        _, wave = self._run(FaultPlan(corrupt=1.0, seed=0))
+        for _, out, _, _ in wave:
+            assert isinstance(out, CorruptedOutput)
+            assert is_failed(out)
 
     def test_straggle_inflates_work_and_wall(self):
-        clean = self._run(FaultPlan())
-        slow = self._run(FaultPlan(straggle=1.0, straggle_factor=8.0,
-                                   seed=0))
-        assert sum(r.work for r in slow) > sum(r.work for r in clean)
-        assert all(r.work >= 10 for r in slow)
+        plan = FaultPlan(straggle=1.0, straggle_factor=8.0, seed=0)
+        outs, wave = self._run(plan)
+        assert outs == [i * 2 for i in range(8)]
+        for i, (r, _, raw_work, raw_wall) in enumerate(wave):
+            factor = plan.decide("r", i, 1).straggle_factor
+            assert factor > 1.0
+            assert r.work == int(raw_work * factor) >= 10
+            assert r.wall_seconds == pytest.approx(raw_wall * factor)
+        assert sum(r.work for r, _, _, _ in wave) > 80
 
     def test_machine_exception_captured_not_propagated(self):
-        results = self._run(FaultPlan(), fn=_boom, n=2)
-        for r in results:
-            assert isinstance(r.output, FailedOutput)
-            assert r.output.kind == "error"
-            assert "ValueError" in r.output.message
-
-    def test_plain_run_protocol_is_attempt_one(self):
-        plan = FaultPlan(crash=0.5, seed=1)
-        ex = FaultInjectingExecutor(plan=plan)
-        ex.set_round("r")
-        tasks = [MachineTask(fn=_work10, payload=i) for i in range(16)]
-        via_run = [is_failed(r.output) for r in ex.run(tasks)]
-        via_attempt = [is_failed(r.output)
-                       for r in ex.run_attempt(tasks, range(16), 1)]
-        assert via_run == via_attempt
+        outs, wave = self._run(FaultPlan(), fn=_boom, n=2)
+        assert outs is None     # RoundFailedError, not the ValueError
+        for _, out, _, _ in wave:
+            assert isinstance(out, FailedOutput)
+            assert out.kind == "error"
+            assert "ValueError" in out.message
 
     def test_pool_and_serial_inject_identically(self):
         plan = FaultPlan(crash=0.4, corrupt=0.2, seed=9)
-        serial = self._run(plan, n=12)
+        serial_outs, serial = self._run(plan, n=12)
         with ProcessPoolExecutor(max_workers=2) as pool:
-            pooled = self._run(plan, n=12, inner=pool)
-        assert ([is_failed(r.output) for r in serial]
-                == [is_failed(r.output) for r in pooled])
-        assert ([type(r.output).__name__ for r in serial]
-                == [type(r.output).__name__ for r in pooled])
-
-    def test_misaligned_indices_rejected(self):
-        ex = FaultInjectingExecutor(plan=FaultPlan())
-        with pytest.raises(ValueError):
-            ex.run_attempt([MachineTask(fn=_work10, payload=1)], [0, 1], 1)
+            pooled_outs, pooled = self._run(plan, n=12, inner=pool)
+        assert serial_outs == pooled_outs
+        assert ([is_failed(out) for _, out, _, _ in serial]
+                == [is_failed(out) for _, out, _, _ in pooled])
+        assert ([type(out).__name__ for _, out, _, _ in serial]
+                == [type(out).__name__ for _, out, _, _ in pooled])

@@ -10,8 +10,8 @@ of the broadcast blob under a process pool, and drop-mode flow of
 import pytest
 
 from repro.mpc import (Broadcast, FaultPlan, MPCSimulator, Pipeline,
-                       ProcessPoolExecutor, ResilientSimulator,
-                       RetryPolicy, RoundProtocolError, RoundSpec,
+                       ProcessPoolExecutor, RetryPolicy,
+                       RoundProtocolError, RoundSpec,
                        add_work, run_plan, run_stats_from_dict,
                        run_stats_to_dict, sizeof)
 
@@ -224,10 +224,9 @@ class TestBroadcast:
 
 class TestPipelineUnderChaos:
     def test_drop_placeholders_flow_into_collector(self):
-        sim = ResilientSimulator(
+        sim = MPCSimulator(
             fault_plan=FaultPlan(crash=0.5, seed=3),
-            retry_policy=RetryPolicy(max_attempts=1),
-            on_exhausted="drop")
+            retry_policy=RetryPolicy(max_attempts=1, on_exhausted="drop"))
         seen = {}
 
         def collector(outs, _):
@@ -244,7 +243,7 @@ class TestPipelineUnderChaos:
         assert sim.stats.rounds[0].shuffle_words == sizeof(state)
 
     def test_broadcast_round_survives_retries(self):
-        sim = ResilientSimulator(
+        sim = MPCSimulator(
             fault_plan=FaultPlan(crash=0.3, seed=5),
             retry_policy=RetryPolicy(max_attempts=4))
         outs = Pipeline(sim).round(RoundSpec(

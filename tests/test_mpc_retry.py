@@ -1,11 +1,10 @@
-"""Unit tests for RetryPolicy and ResilientSimulator."""
+"""Unit tests for RetryPolicy and MPCSimulator recovery under a fault plan."""
 
 import pytest
 
 from repro.mpc import (FaultPlan, MemoryLimitExceeded, MPCSimulator,
-                       ProcessPoolExecutor, ResilientSimulator,
-                       RetryPolicy, RoundFailedError, RoundProtocolError,
-                       WorkMeter, add_work)
+                       ProcessPoolExecutor, RetryPolicy, RoundFailedError,
+                       RoundProtocolError, Tracer, WorkMeter, add_work)
 
 
 def _work10(payload):
@@ -15,6 +14,10 @@ def _work10(payload):
 
 def _big(payload):
     return list(range(100))
+
+
+def _boom(payload):
+    raise ValueError("genuine machine bug")
 
 
 def _ledger_key(stats):
@@ -45,16 +48,28 @@ class TestRetryPolicy:
 
 
 class TestZeroOverheadPath:
-    def test_no_plan_matches_base_simulator(self):
-        base = MPCSimulator(memory_limit=1000)
-        resil = ResilientSimulator(memory_limit=1000)
-        a = base.run_round("r", _work10, [1, 2, 3])
-        b = resil.run_round("r", _work10, [1, 2, 3])
-        assert a == b
-        assert _ledger_key(base.stats) == _ledger_key(resil.stats)
+    def test_zero_plan_matches_no_plan(self):
+        # An all-zero plan still wraps every task, yet must change
+        # nothing observable: outputs, ledger and spans.
+        def run(plan):
+            sim = MPCSimulator(memory_limit=1000, fault_plan=plan,
+                               tracer=Tracer.in_memory())
+            outs = sim.run_round("r", _work10, [1, 2, 3])
+            spans = [(s.kind, s.name, s.machine, s.attempt, s.work,
+                      s.input_words, s.output_words, s.wasted, s.fault)
+                     for s in sim.tracer.spans]
+            return outs, _ledger_key(sim.stats), spans
+
+        assert run(FaultPlan()) == run(None)
+
+    def test_no_plan_machine_exception_propagates(self):
+        sim = MPCSimulator()
+        with pytest.raises(ValueError, match="genuine machine bug"):
+            sim.run_round("r", _boom, [1, 2])
+        assert sim.stats.rounds == []
 
     def test_no_plan_summary_has_no_recovery_block(self):
-        sim = ResilientSimulator()
+        sim = MPCSimulator()
         sim.run_round("r", _work10, [1])
         assert not sim.stats.recovery_active
         assert "retried_machines" not in sim.stats.summary()
@@ -63,8 +78,8 @@ class TestZeroOverheadPath:
 class TestRecovery:
     def test_retries_until_success(self):
         plan = FaultPlan(crash=0.3, seed=2)
-        sim = ResilientSimulator(fault_plan=plan,
-                                 retry_policy=RetryPolicy(max_attempts=10))
+        sim = MPCSimulator(fault_plan=plan,
+                           retry_policy=RetryPolicy(max_attempts=10))
         outs = sim.run_round("r", _work10, list(range(30)))
         assert outs == [i * 2 for i in range(30)]
         r = sim.stats.rounds[0]
@@ -76,16 +91,16 @@ class TestRecovery:
 
     def test_corruption_is_retried(self):
         plan = FaultPlan(corrupt=0.4, seed=3)
-        sim = ResilientSimulator(fault_plan=plan,
-                                 retry_policy=RetryPolicy(max_attempts=10))
+        sim = MPCSimulator(fault_plan=plan,
+                           retry_policy=RetryPolicy(max_attempts=10))
         outs = sim.run_round("r", _work10, list(range(20)))
         assert outs == [i * 2 for i in range(20)]
         assert sim.stats.rounds[0].retried_machines > 0
 
     def test_raise_on_exhausted_names_round_and_machines(self):
         plan = FaultPlan(crash=1.0, seed=1)
-        sim = ResilientSimulator(fault_plan=plan,
-                                 retry_policy=RetryPolicy(max_attempts=2))
+        sim = MPCSimulator(fault_plan=plan,
+                           retry_policy=RetryPolicy(max_attempts=2))
         with pytest.raises(RoundFailedError) as exc:
             sim.run_round("doomed", _work10, [1, 2, 3])
         assert exc.value.round_name == "doomed"
@@ -94,9 +109,9 @@ class TestRecovery:
 
     def test_drop_leaves_aligned_placeholders(self):
         plan = FaultPlan(crash=0.5, seed=4)
-        sim = ResilientSimulator(fault_plan=plan,
-                                 retry_policy=RetryPolicy(max_attempts=1),
-                                 on_exhausted="drop")
+        sim = MPCSimulator(fault_plan=plan,
+                           retry_policy=RetryPolicy(max_attempts=1,
+                                                    on_exhausted="drop"))
         outs = sim.run_round("r", _work10, list(range(40)))
         r = sim.stats.rounds[0]
         assert r.dropped_machines > 0
@@ -109,9 +124,9 @@ class TestRecovery:
 
     def test_all_machines_dropped_raises_even_in_drop_mode(self):
         plan = FaultPlan(crash=1.0, seed=1)
-        sim = ResilientSimulator(fault_plan=plan,
-                                 retry_policy=RetryPolicy(max_attempts=2),
-                                 on_exhausted="drop")
+        sim = MPCSimulator(fault_plan=plan,
+                           retry_policy=RetryPolicy(max_attempts=2,
+                                                    on_exhausted="drop"))
         with pytest.raises(RoundFailedError) as exc:
             sim.run_round("r", _work10, [1, 2, 3])
         assert exc.value.failed_machines == [0, 1, 2]
@@ -121,18 +136,18 @@ class TestRecovery:
         # machine must surface as RoundFailedError, never as an empty or
         # all-None output list.
         plan = FaultPlan(crash=1.0, seed=5)
-        sim = ResilientSimulator(fault_plan=plan,
-                                 retry_policy=RetryPolicy(max_attempts=2),
-                                 on_exhausted="drop")
+        sim = MPCSimulator(fault_plan=plan,
+                           retry_policy=RetryPolicy(max_attempts=2,
+                                                    on_exhausted="drop"))
         with pytest.raises(RoundFailedError):
             sim.run_round("combine", _work10, [7])
 
     def test_retry_budget_caps_re_executions(self):
         plan = FaultPlan(crash=0.5, seed=4)
-        sim = ResilientSimulator(
+        sim = MPCSimulator(
             fault_plan=plan,
-            retry_policy=RetryPolicy(max_attempts=10, retry_budget=2),
-            on_exhausted="drop")
+            retry_policy=RetryPolicy(max_attempts=10, retry_budget=2,
+                                     on_exhausted="drop"))
         outs = sim.run_round("r", _work10, list(range(40)))
         # with ~20 failures per wave the budget (2) does not even cover
         # one full retry wave, so the round ends after attempt 1 with the
@@ -144,8 +159,8 @@ class TestRecovery:
 
     def test_wasted_work_charged_to_enclosing_meter(self):
         plan = FaultPlan(crash=0.5, seed=6)
-        sim = ResilientSimulator(fault_plan=plan,
-                                 retry_policy=RetryPolicy(max_attempts=10))
+        sim = MPCSimulator(fault_plan=plan,
+                           retry_policy=RetryPolicy(max_attempts=10))
         with WorkMeter() as m:
             sim.run_round("r", _work10, list(range(10)))
         r = sim.stats.rounds[0]
@@ -153,13 +168,13 @@ class TestRecovery:
 
     def test_memory_limits_still_enforced_under_chaos(self):
         plan = FaultPlan(crash=0.2, seed=0)
-        sim = ResilientSimulator(memory_limit=10, fault_plan=plan,
-                                 retry_policy=RetryPolicy(max_attempts=5))
+        sim = MPCSimulator(memory_limit=10, fault_plan=plan,
+                           retry_policy=RetryPolicy(max_attempts=5))
         with pytest.raises(MemoryLimitExceeded):
             sim.run_round("r", _big, [1])
 
     def test_empty_round_protocol_preserved(self):
-        sim = ResilientSimulator(fault_plan=FaultPlan(crash=0.1))
+        sim = MPCSimulator(fault_plan=FaultPlan(crash=0.1))
         with pytest.raises(RoundProtocolError):
             sim.run_round("r", _work10, [])
         assert sim.run_round("r", _work10, [], allow_empty=True) == []
@@ -169,8 +184,8 @@ class TestDeterminism:
     def _run(self, executor=None):
         plan = FaultPlan.from_spec("crash=0.15,straggle=0.2x4,corrupt=0.05",
                                    seed=42)
-        sim = ResilientSimulator(executor=executor, fault_plan=plan,
-                                 retry_policy=RetryPolicy(max_attempts=8))
+        sim = MPCSimulator(executor=executor, fault_plan=plan,
+                           retry_policy=RetryPolicy(max_attempts=8))
         sim.run_round("r1", _work10, list(range(20)))
         sim.run_round("r2", _work10, list(range(10)))
         return sim.stats
@@ -188,8 +203,8 @@ class TestDeterminism:
         a = self._run()
         plan_b = FaultPlan.from_spec("crash=0.15,straggle=0.2x4,corrupt=0.05",
                                      seed=43)
-        sim = ResilientSimulator(fault_plan=plan_b,
-                                 retry_policy=RetryPolicy(max_attempts=8))
+        sim = MPCSimulator(fault_plan=plan_b,
+                           retry_policy=RetryPolicy(max_attempts=8))
         sim.run_round("r1", _work10, list(range(20)))
         sim.run_round("r2", _work10, list(range(10)))
         assert _ledger_key(a) != _ledger_key(sim.stats)
@@ -198,21 +213,20 @@ class TestDeterminism:
 class TestSpawnAbsorb:
     def test_spawn_propagates_plan_and_policy(self):
         plan = FaultPlan(crash=0.3, seed=1)
-        policy = RetryPolicy(max_attempts=7)
-        sim = ResilientSimulator(memory_limit=5000, fault_plan=plan,
-                                 retry_policy=policy,
-                                 on_exhausted="drop", realtime=False)
+        policy = RetryPolicy(max_attempts=7, on_exhausted="drop")
+        sim = MPCSimulator(memory_limit=5000, fault_plan=plan,
+                           retry_policy=policy, realtime=False)
         sub = sim.spawn()
-        assert isinstance(sub, ResilientSimulator)
+        assert isinstance(sub, MPCSimulator)
         assert sub.fault_plan == plan
         assert sub.retry_policy == policy
-        assert sub.on_exhausted == "drop"
+        assert sub.retry_policy.on_exhausted == "drop"
         assert sub.memory_limit == 5000
 
     def test_absorb_folds_recovery_counters(self):
         plan = FaultPlan(crash=0.3, seed=2)
-        sim = ResilientSimulator(fault_plan=plan,
-                                 retry_policy=RetryPolicy(max_attempts=10))
+        sim = MPCSimulator(fault_plan=plan,
+                           retry_policy=RetryPolicy(max_attempts=10))
         sub = sim.spawn()
         sub.run_round("r", _work10, list(range(30)))
         wasted = sub.stats.wasted_work
@@ -224,4 +238,4 @@ class TestSpawnAbsorb:
 
     def test_invalid_on_exhausted_rejected(self):
         with pytest.raises(ValueError):
-            ResilientSimulator(on_exhausted="explode")
+            RetryPolicy(on_exhausted="explode")

@@ -18,8 +18,8 @@ import pytest
 
 from repro import mpc_edit_distance, mpc_ulam
 from repro.mpc import (DataPlane, FaultPlan, MemoryLimitExceeded,
-                       MPCSimulator, ProcessPoolExecutor,
-                       ResilientSimulator, RetryPolicy, SerialExecutor,
+                       MPCSimulator, ProcessPoolExecutor, RetryPolicy,
+                       SerialExecutor,
                        SharedSlice, active_segments, payload_byte_stats,
                        resolve_payload, sizeof)
 from repro.mpc import shm as shm_mod
@@ -214,7 +214,7 @@ class TestDriverLifecycle:
     def test_chaos_retry_waves_leak_nothing(self):
         s, t, _ = perm_pair(256, 16, seed=1, style="mixed")
         from repro.params import UlamParams
-        sim = ResilientSimulator(
+        sim = MPCSimulator(
             memory_limit=UlamParams(n=256, x=0.4, eps=0.5).memory_limit,
             fault_plan=FaultPlan.from_spec("crash=0.2,straggle=0.1x2",
                                            seed=11),
@@ -227,7 +227,7 @@ class TestDriverLifecycle:
         s, t, _ = perm_pair(256, 16, seed=1, style="mixed")
         from repro.params import UlamParams
         with ProcessPoolExecutor(max_workers=2) as pool:
-            sim = ResilientSimulator(
+            sim = MPCSimulator(
                 memory_limit=UlamParams(n=256, x=0.4,
                                         eps=0.5).memory_limit,
                 fault_plan=FaultPlan.from_spec("crash=0.2", seed=11),

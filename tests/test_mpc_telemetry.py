@@ -1,21 +1,23 @@
 """Tests for the per-machine span telemetry layer (repro.mpc.telemetry).
 
-Covers the span schema and sinks, emission through both simulators and
-both executors (worker attribution must survive pickling), the chaos
-path (every attempt is its own span; discarded attempts are ``wasted``),
-collector spans from the plan layer, and the Chrome trace-event export's
-Perfetto-required fields.
+Covers the span schema and sinks, emission by the simulator with and
+without a fault plan under both executors (worker attribution must
+survive pickling), the chaos path (every attempt is its own span;
+discarded attempts are ``wasted``), collector spans from the plan
+layer, and the Chrome trace-event export's Perfetto-required fields.
 """
 
 import json
 import os
+import time
 
 import pytest
 
 from repro.mpc import (FaultDecision, InMemorySink, JsonlSink,
                        MPCSimulator, Pipeline, ProcessPoolExecutor,
-                       ResilientSimulator, RetryPolicy, RoundSpec, Span,
-                       Tracer, add_work, export_chrome_trace, read_jsonl)
+                       RetryPolicy, RoundSpec, Span, Tracer, add_work,
+                       export_chrome_trace, read_jsonl)
+from repro.mpc import simulator as simulator_mod
 from repro.mpc.telemetry import span_from_dict
 
 
@@ -209,12 +211,24 @@ class TestSimulatorSpans:
         assert span.work == r.total_work
         assert span.worker == os.getpid()
 
-    def test_broadcast_words_on_spans(self):
+    def test_broadcast_words_on_spans(self, monkeypatch):
+        calls = []
+        original = simulator_mod.prepare_broadcast
+
+        def timed(*args):
+            calls.append(time.perf_counter())
+            return original(*args)
+
+        monkeypatch.setattr(simulator_mod, "prepare_broadcast", timed)
         sim, tracer = _traced_sim()
         sim.run_round("r", lambda p: p["v"], [{"v": 1}],
                       broadcast={"table": [1, 2, 3]})
         for s in tracer.spans:
             assert s.broadcast_words == sim.stats.rounds[0].broadcast_words
+        # The round span covers round setup: it opens before the
+        # broadcast is validated and priced.
+        (round_span,) = [s for s in tracer.spans if s.kind == "round"]
+        assert round_span.start <= calls[0]
 
     def test_spawn_propagates_tracer(self):
         sim, tracer = _traced_sim()
@@ -244,7 +258,7 @@ class TestProcessPoolSpans:
     def test_worker_attribution_under_fault_plan(self):
         tracer = Tracer.in_memory()
         with ProcessPoolExecutor(max_workers=2) as pool:
-            sim = ResilientSimulator(
+            sim = MPCSimulator(
                 executor=pool, fault_plan=_CrashPlan([(0, 1)]),
                 retry_policy=RetryPolicy(max_attempts=3), tracer=tracer)
             out = sim.run_round("r", _work10, list(range(4)))
@@ -256,7 +270,7 @@ class TestProcessPoolSpans:
 
 class TestChaosSpans:
     def test_crashed_then_retried_machine_yields_two_spans(self):
-        sim = ResilientSimulator(
+        sim = MPCSimulator(
             fault_plan=_CrashPlan([(1, 1)]),
             retry_policy=RetryPolicy(max_attempts=3),
             tracer=Tracer.in_memory())
@@ -276,7 +290,7 @@ class TestChaosSpans:
         assert n_machine == sim.stats.total_machine_attempts == 4
 
     def test_corrupt_fault_labelled(self):
-        sim = ResilientSimulator(
+        sim = MPCSimulator(
             fault_plan=_CrashPlan([], corrupt=[(0, 1)]),
             retry_policy=RetryPolicy(max_attempts=3),
             tracer=Tracer.in_memory())
@@ -285,10 +299,10 @@ class TestChaosSpans:
         assert [s.fault for s in wasted] == ["corrupt"]
 
     def test_dropped_machine_has_only_wasted_spans(self):
-        sim = ResilientSimulator(
+        sim = MPCSimulator(
             fault_plan=_CrashPlan([(0, 1), (0, 2)]),
-            retry_policy=RetryPolicy(max_attempts=2),
-            on_exhausted="drop", tracer=Tracer.in_memory())
+            retry_policy=RetryPolicy(max_attempts=2, on_exhausted="drop"),
+            tracer=Tracer.in_memory())
         out = sim.run_round("r", _work10, [1, 2])
         assert out[0] is None and out[1] == 3
         m0 = [s for s in sim.tracer.spans
@@ -298,7 +312,7 @@ class TestChaosSpans:
         assert sim.stats.total_machine_attempts == 3
 
     def test_no_plan_resilient_emits_like_base(self):
-        sim = ResilientSimulator(tracer=Tracer.in_memory())
+        sim = MPCSimulator(tracer=Tracer.in_memory())
         sim.run_round("r", _work10, [1, 2])
         kinds = sorted(s.kind for s in sim.tracer.spans)
         assert kinds == ["machine", "machine", "round"]
@@ -327,7 +341,7 @@ class TestPipelineSpans:
 class TestChromeExport:
     def _spans(self):
         tracer = Tracer.in_memory()
-        sim = ResilientSimulator(
+        sim = MPCSimulator(
             fault_plan=_CrashPlan([(0, 1)]),
             retry_policy=RetryPolicy(max_attempts=3), tracer=tracer)
         with tracer.span("run", "test"):

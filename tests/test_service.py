@@ -14,6 +14,7 @@ import pytest
 
 from repro.editdistance import mpc_edit_distance
 from repro.metrics import enable
+from repro.mpc import FaultPlan
 from repro.mpc.shm import active_segments
 from repro.service import (AdmissionError, Corpus, DistanceService,
                            ServiceClient, content_id, run_workload)
@@ -152,6 +153,24 @@ class TestServiceBasics:
                 cid = service.register_corpus(s_p, t_p)
                 with pytest.raises(AdmissionError, match="memory"):
                     service.submit("ulam", cid)
+
+        asyncio.run(main())
+
+    @pytest.mark.parametrize("retry, match", [
+        ({"max_attempts": 0}, "max_attempts"),
+        ({"on_exhausted": "bogus"}, "on_exhausted"),
+    ])
+    def test_bad_retry_settings_rejected_at_admission(self, retry, match):
+        (s_p, t_p), _ = _pairs()
+
+        async def main():
+            async with DistanceService() as service:
+                cid = service.register_corpus(s_p, t_p)
+                with pytest.raises(AdmissionError, match=match):
+                    service.submit("ulam", cid,
+                                   fault_plan=FaultPlan(crash=0.1), **retry)
+                queries = service.status()["queries"]
+                assert queries["total"] == queries["failed"] == 0
 
         asyncio.run(main())
 

@@ -14,7 +14,7 @@ import pytest
 
 from repro.analysis import filter_spans
 from repro.metrics import enable
-from repro.mpc import FaultPlan, ResilientSimulator, RetryPolicy, Tracer
+from repro.mpc import FaultPlan, MPCSimulator, RetryPolicy, Tracer
 from repro.mpc.shm import active_segments
 from repro.params import UlamParams
 from repro.service import DistanceService, run_workload
@@ -95,7 +95,7 @@ class TestChaosThroughService:
     def test_fault_plan_query_matches_one_shot_chaos_run(self):
         s, t, _ = perm_pair(N, BUDGET, seed=0, style="mixed")
         params = UlamParams(n=N, x=0.25, eps=0.5)
-        sim = ResilientSimulator(
+        sim = MPCSimulator(
             memory_limit=params.memory_limit,
             fault_plan=FaultPlan.from_spec(self.SPEC, seed=7),
             retry_policy=RetryPolicy(max_attempts=3))
