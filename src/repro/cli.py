@@ -86,6 +86,7 @@ from .engines import (EngineRequest, NoEngineError, all_engines,
                       default_engine, distances, get_engine,
                       select_engine)
 from .extensions import mpc_lcs, mpc_lis
+from .params import EditParams, UlamParams, check_eps
 from .strings import levenshtein, ulam_distance
 from .strings.types import as_array
 from .workloads.permutations import planted_pair as perm_pair
@@ -124,6 +125,27 @@ def _fault_spec(spec: str) -> str:
     return spec
 
 
+#: Each algorithm's parameter class: its checks define the valid ``--x``.
+_PARAMS = {"ulam": UlamParams, "edit": EditParams}
+
+
+def _check_x(algo: Optional[str], x: float) -> None:
+    if algo in _PARAMS:
+        _PARAMS[algo](n=2, x=x)
+
+
+def _float_arg(check):
+    """argparse type: a float that *check* accepts (it raises ValueError)."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+        return value
+    return parse
+
+
 def _positive_int(text: str) -> int:
     """argparse type of ``--retries``: an integer >= 1."""
     if not text.isdigit() or int(text) < 1:
@@ -140,14 +162,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, default_x: float,
-               default_eps: float) -> None:
+               default_eps: float, algo: Optional[str] = None) -> None:
         p.add_argument("--n", type=int, default=512,
                        help="generated input length (default 512)")
         p.add_argument("--budget", type=int, default=None,
                        help="planted distance budget (default n/16)")
-        p.add_argument("--x", type=float, default=default_x,
-                       help="memory exponent")
-        p.add_argument("--eps", type=float, default=default_eps,
+        p.add_argument("--x", type=_float_arg(lambda x: _check_x(algo, x)),
+                       default=default_x, help="memory exponent")
+        p.add_argument("--eps", type=_float_arg(check_eps),
+                       default=default_eps,
                        help="approximation slack")
         p.add_argument("--seed", type=int, default=0, help="root seed")
         p.add_argument("--s-file", type=str, default=None,
@@ -208,13 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
     ulam_x, ulam_eps = _cli_defaults("ulam")
     edit_x, edit_eps = _cli_defaults("edit")
     p_ulam = sub.add_parser("ulam", help="Theorem 4 (1+eps, 2 rounds)")
-    common(p_ulam, default_x=ulam_x, default_eps=ulam_eps)
+    common(p_ulam, default_x=ulam_x, default_eps=ulam_eps, algo="ulam")
     data_plane_opts(p_ulam)
     chaos_opts(p_ulam)
     telemetry_opts(p_ulam)
     registry_opts(p_ulam)
     p_edit = sub.add_parser("edit", help="Theorem 9 (3+eps, <=4 rounds)")
-    common(p_edit, default_x=edit_x, default_eps=edit_eps)
+    common(p_edit, default_x=edit_x, default_eps=edit_eps, algo="edit")
     data_plane_opts(p_edit)
     chaos_opts(p_edit)
     telemetry_opts(p_edit)
@@ -300,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="planted distance budget (default n/16)")
     sv.add_argument("--x", type=float, default=None,
                     help="memory exponent (default: per-algorithm)")
-    sv.add_argument("--eps", type=float, default=None,
+    sv.add_argument("--eps", type=_float_arg(check_eps), default=None,
                     help="approximation slack (default: per-algorithm)")
     sv.add_argument("--seed", type=int, default=0,
                     help="root seed; query i runs with seed+i")
@@ -342,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     sb.add_argument("--x", type=float, default=0.25,
                     help="memory exponent, shared by both algorithms "
                          "(default 0.25)")
-    sb.add_argument("--eps", type=float, default=0.5,
+    sb.add_argument("--eps", type=_float_arg(check_eps), default=0.5,
                     help="approximation slack, shared by both "
                          "algorithms (default 0.5)")
     sb.add_argument("--seed", type=int, default=0,
@@ -1020,7 +1043,15 @@ def _generate_kind(distance: str) -> str:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command in ("chaos", "serve") and args.x is not None:
+        # The algorithm, hence the valid --x range, is known only now.
+        for algo in _MIXED_CYCLE if args.algo == "mixed" else (args.algo,):
+            try:
+                _check_x(algo, args.x)
+            except ValueError as exc:
+                parser.error(f"argument --x: {exc}")
 
     if args.command == "table1":
         from .baselines.theory import table1_rows

@@ -136,9 +136,9 @@ def cached_distance(key: Hashable, compute: Callable[[], int]) -> int:
     return value
 
 
-def cached_batch(cache: Optional[DistanceCache], jobs: List[_Job],
+def cached_batch(cache: Optional[DistanceCache], jobs: Sequence[_Job],
                  key_of: Callable[[_Job], Hashable],
-                 evaluate: Callable[[List[_Job]], Sequence[int]]
+                 evaluate: Callable[[Sequence[_Job]], Sequence[int]]
                  ) -> List[int]:
     """``evaluate(jobs)`` through *cache*, evaluating the misses as one batch.
 

@@ -20,12 +20,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["UlamParams", "EditParams", "geometric_guesses"]
+__all__ = ["UlamParams", "EditParams", "geometric_guesses", "check_eps"]
 
 
 def _pow(n: int, exponent: float) -> int:
     """``round(n^exponent)`` clamped to at least 1."""
     return max(1, int(round(n ** exponent)))
+
+
+def check_eps(eps: float) -> None:
+    """Raise ``ValueError`` unless *eps* is a finite number > 0.
+
+    Written so that NaN fails too (``nan <= 0`` is False).
+    """
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be a finite number > 0, got {eps}")
 
 
 def geometric_guesses(n: int, eps: float, start: int = 1) -> list:
@@ -35,8 +44,7 @@ def geometric_guesses(n: int, eps: float, start: int = 1) -> list:
     (§3.2, §5.2); includes the endpoints so the largest guess always
     covers the worst case ``d ≤ 2n``.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    check_eps(eps)
     out = []
     v = float(start)
     while v < 2 * n:
@@ -75,8 +83,7 @@ class UlamParams:
         if not 0 < self.x < 0.5:
             raise ValueError("Ulam algorithm requires 0 < x < 1/2 "
                              "(Theorem 4)")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        check_eps(self.eps)
 
     @property
     def eps_prime(self) -> float:
@@ -152,8 +159,7 @@ class EditParams:
         if not 0 < self.x <= 5.0 / 17.0 + 1e-9:
             raise ValueError("edit-distance algorithm requires "
                              "0 < x ≤ 5/17 (Theorem 9)")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        check_eps(self.eps)
         if self.eps_prime_divisor < 1:
             raise ValueError("eps_prime_divisor must be at least 1")
 

@@ -59,6 +59,7 @@ from ..mpc.faults import FaultPlan, RetryPolicy
 from ..mpc.shm import active_segments
 from ..mpc.simulator import MPCSimulator
 from ..mpc.telemetry import Tracer, trace_context
+from ..params import check_eps
 from .corpus import Corpus
 
 __all__ = ["AdmissionError", "QueryOutcome", "QueryHandle",
@@ -341,7 +342,8 @@ class DistanceService:
         is an engine name (``repro engines`` lists them).
 
         Raises :class:`AdmissionError` (before any round runs) when the
-        service is closing, the corpus is unknown, the engine does not
+        service is closing, the corpus is unknown, ``eps`` is not a
+        finite number > 0, the engine does not
         answer ``algo`` or refuses the corpus (size outside its regime,
         duplicates where it requires duplicate-free input), or the
         query's per-machine memory exceeds ``machine_memory_cap``, or
@@ -358,6 +360,11 @@ class DistanceService:
             raise AdmissionError(
                 f"unknown algorithm {algo!r} "
                 f"(expected one of {', '.join(distances())})")
+        if eps is not None:
+            try:
+                check_eps(eps)
+            except ValueError as exc:
+                raise AdmissionError(str(exc)) from exc
         eng = self._resolve_engine(algo, engine, corpus,
                                    x=x, eps=eps, seed=seed)
         self._admit_caps(eng, algo, corpus, x)

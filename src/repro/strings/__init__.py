@@ -25,8 +25,8 @@ from .transform import EditOp, apply_script, gap_script, script_cost
 from .types import INF, StringLike, as_array
 from .ulam import (check_duplicate_free, is_duplicate_free, local_ulam,
                    local_ulam_from_matches, match_points, ulam_auto,
-                   ulam_auto_batch, ulam_distance, ulam_from_matches,
-                   ulam_indel)
+                   ulam_distance, ulam_from_matches, ulam_indel,
+                   ulam_windows)
 
 __all__ = [
     "InnerSolver", "cgks_edit_upper_bound", "geometric_offsets", "make_inner",
@@ -43,5 +43,5 @@ __all__ = [
     "INF", "StringLike", "as_array",
     "check_duplicate_free", "is_duplicate_free", "local_ulam",
     "local_ulam_from_matches", "match_points", "ulam_auto",
-    "ulam_auto_batch", "ulam_distance", "ulam_from_matches", "ulam_indel",
+    "ulam_distance", "ulam_from_matches", "ulam_indel", "ulam_windows",
 ]

@@ -1,44 +1,95 @@
 """NumPy DP kernels behind the metered sparse-Ulam and banded entry points.
 
 Under Theorems 4 and 9 every machine runs many small exact DPs on
-windows, so the two hottest ``strings.dp_cells`` kernels take their jobs
-as lists: :func:`chain_dp_batch` (the sparse Ulam chain DP behind
-``ulam_sparse``) and :func:`banded_values_batch` (the Ukkonen band
-behind ``banded``).  Each picks its implementation by input size alone:
+windows.  The two hottest ``strings.dp_cells`` kernels are:
 
-* one job runs the scalar row-vectorised kernel (:func:`np_chain_dp`,
-  :func:`np_banded_value`);
-* two or more jobs run the padded batch kernel, which evaluates every
-  job as a handful of whole-matrix NumPy operations per DP step.
+* the sparse Ulam chain DP behind ``ulam_sparse``.  An Algorithm 1
+  machine evaluates thousands of windows ``[sp, ep)`` of one text
+  against one block, but only a few hundred distinct starts ``sp``.  A
+  chain ending at match point ``j`` only uses points with ``p < p_j``,
+  so every window with start ``sp`` reads the same prefix row:
+  :func:`chain_table` (chain costs) and :func:`lis_table` (LIS ending at
+  each point) compute one row per distinct start, all rows in one
+  column loop.
+* the Ukkonen band behind ``banded``: :func:`banded_values_batch` runs
+  one pair on the scalar row-vectorised kernel
+  (:func:`np_banded_value`) and two or more on the padded batch kernel,
+  a handful of whole-matrix NumPy operations per DP step.  Both return
+  identical values, so the choice only moves wall-clock.
 
-Both implementations return identical values, so the choice only moves
-wall-clock.  Each group is charged once, by the
-:class:`~repro.mpc.accounting.charge` bracket in the callers,
-:mod:`repro.strings.ulam` and :mod:`repro.strings.banded`.
+Metering stays in the callers, :mod:`repro.strings.ulam` and
+:mod:`repro.strings.banded`, each kernel call charged once by a
+:class:`~repro.mpc.accounting.charge` bracket.
 
 This module must not import other ``repro.strings`` kernel modules
-(they import it), nor metrics/accounting (metering stays in the
-callers).
+(they import it), nor metrics/accounting.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
 from .types import INF
 
-__all__ = ["chain_dp_batch", "banded_values_batch",
-           "np_banded_value", "np_chain_dp"]
-
-#: Up to this many match points the scalar chain DP runs on plain
-#: Python lists, which beat NumPy's per-call overhead on tiny arrays.
-PY_DP_CUTOFF = 96
+__all__ = ["lis_table", "chain_table", "banded_values_batch",
+           "np_banded_value"]
 
 
 # ---------------------------------------------------------------------------
-# Scalar kernels (one job)
+# Chain-DP tables over many window starts
+
+def _predecessors(p_pts: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
+    """``(j, pred)`` per match point ``j >= 1`` (points sorted by ``i``):
+    its chain predecessors, the points ``k < j`` with ``p_k < p_j``."""
+    for j in range(1, len(p_pts)):
+        yield j, np.flatnonzero(p_pts[:j] < p_pts[j])
+
+
+def lis_table(p_pts: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``L[row, j]``: longest increasing chain of the point set
+    ``{p >= starts[row]}`` ending at point ``j`` (0 outside the set;
+    points sorted by ``i``).
+
+    A chain ending at ``j`` only uses points with ``p < p_j``, so the
+    LIS of any window ``[start, ep)`` is the largest ``L[row, j]`` with
+    ``p_j < ep``.
+    """
+    # Chains of one point; outside points stay 0, since all their
+    # predecessors are outside too.
+    L = (p_pts >= starts[:, None]).astype(np.int64)
+    for j, pred in _predecessors(p_pts):
+        L[:, j] += L[:, pred].max(axis=1, initial=0)
+    return L
+
+
+def chain_table(i_pts: np.ndarray, p_pts: np.ndarray,
+                starts: np.ndarray) -> np.ndarray:
+    """``D[row, j]``: cheapest alignment of the pattern prefix
+    ``[0, i_j]`` against the text ``[starts[row], p_j]`` whose last match
+    is point ``j`` (``INF`` outside the point set ``{p >= starts[row]}``).
+
+    Row ``row`` is the sparse chain DP of every window starting at
+    ``starts[row]`` at once: a window ``[start, ep)`` contains all
+    predecessors of each of its points, so its ``D`` entries are this
+    row's, masked to ``p_j < ep``.  All rows advance together, one
+    column per match point.
+    """
+    # Chains of one point; outside points stay INF, since all their
+    # predecessors are outside too.
+    D = np.where(p_pts >= starts[:, None],
+                 np.maximum(i_pts, p_pts - starts[:, None]), INF)
+    for j, pred in _predecessors(p_pts):
+        gaps = np.maximum(i_pts[j] - i_pts[pred],
+                          p_pts[j] - p_pts[pred]) - 1
+        np.minimum(D[:, j], (D[:, pred] + gaps).min(axis=1, initial=INF),
+                   out=D[:, j])
+    return D
+
+
+# ---------------------------------------------------------------------------
+# Banded DP: the scalar kernel for one pair, the batch kernel for more
 
 def np_banded_value(A: np.ndarray, B: np.ndarray, k: int) -> int:
     """Band-constrained DP optimum (may exceed ``k``): row-vectorised.
@@ -74,106 +125,6 @@ def np_banded_value(A: np.ndarray, B: np.ndarray, k: int) -> int:
             cur[js] = np.minimum(u + js, INF)
         prev = cur
     return int(prev[n])
-
-
-def np_chain_dp(i_pts: np.ndarray, p_pts: np.ndarray, m: int, n: int,
-                py_cutoff: int = PY_DP_CUTOFF) -> int:
-    """Scalar sparse chain DP over match points sorted by ``i``.
-
-    Python lists up to *py_cutoff* match points (they beat NumPy's
-    per-call overhead on tiny arrays), NumPy per-column slices above.
-    """
-    c = len(i_pts)
-    best = max(m, n)  # empty chain: substitute everything
-    if c == 0:
-        return best
-    if c <= py_cutoff:
-        I, P = i_pts.tolist(), p_pts.tolist()
-        D = [0] * c
-        out = best
-        for j in range(c):
-            ij, pj = I[j], P[j]
-            v = ij if ij > pj else pj
-            for k in range(j):
-                pk = P[k]
-                if pk < pj:
-                    di = ij - I[k] - 1
-                    dp = pj - pk - 1
-                    cand = D[k] + (di if di > dp else dp)
-                    if cand < v:
-                        v = cand
-            D[j] = v
-            tail = max(m - 1 - ij, n - 1 - pj)
-            if v + tail < out:
-                out = v + tail
-        return out
-    D = np.empty(c, dtype=np.int64)
-    for j in range(c):
-        D[j] = max(i_pts[j], p_pts[j])
-        if j > 0:
-            di = i_pts[j] - i_pts[:j] - 1
-            dp = p_pts[j] - p_pts[:j] - 1
-            # i is strictly increasing already; mask non-increasing p.
-            cand = D[:j] + np.maximum(di, np.where(dp < 0, INF, dp))
-            D[j] = min(D[j], int(cand.min()))
-    tails = np.maximum(m - 1 - i_pts, n - 1 - p_pts)
-    return int(min(best, int((D + tails).min())))
-
-
-# ---------------------------------------------------------------------------
-# Padded batch kernels (two or more jobs)
-
-def _np_chain_dp_chunk(jobs: Sequence[Tuple[np.ndarray, np.ndarray,
-                                            int, int]],
-                       out: np.ndarray, idxs: Sequence[int]) -> None:
-    """One padded chunk of the batched chain DP (jobs with similar c)."""
-    K = len(idxs)
-    cs = np.array([len(jobs[i][0]) for i in idxs], dtype=np.int64)
-    ms = np.array([jobs[i][2] for i in idxs], dtype=np.int64)
-    ns = np.array([jobs[i][3] for i in idxs], dtype=np.int64)
-    C = int(cs.max())
-    if C == 0:
-        out[list(idxs)] = np.maximum(ms, ns)
-        return
-    # Pad I with 0 and P with 0: padded columns produce garbage that no
-    # real column ever reads (column j only looks left at columns < j of
-    # the *same* pair, all real for j < c), and the tail minimisation
-    # masks padded columns out.  Padded ``dp`` terms are negative, so the
-    # INF mask fires and ``D + INF`` stays far below int64 overflow.
-    Ipad = np.zeros((K, C), dtype=np.int64)
-    Ppad = np.zeros((K, C), dtype=np.int64)
-    for row, i in enumerate(idxs):
-        I, P = jobs[i][0], jobs[i][1]
-        Ipad[row, :len(I)] = I
-        Ppad[row, :len(P)] = P
-    D = np.empty((K, C), dtype=np.int64)
-    D[:, 0] = np.maximum(Ipad[:, 0], Ppad[:, 0])
-    for j in range(1, C):
-        di = Ipad[:, j:j + 1] - Ipad[:, :j] - 1
-        dp = Ppad[:, j:j + 1] - Ppad[:, :j] - 1
-        cand = D[:, :j] + np.maximum(di, np.where(dp < 0, INF, dp))
-        D[:, j] = np.minimum(np.maximum(Ipad[:, j], Ppad[:, j]),
-                             cand.min(axis=1))
-    tails = np.maximum(ms[:, None] - 1 - Ipad, ns[:, None] - 1 - Ppad)
-    totals = np.where(np.arange(C)[None, :] < cs[:, None],
-                      D + tails, INF)
-    out[list(idxs)] = np.minimum(np.maximum(ms, ns), totals.min(axis=1))
-
-
-def _np_chain_dp_batch(jobs: Sequence[Tuple[np.ndarray, np.ndarray,
-                                            int, int]]) -> np.ndarray:
-    """Batched sparse chain DP: all jobs in O(C_max) whole-matrix steps.
-
-    Jobs are bucketed by ``bit_length(c)`` so one huge point set does
-    not inflate the padded width of hundreds of tiny ones.
-    """
-    out = np.empty(len(jobs), dtype=np.int64)
-    buckets: Dict[int, List[int]] = {}
-    for i, job in enumerate(jobs):
-        buckets.setdefault(int(len(job[0])).bit_length(), []).append(i)
-    for idxs in buckets.values():
-        _np_chain_dp_chunk(jobs, out, idxs)
-    return out
 
 
 def _np_banded_values_batch(pairs: Sequence[Tuple[np.ndarray, np.ndarray]],
@@ -227,22 +178,6 @@ def _np_banded_values_batch(pairs: Sequence[Tuple[np.ndarray, np.ndarray]],
             out[fin] = cur[fin, dstar[fin]]
         prev = cur
     return out
-
-
-# ---------------------------------------------------------------------------
-# Entry points: the scalar kernel for one job, the batch kernel for more
-
-def chain_dp_batch(jobs: Sequence[Tuple[np.ndarray, np.ndarray,
-                                        int, int]]) -> np.ndarray:
-    """Sparse chain DP over many jobs ``(i_pts, p_pts, m, n)``.
-
-    Every match point takes part: the metered callers in
-    :mod:`repro.strings.ulam` apply any band filter first and charge the
-    per-job cells.
-    """
-    if len(jobs) > 1:
-        return _np_chain_dp_batch(jobs)
-    return np.array([np_chain_dp(*job) for job in jobs], dtype=np.int64)
 
 
 def banded_values_batch(pairs: Sequence[Tuple[np.ndarray, np.ndarray]],

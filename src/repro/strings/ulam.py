@@ -20,21 +20,22 @@ Kernels
 * :func:`ulam_from_matches` — exact sparse chain DP, optional diagonal
   band (Ukkonen-style pruning, exactness certified when the result is
   within the band).
-* :func:`ulam_auto` / :func:`ulam_auto_batch` — one certified banded
-  pass of the sparse DP, band taken from the LIS upper bound.
+* :func:`ulam_windows` — exact distances from one pattern to many
+  windows of one text, the Algorithm 1 machine's workload: one chain-DP
+  row per distinct window start (:mod:`repro.strings.native`), charged
+  as one certified banded pass per window.
+* :func:`ulam_auto` — one window of :func:`ulam_windows`.
 * :func:`local_ulam_from_matches` / :func:`local_ulam` — free-window
   variant implementing the `lulam` contract ``(γ, κ, d*)`` of Lemma 1.
 
-Every sparse chain DP is charged once, by the
-:class:`~repro.mpc.accounting.charge` bracket in :func:`_chain_dp_group`,
-and runs through :func:`repro.strings.native.chain_dp_batch`; the scalar
-entry points are batches of one.
+Every sparse chain DP is charged once, by a
+:class:`~repro.mpc.accounting.charge` bracket under the kernel name
+``ulam_sparse``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,8 +47,8 @@ from .types import INF, StringLike, as_array
 
 __all__ = [
     "is_duplicate_free", "check_duplicate_free", "ulam_distance",
-    "ulam_indel", "match_points", "ulam_from_matches", "ulam_auto",
-    "ulam_auto_batch", "local_ulam_from_matches", "local_ulam",
+    "ulam_indel", "match_points", "ulam_from_matches", "ulam_windows",
+    "ulam_auto", "local_ulam_from_matches", "local_ulam",
 ]
 
 
@@ -114,21 +115,6 @@ def match_points(pattern: StringLike, text: StringLike
             np.asarray(pos, dtype=np.int64))
 
 
-def _chain_dp_group(jobs: List[Tuple[np.ndarray, np.ndarray, int, int]]
-                    ) -> List[int]:
-    """Charged sparse chain DP over band-filtered ``(i, p, m, n)`` jobs.
-
-    Each job is one logical ``ulam_sparse`` call of ``c² + 1`` cells for
-    its ``c`` match points, charged as ``len(jobs)`` calls in one
-    bracket.
-    """
-    if not jobs:
-        return []
-    cells = sum(len(job[0]) * len(job[0]) + 1 for job in jobs)
-    with charge("ulam_sparse", len(jobs), cells):
-        return [int(v) for v in native.chain_dp_batch(jobs)]
-
-
 def ulam_from_matches(i_pts: np.ndarray, p_pts: np.ndarray, m: int, n: int,
                       band: Optional[int] = None) -> int:
     """Exact Ulam distance from match points via the sparse chain DP.
@@ -152,7 +138,83 @@ def ulam_from_matches(i_pts: np.ndarray, p_pts: np.ndarray, m: int, n: int,
     if band is not None:
         keep = np.abs(i_pts - p_pts) <= band
         i_pts, p_pts = i_pts[keep], p_pts[keep]
-    return _chain_dp_group([(i_pts, p_pts, m, n)])[0]
+    c = len(i_pts)
+    with charge("ulam_sparse", 1, c * c + 1):
+        return int(_chain_dp(i_pts, p_pts, m, np.zeros(1, dtype=np.int64),
+                             np.full(1, n, dtype=np.int64))[0])
+
+
+#: Cap on the ``windows × match points`` temporaries of
+#: :func:`ulam_windows`: windows are reduced in blocks of this many cells.
+_BLOCK_CELLS = 1 << 16
+
+
+def _row_blocks(rows: int, cols: int) -> Iterator[slice]:
+    step = max(1, _BLOCK_CELLS // max(cols, 1))
+    for lo in range(0, rows, step):
+        yield slice(lo, lo + step)
+
+
+def _chain_dp(i_pts: np.ndarray, p_pts: np.ndarray, m: int,
+              sp: np.ndarray, ep: np.ndarray) -> np.ndarray:
+    """Uncharged sparse chain DP of every window ``text[sp[w]:ep[w]]``.
+
+    One :func:`~repro.strings.native.chain_table` row per distinct
+    start, read off per window as ``min(max(m, n), min_{p_j < ep} D[j] +
+    max(m-1-i_j, ep-1-p_j))``.
+    """
+    starts, row = np.unique(sp, return_inverse=True)
+    D = native.chain_table(i_pts, p_pts, starts)
+    out = np.maximum(m, ep - sp)
+    for blk in _row_blocks(len(sp), len(i_pts)):
+        last = ep[blk, None] - 1
+        cost = D[row[blk]] + np.maximum(m - 1 - i_pts, last - p_pts)
+        out[blk] = np.minimum(out[blk], np.where(
+            p_pts <= last, cost, INF).min(axis=1, initial=INF))
+    return out
+
+
+def ulam_windows(i_pts: np.ndarray, p_pts: np.ndarray, m: int,
+                 sp: Sequence[int], ep: Sequence[int]) -> np.ndarray:
+    """Exact Ulam distances from a pattern to many windows of one text.
+
+    ``(i_pts, p_pts)`` are the pattern's match points, sorted by ``i``;
+    window ``w`` is ``text[sp[w]:ep[w]]``.  Each value, and its charge,
+    equals :func:`ulam_auto` on the window's points re-based to
+    ``sp[w]``: ``add_work`` of its point count (the LIS prologue) and one
+    ``ulam_sparse`` call of ``c_f² + 1`` cells for the ``c_f`` points
+    inside the band ``max(m + n - 2·LIS, |m - n|, 1)``.  Those cells are
+    the paper-facing per-window charge, not the loops executed: one row
+    of :func:`~repro.strings.native.lis_table` and
+    :func:`~repro.strings.native.chain_table` per distinct start serves
+    all its windows.  The band never moves a value: it is at least the
+    indel distance, hence at least the true one.
+    """
+    sp = np.asarray(sp, dtype=np.int64)
+    ep = np.asarray(ep, dtype=np.int64)
+    if len(sp) == 0:
+        return np.zeros(0, dtype=np.int64)
+    starts, row = np.unique(sp, return_inverse=True)
+    n = ep - sp
+    # LIS prologue: per-window LIS and point counts from prefix maxima
+    # of the per-start LIS rows, taken in text order.
+    order = np.argsort(p_pts, kind="stable")
+    p_sorted = p_pts[order]
+    below_ep = np.searchsorted(p_sorted, ep)
+    add_work(int((below_ep - np.searchsorted(p_sorted, sp)).sum()))
+    lis = np.zeros((len(starts), len(i_pts) + 1), dtype=np.int64)
+    np.maximum.accumulate(native.lis_table(p_pts, starts)[:, order],
+                          axis=1, out=lis[:, 1:])
+    band = np.maximum(np.maximum(m + n - 2 * lis[row, below_ep],
+                                 np.abs(m - n)), 1)
+    diag = p_pts - i_pts
+    kept = np.empty(len(sp), dtype=np.int64)
+    for blk in _row_blocks(len(sp), len(i_pts)):
+        s = sp[blk, None]
+        kept[blk] = ((p_pts >= s) & (p_pts < ep[blk, None])
+                     & (np.abs(diag - s) <= band[blk, None])).sum(axis=1)
+    with charge("ulam_sparse", len(sp), int((kept * kept).sum()) + len(sp)):
+        return _chain_dp(i_pts, p_pts, m, sp, ep)
 
 
 def ulam_auto(i_pts: np.ndarray, p_pts: np.ndarray, m: int, n: int) -> int:
@@ -163,35 +225,9 @@ def ulam_auto(i_pts: np.ndarray, p_pts: np.ndarray, m: int, n: int) -> int:
     alignment of cost ``d`` keeps its matches within the ``d``-diagonal
     band; therefore a single banded run with ``band = indel ≥ d`` is
     certified exact, with output-sensitive pruning for similar pairs.
-    A batch of one :func:`ulam_auto_batch`.
+    One window, ``[0, n)``, of :func:`ulam_windows`.
     """
-    return ulam_auto_batch([(i_pts, p_pts, m, n)])[0]
-
-
-def ulam_auto_batch(jobs: List[Tuple[np.ndarray, np.ndarray, int, int]]
-                    ) -> List[int]:
-    """:func:`ulam_auto` over many ``(i_pts, p_pts, m, n)`` jobs.
-
-    The per-machine batching path: candidate machines issue thousands of
-    tiny sparse-DP calls, so the LIS prologue runs per job (cheap, and it
-    determines each job's band) while all chain DPs run as one metered
-    group.
-    """
-    filtered: List[Tuple[np.ndarray, np.ndarray, int, int]] = []
-    for i_pts, p_pts, m, n in jobs:
-        # LIS of the p-sequence (points are i-sorted): patience sorting.
-        tails: list = []
-        for v in p_pts.tolist():
-            pos = bisect_left(tails, v)
-            if pos == len(tails):
-                tails.append(v)
-            else:
-                tails[pos] = v
-        add_work(len(i_pts))
-        band = max(m + n - 2 * len(tails), abs(m - n), 1)
-        keep = np.abs(i_pts - p_pts) <= band
-        filtered.append((i_pts[keep], p_pts[keep], m, n))
-    return _chain_dp_group(filtered)
+    return int(ulam_windows(i_pts, p_pts, m, [0], [n])[0])
 
 
 def local_ulam_from_matches(i_pts: np.ndarray, p_pts: np.ndarray,

@@ -15,6 +15,12 @@ that, with high probability, contains an approximately optimal one
   each hit anchors a window via its position in ``s̄`` (Lemma 2), searched
   on the same ``G_i`` grid within ``û_i``.
 
+Each guess's ``(sp, ep)`` grid is built as NumPy ranges, deduplicated in
+first-occurrence order, and all windows are evaluated in one
+:func:`~repro.strings.ulam.ulam_windows` call, which shares one
+chain-DP row per distinct window start; the ledger still charges one
+certified banded sparse DP per window.
+
 All coordinates are 0-based half-open (the paper is 1-based closed).
 """
 
@@ -28,7 +34,7 @@ from ..metrics import get_registry
 from ..mpc.accounting import add_work
 from ..mpc.distcache import cached_batch, distance_cache
 from ..mpc.shm import SharedSlice
-from ..strings.ulam import local_ulam_from_matches, ulam_auto_batch
+from ..strings.ulam import local_ulam_from_matches, ulam_windows
 from .config import UlamConfig
 
 _M_WINDOWS = get_registry().counter("ulam.candidate_windows")
@@ -100,30 +106,30 @@ def make_block_payload(lo: int, hi: int, positions: np.ndarray, n_t: int,
             **make_block_part(lo, hi, positions, seed)}
 
 
-def _grid(lo: float, hi: float, gap: int, n: int) -> List[int]:
-    """Multiples of ``gap`` inside ``[lo, hi] ∩ [0, n]`` (Algorithm 1's
-    "indices divisible by G_i")."""
-    lo = max(int(np.ceil(lo)), 0)
-    hi = min(int(np.floor(hi)), n)
-    if hi < lo:
-        return []
-    first = ((lo + gap - 1) // gap) * gap
-    return list(range(first, hi + 1, gap))
+def _ticks(lo, hi, gap: int, n_t: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Algorithm 1's "indices divisible by G_i": the multiples of ``gap``
+    in ``[lo[r], hi[r]] ∩ [0, n_t]`` for each row ``r``, as padded
+    ``(values, valid)`` arrays of shape ``(rows, width)``."""
+    lo = np.maximum(np.ceil(lo), 0).astype(np.int64)
+    hi = np.minimum(np.floor(hi), n_t).astype(np.int64)
+    first = (lo + gap - 1) // gap * gap
+    width = int(np.max((hi - first) // gap + 1, initial=0))
+    values = first[:, None] + gap * np.arange(width)
+    return values, values <= hi[:, None]
 
 
-def _window_distances(windows: List[Tuple[int, int, np.ndarray, np.ndarray]],
-                      B: int, cache) -> List[int]:
-    """Sparse Ulam distances for candidate windows, as one batch.
-
-    All cache misses are evaluated in one :func:`ulam_auto_batch` call
-    (:func:`~repro.mpc.distcache.cached_batch` folds intra-batch
-    duplicates into cache hits).
-    """
-    jobs = [(i_sel, p_rel, B, ep - sp) for sp, ep, i_sel, p_rel in windows]
-    return cached_batch(
-        cache, jobs,
-        lambda job: ("ulam", job[0].tobytes(), job[1].tobytes(), B, job[3]),
-        ulam_auto_batch)
+def _window_keys(starts: Tuple[np.ndarray, np.ndarray],
+                 ends: Tuple[np.ndarray, np.ndarray], shift: int,
+                 n_t: int) -> np.ndarray:
+    """Windows ``[sp, min(end + shift, n_t))`` for every start tick
+    ``sp`` and end tick ``end`` of the same row with ``end + shift >=
+    sp``, as keys ``sp·(n_t+1) + ep`` in row, start, end order."""
+    (sp, sp_ok), (end, end_ok) = starts, ends
+    sp = sp[:, :, None]
+    ep = end[:, None, :] + shift
+    keep = sp_ok[:, :, None] & end_ok[:, None, :] & (ep >= sp)
+    sp, ep = np.broadcast_arrays(sp, np.minimum(ep, n_t))
+    return sp[keep] * (n_t + 1) + ep[keep]
 
 
 def run_block_machine(payload: BlockPayload) -> List[CandidateTuple]:
@@ -141,14 +147,9 @@ def run_block_machine(payload: BlockPayload) -> List[CandidateTuple]:
     # lulam(s[lo:hi), s̄): optimal local window (γ, κ) and distance d*.
     gamma, kappa, d_star = local_ulam_from_matches(i_pts, p_pts, B)
 
-    wanted: Dict[Tuple[int, int], None] = {}
-
-    def want(sp: int, ep: int) -> None:
-        if 0 <= sp <= ep <= n_t:
-            wanted.setdefault((sp, ep), None)
-
+    # Candidate windows as keys sp·(n_t+1) + ep, in generation order.
     # Line 2-3: the lulam optimum is always a candidate (exact when d*=0).
-    want(gamma, kappa)
+    keys = [np.array([gamma * (n_t + 1) + kappa])]
 
     rng = np.random.default_rng(payload["seed"])
     local_rf = payload["local_radius_factor"]
@@ -156,20 +157,17 @@ def run_block_machine(payload: BlockPayload) -> List[CandidateTuple]:
     max_cands = payload["max_candidates"]
 
     for u in payload["u_guesses"]:
-        if max_cands is not None and len(wanted) >= max_cands:
+        if max_cands is not None \
+                and len(np.unique(np.concatenate(keys))) >= max_cands:
             break
         u_hat = (1.0 + eps_prime) * u
         gap = max(int(eps_prime * u), 1)
         if u < B / 2:
             # Small-distance branch (Lemma 1): search near the lulam window.
-            sps = _grid(gamma - local_rf * u_hat, gamma + local_rf * u_hat,
-                        gap, n_t)
-            eps_ = _grid(kappa - local_rf * u_hat, kappa + local_rf * u_hat,
-                         gap, n_t)
-            for sp in sps:
-                for ep in eps_:
-                    if ep >= sp:
-                        want(sp, ep)
+            r = local_rf * u_hat
+            keys.append(_window_keys(
+                _ticks([gamma - r], [gamma + r], gap, n_t),
+                _ticks([kappa - r], [kappa + r], gap, n_t), 0, n_t))
         else:
             # Large-distance branch (Lemma 2): hitting-set anchors.
             coins = rng.random(B)
@@ -177,46 +175,49 @@ def run_block_machine(payload: BlockPayload) -> List[CandidateTuple]:
             max_hits = payload["max_hits"]
             if max_hits is not None and len(hits) > max_hits:
                 hits = rng.choice(hits, size=max_hits, replace=False)
-            for p in np.sort(hits):
-                q = int(positions[p])
-                if q < 0:
-                    continue
-                g2 = q - int(p)            # anchor-implied window start
-                k2 = q + (B - 1 - int(p))  # anchor-implied last index
-                sps = _grid(g2 - hit_rf * u_hat, g2 + hit_rf * u_hat,
-                            gap, n_t)
-                for sp in sps:
-                    eps_ = _grid(max(k2 - hit_rf * u_hat, sp - 1),
-                                 k2 + hit_rf * u_hat, gap, n_t)
-                    for ep_last in eps_:
-                        # ep_last is the window's last index; half-open +1.
-                        if ep_last + 1 >= sp:
-                            want(sp, min(ep_last + 1, n_t))
+            hits = np.sort(hits)
+            q = positions[hits]
+            hits, q = hits[q >= 0], q[q >= 0]
+            g2 = q - hits                # anchor-implied window start
+            k2 = q + (B - 1 - hits)      # anchor-implied last index
+            # End ticks are last indices; the window is half-open (+1).
+            r = hit_rf * u_hat
+            keys.append(_window_keys(_ticks(g2 - r, g2 + r, gap, n_t),
+                                     _ticks(k2 - r, k2 + r, gap, n_t),
+                                     1, n_t))
 
-    if max_cands is not None and len(wanted) > max_cands:
-        wanted = dict(list(wanted.items())[:max_cands])
+    # Distinct windows in first-occurrence order, capped.
+    keys = np.concatenate(keys)
+    first = np.sort(np.unique(keys, return_index=True)[1])[:max_cands]
+    sp, ep = np.divmod(keys[first], n_t + 1)
 
     # Distance evaluation: sparse chain DP per window from positions only.
-    add_work(len(wanted))
-    _M_WINDOWS.inc(len(wanted))
-    _M_PER_BLOCK.observe(len(wanted))
-    order = np.argsort(p_pts, kind="stable")
-    p_sorted = p_pts[order]
-    cache = distance_cache()
-    windows: List[Tuple[int, int, np.ndarray, np.ndarray]] = []
-    for sp, ep in wanted:
-        lo_idx = int(np.searchsorted(p_sorted, sp, side="left"))
-        hi_idx = int(np.searchsorted(p_sorted, ep, side="left"))
-        sel = np.sort(order[lo_idx:hi_idx])  # back to i-sorted order
-        windows.append((sp, ep, i_pts[sel], p_pts[sel] - sp))
-    dists = _window_distances(windows, B, cache)
-    tuples: List[CandidateTuple] = [
-        (lo, hi, int(sp), int(ep), int(d))
-        for (sp, ep, _, _), d in zip(windows, dists)]
+    add_work(len(sp))
+    _M_WINDOWS.inc(len(sp))
+    _M_PER_BLOCK.observe(len(sp))
 
+    def key_of(window) -> tuple:
+        w_sp, w_ep = int(window[0]), int(window[1])
+        inside = (p_pts >= w_sp) & (p_pts < w_ep)
+        return ("ulam", i_pts[inside].tobytes(),
+                (p_pts[inside] - w_sp).tobytes(), B, w_ep - w_sp)
+
+    def evaluate(windows) -> np.ndarray:
+        windows = np.asarray(windows, dtype=np.int64).reshape(-1, 2)
+        return ulam_windows(i_pts, p_pts, B, windows[:, 0], windows[:, 1])
+
+    # With the distance cache on, only the misses reach the kernel
+    # (:func:`~repro.mpc.distcache.cached_batch`).
+    dists = np.asarray(cached_batch(distance_cache(),
+                                    np.stack([sp, ep], axis=1),
+                                    key_of, evaluate), dtype=np.int64)
     top_k = payload["top_k"]
-    if top_k is not None and len(tuples) > top_k:
-        tuples.sort(key=lambda t: (t[4], t[3] - t[2]))
-        tuples = tuples[:top_k]
+    if top_k is not None and len(dists) > top_k:
+        # Smallest (distance, length) first; ties keep generation order.
+        best = np.lexsort((ep - sp, dists))[:top_k]
+        sp, ep, dists = sp[best], ep[best], dists[best]
+    tuples: List[CandidateTuple] = [
+        (lo, hi, s, e, d)
+        for s, e, d in zip(sp.tolist(), ep.tolist(), dists.tolist())]
     _M_TUPLES.inc(len(tuples))
     return tuples

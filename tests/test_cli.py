@@ -36,6 +36,25 @@ class TestParser:
              "--seed", "7"])
         assert (args.n, args.x, args.eps, args.seed) == (128, 0.2, 2.0, 7)
 
+    @pytest.mark.parametrize("argv, prefix", [
+        (["ulam", "--eps", "-1"], "repro ulam: error: argument --eps"),
+        (["ulam", "--x", "0.7"], "repro ulam: error: argument --x"),
+        (["edit", "--eps", "nan"], "repro edit: error: argument --eps"),
+        (["edit", "--x", "0.3"], "repro edit: error: argument --x"),
+        (["serve", "--eps", "inf"], "repro serve: error: argument --eps"),
+        (["serve", "--x", "0.45"], "repro: error: argument --x"),
+        (["chaos", "--algo", "ulam", "--x", "nan"],
+         "repro: error: argument --x"),
+    ], ids=["ulam-eps", "ulam-x", "edit-eps", "edit-x", "serve-eps",
+            "serve-x", "chaos-x"])
+    def test_bad_x_eps_are_usage_errors(self, capsys, argv, prefix):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip().splitlines()[-1].startswith(prefix)
+
 
 class TestCommands:
     def test_ulam_runs(self, capsys):

@@ -266,17 +266,17 @@ class TestRegressionAttribution:
         with enabled():
             _, rec_a = _ulam_record()
             import repro.ulam.candidates as cand
-            real_batch = cand.ulam_auto_batch
+            real_windows = cand.ulam_windows
 
-            def doubled_batch(jobs):
-                real_batch(jobs)
-                return real_batch(jobs)
+            def doubled_windows(*args):
+                real_windows(*args)
+                return real_windows(*args)
 
             # Double every candidate evaluation (all of them go through
-            # one batch call per machine), regressing the gated
+            # one window-kernel call per machine), regressing the gated
             # total_work, and slow the sparse kernel so the wall-clock
             # delta is unmistakably its own.
-            monkeypatch.setattr(cand, "ulam_auto_batch", doubled_batch)
+            monkeypatch.setattr(cand, "ulam_windows", doubled_windows)
             with inject_slowdown("ulam_sparse", 2e-5):
                 _, rec_b = _ulam_record()
         return rec_a, rec_b

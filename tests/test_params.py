@@ -82,12 +82,22 @@ class TestUlamParams:
         with pytest.raises(ValueError):
             UlamParams(n=1, x=0.3)
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+    def test_eps_must_be_finite_and_positive(self, eps):
+        with pytest.raises(ValueError, match="eps must be a finite"):
+            UlamParams(n=100, x=0.3, eps=eps)
+
 
 class TestEditParams:
     def test_x_range_enforced(self):
         EditParams(n=100, x=5 / 17)  # boundary allowed
         with pytest.raises(ValueError):
             EditParams(n=100, x=0.35)
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+    def test_eps_must_be_finite_and_positive(self, eps):
+        with pytest.raises(ValueError, match="eps must be a finite"):
+            EditParams(n=100, x=0.2, eps=eps)
 
     def test_eps_prime_divisor(self):
         assert EditParams(n=100, x=0.2, eps=1.0).eps_prime == 1 / 22

@@ -9,6 +9,7 @@ shutdown leaves no shared-memory segment behind.
 
 import asyncio
 import json
+import math
 
 import pytest
 
@@ -153,6 +154,22 @@ class TestServiceBasics:
                 cid = service.register_corpus(s_p, t_p)
                 with pytest.raises(AdmissionError, match="memory"):
                     service.submit("ulam", cid)
+
+        asyncio.run(main())
+
+    @pytest.mark.parametrize("algo", ["ulam", "edit"])
+    @pytest.mark.parametrize("engine", [None, "auto"])
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -0.5])
+    def test_bad_eps_rejected_at_admission(self, algo, engine, eps):
+        (s_p, t_p), _ = _pairs()
+
+        async def main():
+            async with DistanceService() as service:
+                cid = service.register_corpus(s_p, t_p)
+                with pytest.raises(AdmissionError, match="eps must be"):
+                    service.submit(algo, cid, engine=engine, eps=eps)
+                queries = service.status()["queries"]
+                assert queries["total"] == queries["failed"] == 0
 
         asyncio.run(main())
 

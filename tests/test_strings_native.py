@@ -1,16 +1,18 @@
 """Batch ≡ list of scalar calls for the batched string kernels, and
 one charge per kernel call for every kernel.
 
-The sparse Ulam and banded kernels take their jobs as batches; each
-scalar entry point is a batch of one, and
-:mod:`repro.strings.native` runs one job on the scalar NumPy kernel and
-two or more on the padded batch kernel.  Batching may only move
-wall-clock: distances, abstract work, ``strings.*`` metric deltas,
-kernel-profile call/cell attribution and distance-cache hit/miss
-counters must equal those of the same inputs issued one scalar call at
-a time.  These tests compare both on random and boundary inputs, and
-check the answers against the independent exact kernels
-(``levenshtein``, ``ulam_distance``, a brute-force DP).
+The banded kernels take their jobs as batches; each scalar entry point
+is a batch of one, and :mod:`repro.strings.native` runs one job on the
+scalar NumPy kernel and two or more on the padded batch kernel.  The
+sparse Ulam kernel takes many windows of one text:
+:func:`~repro.strings.ulam.ulam_windows` shares one chain-DP row per
+window start, and :func:`~repro.strings.ulam.ulam_auto` is one window.
+Batching may only move wall-clock: distances, abstract work,
+``strings.*`` metric deltas, kernel-profile call/cell attribution and
+distance-cache hit/miss counters must equal those of the same inputs
+issued one scalar call at a time.  These tests compare both on random
+and boundary inputs, and check the answers against the independent
+exact kernels (``levenshtein``, ``ulam_distance``, a brute-force DP).
 
 Every kernel entry point reports through one
 :class:`~repro.mpc.accounting.charge` bracket, so its registry deltas
@@ -35,10 +37,12 @@ from repro.strings import (fitting_last_row, hamming, levenshtein,
                            levenshtein_doubling, levenshtein_doubling_batch,
                            levenshtein_script, lis_indices, lis_length,
                            local_ulam_from_matches, match_points,
-                           ulam_auto, ulam_auto_batch, ulam_distance,
-                           ulam_from_matches, within_threshold,
+                           ulam_auto, ulam_distance, ulam_from_matches,
+                           ulam_windows, within_threshold,
                            within_threshold_batch)
 from repro.strings import native
+from repro.strings.types import INF
+from repro.ulam.config import UlamConfig
 from repro.strings.bitparallel import myers_levenshtein
 
 from .helpers import brute_edit_distance
@@ -154,21 +158,6 @@ class TestDoublingLowerBoundReuse:
         assert prof["banded"] == [7, 8807]
 
 
-def _synthetic_ulam_jobs(rng, n_jobs=25, max_pts=20):
-    jobs = []
-    for _ in range(n_jobs):
-        c = int(rng.integers(0, max_pts))
-        m = int(rng.integers(c, c + 8))
-        n = int(rng.integers(c, c + 8))
-        i_pts = np.sort(rng.choice(max(m, 1), size=min(c, max(m, 1)),
-                                   replace=False)).astype(np.int64)
-        p_pts = rng.permutation(
-            np.sort(rng.choice(max(n, 1), size=len(i_pts),
-                               replace=False))).astype(np.int64)
-        jobs.append((i_pts, p_pts, m, n))
-    return jobs
-
-
 def _strings_for_matches(i_pts, p_pts, m, n):
     """Duplicate-free ``(pattern, text)`` whose match points are exactly
     ``(i_pts, p_pts)``: pattern ``0..m-1``, unmatched text slots get
@@ -179,26 +168,130 @@ def _strings_for_matches(i_pts, p_pts, m, n):
     return pattern, text
 
 
+def _window_points(i_pts, p_pts, sp, ep):
+    """The match points of window ``[sp, ep)``, re-based to ``sp``."""
+    inside = (p_pts >= sp) & (p_pts < ep)
+    return i_pts[inside], p_pts[inside] - sp
+
+
+def _windows_batch(i_pts, p_pts, m):
+    """``(batch, scalar)`` over ``(sp, ep)`` windows of one text: the
+    window kernel against one :func:`ulam_auto` call per window."""
+    def batch(windows):
+        return ulam_windows(i_pts, p_pts, m, [w[0] for w in windows],
+                            [w[1] for w in windows]).tolist()
+
+    def scalar(sp, ep):
+        return ulam_auto(*_window_points(i_pts, p_pts, sp, ep), m, ep - sp)
+    return batch, scalar
+
+
+def _random_block(rng, m, n_t, absent=0.2):
+    """Match points of a duplicate-free block of length *m* against a
+    text of length *n_t*; about *absent* of the block is missing."""
+    slots = rng.permutation(n_t)[:m]
+    positions = np.full(m, -1, dtype=np.int64)
+    keep = rng.random(len(slots)) >= absent
+    positions[:len(slots)][keep] = slots[keep]
+    i_pts = np.flatnonzero(positions >= 0).astype(np.int64)
+    return i_pts, positions[i_pts]
+
+
+def _check_windows(i_pts, p_pts, m, n_t, windows):
+    """Window kernel ≡ per-window ``ulam_auto`` (answers, work, metric
+    deltas, profile) ≡ per-window ``ulam_distance``, charged as one
+    certified banded pass per window."""
+    batch, scalar = _windows_batch(i_pts, p_pts, m)
+    got = _assert_batch_matches_scalars(batch, scalar, windows)
+    pattern, text = _strings_for_matches(i_pts, p_pts, m, n_t)
+    assert got == [ulam_distance(pattern, text[sp:ep])
+                   for sp, ep in windows]
+    # The charge, from an independent LIS: c_w prologue work plus
+    # c_f² + 1 cells for the c_f points inside the band.
+    prologue = cells = 0
+    for sp, ep in windows:
+        i_w, p_w = _window_points(i_pts, p_pts, sp, ep)
+        n = ep - sp
+        band = max(m + n - 2 * lis_length(p_w), abs(m - n), 1)
+        c_f = int((np.abs(i_w - p_w) <= band).sum())
+        prologue += len(i_w)
+        cells += c_f * c_f + 1
+    _, work, _, prof = _metered(lambda: batch(windows))
+    assert work == prologue + cells
+    assert prof.get("ulam_sparse", [0, 0]) == [len(windows), cells]
+    return cells
+
+
 class TestUlamBatchEquivalence:
     def test_matches_scalar(self, rng):
-        jobs = _synthetic_ulam_jobs(rng)
-        batch = _assert_batch_matches_scalars(ulam_auto_batch, ulam_auto,
-                                              jobs)
-        for job, got in zip(jobs, batch):
-            assert got == ulam_distance(*_strings_for_matches(*job))
+        for m, n_t in ((12, 30), (20, 20), (7, 40)):
+            i_pts, p_pts = _random_block(rng, m, n_t)
+            windows = [tuple(sorted(rng.integers(0, n_t + 1, 2)))
+                       for _ in range(40)]
+            _check_windows(i_pts, p_pts, m, n_t, windows)
+
+    def test_band_filters_far_points(self, rng):
+        # A near-identity block with a few long moves: the certified band
+        # is narrow, so the moved points fall outside it and the charged
+        # cells depend on each window's own LIS.
+        m, n_t = 40, 48
+        positions = np.arange(m, dtype=np.int64) + 4
+        positions[[0, 7, 21]] = [46, 1, 44]
+        positions[12] = -1
+        i_pts = np.flatnonzero(positions >= 0).astype(np.int64)
+        p_pts = positions[i_pts]
+        windows = [(0, n_t), (4, 44), (2, 47), (6, 40), (0, 30), (5, 45),
+                   (10, 48), (16, 40), (20, 48), (24, 46)]
+        windows += [tuple(sorted(rng.integers(0, n_t + 1, 2)))
+                    for _ in range(20)]
+        cells = _check_windows(i_pts, p_pts, m, n_t, windows)
+        unbanded = sum(len(_window_points(i_pts, p_pts, sp, ep)[0]) ** 2
+                       + 1 for sp, ep in windows)
+        assert cells < unbanded
 
     def test_empty_jobs(self):
         empty = np.zeros(0, dtype=np.int64)
-        jobs = [(empty, empty, 0, 0), (empty, empty, 3, 5)]
-        batch = _assert_batch_matches_scalars(ulam_auto_batch, ulam_auto,
-                                              jobs)
-        assert batch == [0, 5]
+        # No match points, an empty pattern, sp == ep, ep == n_t.
+        _check_windows(empty, empty, 3, 5, [(0, 0), (0, 5), (2, 5)])
+        _check_windows(empty, empty, 0, 4, [(0, 0), (1, 4)])
+        i_pts = np.array([0, 2], dtype=np.int64)
+        p_pts = np.array([4, 1], dtype=np.int64)
+        _check_windows(i_pts, p_pts, 3, 5, [(0, 0), (5, 5), (0, 5),
+                                            (2, 5), (0, 2), (1, 2)])
+
+
+@st.composite
+def _blocks_and_windows(draw):
+    """A block with absent (``-1``) positions, a text and windows that
+    include the empty window, ``sp == ep`` and ``ep == n_t``."""
+    n_t = draw(st.integers(0, 18))
+    m = draw(st.integers(0, 14))
+    slots = draw(st.permutations(range(n_t)))
+    present = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    positions = np.full(m, -1, dtype=np.int64)
+    for i, (here, slot) in enumerate(zip(present, slots)):
+        if here:
+            positions[i] = slot
+    bound = st.integers(0, n_t)
+    windows = draw(st.lists(st.tuples(bound, bound).map(
+        lambda w: tuple(sorted(w))), max_size=10))
+    windows += [(0, n_t), (n_t, n_t), (0, 0)]
+    i_pts = np.flatnonzero(positions >= 0).astype(np.int64)
+    return i_pts, positions[i_pts], m, n_t, windows
+
+
+class TestUlamWindowsProperty:
+    @given(case=_blocks_and_windows())
+    @settings(max_examples=60, deadline=None)
+    def test_window_kernel_equals_per_window_calls(self, case):
+        _check_windows(*case)
 
 
 _BATCHES = {
     "threshold": _threshold(2),
     "doubling": _doubling(),
-    "ulam_auto": (ulam_auto_batch, ulam_auto),
+    "ulam_auto": _windows_batch(np.zeros(0, dtype=np.int64),
+                                np.zeros(0, dtype=np.int64), 4),
 }
 
 
@@ -242,91 +335,86 @@ class TestBatchSizes:
             'strings.kernel_calls{kernel=ulam_sparse}': 1}
 
 
-def _cached_scalar_windows(windows, B, cache):
-    """The per-window reference: one cached :func:`ulam_auto` call each."""
+def _per_window_cached(cache, windows, key_of, evaluate):
+    """Stand-in for ``cached_batch`` in the block machine: one cached
+    :func:`ulam_auto` call per window, rebuilt from the window's cache
+    key (its re-based match points and lengths)."""
     out = []
-    for sp, ep, i_sel, p_rel in windows:
-        if cache is None:
-            out.append(ulam_auto(i_sel, p_rel, B, ep - sp))
-            continue
-        key = ("ulam", i_sel.tobytes(), p_rel.tobytes(), B, ep - sp)
-        d = cache.lookup(key)
+    for window in windows:
+        key = key_of(window)
+        d = None if cache is None else cache.lookup(key)
         if d is None:
-            d = ulam_auto(i_sel, p_rel, B, ep - sp)
-            cache.store(key, d)
+            d = ulam_auto(np.frombuffer(key[1], dtype=np.int64),
+                          np.frombuffer(key[2], dtype=np.int64),
+                          key[3], key[4])
+            if cache is not None:
+                cache.store(key, d)
         out.append(int(d))
     return out
 
 
+def _block_payload(config, n=64, seed=11):
+    rng = np.random.default_rng(3)
+    positions = rng.permutation(n).astype(np.int64)
+    positions[rng.choice(n, size=8, replace=False)] = -1
+    payload = cand.make_block_payload(
+        0, n, positions, n_t=n, eps_prime=0.25,
+        u_guesses=[2, 8, 32], theta=0.3, seed=seed, config=config)
+    return payload, positions
+
+
 class TestCacheFolding:
-    """Intra-batch dedupe keeps cache hit/miss counters equal to those
-    of per-window cached scalar calls."""
+    """The block machine's cache folding keeps hit/miss counters, work
+    and metering equal to those of per-window cached scalar calls."""
 
-    def _windows(self, rng):
-        windows = []
-        for _ in range(6):
-            c = int(rng.integers(2, 10))
-            i_sel = np.sort(rng.choice(16, size=c,
-                                       replace=False)).astype(np.int64)
-            p_rel = rng.permutation(c).astype(np.int64)
-            windows.append((0, 16, i_sel, p_rel))
-        # Duplicate content: repeats must be cache hits.
-        windows += [windows[0], windows[2], windows[0]]
-        return windows
+    def _run(self, payload, cache):
+        # Twice through one cache: the second pass is all hits.
+        return [_metered(lambda: cand.run_block_machine(dict(payload)))
+                for _ in range(2)], (cache.hits, cache.misses)
 
-    def _check_exact(self, windows, dists):
-        for (sp, ep, i_sel, p_rel), d in zip(windows, dists):
-            assert d == ulam_distance(
-                *_strings_for_matches(i_sel, p_rel, 16, ep - sp))
+    def test_hit_miss_counters_match(self, monkeypatch):
+        payload, _ = _block_payload(UlamConfig.practical())
+        cache_b = DistanceCache(capacity=1 << 16)
+        monkeypatch.setattr(cand, "distance_cache", lambda: cache_b)
+        res_b = self._run(payload, cache_b)
+        cache_s = DistanceCache(capacity=1 << 16)
+        monkeypatch.setattr(cand, "distance_cache", lambda: cache_s)
+        monkeypatch.setattr(cand, "cached_batch", _per_window_cached)
+        assert self._run(payload, cache_s) == res_b
+        hits, misses = res_b[1]
+        # Windows without match points share one key: intra-batch hits.
+        assert misses > 0 and hits > misses
 
-    def test_hit_miss_counters_match(self, rng):
-        windows = self._windows(rng)
-        cache_s = DistanceCache()
-        res_s = _metered(
-            lambda: _cached_scalar_windows(windows, 16, cache_s))
-        cache_b = DistanceCache()
-        res_b = _metered(
-            lambda: cand._window_distances(windows, 16, cache_b))
-        assert res_b == res_s
-        assert (cache_b.hits, cache_b.misses) == \
-            (cache_s.hits, cache_s.misses)
-        assert cache_b.hits == 3
-        self._check_exact(windows, res_b[0])
-
-    def test_uncached_path_matches(self, rng):
-        windows = self._windows(rng)
-        res_b = _metered(lambda: cand._window_distances(windows, 16, None))
-        assert res_b == _metered(
-            lambda: _cached_scalar_windows(windows, 16, None))
-        self._check_exact(windows, res_b[0])
+    def test_uncached_path_matches(self, monkeypatch):
+        payload, _ = _block_payload(UlamConfig.practical())
+        res_b = _metered(lambda: cand.run_block_machine(dict(payload)))
+        monkeypatch.setattr(cand, "cached_batch", _per_window_cached)
+        assert _metered(
+            lambda: cand.run_block_machine(dict(payload))) == res_b
 
 
 class TestBlockMachineEquivalence:
     def test_run_block_machine_identical(self, monkeypatch):
-        from repro.ulam.config import UlamConfig
-        rng = np.random.default_rng(3)
         n = 64
-        positions = rng.permutation(n).astype(np.int64)
-        positions[rng.choice(n, size=8, replace=False)] = -1
-        payload = cand.make_block_payload(
-            0, n, positions, n_t=n, eps_prime=0.25,
-            u_guesses=[2, 8, 32], theta=0.3, seed=11,
-            config=UlamConfig.practical())
-        tuples_b, work_b, met_b, prof_b = _metered(
-            lambda: cand.run_block_machine(dict(payload)))
-        monkeypatch.setattr(cand, "ulam_auto_batch",
-                            lambda jobs: [ulam_auto(*job) for job in jobs])
-        assert _metered(lambda: cand.run_block_machine(dict(payload))) == \
-            (tuples_b, work_b, met_b, prof_b)
-        # Every candidate distance is the exact Ulam distance between the
-        # block s[lo:hi) and its window of the target.
-        s = np.arange(n, dtype=np.int64)
-        t = np.arange(n, 2 * n, dtype=np.int64)
-        present = positions >= 0
-        t[positions[present]] = s[present]
-        assert tuples_b
-        for lo, hi, sp, ep, d in tuples_b:
-            assert d == ulam_distance(s[lo:hi], t[sp:ep])
+        for config in (UlamConfig.paper(), UlamConfig.default(),
+                       UlamConfig.practical()):
+            payload, positions = _block_payload(config, n=n)
+            with monkeypatch.context() as patch:
+                patch.setattr(cand, "cached_batch", _per_window_cached)
+                reference = _metered(
+                    lambda: cand.run_block_machine(dict(payload)))
+            tuples_b, work_b, met_b, prof_b = _metered(
+                lambda: cand.run_block_machine(dict(payload)))
+            assert (tuples_b, work_b, met_b, prof_b) == reference
+            # Every candidate distance is the exact Ulam distance between
+            # the block s[lo:hi) and its window of the target.
+            s = np.arange(n, dtype=np.int64)
+            t = np.arange(n, 2 * n, dtype=np.int64)
+            present = positions >= 0
+            t[positions[present]] = s[present]
+            assert tuples_b
+            for lo, hi, sp, ep, d in tuples_b:
+                assert d == ulam_distance(s[lo:hi], t[sp:ep])
 
 
 class TestMyersMultiWord:
@@ -381,14 +469,36 @@ class TestNumPyKernelPrimitives:
                 assert v == native.np_banded_value(a, b, k)
                 assert native.banded_values_batch([(a, b)], k) == [v]
 
-    def test_chain_dp_batch_matches_scalar(self, rng):
-        jobs = _synthetic_ulam_jobs(rng, n_jobs=30)
-        vals = native.chain_dp_batch(jobs)
-        for job, v in zip(jobs, vals):
-            # Both scalar sub-paths: Python lists and NumPy slices.
-            assert v == native.np_chain_dp(*job)
-            assert v == native.np_chain_dp(*job, py_cutoff=0)
-            assert native.chain_dp_batch([job]) == [v]
+    def test_chain_tables_match_scalar(self, rng):
+        for _ in range(20):
+            m, n_t = int(rng.integers(1, 16)), int(rng.integers(1, 24))
+            i_pts, p_pts = _random_block(rng, m, n_t)
+            starts = np.arange(n_t + 1, dtype=np.int64)
+            D = native.chain_table(i_pts, p_pts, starts)
+            L = native.lis_table(p_pts, starts)
+            for sp in starts.tolist():
+                # Python double loop over the point set {p >= sp}.
+                for j, (ij, pj) in enumerate(zip(i_pts, p_pts)):
+                    if pj < sp:
+                        assert (D[sp, j], L[sp, j]) == (INF, 0)
+                        continue
+                    preds = [k for k in range(j) if sp <= p_pts[k] < pj]
+                    assert D[sp, j] == min(
+                        [max(ij, pj - sp)]
+                        + [D[sp, k] + max(ij - i_pts[k] - 1,
+                                          pj - p_pts[k] - 1)
+                           for k in preds])
+                    assert L[sp, j] == 1 + max([L[sp, k] for k in preds],
+                                               default=0)
+                # A window [sp, ep) reads row sp: its exact distance is
+                # the cheapest chain plus boundary cost.
+                pattern, text = _strings_for_matches(i_pts, p_pts, m, n_t)
+                for ep in range(sp, n_t + 1):
+                    inside = (p_pts >= sp) & (p_pts < ep)
+                    tails = np.maximum(m - 1 - i_pts, ep - 1 - p_pts)
+                    best = min([max(m, ep - sp)]
+                               + (D[sp] + tails)[inside].tolist())
+                    assert best == ulam_distance(pattern, text[sp:ep])
 
 
 def _word(n, seed):

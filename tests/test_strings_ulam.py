@@ -103,19 +103,6 @@ class TestSparseMatches:
         empty = np.array([], dtype=np.int64)
         assert ulam_from_matches(empty, empty, 4, 7) == 7
 
-    def test_numpy_path_matches_python_path(self, rng):
-        # force both code paths of the hybrid DP on the same large input
-        from repro.strings import native
-        n = native.PY_DP_CUTOFF + 20
-        a = rng.permutation(2 * n)[:n]
-        b = a[rng.permutation(n)]  # same symbols, shuffled
-        i_pts, p_pts = match_points(a, b)
-        assert len(i_pts) == n  # all symbols match somewhere
-        full = ulam_from_matches(i_pts, p_pts, n, n)   # NumPy slices
-        py = native.np_chain_dp(i_pts, p_pts, n, n,
-                                py_cutoff=10 ** 9)     # pure-python lists
-        assert py == full
-
 
 class TestLocalUlam:
     def test_matches_brute_fitting(self, rng):
