@@ -23,13 +23,13 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..chain import TupleTable, run_combine_machine, shipping_cap
 from ..mpc.accounting import RunStats
 from ..mpc.plan import Pipeline, RoundSpec
 from ..mpc.simulator import MPCSimulator
 from ..params import EditParams
 from ..strings.types import as_array
 from ..editdistance.candidates import length_offsets, start_grid
-from ..editdistance.combine import run_edit_combine_machine
 from ..editdistance.small import run_small_block_machine
 
 __all__ = ["HSSResult", "hss_edit_distance"]
@@ -80,11 +80,8 @@ def hss_edit_distance(s, t, x: float = 0.25, eps: float = 1.0,
     n_t = len(T)
 
     # Same memory-adaptive phase-2 shipping cap as the main driver.
-    if sim.memory_limit is not None:
-        n_blocks = max(1, -(-n // params.block_size_small))
-        budget_top_k = max(1, (sim.memory_limit // 2) // (6 * n_blocks))
-        if phase2_top_k is None or phase2_top_k > budget_top_k:
-            phase2_top_k = budget_top_k
+    phase2_top_k = shipping_cap(phase2_top_k, sim.memory_limit,
+                                max(1, -(-n // params.block_size_small)))
 
     if n == n_t and bool(np.array_equal(S, T)):
         return HSSResult(distance=0, n=n, params=params,
@@ -121,29 +118,15 @@ def hss_edit_distance(s, t, x: float = 0.25, eps: float = 1.0,
                     "starts": [sp],
                 })
 
-        def collect_tuples(outs: List[object], _state: object) -> List:
-            by_block: Dict[int, List] = {}
-            for out in outs:
-                if out is None:     # dropped machine: candidates pruned
-                    continue
-                for tup in out:     # type: ignore[attr-defined]
-                    by_block.setdefault(tup[0], []).append(tup)
-            tuples: List = []
-            for lo, tl in sorted(by_block.items()):
-                if phase2_top_k is not None and len(tl) > phase2_top_k:
-                    tl.sort(key=lambda u: (u[4], u[3] - u[2]))
-                    tl = tl[:phase2_top_k]
-                tuples.extend(tl)
-            return tuples
-
         pipe = Pipeline(sub)
         tuples = pipe.round(RoundSpec(
             "hss/1-pairs", run_small_block_machine,
             partitioner=lambda _: payloads,
             broadcast=shared,
-            collector=collect_tuples))
+            collector=lambda outs, _: TupleTable.concat(outs).capped(
+                phase2_top_k)))
         bound = pipe.round(RoundSpec(
-            "hss/2-combine", run_edit_combine_machine,
+            "hss/2-combine", run_combine_machine,
             partitioner=lambda tups: [{"tuples": tups, "n_s": n,
                                        "n_t": n_t,
                                        "allow_overlap": False}],

@@ -1,7 +1,6 @@
 """The paper's edit-distance MPC algorithm (Theorem 9, Algorithms 3–7)."""
 
 from .candidates import candidate_windows, length_offsets, start_grid
-from .combine import EditTuple, combine_edit_tuples, run_edit_combine_machine
 from .config import EditConfig
 from .driver import EditQuery, EditResult, mpc_edit_distance
 from .graph import NodeId, RepDistances, build_candidate_nodes, node_string
@@ -12,7 +11,6 @@ from .small import (run_small_block_machine, small_distance_phases,
 
 __all__ = [
     "candidate_windows", "length_offsets", "start_grid",
-    "EditTuple", "combine_edit_tuples", "run_edit_combine_machine",
     "EditConfig", "EditQuery", "EditResult", "mpc_edit_distance",
     "NodeId", "RepDistances", "build_candidate_nodes", "node_string",
     "large_distance_phases", "large_distance_upper_bound",

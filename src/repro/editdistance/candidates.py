@@ -55,18 +55,7 @@ def candidate_windows(start: int, block_size: int, offsets: List[int],
     Lengths ``B + off`` clipped to ``[0, (1/ε')·B]`` and to the text.
     """
     max_len = int(block_size / eps_prime)
-    out = []
-    seen = set()
-    for off in offsets:
-        length = block_size + off
-        if length < 0 or length > max_len:
-            continue
-        end = start + length
-        if end > n_t:
-            end = n_t
-        if end < start:
-            continue
-        if end not in seen:
-            seen.add(end)
-            out.append((start, end))
-    return out
+    ends = [min(start + block_size + off, n_t) for off in offsets
+            if 0 <= block_size + off <= max_len]
+    # Distinct ends in first-occurrence order (clipping merges some).
+    return [(start, end) for end in dict.fromkeys(ends) if end >= start]

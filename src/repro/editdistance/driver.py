@@ -37,6 +37,7 @@ from typing import Dict, Generator, List, Optional
 
 import numpy as np
 
+from ..chain import shipping_cap
 from ..metrics import get_registry
 from ..mpc.accounting import RunStats
 from ..mpc.simulator import MPCSimulator
@@ -120,16 +121,10 @@ class EditQuery:
             return
 
         # Adapt the phase-2 shipping cap to the memory budget: the
-        # combining machine must hold every tuple (6 words each), so
-        # per-block shipping is bounded by half its memory divided
-        # across blocks.
-        if sim.memory_limit is not None:
-            n_blocks = max(1, -(-n // params.block_size_small))
-            budget_top_k = max(
-                1, (sim.memory_limit // 2) // (6 * n_blocks))
-            if config.phase2_top_k is None \
-                    or config.phase2_top_k > budget_top_k:
-                config = replace(config, phase2_top_k=budget_top_k)
+        # combining machine must hold every tuple.
+        config = replace(config, phase2_top_k=shipping_cap(
+            config.phase2_top_k, sim.memory_limit,
+            max(1, -(-n // params.block_size_small))))
 
         # The equality shortcut is a *sequential* prefix round; it runs
         # on its own simulator so the parallel-guess merge below cannot

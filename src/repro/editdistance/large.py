@@ -32,18 +32,19 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..chain import TupleTable, run_combine_machine
 from ..metrics import get_registry
 from ..mpc.distcache import cached_batch, distance_cache, pair_key
 from ..mpc.plan import Pipeline, RoundSpec
 from ..mpc.shm import DataPlane
 from ..mpc.simulator import MPCSimulator
 from ..params import EditParams
+from ..service.runner import drive
 from ..strings.approx import make_inner
 from ..strings.banded import levenshtein_doubling_batch
 from ..strings.edit_distance import levenshtein_last_row
-from .combine import EditTuple, run_edit_combine_machine
 from .config import EditConfig
-from .graph import NodeId, RepDistances, build_candidate_nodes, node_string
+from .graph import NodeId, RepDistances, build_candidate_nodes
 
 __all__ = ["run_rep_distance_machine", "run_pair_distance_machine",
            "run_block_vs_groups_machine", "large_distance_phases",
@@ -78,32 +79,19 @@ def _solver_pair_distances(pairs: List[Tuple[np.ndarray, np.ndarray]],
                            solver_kind: str, eps_inner: float) -> List[int]:
     """Inner-solver distances for explicit (string, window) pairs.
 
-    The ``banded`` solver batches all cache misses into one
-    :func:`levenshtein_doubling_batch` call (through
-    :func:`~repro.mpc.distcache.cached_batch`); other solvers evaluate
-    per pair.
+    Cache misses are evaluated as one batch (through
+    :func:`~repro.mpc.distcache.cached_batch`): one
+    :func:`levenshtein_doubling_batch` call for the ``banded`` solver,
+    one solver call per pair otherwise.
     """
     solver = make_inner(solver_kind, eps_inner)
-    cache = distance_cache()
 
     def key_of(pair: Tuple[np.ndarray, np.ndarray]) -> Tuple:
         return pair_key("ed-pair", pair[0], pair[1], solver_kind, eps_inner)
 
-    if solver_kind == "banded":
-        return cached_batch(cache, pairs, key_of,
-                            levenshtein_doubling_batch)
-    out = []
-    for a, b in pairs:
-        if cache is None:
-            out.append(int(solver(a, b)))
-            continue
-        key = key_of((a, b))
-        d = cache.lookup(key)
-        if d is None:
-            d = int(solver(a, b))
-            cache.store(key, d)
-        out.append(int(d))
-    return out
+    evaluate = levenshtein_doubling_batch if solver_kind == "banded" \
+        else (lambda misses: [solver(a, b) for a, b in misses])
+    return cached_batch(distance_cache(), pairs, key_of, evaluate)
 
 
 def run_rep_distance_machine(payload: Dict[str, object]) -> np.ndarray:
@@ -129,16 +117,14 @@ def run_rep_distance_machine(payload: Dict[str, object]) -> np.ndarray:
     pair_dists = _solver_pair_distances(
         [(rep_arr, node_arr) for _, rep_arr in reps
          for _, node_arr in blocks], solver_kind, eps_inner)
-    out: List[int] = []
+    out: List[object] = []
     k = 0
     for rep_idx, rep_arr in reps:
-        out.extend(pair_dists[k:k + len(blocks)])
+        out.append(pair_dists[k:k + len(blocks)])
         k += len(blocks)
-        for st, seg, ens in groups:
-            row = levenshtein_last_row(rep_arr, seg)
-            for en in ens:
-                out.append(int(row[en - st]))
-    return np.asarray(out, dtype=np.int64)
+        out.extend(levenshtein_last_row(rep_arr, seg)[np.subtract(ens, st)]
+                   for st, seg, ens in groups)
+    return np.concatenate(out).astype(np.int64)
 
 
 def run_block_vs_groups_machine(payload: Dict[str, object]) -> np.ndarray:
@@ -150,12 +136,10 @@ def run_block_vs_groups_machine(payload: Dict[str, object]) -> np.ndarray:
     block: np.ndarray = payload["block"]                       # type: ignore
     groups: List[Tuple[int, np.ndarray, List[int]]] = \
         payload["cs_groups"]                                   # type: ignore
-    out: List[int] = []
-    for st, seg, ens in groups:
-        row = levenshtein_last_row(block, seg)
-        for en in ens:
-            out.append(int(row[en - st]))
-    return np.asarray(out, dtype=np.int64)
+    return np.concatenate(
+        [np.zeros(0, dtype=np.int64)]
+        + [levenshtein_last_row(block, seg)[np.subtract(ens, st)]
+           for st, seg, ens in groups])
 
 
 def run_pair_distance_machine(payload: Dict[str, object]) -> np.ndarray:
@@ -170,20 +154,6 @@ def run_pair_distance_machine(payload: Dict[str, object]) -> np.ndarray:
          for _, _, block_arr, _, _, win_arr in payload["items"]],  # type: ignore
         solver_kind, eps_inner)
     return np.asarray(out, dtype=np.int64)
-
-
-def _cap_per_block(tuples: List[EditTuple],
-                   top_k: Optional[int]) -> List[EditTuple]:
-    if top_k is None:
-        return tuples
-    by_block: Dict[int, List[EditTuple]] = {}
-    for t in tuples:
-        by_block.setdefault(t[0], []).append(t)
-    out: List[EditTuple] = []
-    for lo, tl in sorted(by_block.items()):
-        tl.sort(key=lambda t: (t[4], t[3] - t[2]))
-        out.extend(tl[:top_k])
-    return out
 
 
 def large_distance_phases(S: np.ndarray, T: np.ndarray,
@@ -326,11 +296,11 @@ def large_distance_phases(S: np.ndarray, T: np.ndarray,
         collector=collect_repdist))
     yield f"{round_prefix}/1-representatives"
 
-    edge_tuples: List[EditTuple] = [
+    edge_tuples = TupleTable([
         (b[1], b[2], u[1], u[2], w)
         for (b, u), w in repdist.triangle_edges(block_nodes,
-                                                cs_nodes).items()]
-    edge_tuples = _cap_per_block(edge_tuples, config.phase2_top_k)
+                                                cs_nodes).items()
+    ]).capped(config.phase2_top_k)
     _M_REPS.inc(len(rep_ids))
     _M_TUPLES_DENSE.inc(len(edge_tuples))
 
@@ -347,7 +317,18 @@ def large_distance_phases(S: np.ndarray, T: np.ndarray,
         sampled = sorted(rng.choice(sampled, size=cap_low, replace=False))
 
     payloads = []
-    layouts2: List[Tuple[int, int, List[CsGroup]]] = []
+    # Per machine: its block and its candidates' (start, end) columns in
+    # group-endpoint order, the order of its distance array.
+    layouts2: List[Tuple[int, int, np.ndarray, np.ndarray]] = []
+
+    def add_sample_machine(lo: int, hi: int, gchunk: List[CsGroup]) -> None:
+        payloads.append({"lo": lo, "hi": hi, "block": s_part(lo, hi),
+                         "cs_groups": group_payload_entries(gchunk)})
+        layouts2.append((
+            lo, hi,
+            np.repeat([st for st, _ in gchunk], [len(e) for _, e in gchunk]),
+            np.array([en for _, ens in gchunk for en in ens])))
+
     for i in sampled:
         _, lo, hi = block_nodes[i]
         mine = [(st, ens) for st, ens in cs_groups_all
@@ -359,30 +340,22 @@ def large_distance_phases(S: np.ndarray, T: np.ndarray,
             g_out = len(ens)
             if gchunk and (in_words + g_in > in_budget
                            or out_words + g_out > out_budget):
-                payloads.append({"lo": lo, "hi": hi, "block": s_part(lo, hi),
-                                 "cs_groups": group_payload_entries(gchunk)})
-                layouts2.append((lo, hi, gchunk))
+                add_sample_machine(lo, hi, gchunk)
                 gchunk, in_words, out_words = [], B, 0
             gchunk.append((st, ens))
             in_words += g_in
             out_words += g_out
         if gchunk:
-            payloads.append({"lo": lo, "hi": hi, "block": s_part(lo, hi),
-                             "cs_groups": group_payload_entries(gchunk)})
-            layouts2.append((lo, hi, gchunk))
-    def collect_direct(outs: List[object], _state: object) -> List[EditTuple]:
+            add_sample_machine(lo, hi, gchunk)
+
+    def collect_direct(outs: List[object], _state: object) -> TupleTable:
         if len(outs) != len(layouts2):  # pragma: no cover - sim contract
             raise AssertionError("round-2 output/layout count mismatch")
-        tuples: List[EditTuple] = []
-        for out, (lo, hi, gchunk) in zip(outs, layouts2):
-            if out is None:     # dropped machine: candidates pruned
-                continue
-            k = 0
-            for st, ens in gchunk:
-                for en in ens:
-                    tuples.append((lo, hi, st, en, int(out[k])))
-                    k += 1
-        return tuples
+        # A dropped machine's (None) candidates are pruned.
+        return TupleTable.concat(
+            None if out is None
+            else TupleTable.from_columns(lo, hi, sp, ep, out)
+            for out, (lo, hi, sp, ep) in zip(outs, layouts2))
 
     direct_tuples = pipe.round(RoundSpec(
         f"{round_prefix}/2-sparse-samples", run_block_vs_groups_machine,
@@ -398,22 +371,21 @@ def large_distance_phases(S: np.ndarray, T: np.ndarray,
     degree_cap = config.max_extensions_per_pair_source
     if degree_cap is None:
         degree_cap = params.degree_threshold
-    by_block: Dict[int, List[EditTuple]] = {}
-    for t in direct_tuples:
-        by_block.setdefault(t[0], []).append(t)
+    direct = direct_tuples.rows
     ext_pairs: List[Tuple[int, int, int, int]] = []
     seen_pairs = set()
     for i in sampled:
         _, lo_i, hi_i = block_nodes[i]
         tau_i = repdist.nearest_rep_distance(block_nodes[i])
-        mine = sorted(by_block.get(lo_i, []), key=lambda t: t[4])
+        mine = direct[direct[:, 0] == lo_i]
+        mine = mine[np.argsort(mine[:, 4], kind="stable")]
         # Only thresholds below the rep-coverage point need the sparse
         # path (at tau >= tau_i the block was handled by a representative),
         # and a sparse node has at most n^alpha close candidates.
-        sources = [t for t in mine
-                   if tau_i is None or t[4] < tau_i][:degree_cap]
+        if tau_i is not None:
+            mine = mine[mine[:, 4] < tau_i]
         group = lo_i // larger_B
-        for (_, _, st, en, d) in sources:
+        for (_, _, st, en, d) in mine[:degree_cap].tolist():
             for bj in block_nodes:
                 _, lo_j, hi_j = bj
                 if lo_j // larger_B != group or lo_j == lo_i:
@@ -427,24 +399,21 @@ def large_distance_phases(S: np.ndarray, T: np.ndarray,
 
     pairs_per_machine = max(1, params.memory_limit // max(2 * max_len, 1))
     payloads = []
-    pair_chunks: List[List[Tuple[int, int, int, int]]] = []
+    pair_chunks: List[np.ndarray] = []    # (lo, hi, st, en) rows
     for pi in range(0, len(ext_pairs), pairs_per_machine):
         chunk = ext_pairs[pi:pi + pairs_per_machine]
-        pair_chunks.append(chunk)
+        pair_chunks.append(np.array(chunk, dtype=np.int64))
         payloads.append({
             "items": [(lo, hi, s_part(lo, hi), st, en, t_part(st, en))
                       for (lo, hi, st, en) in chunk]})
 
-    def collect_ext(outs: List[object], _state: object) -> List[EditTuple]:
+    def collect_ext(outs: List[object], _state: object) -> TupleTable:
         if len(outs) != len(pair_chunks):  # pragma: no cover - sim contract
             raise AssertionError("round-3 output/chunk count mismatch")
-        tuples: List[EditTuple] = []
-        for out, chunk in zip(outs, pair_chunks):
-            if out is None:     # dropped machine: candidates pruned
-                continue
-            for (lo, hi, st, en), d in zip(chunk, out.tolist()):
-                tuples.append((lo, hi, st, en, int(d)))
-        return tuples
+        # A dropped machine's (None) candidates are pruned.
+        return TupleTable.concat(
+            None if out is None else TupleTable(np.column_stack((chunk, out)))
+            for out, chunk in zip(outs, pair_chunks))
 
     ext_tuples = pipe.round(RoundSpec(
         f"{round_prefix}/3-extension", run_pair_distance_machine,
@@ -457,10 +426,10 @@ def large_distance_phases(S: np.ndarray, T: np.ndarray,
     _M_TUPLES_EXT.inc(len(ext_tuples))
 
     # ---- round 4: combining DP ------------------------------------------
-    all_tuples = _cap_per_block(edge_tuples + direct_tuples + ext_tuples,
-                                config.phase2_top_k)
+    all_tuples = TupleTable.concat(
+        [edge_tuples, direct_tuples, ext_tuples]).capped(config.phase2_top_k)
     bound = pipe.round(RoundSpec(
-        f"{round_prefix}/4-combine", run_edit_combine_machine,
+        f"{round_prefix}/4-combine", run_combine_machine,
         partitioner=lambda tups: [{"tuples": tups, "n_s": n, "n_t": n_t,
                                    "allow_overlap": True}],
         collector=lambda outs, _: outs[0]), all_tuples)
@@ -489,11 +458,6 @@ def large_distance_upper_bound(S: np.ndarray, T: np.ndarray,
     One-shot wrapper over :func:`large_distance_phases`; see there for
     the guarantee and the *plane* contract.
     """
-    gen = large_distance_phases(S, T, params, guess, sim, config,
-                                seed=seed, round_prefix=round_prefix,
-                                plane=plane)
-    while True:
-        try:
-            next(gen)
-        except StopIteration as stop:
-            return stop.value
+    return drive(large_distance_phases(S, T, params, guess, sim, config,
+                                       seed=seed, round_prefix=round_prefix,
+                                       plane=plane))

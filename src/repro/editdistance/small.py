@@ -12,21 +12,21 @@ per (block, candidate) pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
+from ..chain import TupleTable, run_combine_machine
 from ..metrics import get_registry
-from ..mpc.distcache import distance_cache
+from ..mpc.distcache import cached_batch, distance_cache
 from ..mpc.plan import Pipeline, RoundSpec
 from ..mpc.shm import DataPlane
 from ..mpc.simulator import MPCSimulator
 from ..params import EditParams
+from ..service.runner import drive
 from ..strings.approx import make_inner
 from ..strings.edit_distance import levenshtein_last_row
 from .candidates import candidate_windows, length_offsets, start_grid
-from .combine import EditTuple, run_edit_combine_machine
 from .config import EditConfig
 
 __all__ = ["run_small_block_machine", "small_distance_phases",
@@ -36,7 +36,7 @@ _M_WINDOWS = get_registry().counter("edit.candidate_windows", regime="small")
 _M_TUPLES = get_registry().counter("edit.candidate_tuples", regime="small")
 
 
-def run_small_block_machine(payload: Dict[str, object]) -> List[EditTuple]:
+def run_small_block_machine(payload: Dict[str, object]) -> TupleTable:
     """Algorithm 3: one block vs the candidates of several starting points.
 
     Payload carries the block, one contiguous text slice covering every
@@ -68,60 +68,57 @@ def run_small_block_machine(payload: Dict[str, object]) -> List[EditTuple]:
     B = hi - lo
     cache = distance_cache()
     block_key = block.tobytes() if cache is not None else b""
-    tuples: List[EditTuple] = []
+
+    def feed(st: int, en: int) -> np.ndarray:
+        seg = text[st - text_off:en - text_off]
+        if len(seg) != en - st:  # pragma: no cover - invariant
+            raise AssertionError("machine feed does not cover candidate")
+        return seg
+
+    # Jobs are windows (st, en, end), end being the last end among the
+    # windows of st.
     if inner_kind == "row":
-        for sp in starts:
-            wins = candidate_windows(sp, B, offsets, eps_prime, n_t)
-            if not wins:
-                continue
-            max_en = max(en for _, en in wins)
-            seg = text[sp - text_off:max_en - text_off]
-            if len(seg) != max_en - sp:  # pragma: no cover - invariant
-                raise AssertionError("machine feed does not cover candidate")
-            _M_WINDOWS.inc(len(wins))
-            if cache is None:
-                row = levenshtein_last_row(block, seg)
-                for (st, en) in wins:
-                    tuples.append((lo, hi, st, en, int(row[en - st])))
-                continue
-            # Candidates sharing a start are prefixes of ``seg``, so the
-            # content key of window (st, en) is the prefix bytes; when
-            # every window hits, the whole DP row is skipped.
-            keys = [("ed-row", block_key, seg[:en - st].tobytes())
-                    for (st, en) in wins]
-            vals = [cache.lookup(k) for k in keys]
-            if any(v is None for v in vals):
-                row = levenshtein_last_row(block, seg)
-                for i, (st, en) in enumerate(wins):
-                    if vals[i] is None:
-                        vals[i] = int(row[en - st])
-                        cache.store(keys[i], vals[i])
-            for (st, en), v in zip(wins, vals):
-                tuples.append((lo, hi, st, en, int(v)))
+        # Candidates sharing a start are prefixes of one text slice, so
+        # one DP row up to ``end`` holds all their distances; the content
+        # key of window (st, en) is the prefix bytes, and when every
+        # window of the start hits, the whole DP row is skipped.
+        def key_of(job: Tuple[int, int, int]) -> Tuple:
+            return ("ed-row", block_key, feed(job[0], job[1]).tobytes())
+
+        def evaluate(jobs: List[Tuple[int, int, int]]) -> np.ndarray:
+            if not jobs:
+                return np.zeros(0, dtype=np.int64)
+            sp, _, end = jobs[0]
+            ep = np.array([en for _, en, _ in jobs], dtype=np.int64)
+            return levenshtein_last_row(block, feed(sp, end))[ep - sp]
     else:
-        inner = make_inner(inner_kind, float(payload["eps_inner"]))
         eps_inner = float(payload["eps_inner"])
-        for sp in starts:
-            wins = candidate_windows(sp, B, offsets, eps_prime, n_t)
-            _M_WINDOWS.inc(len(wins))
-            for (st, en) in wins:
-                seg = text[st - text_off:en - text_off]
-                if len(seg) != en - st:  # pragma: no cover - invariant
-                    raise AssertionError(
-                        "machine feed does not cover candidate")
-                if cache is None:
-                    d = int(inner(block, seg))
-                else:
-                    key = ("ed-pair", inner_kind, eps_inner, block_key,
-                           seg.tobytes())
-                    d = cache.lookup(key)
-                    if d is None:
-                        d = int(inner(block, seg))
-                        cache.store(key, d)
-                tuples.append((lo, hi, st, en, d))
-    if top_k is not None and len(tuples) > top_k:
-        tuples.sort(key=lambda t: (t[4], t[3] - t[2]))
-        tuples = tuples[:top_k]
+        inner = make_inner(inner_kind, eps_inner)
+
+        def key_of(job: Tuple[int, int, int]) -> Tuple:
+            return ("ed-pair", inner_kind, eps_inner, block_key,
+                    feed(job[0], job[1]).tobytes())
+
+        def evaluate(jobs: List[Tuple[int, int, int]]) -> List[int]:
+            return [int(inner(block, feed(st, en))) for st, en, _ in jobs]
+
+    # One evaluation per starting point; with the distance cache on,
+    # only the misses reach it (:func:`~repro.mpc.distcache.cached_batch`).
+    windows: List[Tuple[int, int]] = []
+    dists: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+    for sp in starts:
+        wins = candidate_windows(sp, B, offsets, eps_prime, n_t)
+        _M_WINDOWS.inc(len(wins))
+        windows.extend(wins)
+        end = max((en for _, en in wins), default=sp)
+        jobs = [(st, en, end) for st, en in wins]
+        dists.append(np.asarray(
+            evaluate(jobs) if cache is None
+            else cached_batch(cache, jobs, key_of, evaluate),
+            dtype=np.int64))
+    win = np.array(windows, dtype=np.int64).reshape(-1, 2)
+    tuples = TupleTable.from_columns(lo, hi, win[:, 0], win[:, 1],
+                                     np.concatenate(dists)).capped(top_k)
     _M_TUPLES.inc(len(tuples))
     return tuples
 
@@ -195,34 +192,19 @@ def small_distance_phases(S: np.ndarray, T: np.ndarray,
                 "starts": chunk,
             })
 
-    def collect_tuples(outs: List[object], _state: object) -> List[EditTuple]:
-        # Per-block cap across machines (each machine capped locally
-        # already); dropped machines (retry policy "drop") are None.
-        by_block: Dict[int, List[EditTuple]] = {}
-        for out in outs:
-            if out is None:
-                continue
-            for tup in out:     # type: ignore[attr-defined]
-                by_block.setdefault(tup[0], []).append(tup)
-        tuples: List[EditTuple] = []
-        for lo, tl in sorted(by_block.items()):
-            if config.phase2_top_k is not None \
-                    and len(tl) > config.phase2_top_k:
-                tl.sort(key=lambda t: (t[4], t[3] - t[2]))
-                tl = tl[:config.phase2_top_k]
-            tuples.extend(tl)
-        return tuples
-
+    # Per-block cap across machines (each machine capped locally
+    # already).
     pipe = Pipeline(sim)
     tuples = pipe.round(RoundSpec(
         f"{round_prefix}/1-block-candidates", run_small_block_machine,
         partitioner=lambda _: payloads,
         broadcast=shared,
-        collector=collect_tuples))
+        collector=lambda outs, _: TupleTable.concat(outs).capped(
+            config.phase2_top_k)))
     yield f"{round_prefix}/1-block-candidates"
 
     bound = pipe.round(RoundSpec(
-        f"{round_prefix}/2-combine", run_edit_combine_machine,
+        f"{round_prefix}/2-combine", run_combine_machine,
         partitioner=lambda tups: [{"tuples": tups, "n_s": n, "n_t": n_t,
                                    "allow_overlap": False}],
         collector=lambda outs, _: outs[0]), tuples)
@@ -245,10 +227,6 @@ def small_distance_upper_bound(S: np.ndarray, T: np.ndarray,
 
     One-shot wrapper over :func:`small_distance_phases`.
     """
-    gen = small_distance_phases(S, T, params, guess, sim, config,
-                                round_prefix=round_prefix, plane=plane)
-    while True:
-        try:
-            next(gen)
-        except StopIteration as stop:
-            return stop.value
+    return drive(small_distance_phases(S, T, params, guess, sim, config,
+                                       round_prefix=round_prefix,
+                                       plane=plane))

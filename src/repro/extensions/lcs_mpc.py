@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
+from ..chain import Tuple5, TupleTable, shipping_cap
 from ..mpc.accounting import RunStats, add_work
 from ..mpc.plan import Pipeline, RoundSpec
 from ..mpc.simulator import MPCSimulator
@@ -36,9 +37,6 @@ from ..strings.types import StringLike, as_array
 
 __all__ = ["LcsResult", "mpc_lcs", "run_lcs_block_machine",
            "combine_lcs_tuples"]
-
-#: ``(block_lo, block_hi, win_lo, win_hi, lcs)`` — half-open coordinates.
-LcsTuple = Tuple[int, int, int, int, int]
 
 
 def _lcs_last_row(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -57,8 +55,12 @@ def _lcs_last_row(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return row
 
 
-def run_lcs_block_machine(payload: Dict[str, object]) -> List[LcsTuple]:
-    """Round-1 machine: one block vs the windows of several starts."""
+def run_lcs_block_machine(payload: Dict[str, object]) -> TupleTable:
+    """Round-1 machine: one block vs the windows of several starts.
+
+    Output: ``⟨block, window, lcs⟩`` tuples with a positive LCS, capped
+    per block at the highest-value, shortest-window *top_k*.
+    """
     lo = int(payload["lo"])
     hi = int(payload["hi"])
     block: np.ndarray = payload["block"]        # type: ignore
@@ -69,39 +71,32 @@ def run_lcs_block_machine(payload: Dict[str, object]) -> List[LcsTuple]:
     n_t = int(payload["n_t"])
     top_k: Optional[int] = payload["top_k"]     # type: ignore
 
-    tuples: List[LcsTuple] = []
-    for sp in starts:
-        max_en = min(sp + max(lengths), n_t)
-        seg = text[sp - text_off:max_en - text_off]
-        row = _lcs_last_row(block, seg)
-        for length in lengths:
-            en = min(sp + length, n_t)
-            v = int(row[en - sp])
-            if v > 0:
-                tuples.append((lo, hi, sp, en, v))
-    if top_k is not None and len(tuples) > top_k:
-        # keep the highest-value, shortest-window tuples
-        tuples.sort(key=lambda t: (-t[4], t[3] - t[2]))
-        tuples = tuples[:top_k]
-    return tuples
+    # One LCS row per start serves all of its windows (row-major).
+    ep = np.minimum(np.add.outer(starts, lengths), n_t)
+    v = np.concatenate([
+        _lcs_last_row(block, text[sp - text_off:e.max() - text_off])[e - sp]
+        for sp, e in zip(starts, ep)])
+    keep = v > 0
+    return TupleTable.from_columns(
+        lo, hi, np.repeat(starts, len(lengths))[keep], ep.ravel()[keep],
+        v[keep]).capped(top_k, largest=True)
 
 
-def combine_lcs_tuples(tuples: List[LcsTuple], n_s: int, n_t: int) -> int:
+def combine_lcs_tuples(tuples: Union[TupleTable, Sequence[Tuple5]],
+                       n_s: int, n_t: int) -> int:
     """Round-2 DP: maximum summed LCS over a monotone tuple chain.
 
     Gaps cost nothing (LCS skips for free), so the DP is a pure weighted
-    chain maximisation; the empty chain scores 0.
+    chain maximisation — a different objective from the edit-distance
+    chain of :mod:`repro.chain`; the empty chain scores 0.  Tuples given
+    as a list are checked (:meth:`TupleTable.checked`).
     """
-    if not tuples:
+    table = TupleTable.checked(tuples, n_s, n_t)
+    if not len(table):
         return 0
-    order = sorted(range(len(tuples)),
-                   key=lambda a: (tuples[a][0], tuples[a][2]))
-    L = np.array([tuples[a][0] for a in order], dtype=np.int64)
-    R = np.array([tuples[a][1] for a in order], dtype=np.int64)
-    SP = np.array([tuples[a][2] for a in order], dtype=np.int64)
-    EP = np.array([tuples[a][3] for a in order], dtype=np.int64)
-    V = np.array([tuples[a][4] for a in order], dtype=np.int64)
-    m = len(L)
+    rows = table.rows[np.lexsort((table.rows[:, 2], table.rows[:, 0]))]
+    L, R, SP, EP, V = (np.ascontiguousarray(col) for col in rows.T)
+    m = len(rows)
     add_work(m * m)
     best = np.empty(m, dtype=np.int64)
     for a in range(m):
@@ -181,11 +176,7 @@ def mpc_lcs(s: StringLike, t: StringLike, x: float = 0.25,
     budget = max((sim.memory_limit or 10 ** 9) - 2 * B - 64,
                  max_len + gap)
     starts_per_machine = max(1, (budget - max_len) // gap)
-    n_blocks = -(-n // B)
-    if sim.memory_limit is not None:
-        budget_top_k = max(1, (sim.memory_limit // 2) // (6 * n_blocks))
-        if top_k is None or top_k > budget_top_k:
-            top_k = budget_top_k
+    top_k = shipping_cap(top_k, sim.memory_limit, -(-n // B))
 
     payloads = []
     for lo in range(0, n, B):
@@ -201,27 +192,14 @@ def mpc_lcs(s: StringLike, t: StringLike, x: float = 0.25,
                 "starts": chunk,
             })
 
-    def collect_tuples(outs: List[object], _state: object) -> List[LcsTuple]:
-        by_block: Dict[int, List[LcsTuple]] = {}
-        for out in outs:
-            if out is None:     # dropped machine: candidates pruned
-                continue
-            for tup in out:     # type: ignore[attr-defined]
-                by_block.setdefault(tup[0], []).append(tup)
-        tuples: List[LcsTuple] = []
-        for lo, tl in sorted(by_block.items()):
-            if top_k is not None and len(tl) > top_k:
-                tl.sort(key=lambda u: (-u[4], u[3] - u[2]))
-                tl = tl[:top_k]
-            tuples.extend(tl)
-        return tuples
-
+    # Per-block cap across machines.
     pipe = Pipeline(sim)
     tuples = pipe.round(RoundSpec(
         "lcs/1-block-windows", run_lcs_block_machine,
         partitioner=lambda _: payloads,
         broadcast={"lengths": lengths, "n_t": n_t, "top_k": top_k},
-        collector=collect_tuples))
+        collector=lambda outs, _: TupleTable.concat(outs).capped(
+            top_k, largest=True)))
     value = pipe.round(RoundSpec(
         "lcs/2-combine", _run_combine,
         partitioner=lambda tups: [{"tuples": tups, "n_s": n, "n_t": n_t}],

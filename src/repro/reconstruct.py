@@ -2,9 +2,10 @@
 
 The combining DPs (Algorithm 2 / Algorithm 4) select a monotone chain of
 ``⟨block, window, distance⟩`` tuples; this module re-runs the DP with
-parent tracking, then stitches a full edit script: per-tuple scripts from
-the exact aligner on the (short) block/window substrings, gap scripts for
-the unaligned regions between tuples.
+parent tracking (:func:`repro.chain.chain_tuples`), then stitches a full
+edit script: per-tuple scripts from the exact aligner on the (short)
+block/window substrings, gap scripts for the unaligned regions between
+tuples.
 
 The recovered script is an explicit transformation of ``s`` into ``t``
 whose cost equals the DP value — i.e. the same certified upper bound the
@@ -15,83 +16,14 @@ position-disjoint scripts.)
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Tuple, Union
 
-import numpy as np
-
-from .mpc.accounting import add_work
+from .chain import Tuple5, TupleTable, chain_tuples
 from .strings.edit_distance import levenshtein_script
 from .strings.transform import EditOp, gap_script
-from .strings.types import INF, StringLike, as_array
+from .strings.types import StringLike, as_array
 
 __all__ = ["chain_tuples", "chain_script", "ulam_script", "edit_script"]
-
-Tuple5 = Tuple[int, int, int, int, int]
-
-
-def chain_tuples(tuples: Sequence[Tuple5], n_s: int, n_t: int,
-                 mode: str = "max") -> Tuple[int, List[Tuple5]]:
-    """Optimal monotone chain of tuples (the combining DP with parents).
-
-    Returns ``(cost, chain)`` where ``chain`` is the selected tuples in
-    order; an empty chain means the trivial transformation won.  Matches
-    :func:`repro.ulam.combine.combine_tuples` /
-    :func:`repro.editdistance.combine.combine_edit_tuples`
-    (non-overlapping variant) exactly.
-    """
-    if mode not in ("max", "sum"):
-        raise ValueError(f"unknown gap mode {mode!r}")
-    empty_chain = max(n_s, n_t) if mode == "max" else n_s + n_t
-    if not tuples:
-        return empty_chain, []
-
-    order = sorted(range(len(tuples)),
-                   key=lambda a: (tuples[a][0], tuples[a][2]))
-    ts = [tuples[a] for a in order]
-    L = np.array([t[0] for t in ts], dtype=np.int64)
-    R = np.array([t[1] for t in ts], dtype=np.int64)
-    SP = np.array([t[2] for t in ts], dtype=np.int64)
-    EP = np.array([t[3] for t in ts], dtype=np.int64)
-    D = np.array([t[4] for t in ts], dtype=np.int64)
-    m = len(ts)
-    add_work(m * m)
-
-    best = np.empty(m, dtype=np.int64)
-    parent = np.full(m, -1, dtype=np.int64)
-    for a in range(m):
-        if mode == "max":
-            head = max(L[a], SP[a])
-        else:
-            head = L[a] + SP[a]
-        value = head + D[a]
-        if a > 0:
-            ok = (R[:a] <= L[a]) & (EP[:a] <= SP[a])
-            if ok.any():
-                gs = L[a] - R[:a]
-                gt = SP[a] - EP[:a]
-                gap = np.maximum(gs, gt) if mode == "max" else gs + gt
-                cand = np.where(ok, best[:a] + gap, INF)
-                k = int(cand.argmin())
-                if int(cand[k]) + int(D[a]) < value:
-                    value = int(cand[k]) + int(D[a])
-                    parent[a] = k
-        best[a] = value
-    if mode == "max":
-        tails = np.maximum(n_s - R, n_t - EP)
-    else:
-        tails = (n_s - R) + (n_t - EP)
-    totals = best + tails
-    a_best = int(totals.argmin())
-    cost = int(totals[a_best])
-    if cost >= empty_chain:
-        return empty_chain, []
-    chain: List[Tuple5] = []
-    a = a_best
-    while a != -1:
-        chain.append(ts[a])
-        a = int(parent[a])
-    chain.reverse()
-    return cost, chain
 
 
 def chain_script(s: StringLike, t: StringLike,
@@ -137,12 +69,15 @@ def ulam_script(s: StringLike, t: StringLike, result
 
 
 def edit_script(s: StringLike, t: StringLike,
-                tuples: Sequence[Tuple5]) -> Tuple[int, List[EditOp]]:
+                tuples: Union[TupleTable, Sequence[Tuple5]]
+                ) -> Tuple[int, List[EditOp]]:
     """Edit script from small-regime edit-distance tuples (Algorithm 4).
 
     ``tuples`` are ``⟨block, window, distance⟩`` entries, e.g. collected
     from a custom run of
-    :func:`repro.editdistance.small.small_distance_upper_bound`.
+    :func:`repro.editdistance.small.small_distance_upper_bound`.  A
+    tuple that is not a block of ``s``, a window of ``t`` and a
+    non-negative distance raises ``ValueError``.
     """
     S, T = as_array(s), as_array(t)
     _, chain = chain_tuples(tuples, len(S), len(T), mode="sum")

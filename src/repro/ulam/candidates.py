@@ -30,6 +30,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from ..chain import Tuple5, TupleTable
 from ..metrics import get_registry
 from ..mpc.accounting import add_work
 from ..mpc.distcache import cached_batch, distance_cache
@@ -45,7 +46,7 @@ __all__ = ["BlockPayload", "make_block_payload", "make_block_part",
            "make_round1_broadcast", "run_block_machine", "CandidateTuple"]
 
 #: ``(block_lo, block_hi, win_lo, win_hi, distance)`` — all half-open.
-CandidateTuple = Tuple[int, int, int, int, int]
+CandidateTuple = Tuple5
 
 #: Machine payload for one block (plain dict: picklable + sizeof-able).
 BlockPayload = Dict[str, object]
@@ -132,7 +133,7 @@ def _window_keys(starts: Tuple[np.ndarray, np.ndarray],
     return sp[keep] * (n_t + 1) + ep[keep]
 
 
-def run_block_machine(payload: BlockPayload) -> List[CandidateTuple]:
+def run_block_machine(payload: BlockPayload) -> TupleTable:
     """Execute Algorithm 1 for one block; returns its candidate tuples."""
     lo, hi = payload["lo"], payload["hi"]
     positions: np.ndarray = payload["positions"]
@@ -211,13 +212,8 @@ def run_block_machine(payload: BlockPayload) -> List[CandidateTuple]:
     dists = np.asarray(cached_batch(distance_cache(),
                                     np.stack([sp, ep], axis=1),
                                     key_of, evaluate), dtype=np.int64)
-    top_k = payload["top_k"]
-    if top_k is not None and len(dists) > top_k:
-        # Smallest (distance, length) first; ties keep generation order.
-        best = np.lexsort((ep - sp, dists))[:top_k]
-        sp, ep, dists = sp[best], ep[best], dists[best]
-    tuples: List[CandidateTuple] = [
-        (lo, hi, s, e, d)
-        for s, e, d in zip(sp.tolist(), ep.tolist(), dists.tolist())]
+    # Smallest (distance, length) first; ties keep generation order.
+    tuples = TupleTable.from_columns(lo, hi, sp, ep, dists).capped(
+        payload["top_k"])
     _M_TUPLES.inc(len(tuples))
     return tuples

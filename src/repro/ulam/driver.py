@@ -28,10 +28,9 @@ randomness (Theorem 4).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, Optional
 
-import numpy as np
-
+from ..chain import TupleTable, run_combine_machine, shipping_cap
 from ..metrics import get_registry
 from ..mpc.accounting import RunStats
 from ..mpc.plan import Pipeline, RoundSpec
@@ -41,9 +40,8 @@ from ..params import UlamParams
 from ..service.corpus import Corpus
 from ..service.runner import run_query
 from ..strings.ulam import check_duplicate_free
-from .candidates import (CandidateTuple, make_block_part,
-                         make_round1_broadcast, run_block_machine)
-from .combine import run_combine_machine
+from .candidates import (make_block_part, make_round1_broadcast,
+                         run_block_machine)
 from .config import UlamConfig
 
 __all__ = ["UlamResult", "UlamQuery", "mpc_ulam"]
@@ -58,7 +56,7 @@ class UlamResult:
     params: UlamParams
     stats: RunStats
     n_tuples: int
-    tuples: Optional[List[CandidateTuple]] = None
+    tuples: Optional[TupleTable] = None
 
     def summary(self) -> Dict[str, object]:
         """Headline numbers for reports (EXPERIMENTS.md rows)."""
@@ -104,16 +102,9 @@ class UlamQuery:
         config = self.config
 
         # The phase-2 machine must hold every shipped tuple, so the
-        # per-block shipping cap adapts to the memory budget: ship at
-        # most what half the phase-2 machine's memory can hold (6 words
-        # per tuple).
-        if sim.memory_limit is not None:
-            n_blocks = params.n_blocks
-            budget_top_k = max(
-                1, (sim.memory_limit // 2) // (6 * n_blocks))
-            current = config.phase2_top_k
-            if current is None or current > budget_top_k:
-                config = replace(config, phase2_top_k=budget_top_k)
+        # per-block shipping cap adapts to the memory budget.
+        config = replace(config, phase2_top_k=shipping_cap(
+            config.phase2_top_k, sim.memory_limit, params.n_blocks))
 
         B = params.block_size
         u_guesses = params.u_guesses()
@@ -129,30 +120,24 @@ class UlamQuery:
             # A simulator whose retry policy drops exhausted machines
             # leaves None at their positions; their candidates are
             # simply pruned by the collector.
-            tuples: List[CandidateTuple] = Pipeline(sim).round(RoundSpec(
+            tuples: TupleTable = Pipeline(sim).round(RoundSpec(
                 "ulam/1-candidates", run_block_machine,
                 partitioner=lambda _: payloads,
                 broadcast=make_round1_broadcast(
                     len(T), params.eps_prime, u_guesses,
                     params.hitting_rate, config),
-                collector=lambda outs, _: [tup for out in outs
-                                           if out is not None
-                                           for tup in out]))
+                collector=lambda outs, _: TupleTable.concat(outs)))
             yield "ulam/1-candidates"
 
+            tuples_part: object = tuples
             if scratch is not None:
                 # Round 2 ships the whole tuple state to one machine;
-                # pack it into a segment so the payload is a descriptor
-                # too.  The ``words`` override keeps the ledger charging
-                # the tuple list's own sizeof (the packed element count
-                # understates it).
-                packed = np.asarray([v for tup in tuples for v in tup],
-                                    dtype=np.int64)
-                scratch.publish("tuples", packed)
-                tuples_part: object = scratch.slice(
-                    "tuples", 0, len(packed), words=sizeof(tuples))
-            else:
-                tuples_part = tuples
+                # publish its rows so the payload is a descriptor too.
+                # The ``words`` override keeps the ledger charging the
+                # table's own sizeof (its element count understates it).
+                scratch.publish("tuples", tuples.rows.ravel())
+                tuples_part = scratch.slice("tuples", 0, tuples.rows.size,
+                                            words=sizeof(tuples))
             answer = Pipeline(sim).round(RoundSpec(
                 "ulam/2-combine", run_combine_machine,
                 partitioner=lambda tups: [{"tuples": tuples_part,

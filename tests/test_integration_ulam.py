@@ -1,5 +1,7 @@
 """Integration tests for the full 2-round MPC Ulam algorithm (Theorem 4)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,19 @@ class TestInputValidation:
         assert len(res.tuples) == res.n_tuples
         res2 = mpc_ulam(s, t, x=X, eps=EPS, config=CFG)
         assert res2.tuples is None
+        # The kept rows, in order, as the tuple lists they were before
+        # round outputs became tables: (count, sha256 prefix of the
+        # list's repr) per preset.
+        pinned = {"paper": (1344, "efec2f8ddd3d61b6"),
+                  "default": (1344, "efec2f8ddd3d61b6"),
+                  "practical": (512, "980c37f38ed2772a")}
+        for name, (count, digest) in pinned.items():
+            res = mpc_ulam(s, t, x=X, eps=EPS, keep_tuples=True,
+                           config=getattr(UlamConfig, name)())
+            rows = list(res.tuples)
+            assert all(type(v) is int for row in rows for v in row)
+            assert (len(rows), hashlib.sha256(
+                repr(rows).encode()).hexdigest()[:16]) == (count, digest)
 
 
 class TestConfigEffects:

@@ -89,3 +89,45 @@ class TestProtocolAndErrors:
     def test_monotone_under_wrapping(self):
         payload = {"x": np.arange(10), "y": "abc"}
         assert sizeof([payload]) > sizeof(payload)
+
+
+def _tuple_rows(k):
+    rng = np.random.default_rng(k)
+    return [tuple(int(v) for v in row)
+            for row in rng.integers(0, 1000, size=(k, 5))]
+
+
+class TestTupleTable:
+    """A round-output table is charged exactly like the tuple list it
+    replaces, and ships through pickle unchanged."""
+
+    @pytest.mark.parametrize("k", [0, 1, 300])
+    def test_sizeof_matches_tuple_list(self, k):
+        from repro.chain import TupleTable
+        rows = _tuple_rows(k)
+        assert sizeof(TupleTable(rows)) == sizeof(rows) == 1 + 6 * k
+
+    @pytest.mark.parametrize("rows", [_tuple_rows(0), _tuple_rows(1),
+                                      _tuple_rows(300),
+                                      [(-3, 2 ** 40, 0, 7, 1)]])
+    def test_pickle_round_trip(self, rows):
+        import pickle
+
+        from repro.chain import TupleTable
+        table = TupleTable(rows)
+        data = pickle.dumps(table, protocol=pickle.HIGHEST_PROTOCOL)
+        back = pickle.loads(data)
+        assert isinstance(back, TupleTable)
+        assert back == table and list(back) == rows
+        assert back.rows.dtype == np.int64 and back.rows.flags.c_contiguous
+        assert sizeof(back) == sizeof(table)
+        if len(rows) >= 300:  # ships no more bytes than the tuple list
+            assert len(data) <= len(pickle.dumps(
+                rows, protocol=pickle.HIGHEST_PROTOCOL))
+
+    def test_iteration_yields_python_int_tuples(self):
+        from repro.chain import TupleTable
+        rows = _tuple_rows(3)
+        got = list(TupleTable(rows))
+        assert got == rows
+        assert all(type(v) is int for row in got for v in row)

@@ -4,7 +4,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.editdistance import combine_edit_tuples
 from repro.mpc import blocks, pack_by_weight, sizeof
 from repro.ulam import combine_tuples
 
@@ -95,7 +94,7 @@ class TestCombineDPProperties:
     @settings(max_examples=80, deadline=None)
     def test_edit_combine_bounded_by_trivial(self, ts):
         tuples = [_mk(t) for t in ts]
-        assert combine_edit_tuples(tuples, 16, 16) <= 32
+        assert combine_tuples(tuples, 16, 16, mode="sum") <= 32
 
     @given(ts=st.lists(tuple_strategy, max_size=8),
            extra=tuple_strategy)
@@ -105,15 +104,15 @@ class TestCombineDPProperties:
         more = tuples + [_mk(extra)]
         assert combine_tuples(more, 16, 16) <= \
             combine_tuples(tuples, 16, 16)
-        assert combine_edit_tuples(more, 16, 16) <= \
-            combine_edit_tuples(tuples, 16, 16)
+        assert combine_tuples(more, 16, 16, mode="sum") <= \
+            combine_tuples(tuples, 16, 16, mode="sum")
 
     @given(ts=st.lists(tuple_strategy, max_size=8))
     @settings(max_examples=80, deadline=None)
     def test_overlap_rule_never_worse(self, ts):
         tuples = [_mk(t) for t in ts]
-        assert combine_edit_tuples(tuples, 16, 16, allow_overlap=True) <= \
-            combine_edit_tuples(tuples, 16, 16, allow_overlap=False)
+        assert combine_tuples(tuples, 16, 16, mode="overlap") <= \
+            combine_tuples(tuples, 16, 16, mode="sum")
 
     @given(ts=st.lists(tuple_strategy, max_size=6),
            inflate=st.integers(0, 5))

@@ -9,7 +9,6 @@ from repro.reconstruct import (chain_script, chain_tuples, edit_script,
 from repro.strings import levenshtein, ulam_distance
 from repro.strings.transform import apply_script, gap_script, script_cost
 from repro.ulam import combine_tuples
-from repro.editdistance import combine_edit_tuples
 from repro.workloads.permutations import planted_pair
 
 
@@ -77,7 +76,7 @@ class TestChainTuples:
                 ep = int(rng.integers(sp, 12))
                 tuples.append((lo, hi, sp, ep, int(rng.integers(0, 5))))
             cost, chain = chain_tuples(tuples, 12, 12, mode="sum")
-            assert cost == combine_edit_tuples(tuples, 12, 12)
+            assert cost == combine_tuples(tuples, 12, 12, mode="sum")
 
     def test_chain_is_monotone(self, rng):
         tuples = [(0, 3, 0, 3, 1), (3, 6, 3, 6, 1), (6, 9, 6, 9, 1)]
@@ -108,6 +107,46 @@ class TestChainTuples:
                 recost += max(q[0] - p[1], q[2] - p[3]) + q[4]
             recost += max(12 - chain[-1][1], 12 - chain[-1][3])
             assert recost == cost
+
+
+class TestMalformedTuples:
+    """Caller-supplied tuples must be a block of ``s``, a window of ``t``
+    and a non-negative distance; anything else is rejected before the DP
+    could report a cost that is not an upper bound."""
+
+    def test_block_end_before_start(self):
+        with pytest.raises(ValueError, match="not"):
+            edit_script("abcd", "abxd", [(3, 2, 0, 4, 0)])
+
+    def test_negative_distance(self):
+        with pytest.raises(ValueError, match="d ≥ 0"):
+            chain_tuples([(0, 4, 0, 4, -5)], 4, 4, mode="sum")
+
+    @pytest.mark.parametrize("bad", [(-1, 2, 0, 2, 0), (0, 5, 0, 2, 0),
+                                     (0, 2, -1, 2, 0), (0, 2, 3, 2, 0),
+                                     (0, 2, 0, 5, 0)])
+    def test_out_of_range_coordinates(self, bad):
+        with pytest.raises(ValueError):
+            chain_tuples([(0, 1, 0, 1, 0), bad], 4, 4)
+        with pytest.raises(ValueError):
+            combine_tuples([bad], 4, 4)
+
+    def test_wrong_arity(self):
+        with pytest.raises(ValueError):
+            chain_tuples([(0, 1, 0, 1)] * 5, 4, 4)
+
+    def test_ulam_script_checks_result_tuples(self):
+        from types import SimpleNamespace
+        s = t = np.arange(4)
+        with pytest.raises(ValueError):
+            ulam_script(s, t, SimpleNamespace(tuples=[(0, 9, 0, 4, 0)]))
+
+    def test_boundary_tuples_accepted(self):
+        cost, chain = chain_tuples([(0, 0, 0, 0, 0), (0, 4, 0, 4, 0),
+                                    (4, 4, 4, 4, 0)], 4, 4, mode="sum")
+        assert cost == 0 and (0, 4, 0, 4, 0) in chain
+        assert edit_script("abcd", "abxd", [(0, 4, 0, 4, 1)]) \
+            == (1, [("substitute", 2, 2)])
 
 
 class TestEndToEndScripts:
