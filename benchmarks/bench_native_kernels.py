@@ -8,27 +8,37 @@ operations.  Each scalar entry point is a batch of one, so the
 comparison is simply ``[scalar(x) for x in xs]`` against
 ``batch(xs)``.  The sparse-Ulam row compares one :func:`ulam_auto` call
 per candidate window against one :func:`ulam_windows` call per block,
-which shares a chain-DP row per distinct window start.  Batching must
-move **only wall-clock**: distances, work ledgers and
-``strings.dp_cells`` / ``strings.kernel_calls`` metering are asserted
-equal.
+which shares a chain-DP row per distinct window start.  The last-row
+rows compare one Myers call per starting point of a small-regime edit
+block machine with one lane-packed :func:`myers_last_rows` call per
+machine.  Batching must move **only wall-clock**: distances (rows),
+work ledgers and ``strings.dp_cells`` / ``strings.kernel_calls``
+metering are asserted equal.
 
 Workloads are the real ones: the exact candidate windows of every block
 of an E13 run, the exact doubling pairs a large-regime edit run issues,
-and an E22-shaped banded-threshold batch.
+the exact (block, start spans) of every small-regime block machine of
+``n = 1024`` and ``n = 128`` edit runs, and an E22-shaped
+banded-threshold batch.
 
 Gates: >= 10x on the banded-threshold batch (the scalar path is a
-per-row python loop, so batching wins big) and conservative floors on
-the sparse-window and doubling paths.
+per-row python loop, so batching wins big), >= 2x on the ``n = 1024``
+last-row row, and conservative floors on the ``n = 128`` last-row,
+sparse-window and doubling paths.
+Memory gate: the tracemalloc peak of the lane-packed call on the
+largest captured machine stays <= 2 MB (the rows are decoded from one
+bit per lane and column, never from every bit of every column).
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 
 import repro.ulam.candidates as cand
 import repro.editdistance.large as elarge
-from repro import UlamConfig, mpc_ulam
+import repro.editdistance.small as esmall
+from repro import UlamConfig, mpc_edit_distance, mpc_ulam
 from repro.analysis import format_table
 from repro.editdistance.config import EditConfig
 from repro.editdistance.large import large_distance_upper_bound
@@ -38,10 +48,11 @@ from repro.mpc.accounting import WorkMeter
 from repro.obs import profile as obs_profile
 from repro.params import EditParams
 from repro.strings import (levenshtein_doubling, levenshtein_doubling_batch,
-                           ulam_auto, ulam_windows, within_threshold,
-                           within_threshold_batch)
+                           myers_last_rows, ulam_auto, ulam_windows,
+                           within_threshold, within_threshold_batch)
 from repro.workloads.permutations import planted_pair as perm_pair
 from repro.workloads.strings import block_shuffled_pair
+from repro.workloads.strings import planted_pair as str_pair
 
 from .conftest import run_once
 
@@ -57,6 +68,15 @@ E22_TAU = 8
 #: Large-regime edit workload issuing real doubling-solver batches
 #: (the golden edit_large case scaled up to produce enough pairs).
 EDIT_LARGE = dict(n=384, budget=8, x=0.29, guess=48, seed=2)
+
+#: Small-regime edit workloads (the ``edit-n1024`` and ``edit-n128``
+#: shapes of the repo benchmark): ``(n, planted budget, input pairs)``.
+#: One ``n = 128`` run has only ~8 block machines, so that row pools
+#: the machines of several pairs.
+EDIT_SMALL = ((1024, 64, 1), (128, 8, 8))
+
+#: Ceiling on the tracemalloc peak of one lane-packed machine call.
+LANES_PEAK_BYTES = 2 * 1024 * 1024
 
 
 def _timed(fn):
@@ -130,6 +150,55 @@ def _capture_doubling_jobs():
     return jobs
 
 
+def _capture_last_row_machines(n, budget, pairs):
+    """The ``(block, spans)`` of every small-regime block machine of
+    real edit runs on *pairs* input pairs: one pattern, one text span
+    per starting point."""
+    machines = []
+    real = esmall.myers_last_rows
+
+    def record(pattern, texts):
+        machines.append((pattern, list(texts)))
+        return real(pattern, texts)
+
+    esmall.myers_last_rows = record
+    try:
+        for k in range(pairs):
+            s, t, _ = str_pair(n, budget, sigma=4, seed=n + k)
+            mpc_edit_distance(s, t, seed=1)
+    finally:
+        esmall.myers_last_rows = real
+    return machines
+
+
+def _peak_bytes(fn):
+    """tracemalloc peak of ``fn()``, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _lanes_case(n, machines):
+    """Per-start calls vs one call per machine; rows flattened so the
+    equality assertion covers every entry of every row."""
+    starts = sum(len(spans) for _, spans in machines)
+    row = _kernel_case(
+        f"last-row lanes n={n} ({starts} starts of "
+        f"{len(machines)} block machines)",
+        lambda: [v for block, spans in machines for span in spans
+                 for v in myers_last_rows(block, [span])[0].tolist()],
+        lambda: [v for block, spans in machines
+                 for r in myers_last_rows(block, spans)
+                 for v in r.tolist()])
+    block, spans = max(machines, key=lambda m: len(m[0]) * len(m[1]))
+    row["peak_bytes"] = _peak_bytes(lambda: myers_last_rows(block, spans))
+    row["peak_shape"] = (len(block), len(spans))
+    return row
+
+
 def _e22_threshold_pairs():
     rng = np.random.default_rng(7)
     pairs = []
@@ -164,7 +233,9 @@ def _run():
     ulam_jobs = _window_jobs(ulam_calls)
     doubling_jobs = _capture_doubling_jobs()
     threshold_pairs = _e22_threshold_pairs()
-    return [
+    lanes = [_lanes_case(n, _capture_last_row_machines(n, budget, pairs))
+             for n, budget, pairs in EDIT_SMALL]
+    return lanes + [
         _kernel_case(
             f"ulam_sparse windows ({len(ulam_jobs)} windows of "
             f"{len(ulam_calls)} E13 blocks)",
@@ -190,7 +261,9 @@ def bench_native_kernels(benchmark, report):
     lines = [
         "String kernels: list of scalar calls vs one batch call "
         "(ulam_sparse: one ulam_auto call per window vs one "
-        "ulam_windows call per block)",
+        "ulam_windows call per block; last-row lanes: one Myers call "
+        "per starting point vs one lane-packed call per edit block "
+        "machine)",
         "",
         format_table(["workload", "scalar_s", "batch_s", "speedup"],
                      table),
@@ -198,7 +271,14 @@ def bench_native_kernels(benchmark, report):
         "distances, work ledgers and strings.dp_cells / kernel_calls "
         "metering identical between the two in every row (asserted); "
         "only wall-clock differs.",
-    ]
+        "",
+    ] + [
+        f"{r['name'].split(' (')[0]}: tracemalloc peak of one call on "
+        f"the largest machine (m={r['peak_shape'][0]}, "
+        f"K={r['peak_shape'][1]} lanes) = "
+        f"{r['peak_bytes'] / 1024 ** 2:.2f} MB "
+        f"(gate <= {LANES_PEAK_BYTES / 1024 ** 2:.0f} MB)"
+        for r in rows if "peak_bytes" in r]
     report("E27_native_kernels", "\n".join(lines))
 
     by_name = {r["name"].split(" (")[0]: r for r in rows}
@@ -207,3 +287,11 @@ def bench_native_kernels(benchmark, report):
     assert by_name["banded threshold"]["speedup"] >= 10.0, by_name
     assert by_name["ulam_sparse windows"]["speedup"] >= 1.5, by_name
     assert by_name["banded doubling"]["speedup"] >= 1.2, by_name
+    # Lanes against per-start Myers calls: >= 2x on the n = 1024
+    # machines (m = 181, up to 33 starts).  The n = 128 machines (m = 38,
+    # ~4 starts) measure ~2x, mostly the one-off cost of the NumPy Eq
+    # gather, so their floor is conservative.
+    for n, _, _ in EDIT_SMALL:
+        lanes = by_name[f"last-row lanes n={n}"]
+        assert lanes["speedup"] >= (2.0 if n == 1024 else 1.2), lanes
+        assert lanes["peak_bytes"] <= LANES_PEAK_BYTES, lanes

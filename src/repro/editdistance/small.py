@@ -25,7 +25,7 @@ from ..mpc.simulator import MPCSimulator
 from ..params import EditParams
 from ..service.runner import drive
 from ..strings.approx import make_inner
-from ..strings.edit_distance import levenshtein_last_row
+from ..strings.bitparallel import myers_last_rows
 from .candidates import candidate_windows, length_offsets, start_grid
 from .config import EditConfig
 
@@ -46,10 +46,12 @@ def run_small_block_machine(payload: Dict[str, object]) -> TupleTable:
     Two inner modes:
 
     * ``"row"`` (default) — all candidates sharing a starting point are
-      prefixes of one text slice, so a single Wagner–Fischer last row
-      gives every endpoint's exact distance at once: ``O(B·B/ε')`` per
-      starting point instead of per candidate.  Exact, and empirically
-      ~50× faster than per-pair solving.
+      prefixes of one text slice, so a single last DP row gives every
+      endpoint's exact distance at once: ``O(B·B/ε')`` per starting
+      point instead of per candidate.  All rows share the block as
+      pattern, so one :func:`~repro.strings.myers_last_rows` sweep
+      serves every starting point.  Exact, and empirically ~50× faster
+      than per-pair solving.
     * ``"cgks"`` / ``"exact"`` / ``"banded"`` — per-pair solvers (the
       paper's configuration; kept for the E11 ablation).
     """
@@ -78,19 +80,21 @@ def run_small_block_machine(payload: Dict[str, object]) -> TupleTable:
     # Jobs are windows (st, en, end), end being the last end among the
     # windows of st.
     if inner_kind == "row":
-        # Candidates sharing a start are prefixes of one text slice, so
-        # one DP row up to ``end`` holds all their distances; the content
-        # key of window (st, en) is the prefix bytes, and when every
-        # window of the start hits, the whole DP row is skipped.
+        # One lane per start, its row running to ``end``; the content
+        # key of window (st, en) is the prefix bytes, and a start all
+        # of whose windows hit gets no lane.
         def key_of(job: Tuple[int, int, int]) -> Tuple:
             return ("ed-row", block_key, feed(job[0], job[1]).tobytes())
 
         def evaluate(jobs: List[Tuple[int, int, int]]) -> np.ndarray:
             if not jobs:
                 return np.zeros(0, dtype=np.int64)
-            sp, _, end = jobs[0]
-            ep = np.array([en for _, en, _ in jobs], dtype=np.int64)
-            return levenshtein_last_row(block, feed(sp, end))[ep - sp]
+            spans = {st: end for st, _, end in jobs}
+            rows = myers_last_rows(block, [feed(st, end)
+                                           for st, end in spans.items()])
+            base = dict(zip(spans, np.cumsum([0] + [len(r) for r in rows])))
+            return np.concatenate(rows)[[base[st] + en - st
+                                         for st, en, _ in jobs]]
     else:
         eps_inner = float(payload["eps_inner"])
         inner = make_inner(inner_kind, eps_inner)
@@ -102,23 +106,21 @@ def run_small_block_machine(payload: Dict[str, object]) -> TupleTable:
         def evaluate(jobs: List[Tuple[int, int, int]]) -> List[int]:
             return [int(inner(block, feed(st, en))) for st, en, _ in jobs]
 
-    # One evaluation per starting point; with the distance cache on,
-    # only the misses reach it (:func:`~repro.mpc.distcache.cached_batch`).
-    windows: List[Tuple[int, int]] = []
-    dists: List[np.ndarray] = [np.zeros(0, dtype=np.int64)]
-    for sp in starts:
-        wins = candidate_windows(sp, B, offsets, eps_prime, n_t)
-        _M_WINDOWS.inc(len(wins))
-        windows.extend(wins)
-        end = max((en for _, en in wins), default=sp)
-        jobs = [(st, en, end) for st, en in wins]
-        dists.append(np.asarray(
-            evaluate(jobs) if cache is None
-            else cached_batch(cache, jobs, key_of, evaluate),
-            dtype=np.int64))
+    # One evaluation per machine; with the distance cache on, only the
+    # misses reach it (:func:`~repro.mpc.distcache.cached_batch`).
+    windows = [win for sp in starts
+               for win in candidate_windows(sp, B, offsets, eps_prime, n_t)]
+    _M_WINDOWS.inc(len(windows))
+    ends: Dict[int, int] = {}
+    for st, en in windows:
+        ends[st] = max(ends.get(st, st), en)
+    jobs = [(st, en, ends[st]) for st, en in windows]
+    dists = np.asarray(evaluate(jobs) if cache is None
+                       else cached_batch(cache, jobs, key_of, evaluate),
+                       dtype=np.int64)
     win = np.array(windows, dtype=np.int64).reshape(-1, 2)
     tuples = TupleTable.from_columns(lo, hi, win[:, 0], win[:, 1],
-                                     np.concatenate(dists)).capped(top_k)
+                                     dists).capped(top_k)
     _M_TUPLES.inc(len(tuples))
     return tuples
 

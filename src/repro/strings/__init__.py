@@ -1,11 +1,12 @@
 """Exact and approximate string-distance kernels.
 
 These are the sequential building blocks every MPC machine executes
-locally: Wagner–Fischer and banded edit distance, fitting (substring)
+locally: Myers bit-parallel and banded edit distance, fitting (substring)
 alignment, LIS/LCS, the sparse Ulam-distance chain DP, and the CGKS-style
 approximate inner solver.  The sparse Ulam and banded kernels take their
-jobs as batches (:mod:`repro.strings.native`); their scalar entry points
-are batches of one.
+jobs as batches (:mod:`repro.strings.native`), the last-row kernel takes
+one pattern and a batch of texts (:mod:`repro.strings.bitparallel`);
+their scalar entry points are batches of one.
 """
 
 from .approx import (InnerSolver, cgks_edit_upper_bound, geometric_offsets,
@@ -13,7 +14,8 @@ from .approx import (InnerSolver, cgks_edit_upper_bound, geometric_offsets,
 from .banded import (levenshtein_banded, levenshtein_doubling,
                      levenshtein_doubling_batch, within_threshold,
                      within_threshold_batch)
-from .bitparallel import myers_fitting_row, myers_last_row, myers_levenshtein
+from .bitparallel import (myers_fitting_row, myers_last_row,
+                          myers_last_rows, myers_levenshtein)
 from .edit_distance import (hamming, levenshtein, levenshtein_last_row,
                             levenshtein_script)
 from .fitting import fitting_alignment, fitting_distance, fitting_last_row
@@ -32,7 +34,8 @@ __all__ = [
     "InnerSolver", "cgks_edit_upper_bound", "geometric_offsets", "make_inner",
     "levenshtein_banded", "levenshtein_doubling", "within_threshold",
     "levenshtein_doubling_batch", "within_threshold_batch",
-    "myers_fitting_row", "myers_last_row", "myers_levenshtein",
+    "myers_fitting_row", "myers_last_row", "myers_last_rows",
+    "myers_levenshtein",
     "hamming", "levenshtein", "levenshtein_last_row", "levenshtein_script",
     "fitting_alignment", "fitting_distance", "fitting_last_row",
     "hirschberg_script",

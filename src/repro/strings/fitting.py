@@ -10,8 +10,8 @@ Endpoint recovery uses a second, reversed pass instead of storing the full
 table: once the best end ``κ`` is known, the best start is found by a
 *prefix* alignment of the reversed pattern against the reversed text
 prefix ``t[:κ]`` — ``ed(p, t[γ:κ]) = ed(reverse(p), reverse(t[:κ])[0 : κ-γ])``.
-Both passes are row-vectorised, so the kernel runs in ``O(m·n)`` abstract
-work with NumPy-sized constants and ``O(n)`` memory.
+Both passes are Myers bit-parallel last rows, so the kernel runs in
+``O(m·n)`` abstract work and ``O(n)`` memory.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..mpc.accounting import add_work, charge
+from .bitparallel import myers_last_rows
 from .edit_distance import levenshtein_last_row
 from .types import StringLike, as_array
 
@@ -30,34 +30,10 @@ __all__ = ["fitting_last_row", "fitting_distance", "fitting_alignment"]
 def fitting_last_row(pattern: StringLike, text: StringLike) -> np.ndarray:
     """Final row of the free-start DP.
 
-    Entry ``j`` is ``min over g ≤ j of ed(pattern, text[g:j])``.
-
-    Like :func:`~repro.strings.levenshtein_last_row`, the ledger charges
-    ``max(m,1)·max(n,1)`` cells whichever path runs; only the row loop
-    is charged as kernel ``fitting``.
+    Entry ``j`` is ``min over g ≤ j of ed(pattern, text[g:j])``: a batch
+    of one of :func:`~repro.strings.myers_last_rows` in fitting mode.
     """
-    P, T = as_array(pattern), as_array(text)
-    m, n = len(P), len(T)
-    row = np.zeros(n + 1, dtype=np.int64)   # free start: D[0][j] = 0
-    if m == 0 or n == 0:
-        add_work(max(m, 1) * max(n, 1))
-        return row + (0 if m == 0 else m)
-    from .edit_distance import _BITPARALLEL_MIN_M
-    if m >= _BITPARALLEL_MIN_M and n >= 8:
-        from .bitparallel import myers_fitting_row
-        add_work(m * n)
-        return myers_fitting_row(P, T)
-    offsets = np.arange(n + 1, dtype=np.int64)
-    with charge("fitting", 1, m * n):
-        for i in range(1, m + 1):
-            mismatch = (T != P[i - 1]).astype(np.int64)
-            t = np.minimum(row[:-1] + mismatch, row[1:] + 1)
-            u = np.empty(n + 1, dtype=np.int64)
-            u[0] = i
-            u[1:] = t - offsets[1:]
-            np.minimum.accumulate(u, out=u)
-            row = u + offsets
-    return row
+    return myers_last_rows(pattern, [text], fitting=True)[0]
 
 
 def fitting_distance(pattern: StringLike, text: StringLike) -> int:

@@ -32,7 +32,7 @@ def as_array(s: StringLike) -> np.ndarray:
     if isinstance(s, np.ndarray):
         if s.ndim != 1:
             raise ValueError(f"expected a 1-D array, got shape {s.shape}")
-        if not np.issubdtype(s.dtype, np.integer):
+        if s.dtype.kind not in "iu":
             raise TypeError(f"expected an integer array, got dtype {s.dtype}")
         return np.ascontiguousarray(s, dtype=np.int64)
     if isinstance(s, str):

