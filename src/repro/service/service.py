@@ -22,7 +22,12 @@ single persistent executor and per-corpus shared-memory segments:
   :class:`~repro.engines.SolveStepQuery` for everything else) advanced
   one MPC round at a time in a worker thread, with a semaphore bounding
   how many rounds' machine work is in flight at once — the
-  service-level analogue of the paper's per-round machine budget;
+  service-level analogue of the paper's per-round machine budget.  On
+  a serial executor that thread is one service-owned thread for every
+  query: its machines hold the interpreter lock, so a second thread
+  could not overlap them, and one thread runs queued rounds back to
+  back instead of trading the lock and waking through the event loop
+  between them;
 * per-query ledgers come from the query's own simulator and a
   :func:`~repro.metrics.scoped_snapshot`, so concurrent queries never
   bleed into each other's :class:`~repro.mpc.accounting.RunStats` or
@@ -45,8 +50,10 @@ on.
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import itertools
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -224,6 +231,13 @@ class DistanceService:
         else:
             self._executor = SerialExecutor()
             self._owns_executor = True
+        self._tag = f"svc{next(_SERVICE_SEQ)}"
+        # Serial machines hold the interpreter lock, so one thread runs
+        # their rounds back to back; a pool takes one per round in flight.
+        self._round_threads = ThreadPoolExecutor(
+            1 if isinstance(self._executor, SerialExecutor)
+            else max_inflight_rounds,
+            thread_name_prefix=f"{self._tag}-rounds")
         self._max_concurrent_queries = max_concurrent_queries
         self._max_inflight_rounds = max_inflight_rounds
         self._machine_memory_cap = machine_memory_cap
@@ -233,7 +247,6 @@ class DistanceService:
         self._corpora: Dict[str, Corpus] = {}
         self._handles: Dict[int, QueryHandle] = {}
         self._ids = itertools.count(1)
-        self._tag = f"svc{next(_SERVICE_SEQ)}"
         self._query_slots: Optional[asyncio.Semaphore] = None
         self._round_slots: Optional[asyncio.Semaphore] = None
         self._closing = False
@@ -490,7 +503,7 @@ class DistanceService:
         # is its sole owner.  The trace context wraps the whole
         # execution, so every span the query emits — simulator rounds,
         # retry attempts, collector and publish spans, all produced in
-        # ``asyncio.to_thread`` workers that copy this context — and the
+        # round threads that run in a copy of this context — and the
         # metrics scope carry the service-minted identity.
         query_slots, round_slots = self._semaphores()
         start = time.perf_counter()
@@ -506,13 +519,15 @@ class DistanceService:
                     with scoped_snapshot(trace_id=trace_id,
                                          query_id=query_id) as scope:
                         gen = query.steps(sim)
-                        step: Optional[asyncio.Task] = None
+                        loop = asyncio.get_running_loop()
+                        step: Optional[asyncio.Future] = None
                         try:
                             while True:
                                 async with round_slots:
-                                    step = asyncio.ensure_future(
-                                        asyncio.to_thread(
-                                            self._advance, gen))
+                                    step = loop.run_in_executor(
+                                        self._round_threads,
+                                        contextvars.copy_context().run,
+                                        self._advance, gen)
                                     done = await asyncio.shield(step)
                                     step = None
                                 if done:
@@ -598,6 +613,7 @@ class DistanceService:
                 corpus.close()
         if self._owns_executor:
             self._executor.close()
+        self._round_threads.shutdown()
         self._closed = True
         leaked = active_segments()
         if leaked:

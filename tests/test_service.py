@@ -10,6 +10,7 @@ shutdown leaves no shared-memory segment behind.
 import asyncio
 import json
 import math
+import threading
 
 import pytest
 
@@ -307,6 +308,21 @@ class TestConcurrentMultiplexing:
         reference, _ = run_workload(queries, check_guarantees=False)
         for tight, loose in zip(outcomes, reference):
             assert _ledger(tight.stats) == _ledger(loose.stats)
+
+
+    def test_serial_rounds_run_on_one_thread(self, monkeypatch):
+        names = set()
+        advance = DistanceService._advance
+
+        def spy(gen):
+            names.add(threading.current_thread().name)
+            return advance(gen)
+
+        monkeypatch.setattr(DistanceService, "_advance", staticmethod(spy))
+        outcomes, _ = run_workload(self._mixed_queries(),
+                                   check_guarantees=False)
+        assert len(outcomes) == self.N_QUERIES
+        assert len(names) == 1 and names.pop().endswith("-rounds_0")
 
 
 class TestServiceClient:
