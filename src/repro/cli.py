@@ -147,7 +147,7 @@ def _float_arg(check):
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of ``--retries``: an integer >= 1."""
+    """argparse type of counts and caps: an integer >= 1."""
     if not text.isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(
             f"must be an integer >= 1, got {text!r}")
@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv = sub.add_parser(
         "serve", help="run concurrent mixed queries through the "
                       "persistent distance service")
-    sv.add_argument("--queries", type=int, default=20,
+    sv.add_argument("--queries", type=_positive_int, default=20,
                     help="number of concurrent queries (default 20)")
     sv.add_argument("--algo", choices=("mixed",) + distances(),
                     default="mixed",
@@ -330,10 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--workers", type=int, default=0,
                     help="process-pool workers shared by all queries "
                          "(0 = serial executor, the default)")
-    sv.add_argument("--max-queries", type=int, default=8,
+    sv.add_argument("--max-queries", type=_positive_int, default=8,
                     help="admission cap: queries executing rounds "
                          "concurrently (default 8)")
-    sv.add_argument("--max-inflight", type=int, default=4,
+    sv.add_argument("--max-inflight", type=_positive_int, default=4,
                     help="admission cap: MPC rounds in flight across "
                          "all queries (default 4)")
     sv.add_argument("--export", type=int, default=None, metavar="PORT",
@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "algorithms (default 0.5)")
     sb.add_argument("--seed", type=int, default=0,
                     help="root seed; query i runs with seed+i")
-    sb.add_argument("--queries", type=int, default=8,
+    sb.add_argument("--queries", type=_positive_int, default=8,
                     help="number of concurrent queries (default 8)")
     registry_opts(sb)
 

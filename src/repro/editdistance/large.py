@@ -34,7 +34,6 @@ import numpy as np
 
 from ..chain import TupleTable, run_combine_machine
 from ..metrics import get_registry
-from ..mpc.distcache import cached_batch, distance_cache, pair_key
 from ..mpc.plan import Pipeline, RoundSpec
 from ..mpc.shm import DataPlane
 from ..mpc.simulator import MPCSimulator
@@ -79,19 +78,13 @@ def _solver_pair_distances(pairs: List[Tuple[np.ndarray, np.ndarray]],
                            solver_kind: str, eps_inner: float) -> List[int]:
     """Inner-solver distances for explicit (string, window) pairs.
 
-    Cache misses are evaluated as one batch (through
-    :func:`~repro.mpc.distcache.cached_batch`): one
-    :func:`levenshtein_doubling_batch` call for the ``banded`` solver,
-    one solver call per pair otherwise.
+    One :func:`levenshtein_doubling_batch` call for the ``banded``
+    solver, one solver call per pair otherwise.
     """
+    if solver_kind == "banded":
+        return levenshtein_doubling_batch(pairs)
     solver = make_inner(solver_kind, eps_inner)
-
-    def key_of(pair: Tuple[np.ndarray, np.ndarray]) -> Tuple:
-        return pair_key("ed-pair", pair[0], pair[1], solver_kind, eps_inner)
-
-    evaluate = levenshtein_doubling_batch if solver_kind == "banded" \
-        else (lambda misses: [solver(a, b) for a, b in misses])
-    return cached_batch(distance_cache(), pairs, key_of, evaluate)
+    return [int(solver(a, b)) for a, b in pairs]
 
 
 def run_rep_distance_machine(payload: Dict[str, object]) -> np.ndarray:

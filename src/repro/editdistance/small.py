@@ -18,7 +18,6 @@ import numpy as np
 
 from ..chain import TupleTable, run_combine_machine
 from ..metrics import get_registry
-from ..mpc.distcache import cached_batch, distance_cache
 from ..mpc.plan import Pipeline, RoundSpec
 from ..mpc.shm import DataPlane
 from ..mpc.simulator import MPCSimulator
@@ -68,8 +67,6 @@ def run_small_block_machine(payload: Dict[str, object]) -> TupleTable:
     top_k: Optional[int] = payload["top_k"]         # type: ignore
 
     B = hi - lo
-    cache = distance_cache()
-    block_key = block.tobytes() if cache is not None else b""
 
     def feed(st: int, en: int) -> np.ndarray:
         seg = text[st - text_off:en - text_off]
@@ -77,47 +74,25 @@ def run_small_block_machine(payload: Dict[str, object]) -> TupleTable:
             raise AssertionError("machine feed does not cover candidate")
         return seg
 
-    # Jobs are windows (st, en, end), end being the last end among the
-    # windows of st.
-    if inner_kind == "row":
-        # One lane per start, its row running to ``end``; the content
-        # key of window (st, en) is the prefix bytes, and a start all
-        # of whose windows hit gets no lane.
-        def key_of(job: Tuple[int, int, int]) -> Tuple:
-            return ("ed-row", block_key, feed(job[0], job[1]).tobytes())
-
-        def evaluate(jobs: List[Tuple[int, int, int]]) -> np.ndarray:
-            if not jobs:
-                return np.zeros(0, dtype=np.int64)
-            spans = {st: end for st, _, end in jobs}
-            rows = myers_last_rows(block, [feed(st, end)
-                                           for st, end in spans.items()])
-            base = dict(zip(spans, np.cumsum([0] + [len(r) for r in rows])))
-            return np.concatenate(rows)[[base[st] + en - st
-                                         for st, en, _ in jobs]]
-    else:
-        eps_inner = float(payload["eps_inner"])
-        inner = make_inner(inner_kind, eps_inner)
-
-        def key_of(job: Tuple[int, int, int]) -> Tuple:
-            return ("ed-pair", inner_kind, eps_inner, block_key,
-                    feed(job[0], job[1]).tobytes())
-
-        def evaluate(jobs: List[Tuple[int, int, int]]) -> List[int]:
-            return [int(inner(block, feed(st, en))) for st, en, _ in jobs]
-
-    # One evaluation per machine; with the distance cache on, only the
-    # misses reach it (:func:`~repro.mpc.distcache.cached_batch`).
     windows = [win for sp in starts
                for win in candidate_windows(sp, B, offsets, eps_prime, n_t)]
     _M_WINDOWS.inc(len(windows))
-    ends: Dict[int, int] = {}
-    for st, en in windows:
-        ends[st] = max(ends.get(st, st), en)
-    jobs = [(st, en, ends[st]) for st, en in windows]
-    dists = np.asarray(evaluate(jobs) if cache is None
-                       else cached_batch(cache, jobs, key_of, evaluate),
-                       dtype=np.int64)
+    if inner_kind == "row":
+        # One lane per start, its row running to the start's last end;
+        # window (st, en) reads that row at column en - st.
+        ends: Dict[int, int] = {}
+        for st, en in windows:
+            ends[st] = max(ends.get(st, st), en)
+        rows = myers_last_rows(block, [feed(st, end)
+                                       for st, end in ends.items()])
+        base = dict(zip(ends, np.cumsum([0] + [len(r) for r in rows])))
+        dists = (np.concatenate(rows)[[base[st] + en - st
+                                       for st, en in windows]]
+                 if windows else np.zeros(0, dtype=np.int64))
+    else:
+        inner = make_inner(inner_kind, float(payload["eps_inner"]))
+        dists = np.array([inner(block, feed(st, en)) for st, en in windows],
+                         dtype=np.int64)
     win = np.array(windows, dtype=np.int64).reshape(-1, 2)
     tuples = TupleTable.from_columns(lo, hi, win[:, 0], win[:, 1],
                                      dists).capped(top_k)

@@ -25,9 +25,8 @@ arrays once into shared-memory segments; payloads then carry tiny
 :class:`~repro.mpc.shm.SharedSlice` descriptors that resolve into numpy
 views inside the executing process, so physical IPC bytes stop scaling
 with payload volume while the word-based ledgers stay byte-identical.
-The sibling :mod:`repro.mpc.distcache` memoises duplicate (block,
-candidate) kernel evaluations (opt-in).  See docs/ARCHITECTURE.md,
-"Data plane: logical words vs physical bytes".
+See docs/ARCHITECTURE.md, "Data plane: logical words vs physical
+bytes".
 
 The telemetry layer (:mod:`repro.mpc.telemetry`) records one span per
 machine invocation (retry attempts included) plus round/collector/run
@@ -38,8 +37,6 @@ when disabled.  See docs/ARCHITECTURE.md, "Telemetry & span model".
 
 from .accounting import (RoundStats, RunStats, WorkMeter, add_work,
                          isolated_meters)
-from .distcache import (DistanceCache, disable_distance_cache,
-                        distance_cache, enable_distance_cache)
 from .errors import (MemoryLimitExceeded, MPCError, RoundFailedError,
                      RoundProtocolError)
 from .executor import Executor, ProcessPoolExecutor, SerialExecutor
@@ -78,6 +75,4 @@ __all__ = [
     "read_jsonl", "export_chrome_trace",
     "DataPlane", "SharedSlice", "active_segments", "detach_segments",
     "payload_byte_stats", "resolve_payload",
-    "DistanceCache", "enable_distance_cache", "disable_distance_cache",
-    "distance_cache",
 ]

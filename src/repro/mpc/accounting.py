@@ -36,8 +36,8 @@ from __future__ import annotations
 import copy
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..metrics import Counter, get_registry, merge_snapshots
 from ..obs import profile as _profile
@@ -248,18 +248,25 @@ class RoundStats:
                         profile: Dict[str, list]) -> None:
         """Fold one machine's kernel profile into the round ledger."""
         for kernel, (calls, cells, seconds) in profile.items():
-            rec = self.kernel_profile.get(kernel)
-            if rec is None:
-                self.kernel_profile[kernel] = [calls, cells, seconds,
-                                               1, seconds, machine]
-            else:
-                rec[0] += calls
-                rec[1] += cells
-                rec[2] += seconds
-                rec[3] += 1
-                if seconds > rec[4]:
-                    rec[4] = seconds
-                    rec[5] = machine
+            _fold_profile(self.kernel_profile, kernel,
+                          (calls, cells, seconds, 1, seconds, machine))
+
+
+def _fold_profile(into: Dict[Hashable, list], key: Hashable,
+                  rec: Sequence) -> None:
+    """Fold one ``kernel_profile`` record into ``into[key]``.
+
+    Calls, cells, seconds and machine counts add up; the hottest machine
+    (``max_seconds``, ``max_machine``) is kept by ``max_seconds``.
+    """
+    dst = into.get(key)
+    if dst is None:
+        into[key] = list(rec)
+        return
+    for slot in range(4):
+        dst[slot] += rec[slot]
+    if rec[4] > dst[4]:
+        dst[4], dst[5] = rec[4], rec[5]
 
 
 @dataclass
@@ -417,33 +424,17 @@ class RunStats:
         by ``max_seconds``.  This is the ``profile`` block persisted in
         history records and the input to the flamegraph exporter.
         """
-        order: List[tuple] = []
         folded: Dict[tuple, list] = {}
         for r in self.rounds:
             for kernel, rec in r.kernel_profile.items():
-                key = (r.name, kernel)
-                dst = folded.get(key)
-                if dst is None:
-                    folded[key] = list(rec)
-                    order.append(key)
-                else:
-                    dst[0] += rec[0]
-                    dst[1] += rec[1]
-                    dst[2] += rec[2]
-                    dst[3] += rec[3]
-                    if rec[4] > dst[4]:
-                        dst[4] = rec[4]
-                        dst[5] = rec[5]
-        rows = []
-        for round_name, kernel in order:
-            f = folded[(round_name, kernel)]
-            rows.append({"round": round_name, "kernel": kernel,
-                         "calls": int(f[0]), "cells": int(f[1]),
-                         "seconds": round(f[2], 6),
-                         "machines": int(f[3]),
-                         "max_seconds": round(f[4], 6),
-                         "max_machine": int(f[5])})
-        return rows
+                _fold_profile(folded, (r.name, kernel), rec)
+        return [{"round": round_name, "kernel": kernel,
+                 "calls": int(f[0]), "cells": int(f[1]),
+                 "seconds": round(f[2], 6),
+                 "machines": int(f[3]),
+                 "max_seconds": round(f[4], 6),
+                 "max_machine": int(f[5])}
+                for (round_name, kernel), f in folded.items()]
 
     def snapshot(self) -> "RunStats":
         """Deep copy of the ledger, detached from the simulator.
@@ -469,28 +460,8 @@ class RunStats:
         if len(shorter) > len(longer):
             longer, shorter = shorter, longer
         for i, r in enumerate(longer):
-            combined = RoundStats(name=r.name)
-            combined.machines = r.machines
-            combined.max_input_words = r.max_input_words
-            combined.max_output_words = r.max_output_words
-            combined.total_input_words = r.total_input_words
-            combined.total_output_words = r.total_output_words
-            combined.max_work = r.max_work
-            combined.total_work = r.total_work
-            combined.wall_seconds = r.wall_seconds
-            combined.broadcast_words = r.broadcast_words
-            combined.shuffle_words = r.shuffle_words
-            combined.shuffle_work = r.shuffle_work
-            combined.payload_bytes = r.payload_bytes
-            combined.payload_bytes_avoided = r.payload_bytes_avoided
-            combined.attempts = r.attempts
-            combined.retried_machines = r.retried_machines
-            combined.dropped_machines = r.dropped_machines
-            combined.failed_attempts = r.failed_attempts
-            combined.wasted_work = r.wasted_work
-            combined.wasted_wall_seconds = r.wasted_wall_seconds
-            combined.kernel_profile = {k: list(v)
-                                       for k, v in r.kernel_profile.items()}
+            combined = replace(r, kernel_profile={
+                k: list(v) for k, v in r.kernel_profile.items()})
             if i < len(shorter):
                 o = shorter[i]
                 combined.machines += o.machines
@@ -524,17 +495,7 @@ class RunStats:
                     combined.wasted_wall_seconds, o.wasted_wall_seconds)
                 # Kernel profiles: totals add up, hottest machine wins.
                 for kernel, rec in o.kernel_profile.items():
-                    dst = combined.kernel_profile.get(kernel)
-                    if dst is None:
-                        combined.kernel_profile[kernel] = list(rec)
-                    else:
-                        dst[0] += rec[0]
-                        dst[1] += rec[1]
-                        dst[2] += rec[2]
-                        dst[3] += rec[3]
-                        if rec[4] > dst[4]:
-                            dst[4] = rec[4]
-                            dst[5] = rec[5]
+                    _fold_profile(combined.kernel_profile, kernel, rec)
             merged.rounds.append(combined)
         return merged
 

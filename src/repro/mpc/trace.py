@@ -5,12 +5,13 @@ as Python objects; this module round-trips :class:`RunStats` through
 plain dicts / JSON files so experiment results can be archived next to
 ``benchmarks/results/`` and re-plotted without re-running.
 
-Field typing is explicit: every serialised round field has a declared
-target type in :data:`_FIELD_TYPES`, and a stored value that does not fit
-it raises (a float in an int field used to be silently truncated by the
-old default-value-derived coercion).  Ledgers written before the recovery
-or shuffle/broadcast counters existed load fine — missing fields keep
-their dataclass defaults.
+Field typing is explicit: every serialised round field has the target
+type its :class:`RoundStats` annotation declares (:data:`_FIELD_TYPES`),
+and a stored value that does not fit it raises (a float in an int field
+used to be silently truncated by the old default-value-derived
+coercion).  Ledgers written before the recovery or shuffle/broadcast
+counters existed load fine — missing fields keep their dataclass
+defaults.
 """
 
 from __future__ import annotations
@@ -20,38 +21,21 @@ import json
 import os
 import pathlib
 import tempfile
-from typing import Dict, List, Union
+from dataclasses import fields
+from typing import Dict, List, Union, get_origin, get_type_hints
 
 from .accounting import RoundStats, RunStats
 
 __all__ = ["run_stats_to_dict", "run_stats_from_dict", "save_run_stats",
            "load_run_stats"]
 
-# Explicit serialisation schema: field -> target type.  Order is the
-# column order of the exported per-round dicts.
+# Serialisation schema: RoundStats field -> target type (the annotation's
+# origin, so ``Dict[str, list]`` reads as ``dict``), in declaration
+# order, which is the column order of the exported per-round dicts.
+_HINTS = get_type_hints(RoundStats)
 _FIELD_TYPES: Dict[str, type] = {
-    "name": str,
-    "machines": int,
-    "max_input_words": int,
-    "max_output_words": int,
-    "total_input_words": int,
-    "total_output_words": int,
-    "max_work": int,
-    "total_work": int,
-    "wall_seconds": float,
-    "broadcast_words": int,
-    "shuffle_words": int,
-    "shuffle_work": int,
-    "payload_bytes": int,
-    "payload_bytes_avoided": int,
-    "attempts": int,
-    "retried_machines": int,
-    "dropped_machines": int,
-    "failed_attempts": int,
-    "wasted_work": int,
-    "wasted_wall_seconds": float,
-    "kernel_profile": dict,
-}
+    f.name: get_origin(_HINTS[f.name]) or _HINTS[f.name]
+    for f in fields(RoundStats)}
 
 #: Per-entry layout of a ``kernel_profile`` value
 #: (see RoundStats.kernel_profile).

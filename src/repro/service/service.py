@@ -222,6 +222,11 @@ class DistanceService:
                  data_plane: bool = True,
                  check_guarantees: bool = True,
                  tracer: Optional[Tracer] = None) -> None:
+        for name, bound in (("max_concurrent_queries",
+                             max_concurrent_queries),
+                            ("max_inflight_rounds", max_inflight_rounds)):
+            if bound < 1:
+                raise ValueError(f"{name} must be >= 1, got {bound!r}")
         if executor is not None:
             self._executor = executor
             self._owns_executor = False

@@ -33,7 +33,6 @@ import numpy as np
 from ..chain import Tuple5, TupleTable
 from ..metrics import get_registry
 from ..mpc.accounting import add_work
-from ..mpc.distcache import cached_batch, distance_cache
 from ..mpc.shm import SharedSlice
 from ..strings.ulam import local_ulam_from_matches, ulam_windows
 from .config import UlamConfig
@@ -197,21 +196,7 @@ def run_block_machine(payload: BlockPayload) -> TupleTable:
     _M_WINDOWS.inc(len(sp))
     _M_PER_BLOCK.observe(len(sp))
 
-    def key_of(window) -> tuple:
-        w_sp, w_ep = int(window[0]), int(window[1])
-        inside = (p_pts >= w_sp) & (p_pts < w_ep)
-        return ("ulam", i_pts[inside].tobytes(),
-                (p_pts[inside] - w_sp).tobytes(), B, w_ep - w_sp)
-
-    def evaluate(windows) -> np.ndarray:
-        windows = np.asarray(windows, dtype=np.int64).reshape(-1, 2)
-        return ulam_windows(i_pts, p_pts, B, windows[:, 0], windows[:, 1])
-
-    # With the distance cache on, only the misses reach the kernel
-    # (:func:`~repro.mpc.distcache.cached_batch`).
-    dists = np.asarray(cached_batch(distance_cache(),
-                                    np.stack([sp, ep], axis=1),
-                                    key_of, evaluate), dtype=np.int64)
+    dists = ulam_windows(i_pts, p_pts, B, sp, ep)
     # Smallest (distance, length) first; ties keep generation order.
     tuples = TupleTable.from_columns(lo, hi, sp, ep, dists).capped(
         payload["top_k"])

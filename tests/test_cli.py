@@ -486,6 +486,22 @@ class TestRegistryCommands:
 
 
 class TestServeCommands:
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--queries", "0"],
+        ["serve-bench", "--queries", "0"],
+        ["serve", "--max-queries", "0"],
+        ["serve", "--max-inflight", "0"],
+    ], ids=["serve-queries", "serve-bench-queries", "max-queries",
+            "max-inflight"])
+    def test_zero_counts_are_usage_errors(self, capsys, argv):
+        # At run time these would index an empty latency list or wait on
+        # a zero semaphore forever.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last.startswith(f"repro {argv[0]}: error: argument {argv[1]}")
+
     def test_serve_prints_per_query_lines_and_aggregate(self, capsys):
         assert main(["serve", "--n", "64", "--queries", "4",
                      "--no-history"]) == 0

@@ -13,8 +13,6 @@ from repro import mpc_edit_distance
 from repro.chain import TupleTable
 from repro.editdistance.small import run_small_block_machine
 from repro.mpc import WorkMeter
-from repro.mpc.distcache import (cached_batch, disable_distance_cache,
-                                 distance_cache, enable_distance_cache)
 from repro.strings import levenshtein, levenshtein_last_row
 from repro.workloads.strings import planted_pair
 
@@ -102,59 +100,37 @@ def _captured_payloads(n, budget):
 
 
 def _per_start_machine(payload):
-    """Reference Algorithm 3 machine: one last-row DP per start, each
-    start's windows one :func:`cached_batch` call."""
+    """Reference Algorithm 3 machine: one last-row DP per start."""
     lo, hi = payload["lo"], payload["hi"]
     block, text, off = payload["block"], payload["text"], payload["text_off"]
-    cache = distance_cache()
     out = []
     for sp in payload["starts"]:
         wins = candidate_windows(sp, hi - lo, payload["offsets"],
                                  payload["eps_prime"], payload["n_t"])
-        end = max((en for _, en in wins), default=sp)
-
-        def evaluate(jobs, sp=sp, end=end):
-            if not jobs:
-                return []
-            row = levenshtein_last_row(block, text[sp - off:end - off])
-            return [row[en - sp] for _, en in jobs]
-
-        def key_of(job):
-            return ("ed-row", block.tobytes(),
-                    text[job[0] - off:job[1] - off].tobytes())
-
-        dists = evaluate(wins) if cache is None \
-            else cached_batch(cache, wins, key_of, evaluate)
-        out.extend((lo, hi, st, en, d) for (st, en), d in zip(wins, dists))
+        if not wins:
+            continue
+        end = max(en for _, en in wins)
+        row = levenshtein_last_row(block, text[sp - off:end - off])
+        out.extend((lo, hi, st, en, row[en - sp]) for st, en in wins)
     return TupleTable(out).capped(payload["top_k"])
 
 
-def _run_machines(machine, payloads, cached):
-    """Tuples, work and cache counters of *machine* over *payloads*,
-    with a fresh distance cache when *cached*."""
-    cache = enable_distance_cache() if cached else None
-    try:
-        with WorkMeter() as meter:
-            tables = [machine(dict(p)) for p in payloads]
-    finally:
-        disable_distance_cache()
-    counters = (cache.hits, cache.misses) if cached else None
-    return [t.rows.tolist() for t in tables], meter.total, counters
+def _run_machines(machine, payloads):
+    """Tuples and work of *machine* over *payloads*."""
+    with WorkMeter() as meter:
+        tables = [machine(dict(p)) for p in payloads]
+    return [t.rows.tolist() for t in tables], meter.total
 
 
 class TestSmallMachineOneSweep:
     """One lane-packed sweep per machine equals one DP per start."""
 
-    @pytest.mark.parametrize("cached", [False, True])
     @pytest.mark.parametrize("n, budget", [(128, 8), (1024, 64)])
-    def test_matches_per_start_reference(self, n, budget, cached):
+    def test_matches_per_start_reference(self, n, budget):
         payloads = _captured_payloads(n, budget)
         assert max(len(p["starts"]) for p in payloads) > 1
-        swept = _run_machines(run_small_block_machine, payloads, cached)
-        reference = _run_machines(_per_start_machine, payloads, cached)
-        assert swept == reference
-        if cached:
-            assert swept[2][0] > 0
+        assert (_run_machines(run_small_block_machine, payloads)
+                == _run_machines(_per_start_machine, payloads))
 
 
 class TestRepDistanceMachine:

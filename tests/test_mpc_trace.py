@@ -21,7 +21,8 @@ def _full_round():
                       max_output_words=12, total_input_words=31,
                       total_output_words=29, max_work=101, total_work=222,
                       wall_seconds=0.125, broadcast_words=7,
-                      shuffle_words=17, shuffle_work=19, attempts=4,
+                      shuffle_words=17, shuffle_work=19,
+                      payload_bytes=41, payload_bytes_avoided=43, attempts=4,
                       retried_machines=2, dropped_machines=1,
                       failed_attempts=6, wasted_work=55,
                       wasted_wall_seconds=0.0625,
@@ -33,6 +34,13 @@ class TestSchema:
         declared = {f.name for f in dataclasses.fields(RoundStats)}
         assert declared == set(_FIELD_TYPES), \
             "serialisation schema out of sync with RoundStats"
+
+    def test_full_round_sets_every_field(self):
+        # The round-trip tests below only cover fields that differ from
+        # their defaults.
+        default = RoundStats(name="")
+        assert [f for f in _FIELD_TYPES
+                if getattr(_full_round(), f) == getattr(default, f)] == []
 
     def test_round_trip_preserves_every_field(self):
         stats = RunStats(rounds=[_full_round()])

@@ -86,6 +86,14 @@ class TestCorpus:
 
 
 class TestServiceBasics:
+    @pytest.mark.parametrize("option", ["max_concurrent_queries",
+                                        "max_inflight_rounds"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_non_positive_admission_bounds_rejected(self, option, value):
+        # A zero semaphore would make every submission wait forever.
+        with pytest.raises(ValueError, match=option):
+            DistanceService(**{option: value})
+
     def test_single_query_matches_one_shot_byte_for_byte(self):
         (s_p, t_p), (s_s, t_s) = _pairs()
         one_shot_ulam = mpc_ulam(s_p, t_p, x=0.25, eps=0.5, seed=3)

@@ -8,9 +8,8 @@ sparse Ulam kernel takes many windows of one text:
 :func:`~repro.strings.ulam.ulam_windows` shares one chain-DP row per
 window start, and :func:`~repro.strings.ulam.ulam_auto` is one window.
 Batching may only move wall-clock: distances, abstract work,
-``strings.*`` metric deltas, kernel-profile call/cell attribution and
-distance-cache hit/miss counters must equal those of the same inputs
-issued one scalar call at a time.  These tests compare both on random
+``strings.*`` metric deltas and kernel-profile call/cell attribution
+must equal those of the same inputs issued one scalar call at a time.  These tests compare both on random
 and boundary inputs, and check the answers against the independent
 exact kernels (``levenshtein``, ``ulam_distance``, a brute-force DP).
 
@@ -31,7 +30,6 @@ import repro.ulam.candidates as cand
 from repro.metrics import enabled as metrics_enabled
 from repro.metrics import scoped_snapshot
 from repro.mpc import WorkMeter
-from repro.mpc.distcache import DistanceCache
 from repro.obs import profile as obs_profile
 from repro.strings import (fitting_last_row, hamming, levenshtein,
                            levenshtein_doubling, levenshtein_doubling_batch,
@@ -335,22 +333,16 @@ class TestBatchSizes:
             'strings.kernel_calls{kernel=ulam_sparse}': 1}
 
 
-def _per_window_cached(cache, windows, key_of, evaluate):
-    """Stand-in for ``cached_batch`` in the block machine: one cached
-    :func:`ulam_auto` call per window, rebuilt from the window's cache
-    key (its re-based match points and lengths)."""
+def _per_window_ulam(i_pts, p_pts, m, sp, ep):
+    """Stand-in for ``ulam_windows`` in the block machine: one
+    :func:`ulam_auto` call per window, on the window's match points
+    re-based to its start."""
     out = []
-    for window in windows:
-        key = key_of(window)
-        d = None if cache is None else cache.lookup(key)
-        if d is None:
-            d = ulam_auto(np.frombuffer(key[1], dtype=np.int64),
-                          np.frombuffer(key[2], dtype=np.int64),
-                          key[3], key[4])
-            if cache is not None:
-                cache.store(key, d)
-        out.append(int(d))
-    return out
+    for w_sp, w_ep in zip(sp.tolist(), ep.tolist()):
+        inside = (p_pts >= w_sp) & (p_pts < w_ep)
+        out.append(ulam_auto(i_pts[inside], p_pts[inside] - w_sp, m,
+                             w_ep - w_sp))
+    return np.array(out, dtype=np.int64)
 
 
 def _block_payload(config, n=64, seed=11):
@@ -364,31 +356,13 @@ def _block_payload(config, n=64, seed=11):
 
 
 class TestCacheFolding:
-    """The block machine's cache folding keeps hit/miss counters, work
-    and metering equal to those of per-window cached scalar calls."""
-
-    def _run(self, payload, cache):
-        # Twice through one cache: the second pass is all hits.
-        return [_metered(lambda: cand.run_block_machine(dict(payload)))
-                for _ in range(2)], (cache.hits, cache.misses)
-
-    def test_hit_miss_counters_match(self, monkeypatch):
-        payload, _ = _block_payload(UlamConfig.practical())
-        cache_b = DistanceCache(capacity=1 << 16)
-        monkeypatch.setattr(cand, "distance_cache", lambda: cache_b)
-        res_b = self._run(payload, cache_b)
-        cache_s = DistanceCache(capacity=1 << 16)
-        monkeypatch.setattr(cand, "distance_cache", lambda: cache_s)
-        monkeypatch.setattr(cand, "cached_batch", _per_window_cached)
-        assert self._run(payload, cache_s) == res_b
-        hits, misses = res_b[1]
-        # Windows without match points share one key: intra-batch hits.
-        assert misses > 0 and hits > misses
+    """The block machine's batched window evaluation keeps work and
+    metering equal to those of per-window scalar calls."""
 
     def test_uncached_path_matches(self, monkeypatch):
         payload, _ = _block_payload(UlamConfig.practical())
         res_b = _metered(lambda: cand.run_block_machine(dict(payload)))
-        monkeypatch.setattr(cand, "cached_batch", _per_window_cached)
+        monkeypatch.setattr(cand, "ulam_windows", _per_window_ulam)
         assert _metered(
             lambda: cand.run_block_machine(dict(payload))) == res_b
 
@@ -400,7 +374,7 @@ class TestBlockMachineEquivalence:
                        UlamConfig.practical()):
             payload, positions = _block_payload(config, n=n)
             with monkeypatch.context() as patch:
-                patch.setattr(cand, "cached_batch", _per_window_cached)
+                patch.setattr(cand, "ulam_windows", _per_window_ulam)
                 reference = _metered(
                     lambda: cand.run_block_machine(dict(payload)))
             tuples_b, work_b, met_b, prof_b = _metered(
