@@ -1,90 +1,85 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands
---------
+Engine commands
+---------------
 ``solve``   answer a distance query through the engine registry:
             ``--engine auto`` plans the cheapest admissible engine for
             the (distance, n, guarantee) point, ``--engine <name>``
             pins one.
-``engines`` list every registered engine with its capabilities
-            (distances, regime, guarantee class, cost model).
 ``ulam``    run the Theorem-4 Ulam algorithm on a generated permutation
             pair (or two files) and print the resource ledger.
 ``edit``    run the Theorem-9 edit-distance algorithm likewise.
-``lcs``     run the LCS extension.
-``lis``     run the LIS extension on a generated permutation.
 ``hss``     run the HSS'19 baseline for comparison.
 ``beghs``   run the BEGHS'18-style O(log n)-round baseline.
-``table1``  print all four analytic Table 1 rows for a given (n, x).
 ``chaos``   run a registry engine under a seeded fault plan and print
             the per-round recovery ledger.
-``trace``   render timeline/skew reports from a saved JSONL span trace
-            (``--chrome`` additionally exports a Perfetto-loadable
-            Chrome trace-event file).
 
-Every algorithm subcommand resolves through :mod:`repro.engines` —
-``ulam``/``edit``/``hss``/``beghs`` are thin aliases for the engine of
-the same regime, and their ``--algo`` choice lists are derived from the
-registry, so a newly registered engine is reachable from every CLI
-surface without touching this file.
+``ulam``/``edit``/``hss``/``beghs`` are aliases of ``solve --distance D
+--engine E``: the run record is the same apart from ``command``.  All
+six run through one handler; a small table (``_ENGINE_COMMANDS``) holds
+what differs: how the engine is resolved, the report title, the
+record's extra fields and chaos's defaults and recovery ledger.  Every
+one collects the metrics registry and the kernel profile, appends a run
+record to the JSONL history (disable with ``--no-history``), prints it
+as JSON with ``--json`` and checks the paper's guarantees with
+``--check-guarantees`` (exit 1 on violation) — see docs/ARCHITECTURE.md,
+"Metrics vs spans vs registry".  ``ulam``/``edit``/``solve``/``chaos``
+also take ``--fault-plan`` / ``--retries`` / ``--on-exhausted`` /
+``--realtime`` ("Failure model & recovery"), ``--trace PATH`` /
+``--skew`` ("Telemetry & span model") and ``--no-data-plane`` ("Data
+plane: logical words vs physical bytes").
 
+Other commands
+--------------
+``engines``     list every registered engine with its capabilities.
+``lcs``         run the LCS extension.
+``lis``         run the LIS extension on a generated permutation.
+``table1``      print all four analytic Table 1 rows for a given (n, x).
 ``serve``       run a batch of concurrent mixed ulam/edit queries
-                through the persistent :mod:`repro.service` layer (one
-                executor, one data-plane publish per corpus) and print
-                per-query outcomes plus p50/p99 latency and queries/sec.
+                through the persistent :mod:`repro.service` layer and
+                print per-query outcomes plus p50/p99 latency and
+                queries/sec.  ``--export PORT`` serves live
+                ``/metrics`` + ``/healthz`` + ``/readyz``,
+                ``--export-linger SEC`` holds the drained service open
+                for scrapers, ``--slo`` prints per-engine error-budget
+                burn rates (exit 1 on alert), and ``--trace`` spans
+                carry ``trace_id``/``query_id`` so ``repro trace FILE
+                --query ID`` rebuilds one query's rounds.
 ``serve-bench`` the deterministic service workload the regression gate
                 replays (fixed corpora, alternating algorithms, summed
                 ledger) — the E23 configuration.
-``top``         poll a live exporter (``serve --export PORT``) and
-                print the service status view (admission, inflight,
-                per-engine query totals).
+``top``         poll a live exporter and print the service status view.
+``history``     print the local run history (``.repro/history.jsonl``).
+``compare``     gate the latest matching history runs against a
+                committed baseline (``BENCH_table1.json``) — the same
+                loop as ``tools/check_regression.py``
+                (:func:`repro.registry.match_baseline`); exit 1 on
+                regression.
+``profile``     render a run's kernel profile; export flamegraphs.
+``profdiff``    rank kernels by their profile delta between two runs.
+``trace``       render timeline/skew reports from a saved span trace.
 
-``serve`` additionally accepts ``--export PORT`` (live ``/metrics`` +
-``/healthz`` + ``/readyz`` endpoints, stdlib HTTP), ``--export-linger
-SEC`` (hold the drained service open for scrapers), ``--slo``
-(per-engine error-budget burn rates; exit 1 on alert), and ``--trace``
-/ ``--skew`` — service spans carry ``trace_id``/``query_id``, so
-``repro trace FILE --query ID`` reconstructs one query's rounds out of
-the interleaved stream.  See docs/ARCHITECTURE.md, "Live
-observability: traces, /metrics, SLOs".
-
-``history``  print the local run history (``.repro/history.jsonl``).
-``compare``  compare the latest matching history runs against a
-             committed baseline (``BENCH_table1.json``) and exit
-             non-zero on regression.
-
-The ``ulam`` and ``edit`` commands also accept ``--fault-plan`` /
-``--retries`` / ``--on-exhausted`` / ``--realtime`` to exercise the
-algorithm under injected machine failures (see
-docs/ARCHITECTURE.md, "Failure model & recovery"), plus ``--trace
-PATH`` (stream a per-machine span trace as JSONL) and ``--skew``
-(print straggler analytics after the run) — see docs/ARCHITECTURE.md,
-"Telemetry & span model".  ``--no-data-plane`` ships payload arrays by
-copy instead of shared-memory descriptors (the E22 A/B baseline) — see
-docs/ARCHITECTURE.md, "Data plane: logical words vs physical bytes".
-
-``ulam`` / ``edit`` / ``chaos`` runs collect the metrics registry
-(:mod:`repro.metrics`), append a run record to the JSONL history
-(disable with ``--no-history``), print it as JSON with ``--json``, and
-check the paper's guarantees with ``--check-guarantees`` (non-zero exit
-on violation) — see docs/ARCHITECTURE.md, "Metrics vs spans vs
-registry".
-
-File inputs (``--s-file`` / ``--t-file``) are read as text; otherwise a
-seeded workload with a planted distance is generated.
+A bad number (a length below 2, a count below 1, an ``--x`` outside the
+algorithm's range, a non-finite or non-positive ``--eps``) or a bad
+fault plan is an argparse usage error: exit 2 with one ``error:`` line,
+before any round runs.  File inputs (``--s-file`` / ``--t-file``) are
+read as text; otherwise a seeded workload with a planted distance is
+generated.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import pathlib
 import sys
-from typing import List, Optional
+from typing import List, NamedTuple, Optional, Tuple
 
 from .analysis import format_kv, format_table
 from .engines import (EngineRequest, NoEngineError, all_engines,
                       default_engine, distances, get_engine,
-                      select_engine)
+                      select_engine, workload_kind)
 from .extensions import mpc_lcs, mpc_lis
 from .params import EditParams, UlamParams, check_eps
 from .strings import levenshtein, ulam_distance
@@ -130,8 +125,13 @@ _PARAMS = {"ulam": UlamParams, "edit": EditParams}
 
 
 def _check_x(algo: Optional[str], x: float) -> None:
+    """Raise ``ValueError`` for an ``--x`` outside *algo*'s range: its
+    parameter class's for ulam/edit, (0, 1) for ``"unit"`` (LCS, LIS,
+    Table 1), none for ``None`` (engines that ignore x)."""
     if algo in _PARAMS:
         _PARAMS[algo](n=2, x=x)
+    elif algo == "unit" and not 0 < x < 1:
+        raise ValueError("x must lie in (0, 1)")
 
 
 def _float_arg(check):
@@ -146,15 +146,23 @@ def _float_arg(check):
     return parse
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of counts and caps: an integer >= 1."""
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer >= 1, got {text!r}")
-    return int(text)
+def _int_at_least(low: int):
+    """argparse type: an integer >= *low*."""
+    def parse(text: str) -> int:
+        if not text.isdigit() or int(text) < low:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {low}, got {text!r}")
+        return int(text)
+    return parse
+
+
+#: Counts and caps; generated input lengths (every algorithm needs n >= 2).
+_positive_int = _int_at_least(1)
+_length = _int_at_least(2)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .registry import DEFAULT_HISTORY_PATH, REGRESSION_TOLERANCE
     parser = argparse.ArgumentParser(
         prog="repro",
         description="MPC edit distance / Ulam distance "
@@ -163,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, default_x: float,
                default_eps: float, algo: Optional[str] = None) -> None:
-        p.add_argument("--n", type=int, default=512,
+        p.add_argument("--n", type=_length, default=512,
                        help="generated input length (default 512)")
         p.add_argument("--budget", type=int, default=None,
                        help="planted distance budget (default n/16)")
@@ -191,8 +199,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print per-round straggler analytics and the "
                             "run timeline after the run")
 
+    def history_opt(p: argparse.ArgumentParser, help_text: str) -> None:
+        p.add_argument("--history", type=str, default=DEFAULT_HISTORY_PATH,
+                       metavar="PATH", help=help_text)
+
     def registry_opts(p: argparse.ArgumentParser) -> None:
-        from .registry import DEFAULT_HISTORY_PATH
         p.add_argument("--json", action="store_true",
                        help="print the run record as JSON instead of "
                             "the human-readable report")
@@ -200,10 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check the run against the paper's "
                             "guarantees (approximation ratio, memory, "
                             "machines, rounds); exit 1 on violation")
-        p.add_argument("--history", type=str,
-                       default=DEFAULT_HISTORY_PATH, metavar="PATH",
-                       help="append the run record to this JSONL "
-                            f"history (default {DEFAULT_HISTORY_PATH})")
+        history_opt(p, "append the run record to this JSONL history "
+                       f"(default {DEFAULT_HISTORY_PATH})")
         p.add_argument("--no-history", action="store_true",
                        help="do not append the run to the history")
 
@@ -243,11 +252,11 @@ def build_parser() -> argparse.ArgumentParser:
     telemetry_opts(p_edit)
     registry_opts(p_edit)
     common(sub.add_parser("lcs", help="LCS extension (2 rounds)"),
-           default_x=0.25, default_eps=0.25)
+           default_x=0.25, default_eps=0.25, algo="unit")
     common(sub.add_parser("lis", help="LIS extension (2 rounds)"),
-           default_x=0.3, default_eps=0.25)
+           default_x=0.3, default_eps=0.25, algo="unit")
     p_hss = sub.add_parser("hss", help="HSS'19 baseline (1+eps, 2 rounds)")
-    common(p_hss, default_x=0.25, default_eps=1.0)
+    common(p_hss, default_x=0.25, default_eps=1.0, algo="edit")
     registry_opts(p_hss)
     p_beghs = sub.add_parser(
         "beghs", help="BEGHS'18 baseline (1+eps, O(log n) rounds)")
@@ -287,8 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="print capability records as JSON")
 
     t1 = sub.add_parser("table1", help="print the analytic Table 1 rows")
-    t1.add_argument("--n", type=int, default=10 ** 6)
-    t1.add_argument("--x", type=float, default=0.25)
+    t1.add_argument("--n", type=_length, default=10 ** 6)
+    t1.add_argument("--x", type=_float_arg(lambda x: _check_x("unit", x)),
+                    default=0.25)
 
     ch = sub.add_parser(
         "chaos", help="run an algorithm under a fault plan and print "
@@ -317,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "canonical MPC engine per distance); admission "
                          "control rejects engines whose capabilities "
                          "don't match the corpus")
-    sv.add_argument("--n", type=int, default=256,
+    sv.add_argument("--n", type=_length, default=256,
                     help="generated input length (default 256)")
     sv.add_argument("--budget", type=int, default=None,
                     help="planted distance budget (default n/16)")
@@ -327,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="approximation slack (default: per-algorithm)")
     sv.add_argument("--seed", type=int, default=0,
                     help="root seed; query i runs with seed+i")
-    sv.add_argument("--workers", type=int, default=0,
+    sv.add_argument("--workers", type=_int_at_least(0), default=0,
                     help="process-pool workers shared by all queries "
                          "(0 = serial executor, the default)")
     sv.add_argument("--max-queries", type=_positive_int, default=8,
@@ -358,11 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
         "serve-bench", help="deterministic service workload for the "
                             "regression gate (E23): fixed corpora, "
                             "alternating ulam/edit, summed ledger")
-    sb.add_argument("--n", type=int, default=192,
+    sb.add_argument("--n", type=_length, default=192,
                     help="generated input length (default 192)")
     sb.add_argument("--budget", type=int, default=None,
                     help="planted distance budget (default n/16)")
-    sb.add_argument("--x", type=float, default=0.25,
+    sb.add_argument("--x", type=_float_arg(
+        lambda x: [_check_x(algo, x) for algo in _MIXED_CYCLE]),
+        default=0.25,
                     help="memory exponent, shared by both algorithms "
                          "(default 0.25)")
     sb.add_argument("--eps", type=_float_arg(check_eps), default=0.5,
@@ -374,13 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="number of concurrent queries (default 8)")
     registry_opts(sb)
 
-    from .registry import DEFAULT_HISTORY_PATH
     hi = sub.add_parser(
         "history", help="print the local run history")
-    hi.add_argument("--history", type=str, default=DEFAULT_HISTORY_PATH,
-                    metavar="PATH", help="history file to read")
-    hi.add_argument("--limit", type=int, default=20,
-                    help="show at most the newest N records (default 20)")
+    history_opt(hi, "history file to read")
+    hi.add_argument("--limit", type=_int_at_least(0), default=20,
+                    help="show at most the newest N records (default 20; "
+                         "0 shows all)")
     hi.add_argument("--since", type=str, default=None, metavar="TIMESTAMP",
                     help="only show records at or after this ISO-8601 "
                          "UTC timestamp; a prefix like 2026-08 works "
@@ -397,11 +408,11 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--baseline", type=str, default="BENCH_table1.json",
                     metavar="PATH", help="baseline record file "
                                          "(default BENCH_table1.json)")
-    cp.add_argument("--history", type=str, default=DEFAULT_HISTORY_PATH,
-                    metavar="PATH", help="history file to read")
-    cp.add_argument("--tolerance", type=float, default=None,
+    history_opt(cp, "history file to read")
+    cp.add_argument("--tolerance", type=float,
+                    default=REGRESSION_TOLERANCE,
                     help="relative regression tolerance on gated "
-                         "metrics (default 0.15)")
+                         "metrics (default %(default)s)")
     cp.add_argument("--engine", type=str, default=None, metavar="NAME",
                     help="only compare history records produced by "
                          "this engine")
@@ -413,9 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "file, or a history selector: 'last', "
                                 "a negative index like -2, or a trace "
                                 "id like svc1-q3")
-    pf.add_argument("--history", type=str, default=DEFAULT_HISTORY_PATH,
-                    metavar="PATH",
-                    help="history file for selector lookups")
+    history_opt(pf, "history file for selector lookups")
     pf.add_argument("--flame", type=str, default=None, metavar="OUT",
                     help="write a Brendan-Gregg collapsed-stack file "
                          "(feed to flamegraph.pl / inferno / speedscope)")
@@ -441,9 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "or history selector")
     pd.add_argument("b", help="fresh run: record file, span trace, or "
                               "history selector")
-    pd.add_argument("--history", type=str, default=DEFAULT_HISTORY_PATH,
-                    metavar="PATH",
-                    help="history file for selector lookups")
+    history_opt(pd, "history file for selector lookups")
     pd.add_argument("--by", choices=("seconds", "cells", "calls"),
                     default="seconds",
                     help="ranking column (default seconds)")
@@ -505,12 +512,9 @@ def _build_tracer(args):
     return Tracer(sinks)
 
 
-def _build_sim(args, memory_limit: int):
-    """Build the simulator the chaos/telemetry CLI flags ask for.
-
-    Returns ``None`` when neither a fault plan nor telemetry was
-    requested, so the driver creates its own default simulator."""
-    tracer = _build_tracer(args)
+def _build_sim(args, memory_limit: int, tracer):
+    """The simulator the fault/telemetry flags ask for, or ``None`` (the
+    engine then builds its canonical one) when neither was given."""
     spec = getattr(args, "fault_plan", None)
     if spec is None and tracer is None:
         return None
@@ -525,57 +529,56 @@ def _build_sim(args, memory_limit: int):
         realtime=args.realtime)
 
 
-def _run_traced(sim, label: str, thunk):
-    """Run *thunk* under the simulator's run span (if telemetry is on)."""
-    if sim is None or sim.tracer is None:
-        return thunk()
-    with sim.tracer.span("run", label):
-        return thunk()
+def _section(title: str, body: str, lead: bool = True) -> None:
+    """Print *title* underlined, then *body* (after a blank line if
+    *lead*)."""
+    if lead:
+        print()
+    print(title)
+    print("-" * len(title))
+    print(body)
 
 
-def _finish_telemetry(sim, args) -> None:
-    """Close the tracer (flushing file sinks) and print the requested
-    telemetry reports."""
-    if sim is None or sim.tracer is None:
-        return
-    _finish_tracer(sim.tracer, args)
+def _print_skew(spans, lead: bool = True) -> None:
+    """The ``--skew`` / ``repro trace`` reports of a span list."""
+    from .analysis import format_skew, format_timeline
+    _section("Run timeline", format_timeline(spans), lead)
+    _section("Straggler analytics", format_skew(spans))
 
 
 def _finish_tracer(tracer, args) -> None:
-    """Tracer-level tail of :func:`_finish_telemetry` (the service path
-    hands its tracer straight to the workload, with no simulator)."""
+    """Close the tracer (flushing file sinks) and print the telemetry
+    reports the flags asked for."""
     tracer.close()
     if getattr(args, "skew", False):
-        from .analysis import format_skew, format_timeline
-        spans = tracer.spans
-        print()
-        print("Run timeline")
-        print("------------")
-        print(format_timeline(spans))
-        print()
-        print("Straggler analytics")
-        print("-------------------")
-        print(format_skew(spans))
+        _print_skew(tracer.spans)
     if getattr(args, "trace", None) is not None:
         print(f"\nspan trace written to {args.trace} "
               f"(render with: repro trace {args.trace})")
+
+
+def _budget(args) -> int:
+    """The planted distance of generated inputs: ``--budget``, or n/16."""
+    return args.budget if args.budget is not None else args.n // 16
+
+
+def _planted_pair(kind: str, n: int, budget: int, seed: int):
+    """A generated pair of input *kind* (``workload_kind``) with a
+    planted distance."""
+    if kind == "perm":
+        s, t, _ = perm_pair(n, budget, seed=seed, style="mixed")
+    else:
+        s, t, _ = str_pair(n, budget, sigma=4, seed=seed)
+    return s, t
 
 
 def _load_or_generate(args, kind: str):
     if (args.s_file is None) != (args.t_file is None):
         raise SystemExit("provide both --s-file and --t-file, or neither")
     if args.s_file is not None:
-        with open(args.s_file) as fh:
-            s = as_array(fh.read().strip())
-        with open(args.t_file) as fh:
-            t = as_array(fh.read().strip())
-        return s, t
-    budget = args.budget if args.budget is not None else args.n // 16
-    if kind == "perm":
-        s, t, _ = perm_pair(args.n, budget, seed=args.seed, style="mixed")
-    else:
-        s, t, _ = str_pair(args.n, budget, sigma=4, seed=args.seed)
-    return s, t
+        return tuple(as_array(pathlib.Path(path).read_text().strip())
+                     for path in (args.s_file, args.t_file))
+    return _planted_pair(kind, args.n, _budget(args), args.seed)
 
 
 def _print_result(title: str, answer: int, exact: Optional[int],
@@ -603,10 +606,7 @@ def _print_result(title: str, answer: int, exact: Optional[int],
     print(format_kv(title, data))
     if show_comm:
         from .analysis import format_communication
-        print()
-        print("Communication ledger")
-        print("--------------------")
-        print(format_communication(stats))
+        _section("Communication ledger", format_communication(stats))
 
 
 def _enable_metrics() -> None:
@@ -627,30 +627,133 @@ def _enable_metrics() -> None:
     enable_profiling()
 
 
-def _effective_budget(args) -> Optional[int]:
-    """The planted-distance budget actually used (None for file inputs)."""
-    if args.s_file is not None:
-        return None
-    return args.budget if args.budget is not None else args.n // 16
+class _EngineCommand(NamedTuple):
+    """What sets one engine-running subcommand apart from the others;
+    everything else is :func:`_run_engine_command`."""
+
+    #: The distance, or ``None`` to read it from ``--algo``/``--distance``.
+    distance: Optional[str]
+    #: A pinned engine; ``None`` runs ``--engine`` where the command has
+    #: one (``auto`` plans), else the distance's default engine.
+    engine: Optional[str] = None
+    #: Report title; ``{title}`` is the engine's title, ``{engine}`` its
+    #: name.
+    title: str = "{title}"
+    #: Name of the run span (fields as for the title, plus ``{command}``
+    #: and ``{distance}``).
+    label: str = "{command}"
+    #: ``EngineResult.extra`` fields the run record keeps.
+    result_fields: Tuple[str, ...] = ()
+    #: A chaos run: a default fault plan and the distance's own (x, eps)
+    #: defaults; the report shows the fault settings instead of the
+    #: engine's extras, then the recovery ledger.
+    chaos: bool = False
 
 
-def _finish_run(args, command: str, engine, eres, s, t,
-                exact: Optional[int],
-                extra: Optional[dict] = None) -> int:
-    """Shared tail of every engine-running subcommand.
+#: Every engine-running subcommand.  ``ulam``/``edit``/``hss``/``beghs``
+#: are aliases of ``solve --distance D --engine E``.
+_ENGINE_COMMANDS = {
+    "ulam": _EngineCommand("ulam"),
+    "edit": _EngineCommand("edit",
+                           result_fields=("regime", "accepted_guess")),
+    "hss": _EngineCommand("edit", engine="hss"),
+    "beghs": _EngineCommand("edit", engine="beghs"),
+    "solve": _EngineCommand(None, title="solve[{engine}] — {title}",
+                            label="solve-{engine}"),
+    "chaos": _EngineCommand(None, title="Chaos run: {title}",
+                            label="chaos-{distance}", chaos=True),
+}
 
-    Runs the guarantee checks (``--check-guarantees``) — the checker
-    comes from the *resolved engine's* capabilities, never from string
-    matching on the subcommand name — assembles the run record (tagged
-    with the engine), appends it to the history (unless
-    ``--no-history``) and prints it (``--json``) or the guarantee
-    verdict (human mode).  Returns the process exit code (1 on
-    guarantee violation).
+#: The fault plan ``chaos`` injects when ``--fault-plan`` is not given.
+_CHAOS_FAULT_PLAN = "crash=0.1,straggle=0.1x4"
+
+
+def _record_settings(args) -> dict:
+    """The run's settings a replay needs, keyed by record field and read
+    from the flags :data:`repro.registry.REPLAY_FIELDS` pairs them with
+    (``registry.replay_argv`` reads the same table back)."""
+    from .registry import REPLAY_FIELDS
+    return {field: getattr(args, flag[2:].replace("-", "_"))
+            for field, flag in REPLAY_FIELDS[args.command]}
+
+
+def _run_engine_command(args) -> int:
+    """Run one engine subcommand (a :data:`_ENGINE_COMMANDS` entry).
+
+    Loads or generates the input pair, resolves the engine, runs it
+    under the simulator the fault/telemetry flags ask for (absent any
+    flag the engine builds its canonical one) and prints the report.
+    Then it checks the guarantees (``--check-guarantees``; the checker
+    comes from the resolved engine's capabilities), appends the run
+    record to the history (unless ``--no-history``) and prints it
+    (``--json``).  Returns the exit code: 1 on a guarantee violation.
     """
     from .registry import append_record, make_record
+    cmd = _ENGINE_COMMANDS[args.command]
+    distance = cmd.distance or getattr(args, "algo", None) or args.distance
+    _enable_metrics()
+    if cmd.chaos:
+        if args.fault_plan is None:
+            args.fault_plan = _CHAOS_FAULT_PLAN
+        default_x, default_eps = _cli_defaults(distance)
+        if args.x is None:
+            args.x = default_x
+        if args.eps is None:
+            args.eps = default_eps
+    s, t = _load_or_generate(args, workload_kind(distance))
+
+    name = cmd.engine or getattr(args, "engine", None)
+    if name is None:
+        engine = default_engine(distance)
+    elif name != "auto":
+        engine = get_engine(name)
+    else:
+        from .registry import read_history
+        request = EngineRequest(distance=distance, s=s, t=t, x=args.x,
+                                eps=args.eps, guarantee=args.guarantee)
+        try:
+            engine = select_engine(request,
+                                   history=read_history(args.history))
+        except NoEngineError as exc:
+            raise SystemExit(f"solve: {exc}")
+    caps = engine.caps
+    names = {"command": args.command, "distance": distance,
+             "engine": caps.name, "title": caps.title}
+
+    mem = engine.memory_limit(
+        len(s), args.x if args.x is not None else caps.default_x,
+        args.eps if args.eps is not None else caps.default_eps)
+    tracer = _build_tracer(args)
+    sim = _build_sim(args, mem, tracer)
+    request = EngineRequest(
+        distance=distance, s=s, t=t, x=args.x, eps=args.eps,
+        seed=args.seed, sim=sim,
+        data_plane=not getattr(args, "no_data_plane", False))
+    with (tracer.span("run", cmd.label.format(**names))
+          if tracer is not None else contextlib.nullcontext()):
+        eres = engine.solve(request)
+    exact = None
+    if args.exact:
+        exact = (ulam_distance if distance == "ulam" else levenshtein)(s, t)
+
+    extra = _record_settings(args)
+    if "fault_plan" in extra:
+        # The plan the run injected, seed included.
+        extra["fault_plan"] = sim.fault_plan.to_spec()
+    extra.update((field, eres.extra[field]) for field in cmd.result_fields)
+    if not args.json:
+        shown = eres.extra
+        if cmd.chaos:
+            shown = {k: extra[k]
+                     for k in ("fault_plan", "retries", "on_exhausted")}
+        _print_result(cmd.title.format(**names), eres.distance, exact,
+                      eres.stats, shown, show_comm=args.comm)
+        if cmd.chaos:
+            from .analysis import format_recovery
+            _section("Recovery ledger", format_recovery(eres.stats))
+
     report = None
     if args.check_guarantees:
-        from .analysis import format_guarantees
         report = engine.check_guarantees(s, t, eres)
     summary = {"distance": eres.distance}
     if exact is not None:
@@ -662,9 +765,10 @@ def _finish_run(args, command: str, engine, eres, s, t,
     summary.update(eres.stats.summary())
     params = {"n": len(s), "x": eres.params.get("x"),
               "eps": eres.params.get("eps"),
-              "seed": args.seed, "budget": _effective_budget(args)}
+              "seed": args.seed,
+              "budget": None if args.s_file is not None else _budget(args)}
     record = make_record(
-        command, params, summary,
+        args.command, params, summary,
         guarantees=report.to_dict() if report is not None else None,
         extra=extra, engine=eres.engine)
     if not args.no_history:
@@ -672,51 +776,12 @@ def _finish_run(args, command: str, engine, eres, s, t,
     if args.json:
         print(json.dumps(record, sort_keys=True))
     elif report is not None:
+        from .analysis import format_guarantees
         print()
         print(format_guarantees(report))
+    if tracer is not None:
+        _finish_tracer(tracer, args)
     return 0 if report is None or report.passed else 1
-
-
-def _service_workload(n: int, budget: int, seed: int, queries: int,
-                      algo: str, x: Optional[float],
-                      eps: Optional[float],
-                      engine: Optional[str] = None) -> List[dict]:
-    """Build the query dicts for ``serve`` / ``serve-bench``.
-
-    One generated corpus per input *kind* backs the whole batch — the
-    registry says whether a distance needs a duplicate-free permutation
-    pair or a plain string pair — so the service's content addressing
-    publishes each at most once no matter how many queries run.  Query
-    ``i`` uses ``seed + i`` so the batch exercises distinct sampling
-    randomness deterministically.
-    """
-    from .engines import workload_kind
-    pairs: dict = {}
-
-    def corpus_for(distance: str):
-        kind = workload_kind(distance)
-        if kind not in pairs:
-            if kind == "perm":
-                s, t, _ = perm_pair(n, budget, seed=seed, style="mixed")
-            else:
-                s, t, _ = str_pair(n, budget, sigma=4, seed=seed)
-            pairs[kind] = (s, t)
-        return pairs[kind]
-
-    out: List[dict] = []
-    for i in range(queries):
-        q_algo = _MIXED_CYCLE[i % len(_MIXED_CYCLE)] if algo == "mixed" \
-            else algo
-        s, t = corpus_for(q_algo)
-        q: dict = {"algo": q_algo, "s": s, "t": t, "seed": seed + i}
-        if x is not None:
-            q["x"] = x
-        if eps is not None:
-            q["eps"] = eps
-        if engine is not None:
-            q["engine"] = engine
-        out.append(q)
-    return out
 
 
 def _percentile(sorted_values: List[float], q: float) -> float:
@@ -725,14 +790,42 @@ def _percentile(sorted_values: List[float], q: float) -> float:
     return sorted_values[max(0, min(len(sorted_values) - 1, int(idx)))]
 
 
-def _aggregate_service_summary(outcomes, wall: float) -> dict:
-    """Batch-level ledger: additive fields summed, high-waters maxed.
+def _serve_batch(args, algo: str, engine: Optional[str] = None,
+                 **service_kwargs):
+    """Run the ``serve``/``serve-bench`` batch through the service.
 
-    Aggregation runs in submission order over per-query summaries, so
-    for a fixed seed the gated fields are deterministic regardless of
-    how the event loop interleaved the queries (``wall_seconds`` is the
-    only clock-derived field, and the gate does not compare it).
+    One generated corpus per input kind (``workload_kind``) backs the
+    whole batch, so the service's content addressing publishes each at
+    most once however many queries run; query ``i`` uses ``seed + i``,
+    so the batch exercises distinct sampling randomness
+    deterministically.
+
+    Returns the outcomes, the batch ledger and the batch guarantee
+    verdict (``None`` without ``--check-guarantees``).  The ledger sums
+    the additive fields and maxes the high-waters, in submission order
+    over per-query summaries, so for a fixed seed the gated fields are
+    deterministic however the event loop interleaved the queries;
+    wall-clock, latency and throughput come last and the gate does not
+    compare them.
     """
+    from .service import run_workload
+    _enable_metrics()
+    pairs: dict = {}
+    queries: List[dict] = []
+    for i in range(args.queries):
+        q_algo = _MIXED_CYCLE[i % len(_MIXED_CYCLE)] if algo == "mixed" \
+            else algo
+        kind = workload_kind(q_algo)
+        if kind not in pairs:
+            pairs[kind] = _planted_pair(kind, args.n, _budget(args),
+                                        args.seed)
+        q: dict = {"algo": q_algo, "s": pairs[kind][0],
+                   "t": pairs[kind][1], "seed": args.seed + i}
+        q.update((k, v) for k, v in (("x", args.x), ("eps", args.eps),
+                                     ("engine", engine)) if v is not None)
+        queries.append(q)
+    outcomes, wall = run_workload(
+        queries, check_guarantees=args.check_guarantees, **service_kwargs)
     summaries = [o.stats.summary() for o in outcomes]
     agg: dict = {
         "distance": sum(o.distance for o in outcomes),
@@ -750,17 +843,18 @@ def _aggregate_service_summary(outcomes, wall: float) -> dict:
         if values:
             agg[key] = max(values)
     agg["wall_seconds"] = round(wall, 6)
-    return agg
-
-
-def _serve_latency_report(outcomes, wall: float) -> dict:
     latencies = sorted(o.latency_seconds for o in outcomes)
-    return {
-        "p50_latency_seconds": round(_percentile(latencies, 0.50), 6),
-        "p99_latency_seconds": round(_percentile(latencies, 0.99), 6),
-        "queries_per_second": round(len(outcomes) / wall, 3) if wall
-        else float("inf"),
-    }
+    agg["p50_latency_seconds"] = round(_percentile(latencies, 0.50), 6)
+    agg["p99_latency_seconds"] = round(_percentile(latencies, 0.99), 6)
+    agg["queries_per_second"] = round(len(outcomes) / wall, 3) if wall \
+        else float("inf")
+    guarantees = None
+    if args.check_guarantees:
+        verdicts = [bool(o.guarantees_passed) for o in outcomes]
+        guarantees = {"passed": all(verdicts),
+                      "n_queries": len(verdicts),
+                      "n_failed": verdicts.count(False)}
+    return outcomes, agg, guarantees
 
 
 def _http_get(url: str, timeout: float = 5.0):
@@ -940,12 +1034,11 @@ def _cmd_profile(args) -> int:
             out["rows"] = record_profile(payload)
         print(json.dumps(out, sort_keys=True))
     else:
-        title = (f"Kernel profile — {args.run} "
-                 f"({'span trace' if kind == 'spans' else 'run record'})")
-        print(title)
-        print("-" * len(title))
-        print(_format_profile_totals(totals, top=args.top,
-                                     per_call=args.per_call))
+        _section(f"Kernel profile — {args.run} "
+                 f"({'span trace' if kind == 'spans' else 'run record'})",
+                 _format_profile_totals(totals, top=args.top,
+                                        per_call=args.per_call),
+                 lead=False)
     if args.flame is not None:
         lines = collapsed_stacks(rows, weight=args.weight)
         write_collapsed(lines, args.flame)
@@ -976,70 +1069,18 @@ def _cmd_profdiff(args) -> int:
         print(json.dumps({"by": args.by, "a": args.a, "b": args.b,
                           "rows": rows}, sort_keys=True))
         return 0
-    title = f"Kernel profile diff — A={args.a}  B={args.b}  (by {args.by})"
-    print(title)
-    print("-" * len(title))
-    print(format_profile_diff(rows, by=args.by, top=args.top,
-                              per_call=args.per_call))
+    _section(f"Kernel profile diff — A={args.a}  B={args.b}  (by {args.by})",
+             format_profile_diff(rows, by=args.by, top=args.top,
+                                 per_call=args.per_call), lead=False)
     if rows and rows[0][f"delta_{args.by}"] > 0:
         top_row = rows[0]
         change = top_row.get("change")
         change_s = "" if change is None else f" ({change:+.1%})"
+        delta = top_row[f"delta_{args.by}"]
+        delta_s = f"{delta:.4f}" if args.by == "seconds" else f"{delta}"
         print(f"\nhottest regression: {top_row['kernel']} "
-              f"+{top_row[f'delta_{args.by}']:.4f} {args.by}{change_s}"
-              if args.by == "seconds" else
-              f"\nhottest regression: {top_row['kernel']} "
-              f"+{top_row[f'delta_{args.by}']} {args.by}{change_s}")
+              f"+{delta_s} {args.by}{change_s}")
     return 0
-
-
-def _kernel_attribution(baseline: dict, fresh: dict) -> str:
-    """Top-3 kernel wall-clock deltas between two run records, or ``""``
-    when either side predates the kernel profiler (tolerant, so the
-    gate's attribution is best-effort)."""
-    from .obs.profile import diff_profiles, format_profile_diff
-    a = _profile_totals(baseline)
-    b = _profile_totals(fresh)
-    if not a or not b:
-        return ""
-    rows = diff_profiles(a, b, by="seconds")
-    if not rows:
-        return ""
-    return (f"  kernel attribution (hottest delta: {rows[0]['kernel']}):\n"
-            + format_profile_diff(rows, by="seconds", top=3))
-
-
-def _execute_engine(args, engine, distance: str, s, t, label: str):
-    """Run *engine* on ``(s, t)`` under the CLI-configured simulator.
-
-    The simulator is built from the chaos/telemetry flags with the
-    engine's own memory cap; absent any flag it stays ``None`` and the
-    engine builds its canonical simulator — exactly the pre-registry
-    driver behaviour, so ledgers are unchanged by the port.
-    """
-    caps = engine.caps
-    x = getattr(args, "x", None)
-    eps = getattr(args, "eps", None)
-    mem = engine.memory_limit(
-        len(s), x if x is not None else caps.default_x,
-        eps if eps is not None else caps.default_eps)
-    sim = _build_sim(args, mem)
-    request = EngineRequest(
-        distance=distance, s=s, t=t, x=x, eps=eps, seed=args.seed,
-        sim=sim, data_plane=not getattr(args, "no_data_plane", False))
-    eres = _run_traced(sim, label, lambda: engine.solve(request))
-    return eres, sim
-
-
-def _exact_distance(distance: str, s, t) -> int:
-    return ulam_distance(s, t) if distance == "ulam" \
-        else levenshtein(s, t)
-
-
-def _generate_kind(distance: str) -> str:
-    """Input kind for *distance* from the canonical engine's regime."""
-    from .engines import workload_kind
-    return workload_kind(distance)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -1065,64 +1106,8 @@ def main(argv: Optional[List[str]] = None) -> int:
              for r in rows]))
         return 0
 
-    if args.command == "ulam":
-        _enable_metrics()
-        engine = default_engine("ulam")
-        s, t = _load_or_generate(args, "perm")
-        eres, sim = _execute_engine(args, engine, "ulam", s, t, "ulam")
-        exact = _exact_distance("ulam", s, t) if args.exact else None
-        if not args.json:
-            _print_result(engine.caps.title, eres.distance, exact,
-                          eres.stats, eres.extra, show_comm=args.comm)
-        code = _finish_run(args, "ulam", engine, eres, s, t, exact)
-        _finish_telemetry(sim, args)
-        return code
-
-    if args.command == "edit":
-        _enable_metrics()
-        engine = default_engine("edit")
-        s, t = _load_or_generate(args, "str")
-        eres, sim = _execute_engine(args, engine, "edit", s, t, "edit")
-        exact = _exact_distance("edit", s, t) if args.exact else None
-        if not args.json:
-            _print_result(engine.caps.title, eres.distance, exact,
-                          eres.stats, eres.extra, show_comm=args.comm)
-        code = _finish_run(args, "edit", engine, eres, s, t, exact,
-                           extra={"regime": eres.extra["regime"],
-                                  "accepted_guess":
-                                      eres.extra["accepted_guess"]})
-        _finish_telemetry(sim, args)
-        return code
-
-    if args.command == "solve":
-        _enable_metrics()
-        s, t = _load_or_generate(args, _generate_kind(args.distance))
-        if args.engine == "auto":
-            from .registry import read_history
-            request = EngineRequest(
-                distance=args.distance, s=s, t=t, x=args.x,
-                eps=args.eps, guarantee=args.guarantee)
-            try:
-                engine = select_engine(
-                    request, history=read_history(args.history))
-            except NoEngineError as exc:
-                raise SystemExit(f"solve: {exc}")
-        else:
-            engine = get_engine(args.engine)
-        eres, sim = _execute_engine(args, engine, args.distance, s, t,
-                                    f"solve-{engine.caps.name}")
-        exact = _exact_distance(args.distance, s, t) if args.exact \
-            else None
-        if not args.json:
-            _print_result(
-                f"solve[{eres.engine}] — {engine.caps.title}",
-                eres.distance, exact, eres.stats, eres.extra,
-                show_comm=args.comm)
-        code = _finish_run(args, "solve", engine, eres, s, t, exact,
-                           extra={"distance": args.distance,
-                                  "engine_spec": args.engine})
-        _finish_telemetry(sim, args)
-        return code
+    if args.command in _ENGINE_COMMANDS:
+        return _run_engine_command(args)
 
     if args.command == "engines":
         engines = all_engines()
@@ -1158,50 +1143,9 @@ def main(argv: Optional[List[str]] = None) -> int:
              "cost", "paper"], rows))
         return 0
 
-    if args.command == "chaos":
-        from .analysis import format_recovery
-        _enable_metrics()
-        if args.fault_plan is None:
-            args.fault_plan = "crash=0.1,straggle=0.1x4"
-        # Match the plain per-distance subcommands' defaults unless the
-        # user overrode them.
-        default_x, default_eps = _cli_defaults(args.algo)
-        if args.x is None:
-            args.x = default_x
-        if args.eps is None:
-            args.eps = default_eps
-        engine = default_engine(args.algo)
-        s, t = _load_or_generate(args, _generate_kind(args.algo))
-        eres, sim = _execute_engine(args, engine, args.algo, s, t,
-                                    f"chaos-{args.algo}")
-        exact = _exact_distance(args.algo, s, t) if args.exact else None
-        if not args.json:
-            _print_result(f"Chaos run: {engine.caps.title}",
-                          eres.distance, exact, eres.stats,
-                          {"fault_plan": sim.fault_plan.to_spec(),
-                           "retries": args.retries,
-                           "on_exhausted": args.on_exhausted})
-            print()
-            print("Recovery ledger")
-            print("---------------")
-            print(format_recovery(eres.stats))
-        code = _finish_run(args, "chaos", engine, eres, s, t, exact,
-                           extra={"algo": args.algo,
-                                  "fault_plan": sim.fault_plan.to_spec(),
-                                  "retries": args.retries,
-                                  "on_exhausted": args.on_exhausted})
-        _finish_telemetry(sim, args)
-        return code
-
     if args.command == "serve":
         from .registry import append_record, make_record
-        from .service import run_workload
-        _enable_metrics()
-        budget = args.budget if args.budget is not None else args.n // 16
-        queries = _service_workload(args.n, budget, args.seed,
-                                    args.queries, args.algo,
-                                    args.x, args.eps,
-                                    engine=args.engine)
+        budget = _budget(args)
         tracer = _build_tracer(args)
         observer = None
         if args.export is not None:
@@ -1210,33 +1154,23 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"exporter listening on {observer.url} "
                   "(/metrics /healthz /readyz)", file=sys.stderr)
         try:
-            outcomes, wall = run_workload(
-                queries, max_workers=args.workers or None,
+            outcomes, summary, guarantees = _serve_batch(
+                args, args.algo, engine=args.engine,
+                max_workers=args.workers or None,
                 max_concurrent_queries=args.max_queries,
                 max_inflight_rounds=args.max_inflight,
                 data_plane=not args.no_data_plane,
-                check_guarantees=args.check_guarantees,
                 tracer=tracer, observer=observer,
                 hold_seconds=args.export_linger)
         finally:
             if observer is not None:
                 observer.stop()
-        summary = _aggregate_service_summary(outcomes, wall)
-        summary.update(_serve_latency_report(outcomes, wall))
-        guarantees = None
-        if args.check_guarantees:
-            verdicts = [bool(o.guarantees_passed) for o in outcomes]
-            guarantees = {"passed": all(verdicts),
-                          "n_queries": len(verdicts),
-                          "n_failed": verdicts.count(False)}
-        slo_reports = None
+        monitor = None
         if args.slo:
             from .obs import SLOMonitor
             monitor = SLOMonitor()
             for o in outcomes:
                 monitor.observe_outcome(o)
-            slo_reports = [r.to_dict() for r in monitor.reports()]
-            slo_alerts = monitor.alerts()
         if not args.no_history:
             # One history record per query: each carries its own exact
             # ledger and verdict, exactly like a one-shot run would.
@@ -1257,8 +1191,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.json:
             extra = {"queries": args.queries, "algo": args.algo,
                      "workers": args.workers}
-            if slo_reports is not None:
-                extra["slo"] = slo_reports
+            if monitor is not None:
+                extra["slo"] = [r.to_dict() for r in monitor.reports()]
             batch = make_record(
                 "serve",
                 {"n": args.n, "x": args.x, "eps": args.eps,
@@ -1281,48 +1215,23 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(format_kv(
                 f"Service batch ({len(outcomes)} queries, "
                 f"algo={args.algo})", summary))
-            if slo_reports is not None:
-                print()
-                print("SLO burn rates")
-                print("--------------")
-                for rep in slo_reports:
-                    dims = "  ".join(
-                        f"{dim}={row['burn']:.2f}x"
-                        for dim, row in rep["dimensions"].items())
-                    print(f"{rep['engine']:<20} "
-                          f"samples={rep['n_samples']:<4} {dims}  "
-                          + ("ok" if rep["ok"] else "BURNING"))
-                for alert in slo_alerts:
-                    print(f"ALERT: {alert}")
+            if monitor is not None:
+                from .obs.slo import format_burn_rates
+                _section("SLO burn rates", format_burn_rates(monitor))
         if tracer is not None:
             _finish_tracer(tracer, args)
         if guarantees is not None and not guarantees["passed"]:
             return 1
-        if slo_reports is not None and slo_alerts:
+        if monitor is not None and monitor.alerts():
             return 1
         return 0
 
     if args.command == "serve-bench":
         from .registry import append_record, make_record
-        from .service import run_workload
-        _enable_metrics()
-        budget = args.budget if args.budget is not None else args.n // 16
         # The gate configuration is fixed: mixed workload, shared
         # x/eps (valid for both algorithms), serial executor — the
         # gated ledger fields are then deterministic for a seed.
-        queries = _service_workload(args.n, budget, args.seed,
-                                    args.queries, "mixed",
-                                    args.x, args.eps)
-        outcomes, wall = run_workload(
-            queries, check_guarantees=args.check_guarantees)
-        summary = _aggregate_service_summary(outcomes, wall)
-        summary.update(_serve_latency_report(outcomes, wall))
-        guarantees = None
-        if args.check_guarantees:
-            verdicts = [bool(o.guarantees_passed) for o in outcomes]
-            guarantees = {"passed": all(verdicts),
-                          "n_queries": len(verdicts),
-                          "n_failed": verdicts.count(False)}
+        outcomes, summary, guarantees = _serve_batch(args, "mixed")
         # The per-query rows carry everything the SLO gate
         # (tools/check_slo.py) needs to rebuild one sample per query:
         # the deterministic ledger facts plus the clock-derived latency
@@ -1330,9 +1239,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         record = make_record(
             "serve-bench",
             {"n": args.n, "x": args.x, "eps": args.eps,
-             "seed": args.seed, "budget": budget},
+             "seed": args.seed, "budget": _budget(args)},
             summary, guarantees=guarantees,
-            extra={"queries": args.queries,
+            extra={**_record_settings(args),
                    "per_query": [
                        {"query_id": o.query_id, "algo": o.algo,
                         "engine": o.engine,
@@ -1392,11 +1301,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command == "compare":
-        from .registry import (REGRESSION_TOLERANCE, compare_records,
-                               format_comparison, load_baseline,
-                               read_history, record_engine, record_key)
-        tolerance = args.tolerance if args.tolerance is not None \
-            else REGRESSION_TOLERANCE
+        from .registry import (load_baseline, match_baseline, read_history,
+                               record_engine)
         baseline = load_baseline(args.baseline)
         if not baseline:
             raise SystemExit(f"{args.baseline}: no baseline records")
@@ -1404,39 +1310,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.engine:
             history = [r for r in history
                        if record_engine(r) == args.engine]
-        any_regression = False
-        any_match = False
-        for base in baseline:
-            key = record_key(base)
-            matches = [r for r in history if record_key(r) == key]
-            label = (f"{base.get('command')} n={base['params'].get('n')} "
-                     f"x={base['params'].get('x')} "
-                     f"eps={base['params'].get('eps')} "
-                     f"seed={base['params'].get('seed')}")
-            if not matches:
-                print(f"{label}: no matching run in {args.history}")
-                continue
-            any_match = True
-            comparison = compare_records(base, matches[-1],
-                                         tolerance=tolerance)
-            regressed = any(row.get("regressed")
-                            for row in comparison.values())
-            any_regression = any_regression or regressed
-            print(f"{label}: "
-                  + ("REGRESSED" if regressed else "ok"))
-            print(format_comparison(comparison))
-            if regressed:
-                attribution = _kernel_attribution(base, matches[-1])
-                if attribution:
-                    print(attribution)
-        if not any_match:
+        matched, regressed = match_baseline(
+            baseline, history, tolerance=args.tolerance, source=args.history)
+        if not matched:
             raise SystemExit(
                 "no history run matches any baseline record; run the "
                 "baseline configs first (see BENCH_table1.json)")
-        return 1 if any_regression else 0
+        return 1 if regressed else 0
 
     if args.command == "trace":
-        from .analysis import format_skew, format_timeline
         from .mpc import export_chrome_trace, read_jsonl
         spans = read_jsonl(args.path)
         if not spans:
@@ -1463,14 +1345,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             seq = round_sequence(spans)
             if seq:
                 print("round sequence: " + " -> ".join(seq))
-            print()
-        print("Run timeline")
-        print("------------")
-        print(format_timeline(spans))
-        print()
-        print("Straggler analytics")
-        print("-------------------")
-        print(format_skew(spans))
+        _print_skew(spans, lead=args.query is not None)
         if args.chrome is not None:
             export_chrome_trace(spans, args.chrome)
             print(f"\nChrome trace written to {args.chrome} "
@@ -1489,7 +1364,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "lis":
         from .workloads.permutations import apply_moves, random_permutation
-        budget = args.budget if args.budget is not None else args.n // 16
+        budget = _budget(args)
         seq = apply_moves(random_permutation(args.n, seed=args.seed),
                           budget, seed=args.seed + 1)
         res = mpc_lis(seq, x=args.x, eps=args.eps)
@@ -1500,28 +1375,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                        "buckets": res.n_buckets},
                       show_comm=args.comm)
         return 0
-
-    if args.command == "beghs":
-        _enable_metrics()
-        engine = get_engine("beghs")
-        s, t = _load_or_generate(args, "str")
-        eres, sim = _execute_engine(args, engine, "edit", s, t, "beghs")
-        exact = _exact_distance("edit", s, t) if args.exact else None
-        if not args.json:
-            _print_result(engine.caps.title, eres.distance, exact,
-                          eres.stats, eres.extra, show_comm=args.comm)
-        return _finish_run(args, "beghs", engine, eres, s, t, exact)
-
-    if args.command == "hss":
-        _enable_metrics()
-        engine = get_engine("hss")
-        s, t = _load_or_generate(args, "str")
-        eres, sim = _execute_engine(args, engine, "edit", s, t, "hss")
-        exact = _exact_distance("edit", s, t) if args.exact else None
-        if not args.json:
-            _print_result(engine.caps.title, eres.distance, exact,
-                          eres.stats, eres.extra, show_comm=args.comm)
-        return _finish_run(args, "hss", engine, eres, s, t, exact)
 
     if args.command == "profile":
         return _cmd_profile(args)

@@ -52,7 +52,7 @@ __all__ = ["enable", "disable", "profiling_enabled", "enabled",
            "fold_global", "global_profile", "reset_global_profile",
            "kernel_rows", "kernel_totals", "collapsed_stacks",
            "hot_kernels", "diff_profiles", "format_profile_diff",
-           "write_collapsed"]
+           "kernel_attribution", "write_collapsed"]
 
 #: Master switch, read by :class:`repro.mpc.accounting.charge` and
 #: :class:`~repro.mpc.accounting.WorkMeter`; rebound by
@@ -336,6 +336,25 @@ def format_profile_diff(rows: Sequence[Mapping[str, object]],
                      f" {_per_call(vb, row.get('b_calls', 0), by):>11}")
         lines.append(line)
     return "\n".join(lines)
+
+
+def kernel_attribution(baseline: Mapping[str, object],
+                       fresh: Mapping[str, object], top: int = 3) -> str:
+    """Name the kernels behind a change between two run records: their
+    top wall-clock deltas, or ``""`` when either record predates the
+    profiler.  The baseline gate prints it for regressions *and*
+    improvements, so a faster run credits the accelerated kernel just as
+    a slower one blames the responsible kernel."""
+    a = kernel_totals(kernel_rows(baseline))
+    b = kernel_totals(kernel_rows(fresh))
+    rows = diff_profiles(a, b, by="seconds") if a and b else []
+    if not rows:
+        return ""
+    direction = "slower" if rows[0]["delta_seconds"] > 0 else "faster"
+    return (f"  responsible kernels (top {min(top, len(rows))} "
+            f"wall-clock deltas; hottest: {rows[0]['kernel']}, "
+            f"{direction}):\n"
+            + format_profile_diff(rows, by="seconds", top=top))
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from typing import Deque, Dict, List, Mapping, Optional
 
 __all__ = ["SLO", "QuerySample", "SLOReport", "SLOMonitor",
            "default_slos", "burn_rate", "sample_from_outcome",
-           "sample_from_record"]
+           "sample_from_record", "format_burn_rates"]
 
 #: Default objective: 99 % of queries meet every budget.
 DEFAULT_OBJECTIVE = 0.99
@@ -283,3 +283,18 @@ class SLOMonitor:
                         f"({row['bad']}/{row['evaluated']} queries over "
                         f"budget, objective {report.objective:.0%})")
         return out
+
+
+def format_burn_rates(monitor: SLOMonitor) -> str:
+    """The burn-rate table of ``serve --slo`` and the SLO gate: one row
+    per engine (samples, burn per dimension, ok/BURNING), then one
+    ``ALERT:`` line per dimension burning over budget."""
+    lines = []
+    for report in monitor.reports():
+        dims = "  ".join(f"{dim}={row['burn']:.2f}x"
+                         for dim, row in report.dimensions.items())
+        lines.append(f"{report.engine:<20} "
+                     f"samples={report.n_samples:<4} {dims}  "
+                     + ("ok" if report.ok else "BURNING"))
+    lines += [f"ALERT: {alert}" for alert in monitor.alerts()]
+    return "\n".join(lines)

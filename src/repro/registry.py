@@ -18,6 +18,13 @@ Two consumers:
   more than :data:`REGRESSION_TOLERANCE` on any gated metric or
   violates a guarantee.
 
+Both gate through one loop, :func:`match_baseline`.  A record maps back
+to the command line that reproduces it through one table,
+:data:`REPLAY_FIELDS`: :func:`record_key` (which runs are comparable),
+:func:`replay_argv` (how to re-run one) and the CLI's record extras are
+all read from it, so a setting that tells two runs apart is also one a
+replay passes on.
+
 Reading is tolerant of a truncated final line (a run killed mid-append),
 mirroring :func:`repro.mpc.telemetry.read_jsonl`.
 """
@@ -27,13 +34,15 @@ from __future__ import annotations
 import json
 import os
 import subprocess
+import sys
 from typing import Dict, List, Optional, Tuple
 
 __all__ = ["SCHEMA_VERSION", "DEFAULT_HISTORY_PATH", "GATED_METRICS",
            "REGRESSION_TOLERANCE", "git_sha", "utc_timestamp",
            "make_record", "record_engine", "record_profile",
            "append_record", "read_history",
-           "record_key", "filter_since",
+           "REPLAY_FIELDS", "record_key", "replay_argv",
+           "replay", "filter_since",
            "load_baseline", "match_baseline", "compare_records",
            "format_record", "format_comparison"]
 
@@ -187,15 +196,73 @@ def read_history(path: str) -> List[dict]:
 # ---------------------------------------------------------------------------
 # Baseline matching and comparison
 
-#: Params that identify "the same experiment" across commits.
-_KEY_PARAMS = ("n", "x", "eps", "seed", "budget")
+#: The ``params`` every replayable run records, each with the CLI flag
+#: that sets it: they identify "the same experiment" across commits.
+_REPLAY_PARAMS = (("n", "--n"), ("x", "--x"), ("eps", "--eps"),
+                 ("seed", "--seed"), ("budget", "--budget"))
+
+#: Replayable commands -> the top-level record fields (beyond the
+#: params above) that are settings of the run, each with its
+#: CLI flag.  Outputs such as ``edit``'s ``regime`` are not listed.
+REPLAY_FIELDS: Dict[str, Tuple[Tuple[str, str], ...]] = {
+    "ulam": (), "edit": (), "hss": (), "beghs": (),
+    "solve": (("distance", "--distance"), ("engine_spec", "--engine")),
+    "chaos": (("algo", "--algo"), ("fault_plan", "--fault-plan"),
+              ("retries", "--retries"), ("on_exhausted", "--on-exhausted")),
+    "serve-bench": (("queries", "--queries"),),
+}
 
 
 def record_key(record: dict) -> Tuple:
-    """Identity key: same command + same key params = comparable runs."""
+    """Identity key: same command + same settings = comparable runs."""
+    command = record.get("command")
     params = record.get("params", {})
-    return (record.get("command"),) + tuple(
-        params.get(k) for k in _KEY_PARAMS)
+    return ((command,)
+            + tuple(params.get(field) for field, _ in _REPLAY_PARAMS)
+            + tuple(record.get(field)
+                    for field, _ in REPLAY_FIELDS.get(command, ())))
+
+
+def replay_argv(record: dict) -> List[str]:
+    """The ``repro`` argv that re-runs *record*'s configuration.
+
+    Settings the record holds as ``None`` (e.g. ``solve``'s engine-default
+    x/eps) are left out, so the CLI fills in the same defaults the
+    recorded run used.  Raises ``ValueError`` for commands without a
+    :data:`REPLAY_FIELDS` entry.
+    """
+    command = record.get("command")
+    if command not in REPLAY_FIELDS:
+        raise ValueError(f"{command!r} records cannot be replayed")
+    argv = [command]
+    for source, fields in ((record.get("params", {}), _REPLAY_PARAMS),
+                           (record, REPLAY_FIELDS[command])):
+        for field, flag in fields:
+            if source.get(field) is not None:
+                argv += [flag, str(source[field])]
+    return argv
+
+
+def replay(argv: List[str], cwd: Optional[str] = None) -> dict:
+    """Run ``python -m repro <argv> --json --no-history
+    --check-guarantees`` on this package's source; return its record.
+
+    A guarantee violation exits 1 but still prints the record (its
+    ``guarantees`` block carries the verdict), so only a run that prints
+    no record raises.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    cmd = [sys.executable, "-m", "repro", *argv,
+           "--json", "--no-history", "--check-guarantees"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env,
+                          cwd=cwd, timeout=600)
+    out = proc.stdout.strip()
+    if not out:
+        raise RuntimeError(f"{' '.join(cmd)} produced no record "
+                           f"(exit {proc.returncode}):\n{proc.stderr}")
+    return json.loads(out.splitlines()[-1])
 
 
 def filter_since(records: List[dict], since: str) -> List[dict]:
@@ -224,13 +291,41 @@ def load_baseline(path: str) -> List[dict]:
     return read_history(path)
 
 
-def match_baseline(record: dict, baseline: List[dict]) -> Optional[dict]:
-    """The baseline record with the same identity key, if any."""
-    key = record_key(record)
-    for cand in baseline:
-        if record_key(cand) == key:
-            return cand
-    return None
+def match_baseline(baseline: List[dict], fresh: List[dict],
+                   tolerance: float = REGRESSION_TOLERANCE,
+                   source: str = "the fresh records"
+                   ) -> Tuple[List[dict], bool]:
+    """The baseline gate of ``repro compare`` and the regression tool.
+
+    Matches every baseline record to the newest *fresh* record with the
+    same :func:`record_key`, compares the two (:func:`compare_records`)
+    and prints the verdict, the comparison table and the kernel
+    attribution.  Returns the matched fresh records and whether any of
+    them regressed.
+    """
+    from .obs.profile import kernel_attribution
+    matched: List[dict] = []
+    regressed = False
+    for base in baseline:
+        params = base.get("params", {})
+        label = (f"{base.get('command')} n={params.get('n')} "
+                 f"x={params.get('x')} eps={params.get('eps')} "
+                 f"seed={params.get('seed')}")
+        key = record_key(base)
+        matches = [r for r in fresh if record_key(r) == key]
+        if not matches:
+            print(f"{label}: no matching run in {source}")
+            continue
+        matched.append(matches[-1])
+        comparison = compare_records(base, matches[-1], tolerance=tolerance)
+        bad = any(row.get("regressed") for row in comparison.values())
+        regressed = regressed or bad
+        print(f"{label}: " + ("REGRESSED" if bad else "ok"))
+        print(format_comparison(comparison))
+        attribution = kernel_attribution(base, matches[-1])
+        if attribution:
+            print(attribution)
+    return matched, regressed
 
 
 def compare_records(baseline: dict, fresh: dict,

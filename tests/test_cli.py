@@ -45,8 +45,23 @@ class TestParser:
         (["serve", "--x", "0.45"], "repro: error: argument --x"),
         (["chaos", "--algo", "ulam", "--x", "nan"],
          "repro: error: argument --x"),
+        (["serve-bench", "--x", "0.7"],
+         "repro serve-bench: error: argument --x"),
+        (["serve-bench", "--x", "0"],
+         "repro serve-bench: error: argument --x"),
+        (["hss", "--x", "0.6"], "repro hss: error: argument --x"),
+        (["ulam", "--n", "0"], "repro ulam: error: argument --n"),
+        (["edit", "--n", "-5"], "repro edit: error: argument --n"),
+        (["serve", "--workers", "-1"],
+         "repro serve: error: argument --workers"),
+        (["lis", "--x", "0"], "repro lis: error: argument --x"),
+        (["table1", "--x", "2"], "repro table1: error: argument --x"),
+        (["history", "--limit", "-1"],
+         "repro history: error: argument --limit"),
     ], ids=["ulam-eps", "ulam-x", "edit-eps", "edit-x", "serve-eps",
-            "serve-x", "chaos-x"])
+            "serve-x", "chaos-x", "serve-bench-x", "serve-bench-x0",
+            "hss-x", "ulam-n0", "edit-n-neg", "serve-workers-neg",
+            "lis-x0", "table1-x2", "history-limit-neg"])
     def test_bad_x_eps_are_usage_errors(self, capsys, argv, prefix):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -478,6 +493,21 @@ class TestRegistryCommands:
             main(["compare", "--baseline", str(base),
                   "--history", str(tmp_path / "other.jsonl")])
 
+    def test_compare_never_matches_runs_of_another_distance(
+            self, tmp_path, capsys):
+        # Same n/seed/budget and engine-default x/eps, different
+        # --distance: the runs are not the same experiment.
+        base_hist = tmp_path / "base.jsonl"
+        hist = tmp_path / "h.jsonl"
+        for distance, path in (("edit", base_hist), ("ulam", hist)):
+            assert main(["solve", "--distance", distance, "--n", "64",
+                         "--budget", "4", "--history", str(path)]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit, match="no history run matches"):
+            main(["compare", "--baseline", str(base_hist),
+                  "--history", str(hist)])
+        assert "no matching run" in capsys.readouterr().out
+
     def test_compare_missing_baseline_records(self, tmp_path):
         base = tmp_path / "empty.json"
         base.write_text("[]")
@@ -575,7 +605,8 @@ class TestServeCommands:
                                                               capsys):
         # tools/check_regression.py replays records as `python -m repro
         # <command> --n --x --eps --seed --budget ...`; the serve-bench
-        # parser must accept exactly that argv and reproduce the key.
+        # parser must accept exactly that argv and reproduce the key,
+        # whose last field is the --queries setting.
         assert main(["serve-bench", "--n", "96", "--x", "0.25",
                      "--eps", "0.5", "--seed", "0", "--json",
                      "--no-history", "--check-guarantees",
@@ -583,7 +614,7 @@ class TestServeCommands:
         record = json.loads(capsys.readouterr().out)
         from repro.registry import GATED_METRICS, record_key
         assert record_key(record) == (
-            "serve-bench", 96, 0.25, 0.5, 0, 6)
+            "serve-bench", 96, 0.25, 0.5, 0, 6, 4)
         for metric in GATED_METRICS:
             assert isinstance(record["summary"][metric], int), metric
 
@@ -700,3 +731,81 @@ class TestEngineCommands:
                      "--engine", "ako-polylog"]) == 0
         out = capsys.readouterr().out
         assert "ako-polylog" in out and "exact-edit" not in out
+
+
+#: Fields of a run record that come from the clock or the checkout.
+_CLOCK_FIELDS = ("timestamp", "git_sha")
+
+
+def _deterministic(record: dict) -> dict:
+    """*record* without its clock-derived fields (timestamp, git SHA,
+    wall seconds, per-kernel seconds and the slowest machine)."""
+    out = {k: v for k, v in record.items() if k not in _CLOCK_FIELDS}
+    summary = dict(out["summary"])
+    summary.pop("wall_seconds")
+    summary["profile"] = [
+        {k: v for k, v in row.items()
+         if k not in ("seconds", "max_seconds", "max_machine")}
+        for row in summary.get("profile", [])]
+    out["summary"] = summary
+    return out
+
+
+class TestReplay:
+    """Every record-writing subcommand maps back to its own argv."""
+
+    @pytest.mark.parametrize("argv", [
+        ["ulam", "--n", "96", "--x", "0.3", "--eps", "0.75", "--seed", "3",
+         "--budget", "5"],
+        ["edit", "--n", "96", "--x", "0.2", "--eps", "1.5", "--seed", "2",
+         "--budget", "5"],
+        ["hss", "--n", "64", "--x", "0.2", "--eps", "1.5", "--seed", "1",
+         "--budget", "3"],
+        # beghs ignores x (its record holds None), so x stays default.
+        ["beghs", "--n", "64", "--eps", "2.0", "--seed", "1",
+         "--budget", "3"],
+        ["chaos", "--algo", "edit", "--n", "64", "--x", "0.2",
+         "--eps", "1.5", "--seed", "2", "--budget", "3",
+         "--fault-plan", "crash=0.1,seed=5", "--retries", "4",
+         "--on-exhausted", "drop"],
+        ["solve", "--distance", "ulam", "--engine", "ulam-mpc",
+         "--n", "96", "--x", "0.3", "--eps", "0.75", "--seed", "3",
+         "--budget", "5"],
+        ["serve-bench", "--n", "64", "--x", "0.2", "--eps", "0.75",
+         "--seed", "1", "--budget", "3", "--queries", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_replay_argv_parses_to_the_same_arguments(self, argv, capsys):
+        from repro.registry import record_key, replay_argv
+        tail = ["--json", "--no-history"]
+        assert main(argv + tail) == 0
+        record = json.loads(capsys.readouterr().out.strip())
+        replayed = replay_argv(record)
+        parser = build_parser()
+        assert vars(parser.parse_args(replayed + tail)) \
+            == vars(parser.parse_args(argv + tail))
+        assert main(replayed + tail) == 0
+        again = json.loads(capsys.readouterr().out.strip())
+        assert record_key(again) == record_key(record)
+
+    @pytest.mark.parametrize("alias, distance, engine", [
+        ("ulam", "ulam", "ulam-mpc"), ("edit", "edit", "edit-mpc"),
+        ("hss", "edit", "hss"), ("beghs", "edit", "beghs")])
+    def test_aliases_are_solve_with_a_pinned_engine(self, alias, distance,
+                                                    engine, capsys):
+        flags = ["--x", "0.25", "--eps", "1.0", "--n", "64", "--seed", "2",
+                 "--budget", "3", "--json", "--no-history"]
+        assert main([alias] + flags) == 0
+        via_alias = _deterministic(json.loads(capsys.readouterr().out))
+        assert main(["solve", "--distance", distance, "--engine", engine]
+                    + flags) == 0
+        via_solve = _deterministic(json.loads(capsys.readouterr().out))
+        assert via_alias.pop("command") == alias
+        assert via_solve.pop("command") == "solve"
+        assert via_solve.pop("distance") == distance
+        assert via_solve.pop("engine_spec") == engine
+        # edit's record also keeps its regime and accepted guess.
+        if alias == "edit":
+            assert via_alias.pop("regime") in ("small", "large")
+            assert via_alias.pop("accepted_guess") >= 0
+        assert via_alias == via_solve
+

@@ -333,7 +333,8 @@ class TestRegressionAttribution:
         out = capsys.readouterr().out
         assert code == 1
         assert "REGRESSED" in out
-        assert "kernel attribution (hottest delta: ulam_sparse)" in out
+        assert "responsible kernels" in out
+        assert "hottest: ulam_sparse, slower" in out
 
 
 class TestProfileCLI:

@@ -9,7 +9,7 @@ from repro.registry import (GATED_METRICS, REGRESSION_TOLERANCE,
                             format_comparison, format_record, git_sha,
                             load_baseline, make_record, match_baseline,
                             read_history, record_key, record_profile,
-                            utc_timestamp)
+                            replay_argv, utc_timestamp)
 
 
 def _record(command="ulam", n=256, x=0.4, eps=0.5, seed=0, budget=8,
@@ -197,11 +197,43 @@ class TestBaselines:
         assert record_key(_record(seed=1)) != record_key(_record(seed=0))
         assert record_key(_record(command="edit")) != record_key(_record())
 
-    def test_match_baseline(self):
+    def test_record_key_includes_command_settings(self):
+        solve = _record(command="solve")
+        assert record_key(dict(solve, distance="edit")) \
+            != record_key(dict(solve, distance="ulam"))
+        assert record_key(dict(solve, engine_spec="auto")) \
+            != record_key(dict(solve, engine_spec="hss"))
+        chaos = _record(command="chaos")
+        assert record_key(dict(chaos, algo="ulam")) \
+            != record_key(dict(chaos, algo="edit"))
+        bench = _record(command="serve-bench")
+        assert record_key(dict(bench, queries=8)) \
+            != record_key(dict(bench, queries=4))
+
+    def test_replay_argv(self):
+        record = dict(_record(command="solve", x=None, eps=None),
+                      distance="ulam", engine_spec="auto")
+        assert replay_argv(record) == [
+            "solve", "--n", "256", "--seed", "0", "--budget", "8",
+            "--distance", "ulam", "--engine", "auto"]
+        with pytest.raises(ValueError, match="cannot be replayed"):
+            replay_argv(_record(command="serve"))
+
+    def test_match_baseline(self, capsys):
         baseline = [_record(seed=0), _record(seed=1)]
-        hit = match_baseline(_record(seed=1), baseline)
-        assert hit is baseline[1]
-        assert match_baseline(_record(seed=9), baseline) is None
+        fresh = [_record(seed=1, total_work=2000), _record(seed=1),
+                 _record(seed=9)]
+        matched, regressed = match_baseline(baseline, fresh,
+                                            source="h.jsonl")
+        # The newest record with the baseline's key is the one compared.
+        assert len(matched) == 1 and matched[0] is fresh[1]
+        assert not regressed
+        out = capsys.readouterr().out
+        assert "seed=0: no matching run in h.jsonl" in out
+        assert "seed=1: ok" in out
+        matched, regressed = match_baseline(baseline, fresh[:1])
+        assert matched == [fresh[0]] and regressed
+        assert "seed=1: REGRESSED" in capsys.readouterr().out
 
     def test_load_baseline_json_list(self, tmp_path):
         path = tmp_path / "b.json"

@@ -2,14 +2,15 @@
 """Perf-regression gate: replay the committed baseline and compare.
 
 For every record in the baseline file (``BENCH_table1.json``) this tool
-re-runs the same configuration — derived from the record's own
-``command`` and ``params`` — via ``python -m repro <cmd> --json
---no-history --check-guarantees`` and compares the fresh run against
-the baseline with :func:`repro.registry.compare_records`.  The gate
-fails (exit 1) when any gated metric (total work, parallel work,
-communication words, memory high-water) regresses by more than the
-tolerance (default 15 %) or when the fresh run violates a paper
-guarantee.
+re-runs the same configuration — the argv
+:func:`repro.registry.replay_argv` derives from the record — via
+``python -m repro <argv> --json --no-history --check-guarantees`` and
+gates the fresh runs with :func:`repro.registry.match_baseline`, the
+same loop as ``repro compare``.  The gate fails (exit 1) when any
+gated metric (total work, parallel work, communication words, memory
+high-water) regresses by more than the tolerance (default 15 %), when
+a fresh run violates a paper guarantee, or when a replay does not
+reproduce its record's identity key.
 
 Abstract work and word counts are deterministic for a fixed seed, so
 this is a *logic* gate, not a wall-clock benchmark — it runs in
@@ -37,84 +38,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
-import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from repro.obs.profile import (diff_profiles, format_profile_diff,  # noqa: E402
-                               kernel_rows, kernel_totals)
-from repro.registry import (REGRESSION_TOLERANCE, compare_records,  # noqa: E402
-                            format_comparison, load_baseline, record_key)
-
-
-def kernel_attribution(base: dict, fresh: dict, top: int = 3) -> str:
-    """Name the kernels responsible for a change: top wall-clock deltas
-    between the two records' kernel profiles.  Best-effort — returns
-    ``""`` when either record predates the profiler.  Printed for
-    regressions *and* improvements: a faster run should credit the
-    accelerated kernel (e.g. a batched kernel landing) just as a slower
-    one blames the responsible kernel."""
-    a = kernel_totals(kernel_rows(base))
-    b = kernel_totals(kernel_rows(fresh))
-    if not a or not b:
-        return ""
-    rows = diff_profiles(a, b, by="seconds")
-    if not rows:
-        return ""
-    direction = ("slower" if rows[0]["delta_seconds"] > 0 else "faster")
-    return (f"  responsible kernels (top {min(top, len(rows))} "
-            f"wall-clock deltas; hottest: {rows[0]['kernel']}, "
-            f"{direction}):\n"
-            + format_profile_diff(rows, by="seconds", top=top))
-
-
-def run_config(record: dict) -> dict:
-    """Re-run one baseline record's configuration; return the fresh record.
-
-    The subprocess exits 1 on a guarantee violation but still prints the
-    record — the violation is gated via the record's ``guarantees``
-    block, so the exit code is only fatal when no record was produced.
-    """
-    params = record["params"]
-    cmd = [sys.executable, "-m", "repro", record["command"],
-           "--n", str(params["n"]), "--seed", str(params["seed"]),
-           "--json", "--no-history", "--check-guarantees"]
-    # ``solve`` records default x/eps to the engine's own values, so the
-    # params may legitimately be None — omit the flags and let the
-    # engine fill them, exactly as the recorded run did.
-    if params.get("x") is not None:
-        cmd += ["--x", str(params["x"])]
-    if params.get("eps") is not None:
-        cmd += ["--eps", str(params["eps"])]
-    if params.get("budget") is not None:
-        cmd += ["--budget", str(params["budget"])]
-    if record["command"] == "solve":
-        cmd += ["--distance", str(record.get("distance", "edit")),
-                "--engine", str(record.get("engine_spec", "auto"))]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep \
-        + env.get("PYTHONPATH", "")
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=env,
-                          cwd=str(ROOT), timeout=600)
-    out = proc.stdout.strip()
-    if not out:
-        raise RuntimeError(
-            f"{' '.join(cmd)} produced no record "
-            f"(exit {proc.returncode}):\n{proc.stderr}")
-    return json.loads(out.splitlines()[-1])
-
-
-def load_records(path: str) -> list:
-    """Records from a JSON list or JSONL file."""
-    text = pathlib.Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("["):
-        return json.loads(text)
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
+from repro.registry import (REGRESSION_TOLERANCE, load_baseline,  # noqa: E402
+                            match_baseline, replay, replay_argv)
 
 
 def main(argv=None) -> int:
@@ -139,39 +70,21 @@ def main(argv=None) -> int:
         print(f"{args.baseline}: no baseline records", file=sys.stderr)
         return 2
 
-    fresh_records = load_records(args.record) if args.record else None
-
-    failed = False
-    kept = []
-    for base in baseline:
-        params = base.get("params", {})
-        label = (f"{base.get('command')} n={params.get('n')} "
-                 f"x={params.get('x')} eps={params.get('eps')} "
-                 f"seed={params.get('seed')}")
-        if fresh_records is not None:
-            matches = [r for r in fresh_records
-                       if record_key(r) == record_key(base)]
-            if not matches:
-                print(f"{label}: no matching record in {args.record}")
-                continue
-            fresh = matches[-1]
-        else:
-            fresh = run_config(base)
-        kept.append(fresh)
-        comparison = compare_records(base, fresh,
-                                     tolerance=args.tolerance)
-        regressed = any(row.get("regressed")
-                        for row in comparison.values())
-        failed = failed or regressed
-        print(f"{label}: " + ("REGRESSED" if regressed else "ok"))
-        print(format_comparison(comparison))
-        attribution = kernel_attribution(base, fresh)
-        if attribution:
-            print(attribution)
+    if args.record:
+        fresh, source = load_baseline(args.record), args.record
+    else:
+        fresh = [replay(replay_argv(base), cwd=str(ROOT))
+                 for base in baseline]
+        source = "the replay"
+    kept, failed = match_baseline(baseline, fresh,
+                                  tolerance=args.tolerance, source=source)
 
     if not kept:
         print("no configuration was compared", file=sys.stderr)
         return 2
+    if not args.record and len(kept) < len(baseline):
+        # A replay that does not reproduce its record's key went wrong.
+        failed = True
     if args.keep_record:
         with open(args.keep_record, "w", encoding="utf-8") as fh:
             for record in kept:

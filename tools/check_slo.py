@@ -33,18 +33,15 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import pathlib
-import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from repro.obs.slo import (SLOMonitor, default_slos,  # noqa: E402
-                           sample_from_record)
-from repro.registry import load_baseline  # noqa: E402
+                           format_burn_rates, sample_from_record)
+from repro.registry import load_baseline, replay, replay_argv  # noqa: E402
 
 #: One-shot baseline commands that replay into one SLO sample each.
 ONE_SHOT_COMMANDS = ("ulam", "edit", "chaos", "solve")
@@ -61,60 +58,20 @@ DROP_INJECTION = ["chaos", "--algo", "ulam", "--n", "128",
                   "--seed", "0"]
 
 
-def run_cli(cli_args: list) -> dict:
-    """Run ``python -m repro <cli_args> --json``; return the run record.
-
-    Guarantee violations exit 1 but still print the record — the SLO
-    monitor judges them via the record's ``guarantees`` block, so the
-    exit code is only fatal when no record came out at all.
-    """
-    cmd = [sys.executable, "-m", "repro"] + cli_args \
-        + ["--json", "--no-history", "--check-guarantees"]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep \
-        + env.get("PYTHONPATH", "")
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=env,
-                          cwd=str(ROOT), timeout=600)
-    out = proc.stdout.strip()
-    if not out:
-        raise RuntimeError(
-            f"{' '.join(cmd)} produced no record "
-            f"(exit {proc.returncode}):\n{proc.stderr}")
-    return json.loads(out.splitlines()[-1])
-
-
-def replay_args(record: dict) -> list:
-    """The CLI argv that reproduces one baseline record's configuration."""
-    params = record["params"]
-    out = [record["command"], "--n", str(params["n"]),
-           "--seed", str(params["seed"])]
-    if params.get("x") is not None:
-        out += ["--x", str(params["x"])]
-    if params.get("eps") is not None:
-        out += ["--eps", str(params["eps"])]
-    if params.get("budget") is not None:
-        out += ["--budget", str(params["budget"])]
-    if record["command"] == "solve":
-        out += ["--distance", str(record.get("distance", "edit")),
-                "--engine", str(record.get("engine_spec", "auto"))]
-    if record["command"] == "serve-bench":
-        out += ["--queries", str(record.get("queries", 8))]
-    return out
-
-
 def collect_samples(baseline: list) -> list:
     """Replay the baseline; return ``(label, QuerySample)`` pairs."""
     samples = []
     for record in baseline:
         command = record.get("command")
+        if command != "serve-bench" and command not in ONE_SHOT_COMMANDS:
+            continue
+        fresh = replay(replay_argv(record), cwd=str(ROOT))
         if command == "serve-bench":
-            fresh = run_cli(replay_args(record))
             for row in fresh.get("per_query", []):
                 label = (f"serve-bench q{row.get('query_id')} "
                          f"{row.get('engine')}")
                 samples.append((label, sample_from_record(row)))
-        elif command in ONE_SHOT_COMMANDS:
-            fresh = run_cli(replay_args(record))
+        else:
             label = (f"{command} n={record['params'].get('n')} "
                      f"{fresh.get('engine', '')}")
             samples.append((label, sample_from_record(fresh)))
@@ -144,7 +101,7 @@ def main(argv=None) -> int:
 
     samples = collect_samples(baseline)
     if args.inject_drop:
-        record = run_cli(list(DROP_INJECTION))
+        record = replay(DROP_INJECTION, cwd=str(ROOT))
         samples.append(("injected drop-mode chaos",
                         sample_from_record(record)))
     if not samples:
@@ -160,16 +117,9 @@ def main(argv=None) -> int:
               + ("VIOLATES " + ",".join(bad) if bad else "ok"))
 
     print()
-    for report in monitor.reports():
-        dims = "  ".join(f"{dim}={row['burn']:.2f}x"
-                         for dim, row in report.dimensions.items())
-        print(f"{report.engine:<20} samples={report.n_samples:<4} "
-              f"{dims}  " + ("ok" if report.ok else "BURNING"))
+    print(format_burn_rates(monitor))
     alerts = monitor.alerts()
     if alerts:
-        print()
-        for alert in alerts:
-            print(f"ALERT: {alert}")
         print(f"\nSLO gate FAILED ({len(alerts)} dimension(s) burning "
               "over budget)")
         return 1
