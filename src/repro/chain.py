@@ -30,6 +30,13 @@ ordered by ``ℓ`` and a tuple ``b`` may precede ``a`` only if
 Every rule prices an explicit transformation, so every DP value is a
 valid upper bound on the true distance; the empty chain (``max(n_s,
 n_t)`` resp. ``n_s + n_t``) is always available.
+
+The DP is charged ``O(m²)`` work for ``m`` tuples, as Algorithm 2 states
+it, but runs as one vector step per group of tuples sharing ``ℓ``: what
+an earlier tuple costs a group's rows is one or two linear pieces of
+``γ``, each on a run of those rows, and one running minimum or reverse
+sparse table per piece takes the minimum over every earlier tuple at
+once.
 """
 
 from __future__ import annotations
@@ -39,7 +46,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .mpc.accounting import add_work
-from .strings.types import INF
 
 __all__ = ["Tuple5", "WORDS_PER_TUPLE", "TupleTable", "shipping_cap",
            "chain_tuples", "combine_tuples", "run_combine_machine"]
@@ -195,12 +201,14 @@ def chain_tuples(tuples: Union[TupleTable, Sequence[Tuple5]], n_s: int,
     transformation won.  Tuples given as a list are checked
     (:meth:`TupleTable.checked`).
 
-    The DP is ``O(m²)`` in the number of tuples — the charged work, as
-    Algorithm 2 states it — but runs as ``m`` whole-vector NumPy steps,
-    which is what makes the paper's ``Õ_ε(n^2x)`` phase-2 budget
-    practical here.  Tuples are taken in stable ``(ℓ, γ)`` order, and
-    ties between equally cheap predecessors go to the first in that
-    order.
+    The charged work is ``O(m²)`` in the number of tuples, as Algorithm 2
+    states it.  The run takes one vector step per *group* of tuples —
+    a run of equal ``ℓ`` in ``(ℓ, γ)`` order, closed after a zero-length
+    block — since no tuple of a group can precede another, and every
+    earlier tuple's value is final by then.  Overlapping and empty
+    blocks need nothing else.  Tuples are taken in stable ``(ℓ, γ)``
+    order, and ties between equally cheap predecessors go to the first
+    in that order: every minimum is taken over ``value·2^S + index``.
     """
     if mode not in ("max", "sum", "overlap"):
         raise ValueError(f"unknown gap mode {mode!r}")
@@ -213,35 +221,34 @@ def chain_tuples(tuples: Union[TupleTable, Sequence[Tuple5]], n_s: int,
     L, R, SP, EP, D = (np.ascontiguousarray(col) for col in rows.T)
     add_work(m * m)
 
+    # Every chain through a tuple costs at least its score, and every
+    # head is at most the empty chain: a tuple scoring that much never
+    # improves a successor, so capping scores there changes no parent
+    # and no returned cost.  It bounds every DP value by 2·empty_chain,
+    # and the guard keeps the packed keys below clear of int64 overflow.
+    shift = m.bit_length()
+    if (n_s + n_t) << (shift + 3) >= 1 << 62:
+        raise ValueError(f"strings of lengths {n_s} and {n_t} are too "
+                         f"long to chain {m} tuples")
+    D = np.minimum(D, empty_chain)
     best = (np.maximum(L, SP) if mode == "max" else L + SP) + D
     parent = np.full(m, -1, dtype=np.int64)
-    # A predecessor's window must end (start, under the overlap rule) at
-    # or before this tuple's window starts.
-    win_order = SP if mode == "overlap" else EP
-    # Chaining b → a costs best_b + gap(b, a), split as leave_b + step(b,
-    # a) + enter_a with leave_b fixed once best_b is: the sum rule
-    # separates completely (step 0), the overlap rule keeps
-    # |γ_a - κ_b| and the max rule the whole gap.
-    exit_cost, enter = {"max": (0 * L, 0 * L), "sum": (R + EP, L + SP),
-                        "overlap": (R, L)}[mode]
-    leave = best - exit_cost
-    l_at, sp_at, d_at = L.tolist(), SP.tolist(), D.tolist()
-    exit_at, enter_at = exit_cost.tolist(), enter.tolist()
-    for a in range(1, m):
-        ok = (R[:a] <= l_at[a]) & (win_order[:a] <= sp_at[a])
-        if mode == "max":
-            step = leave[:a] + np.maximum(l_at[a] - R[:a], sp_at[a] - EP[:a])
-        elif mode == "sum":
-            step = leave[:a]
-        else:
-            step = leave[:a] + np.abs(sp_at[a] - EP[:a])
-        cand = np.where(ok, step, INF)
-        k = int(cand.argmin())
-        value = int(cand[k]) + enter_at[a] + d_at[a]
-        if value < best[a]:
-            best[a] = value
-            leave[a] = value - exit_at[a]
-            parent[a] = k
+    # Chaining b → a costs best_b + gap(b, a) + d_a; the part of the gap
+    # that depends on a alone is added after the minimum.
+    enter = {"max": 0 * L, "sum": L + SP, "overlap": L}[mode]
+    starts = np.flatnonzero(np.r_[True, (L[1:] != L[:-1])
+                                  | (L[:-1] == R[:-1])])
+    for g0, g1 in zip(starts.tolist(), starts[1:].tolist() + [m]):
+        pred = np.flatnonzero(R[:g0] <= L[g0])
+        if not pred.size:
+            continue
+        packed = _cheapest_predecessors(mode, int(L[g0]), SP[g0:g1], best,
+                                        R, SP, EP, pred, shift)
+        value = (packed >> shift) + enter[g0:g1] + D[g0:g1]
+        better = value < best[g0:g1]
+        best[g0:g1] = np.where(better, value, best[g0:g1])
+        parent[g0:g1] = np.where(better, packed & ((1 << shift) - 1),
+                                 parent[g0:g1])
 
     if mode == "max":
         tails = np.maximum(n_s - R, n_t - EP)
@@ -257,6 +264,80 @@ def chain_tuples(tuples: Union[TupleTable, Sequence[Tuple5]], n_s: int,
         picked.append(a)
         a = int(parent[a])
     return cost, list(map(tuple, rows[picked[::-1]].tolist()))
+
+
+#: Packed key of "no predecessor": above every real key, with room to
+#: add or subtract a shifted window start without wrapping.
+_NO_KEY = 1 << 62
+
+
+def _cheapest_predecessors(mode: str, ell: int, sp: np.ndarray,
+                           best: np.ndarray, R: np.ndarray, SP: np.ndarray,
+                           EP: np.ndarray, pred: np.ndarray, shift: int
+                           ) -> np.ndarray:
+    """For each row of one group — block start *ell*, window starts *sp*
+    in ascending order — the cheapest predecessor among rows *pred*, as
+    the packed key ``(best_b + gap(b, a) − enter_a)·2^shift + b``.
+
+    Each predecessor's cost is one linear piece of ``γ_a`` on a run of
+    the group's rows (a run of slots), so every rule is a few
+    :func:`_cover_min` calls over those runs:
+
+    * sum: ``best_b − r_b − κ_b`` for rows with ``γ_a ≥ κ_b``;
+    * max: with the block gap ``c = ℓ − r_b``, ``best_b + c`` while
+      ``κ_b ≤ γ_a ≤ κ_b + c``, then ``best_b − κ_b + γ_a``;
+    * overlap: ``best_b − r_b − κ_b + γ_a`` once ``γ_a ≥ κ_b``, and
+      ``best_b − r_b + κ_b − γ_a`` for ``γ_b ≤ γ_a < κ_b``.
+    """
+    b_best, b_r, b_ep = best[pred], R[pred], EP[pred]
+    q = len(sp)
+    at_sp = sp << shift
+
+    def cover(values, lo, hi=None):
+        return _cover_min((values << shift) | pred, lo, q, hi)
+
+    after = np.searchsorted(sp, b_ep, "left")   # first row with γ_a ≥ κ_b
+    if mode == "sum":
+        return cover(b_best - b_r - b_ep, after)
+    if mode == "max":
+        far = np.searchsorted(sp, b_ep + ell - b_r, "right")
+        return np.minimum(cover(b_best + ell - b_r, after, far),
+                          cover(b_best - b_ep, far) + at_sp)
+    leave = b_best - b_r
+    return np.minimum(
+        cover(leave - b_ep, after) + at_sp,
+        cover(leave + b_ep, np.searchsorted(sp, SP[pred], "left"), after)
+        - at_sp)
+
+
+def _cover_min(keys: np.ndarray, lo: np.ndarray, q: int,
+               hi: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per slot ``i < q``, ``min(keys[j] : lo_j ≤ i < hi_j)`` (:data:`_NO_KEY`
+    where no run covers it); without *hi* every run reaches the last slot.
+
+    A run to the end is a running minimum from its first slot.  Other
+    runs are written at the two power-of-two spans that tile them (a
+    sparse table in reverse); halving the spans level by level then
+    brings every minimum down to single slots.
+    """
+    if hi is None:
+        out = np.full(q + 1, _NO_KEY)
+        np.minimum.at(out, lo, keys)
+        return np.minimum.accumulate(out[:q])
+    span = hi - lo
+    hit = span > 0
+    if not hit.any():
+        return np.full(q, _NO_KEY)
+    keys, lo, span = keys[hit], lo[hit], span[hit]
+    level = np.frexp(span)[1] - 1          # ⌊log2 span⌋
+    table = np.full((int(level.max()) + 1, q), _NO_KEY)
+    np.minimum.at(table, (level, lo), keys)
+    np.minimum.at(table, (level, lo + span - (1 << level)), keys)
+    for j in range(len(table) - 1, 0, -1):
+        w = 1 << (j - 1)
+        np.minimum(table[j - 1], table[j], out=table[j - 1])
+        np.minimum(table[j - 1, w:], table[j, :-w], out=table[j - 1, w:])
+    return table[0]
 
 
 def combine_tuples(tuples: Union[TupleTable, Sequence[Tuple5]], n_s: int,

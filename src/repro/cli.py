@@ -673,8 +673,15 @@ def _record_settings(args) -> dict:
     from the flags :data:`repro.registry.REPLAY_FIELDS` pairs them with
     (``registry.replay_argv`` reads the same table back)."""
     from .registry import REPLAY_FIELDS
-    return {field: getattr(args, flag[2:].replace("-", "_"))
-            for field, flag in REPLAY_FIELDS[args.command]}
+    settings = {field: getattr(args, flag[2:].replace("-", "_"))
+                for field, flag in REPLAY_FIELDS[args.command]}
+    if settings.get("fault_plan") is None:
+        # Retry settings mean nothing without faults to retry.
+        for field in ("fault_plan", "retries", "on_exhausted"):
+            settings.pop(field, None)
+    # A switch is recorded only when set.
+    return {field: value for field, value in settings.items()
+            if value is not False}
 
 
 def _run_engine_command(args) -> int:

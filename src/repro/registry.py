@@ -201,14 +201,27 @@ def read_history(path: str) -> List[dict]:
 _REPLAY_PARAMS = (("n", "--n"), ("x", "--x"), ("eps", "--eps"),
                  ("seed", "--seed"), ("budget", "--budget"))
 
+#: Fault injection settings (``ulam``/``edit``/``solve`` record them only
+#: when a fault plan is given, so a fault-free run keeps the key of the
+#: fault-free baselines).
+_FAULT_FIELDS = (("fault_plan", "--fault-plan"), ("retries", "--retries"),
+                 ("on_exhausted", "--on-exhausted"))
+
+#: ``--no-data-plane`` changes the gated ``data_plane_bytes_shipped``.
+#: It is a switch: recorded as ``true`` and replayed as the bare flag,
+#: only when set.
+_DATA_PLANE_FIELDS = (("no_data_plane", "--no-data-plane"),)
+
 #: Replayable commands -> the top-level record fields (beyond the
 #: params above) that are settings of the run, each with its
 #: CLI flag.  Outputs such as ``edit``'s ``regime`` are not listed.
 REPLAY_FIELDS: Dict[str, Tuple[Tuple[str, str], ...]] = {
-    "ulam": (), "edit": (), "hss": (), "beghs": (),
-    "solve": (("distance", "--distance"), ("engine_spec", "--engine")),
-    "chaos": (("algo", "--algo"), ("fault_plan", "--fault-plan"),
-              ("retries", "--retries"), ("on_exhausted", "--on-exhausted")),
+    "ulam": _FAULT_FIELDS + _DATA_PLANE_FIELDS,
+    "edit": _FAULT_FIELDS + _DATA_PLANE_FIELDS,
+    "hss": (), "beghs": (),
+    "solve": ((("distance", "--distance"), ("engine_spec", "--engine"))
+              + _FAULT_FIELDS + _DATA_PLANE_FIELDS),
+    "chaos": (("algo", "--algo"),) + _FAULT_FIELDS + _DATA_PLANE_FIELDS,
     "serve-bench": (("queries", "--queries"),),
 }
 
@@ -238,8 +251,11 @@ def replay_argv(record: dict) -> List[str]:
     for source, fields in ((record.get("params", {}), _REPLAY_PARAMS),
                            (record, REPLAY_FIELDS[command])):
         for field, flag in fields:
-            if source.get(field) is not None:
-                argv += [flag, str(source[field])]
+            value = source.get(field)
+            if value is True:
+                argv.append(flag)
+            elif value is not None:
+                argv += [flag, str(value)]
     return argv
 
 

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -508,6 +509,50 @@ class TestRegistryCommands:
                   "--history", str(hist)])
         assert "no matching run" in capsys.readouterr().out
 
+    def test_fault_settings_are_recorded_only_with_a_fault_plan(
+            self, capsys):
+        flags = ["--n", "64", "--budget", "4", "--json", "--no-history"]
+        assert main(["ulam"] + flags) == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert main(["ulam", "--fault-plan", "crash=0.2"] + flags) == 0
+        faulty = json.loads(capsys.readouterr().out)
+        settings = ("fault_plan", "retries", "on_exhausted", "no_data_plane")
+        assert not set(settings) & set(plain)
+        assert faulty["fault_plan"] == "crash=0.2,seed=0"
+        assert (faulty["retries"], faulty["on_exhausted"]) == (3, "raise")
+
+    def test_compare_never_gates_a_fault_run_against_a_fault_free_one(
+            self, tmp_path, capsys):
+        base_hist = tmp_path / "base.jsonl"
+        hist = tmp_path / "h.jsonl"
+        for extra, path in (([], base_hist),
+                            (["--fault-plan", "crash=0.2"], hist)):
+            assert main(["ulam", "--n", "64", "--budget", "4",
+                         "--history", str(path)] + extra) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit, match="no history run matches"):
+            main(["compare", "--baseline", str(base_hist),
+                  "--history", str(hist)])
+        assert "no matching run" in capsys.readouterr().out
+
+    def test_no_data_plane_run_is_not_gated_on_shipped_bytes(
+            self, tmp_path, capsys):
+        # The committed baseline was run with the data plane on; a
+        # --no-data-plane run ships more bytes and is another experiment.
+        baseline = pathlib.Path(__file__).resolve().parents[1] \
+            / "BENCH_table1.json"
+        hist = tmp_path / "h.jsonl"
+        flags = ["ulam", "--n", "256", "--budget", "8", "--seed", "0",
+                 "--history", str(hist)]
+        assert main(flags) == 0
+        assert main(flags + ["--no-data-plane"]) == 0
+        capsys.readouterr()
+        assert main(["compare", "--baseline", str(baseline),
+                     "--history", str(hist)]) == 0
+        out = capsys.readouterr().out
+        assert "ulam n=256 x=0.4 eps=0.5 seed=0: ok" in out
+        assert "REGRESSED" not in out
+
     def test_compare_missing_baseline_records(self, tmp_path):
         base = tmp_path / "empty.json"
         base.write_text("[]")
@@ -771,6 +816,10 @@ class TestReplay:
         ["solve", "--distance", "ulam", "--engine", "ulam-mpc",
          "--n", "96", "--x", "0.3", "--eps", "0.75", "--seed", "3",
          "--budget", "5"],
+        pytest.param(
+            ["ulam", "--n", "96", "--x", "0.3", "--eps", "0.75", "--seed",
+             "3", "--budget", "5", "--fault-plan", "crash=0.2,seed=3",
+             "--retries", "4", "--no-data-plane"], id="ulam-faults"),
         ["serve-bench", "--n", "64", "--x", "0.2", "--eps", "0.75",
          "--seed", "1", "--budget", "3", "--queries", "2"],
     ], ids=lambda argv: argv[0])

@@ -219,6 +219,15 @@ class TestBaselines:
         with pytest.raises(ValueError, match="cannot be replayed"):
             replay_argv(_record(command="serve"))
 
+    def test_replay_argv_passes_a_switch_only_when_set(self):
+        record = dict(_record(), fault_plan="crash=0.2,seed=0", retries=3,
+                      on_exhausted="raise", no_data_plane=True)
+        assert replay_argv(record)[-7:] == [
+            "--fault-plan", "crash=0.2,seed=0", "--retries", "3",
+            "--on-exhausted", "raise", "--no-data-plane"]
+        assert "--no-data-plane" not in replay_argv(_record())
+        assert record_key(record) != record_key(_record())
+
     def test_match_baseline(self, capsys):
         baseline = [_record(seed=0), _record(seed=1)]
         fresh = [_record(seed=1, total_work=2000), _record(seed=1),

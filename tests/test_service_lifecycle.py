@@ -32,19 +32,37 @@ def _ledger(stats) -> str:
     return json.dumps(summary, sort_keys=True)
 
 
+class _RoundSignallingService(DistanceService):
+    """A service that calls :attr:`on_round` in the round thread after
+    each round it runs."""
+
+    on_round = staticmethod(lambda: None)
+
+    def _advance(self, gen) -> bool:
+        done = DistanceService._advance(gen)
+        self.on_round()
+        return done
+
+
 class TestCancellation:
     def test_cancel_mid_query_leaves_no_segments(self):
         s, t, _ = perm_pair(N, BUDGET, seed=0, style="mixed")
 
         async def main():
-            async with DistanceService() as service:
+            first_round = asyncio.Event()
+            loop = asyncio.get_running_loop()
+            async with _RoundSignallingService() as service:
+                service.on_round = lambda: loop.call_soon_threadsafe(
+                    first_round.set)
                 cid = service.register_corpus(s, t)
                 handle = service.submit("ulam", cid, seed=1)
-                # Let the first round get in flight, then cancel: the
-                # round finishes in its worker thread, the generator is
-                # finalised (closing the scratch plane), and only then
-                # does the cancellation propagate.
-                await asyncio.sleep(0.05)
+                # Cancel once the first round is done, before the next
+                # can: the event is set ahead of the round's own
+                # completion, so the cancellation lands mid-query.  The
+                # generator is finalised (closing the scratch plane),
+                # and only then does the cancellation propagate.
+                await first_round.wait()
+                assert not handle.done()
                 handle.cancel()
                 with pytest.raises(asyncio.CancelledError):
                     await handle
