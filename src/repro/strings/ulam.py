@@ -23,7 +23,11 @@ Kernels
 * :func:`ulam_windows` — exact distances from one pattern to many
   windows of one text, the Algorithm 1 machine's workload: one chain-DP
   row per distinct window start (:mod:`repro.strings.native`), charged
-  as one certified banded pass per window.
+  as one certified banded pass per window.  Given the machine's per-block
+  ``top_k``, it runs the chain DP only on windows whose LIS lower bound
+  ``max(m, n) - LIS`` does not exceed the ``top_k``-th smallest upper
+  bound ``min(m + n - 2·LIS, max(m, n))``; the charge stays per window,
+  over every window.
 * :func:`ulam_auto` — one window of :func:`ulam_windows`.
 * :func:`local_ulam_from_matches` / :func:`local_ulam` — free-window
   variant implementing the `lulam` contract ``(γ, κ, d*)`` of Lemma 1.
@@ -145,7 +149,7 @@ def ulam_from_matches(i_pts: np.ndarray, p_pts: np.ndarray, m: int, n: int,
 
 
 #: Cap on the ``windows × match points`` temporaries of
-#: :func:`ulam_windows`: windows are reduced in blocks of this many cells.
+#: :func:`_chain_dp`: windows are read off in blocks of this many cells.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -174,26 +178,70 @@ def _chain_dp(i_pts: np.ndarray, p_pts: np.ndarray, m: int,
     return out
 
 
+def _band_counts(i_pts: np.ndarray, p_pts: np.ndarray, sp: np.ndarray,
+                 ep: np.ndarray, band: np.ndarray) -> np.ndarray:
+    """Per window ``w``, the match points with ``sp ≤ p < ep`` and
+    ``|p - i - sp| ≤ band``: an orthogonal range count in (text
+    position, diagonal), read off a ``(c+1)²`` prefix table ``F[t, r]``
+    (among the first ``t`` points in text order, those of diagonal rank
+    below ``r``) by inclusion-exclusion."""
+    c = len(p_pts)
+    order = np.argsort(p_pts, kind="stable")
+    diag = (p_pts - i_pts)[order]
+    by_diag = np.argsort(diag, kind="stable")
+    rank = np.empty(c, dtype=np.int64)
+    rank[by_diag] = np.arange(c)
+    F = np.zeros((c + 1, c + 1), dtype=np.int32)
+    F[np.arange(1, c + 1), rank + 1] = 1
+    np.cumsum(F, axis=0, out=F)
+    np.cumsum(F, axis=1, out=F)
+    p_sorted = p_pts[order]
+    lo_p = np.searchsorted(p_sorted, sp)
+    hi_p = np.searchsorted(p_sorted, ep)
+    d_sorted = diag[by_diag]
+    lo_d = np.searchsorted(d_sorted, sp - band)
+    hi_d = np.searchsorted(d_sorted, sp + band, side="right")
+    return (F[hi_p, hi_d].astype(np.int64) - F[lo_p, hi_d]
+            - F[hi_p, lo_d] + F[lo_p, lo_d])
+
+
 def ulam_windows(i_pts: np.ndarray, p_pts: np.ndarray, m: int,
-                 sp: Sequence[int], ep: Sequence[int]) -> np.ndarray:
+                 sp: Sequence[int], ep: Sequence[int],
+                 top_k: Optional[int] = None
+                 ) -> Tuple[np.ndarray, np.ndarray]:
     """Exact Ulam distances from a pattern to many windows of one text.
 
     ``(i_pts, p_pts)`` are the pattern's match points, sorted by ``i``;
-    window ``w`` is ``text[sp[w]:ep[w]]``.  Each value, and its charge,
-    equals :func:`ulam_auto` on the window's points re-based to
-    ``sp[w]``: ``add_work`` of its point count (the LIS prologue) and one
-    ``ulam_sparse`` call of ``c_f² + 1`` cells for the ``c_f`` points
-    inside the band ``max(m + n - 2·LIS, |m - n|, 1)``.  Those cells are
-    the paper-facing per-window charge, not the loops executed: one row
-    of :func:`~repro.strings.native.lis_table` and
-    :func:`~repro.strings.native.chain_table` per distinct start serves
-    all its windows.  The band never moves a value: it is at least the
-    indel distance, hence at least the true one.
+    window ``w`` is ``text[sp[w]:ep[w]]``.  Returns ``(index, dists)``:
+    the evaluated windows, in input order, and their exact distances.
+
+    Each window's charge equals :func:`ulam_auto` on its points re-based
+    to ``sp[w]``: ``add_work`` of its point count (the LIS prologue) and
+    one ``ulam_sparse`` call of ``c_f² + 1`` cells for the ``c_f``
+    points inside the band ``max(m + n - 2·LIS, |m - n|, 1)``.  Those
+    cells are the paper-facing per-window charge, taken over **every**
+    window, evaluated or not; they are not the loops executed.  One row
+    of :func:`~repro.strings.native.lis_table` per distinct start gives
+    every window its LIS, and one row of
+    :func:`~repro.strings.native.chain_table` per distinct evaluated
+    start serves all its windows.  The band never moves a value: it is
+    at least the indel distance, hence at least the true one.
+
+    With *top_k*, only windows that can rank among the *top_k* smallest
+    distances are evaluated.  Each window's LIS bounds its distance,
+    ``max(m, n) - LIS ≤ ulam ≤ min(m + n - 2·LIS, max(m, n))``; with
+    ``τ`` the *top_k*-th smallest upper bound, a window whose lower
+    bound exceeds ``τ`` is strictly worse than *top_k* others.  Those
+    are dropped only when more than *top_k* windows survive, so a
+    per-block :meth:`~repro.chain.TupleTable.capped` of the evaluated
+    windows equals that of all of them, rows and order alike (``capped``
+    leaves a table of at most *top_k* rows unsorted).  Without *top_k*
+    every window is evaluated.
     """
     sp = np.asarray(sp, dtype=np.int64)
     ep = np.asarray(ep, dtype=np.int64)
     if len(sp) == 0:
-        return np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     starts, row = np.unique(sp, return_inverse=True)
     n = ep - sp
     # LIS prologue: per-window LIS and point counts from prefix maxima
@@ -205,16 +253,19 @@ def ulam_windows(i_pts: np.ndarray, p_pts: np.ndarray, m: int,
     lis = np.zeros((len(starts), len(i_pts) + 1), dtype=np.int64)
     np.maximum.accumulate(native.lis_table(p_pts, starts)[:, order],
                           axis=1, out=lis[:, 1:])
-    band = np.maximum(np.maximum(m + n - 2 * lis[row, below_ep],
-                                 np.abs(m - n)), 1)
-    diag = p_pts - i_pts
-    kept = np.empty(len(sp), dtype=np.int64)
-    for blk in _row_blocks(len(sp), len(i_pts)):
-        s = sp[blk, None]
-        kept[blk] = ((p_pts >= s) & (p_pts < ep[blk, None])
-                     & (np.abs(diag - s) <= band[blk, None])).sum(axis=1)
+    lis_w = lis[row, below_ep]
+    band = np.maximum(np.maximum(m + n - 2 * lis_w, np.abs(m - n)), 1)
+    kept = _band_counts(i_pts, p_pts, sp, ep, band)
+    index = np.arange(len(sp))
+    if top_k and len(sp) > top_k:
+        longer = np.maximum(m, n)
+        upper = np.minimum(m + n - 2 * lis_w, longer)
+        tau = np.partition(upper, top_k - 1)[top_k - 1]
+        survivors = np.flatnonzero(longer - lis_w <= tau)
+        if len(survivors) > top_k:
+            index = survivors
     with charge("ulam_sparse", len(sp), int((kept * kept).sum()) + len(sp)):
-        return _chain_dp(i_pts, p_pts, m, sp, ep)
+        return index, _chain_dp(i_pts, p_pts, m, sp[index], ep[index])
 
 
 def ulam_auto(i_pts: np.ndarray, p_pts: np.ndarray, m: int, n: int) -> int:
@@ -227,7 +278,7 @@ def ulam_auto(i_pts: np.ndarray, p_pts: np.ndarray, m: int, n: int) -> int:
     certified exact, with output-sensitive pruning for similar pairs.
     One window, ``[0, n)``, of :func:`ulam_windows`.
     """
-    return int(ulam_windows(i_pts, p_pts, m, [0], [n])[0])
+    return int(ulam_windows(i_pts, p_pts, m, [0], [n])[1][0])
 
 
 def local_ulam_from_matches(i_pts: np.ndarray, p_pts: np.ndarray,

@@ -16,10 +16,13 @@ that, with high probability, contains an approximately optimal one
   on the same ``G_i`` grid within ``û_i``.
 
 Each guess's ``(sp, ep)`` grid is built as NumPy ranges, deduplicated in
-first-occurrence order, and all windows are evaluated in one
-:func:`~repro.strings.ulam.ulam_windows` call, which shares one
-chain-DP row per distinct window start; the ledger still charges one
-certified banded sparse DP per window.
+first-occurrence order, and handed to one
+:func:`~repro.strings.ulam.ulam_windows` call with the block's
+``top_k``.  It shares one chain-DP row per distinct window start and
+runs the DP only on windows whose LIS bounds let them reach the top-k
+(Lemma 3 keeps only the best few per block), so the capped tuples are
+those of evaluating every window; the ledger still charges one
+certified banded sparse DP per window, evaluated or not.
 
 All coordinates are 0-based half-open (the paper is 1-based closed).
 """
@@ -196,9 +199,12 @@ def run_block_machine(payload: BlockPayload) -> TupleTable:
     _M_WINDOWS.inc(len(sp))
     _M_PER_BLOCK.observe(len(sp))
 
-    dists = ulam_windows(i_pts, p_pts, B, sp, ep)
+    # Only windows that can make the block's top-k are evaluated; the
+    # cap below ships the same tuples as on every window.
+    top_k = payload["top_k"]
+    index, dists = ulam_windows(i_pts, p_pts, B, sp, ep, top_k=top_k)
     # Smallest (distance, length) first; ties keep generation order.
-    tuples = TupleTable.from_columns(lo, hi, sp, ep, dists).capped(
-        payload["top_k"])
+    tuples = TupleTable.from_columns(lo, hi, sp[index], ep[index],
+                                     dists).capped(top_k)
     _M_TUPLES.inc(len(tuples))
     return tuples

@@ -268,9 +268,9 @@ class TestRegressionAttribution:
             import repro.ulam.candidates as cand
             real_windows = cand.ulam_windows
 
-            def doubled_windows(*args):
-                real_windows(*args)
-                return real_windows(*args)
+            def doubled_windows(*args, **kwargs):
+                real_windows(*args, **kwargs)
+                return real_windows(*args, **kwargs)
 
             # Double every candidate evaluation (all of them go through
             # one window-kernel call per machine), regressing the gated

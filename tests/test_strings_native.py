@@ -177,7 +177,7 @@ def _windows_batch(i_pts, p_pts, m):
     window kernel against one :func:`ulam_auto` call per window."""
     def batch(windows):
         return ulam_windows(i_pts, p_pts, m, [w[0] for w in windows],
-                            [w[1] for w in windows]).tolist()
+                            [w[1] for w in windows])[1].tolist()
 
     def scalar(sp, ep):
         return ulam_auto(*_window_points(i_pts, p_pts, sp, ep), m, ep - sp)
@@ -333,16 +333,17 @@ class TestBatchSizes:
             'strings.kernel_calls{kernel=ulam_sparse}': 1}
 
 
-def _per_window_ulam(i_pts, p_pts, m, sp, ep):
+def _per_window_ulam(i_pts, p_pts, m, sp, ep, top_k=None):
     """Stand-in for ``ulam_windows`` in the block machine: one
     :func:`ulam_auto` call per window, on the window's match points
-    re-based to its start."""
+    re-based to its start.  Ignores *top_k*: every window is evaluated,
+    so the machine's cap runs on the full table."""
     out = []
     for w_sp, w_ep in zip(sp.tolist(), ep.tolist()):
         inside = (p_pts >= w_sp) & (p_pts < w_ep)
         out.append(ulam_auto(i_pts[inside], p_pts[inside] - w_sp, m,
                              w_ep - w_sp))
-    return np.array(out, dtype=np.int64)
+    return np.arange(len(sp)), np.array(out, dtype=np.int64)
 
 
 def _block_payload(config, n=64, seed=11):
@@ -355,11 +356,11 @@ def _block_payload(config, n=64, seed=11):
     return payload, positions
 
 
-class TestCacheFolding:
+class TestBlockMachineMetering:
     """The block machine's batched window evaluation keeps work and
     metering equal to those of per-window scalar calls."""
 
-    def test_uncached_path_matches(self, monkeypatch):
+    def test_per_window_path_matches(self, monkeypatch):
         payload, _ = _block_payload(UlamConfig.practical())
         res_b = _metered(lambda: cand.run_block_machine(dict(payload)))
         monkeypatch.setattr(cand, "ulam_windows", _per_window_ulam)
