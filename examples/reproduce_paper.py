@@ -3,7 +3,7 @@
 
 Runs all four Table 1 algorithms on matched inputs and prints the table
 in measured form, then the machine-count "who wins" ladder against
-HSS'19.  The full experiment suite (E1–E17, with assertions) lives in
+HSS'19.  The full experiment suite (E1–E27, with assertions) lives in
 ``benchmarks/``; this script is the two-minute demo.
 
 Usage::

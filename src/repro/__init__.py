@@ -16,7 +16,6 @@ Substrates, baselines and workloads live in the subpackages
 """
 
 from .editdistance import EditConfig, EditResult, mpc_edit_distance
-from .extensions import LcsResult, mpc_lcs
 from .params import EditParams, UlamParams
 from .reconstruct import chain_script, chain_tuples, edit_script, ulam_script
 from .ulam import UlamConfig, UlamResult, mpc_ulam
@@ -26,7 +25,6 @@ __version__ = "1.0.0"
 __all__ = [
     "EditConfig", "EditResult", "mpc_edit_distance",
     "EditParams", "UlamParams",
-    "LcsResult", "mpc_lcs",
     "chain_script", "chain_tuples", "edit_script", "ulam_script",
     "UlamConfig", "UlamResult", "mpc_ulam",
     "__version__",

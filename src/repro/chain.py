@@ -154,21 +154,19 @@ class TupleTable:
         """MPC words of the list of 5-tuples this table stands for."""
         return 1 + WORDS_PER_TUPLE * len(self.rows)
 
-    def capped(self, top_k: Optional[int],
-               largest: bool = False) -> "TupleTable":
+    def capped(self, top_k: Optional[int]) -> "TupleTable":
         """The stable per-block top-k cap.
 
         Every block (rows sharing ``ℓ``) keeps its *top_k* best rows by
-        ``(d, κ - γ)`` — smallest score first, or largest with *largest*
-        (LCS) — and a short window of the same score leaves more room
-        for the rest of the chain.  Ties keep row order.  A table with no
-        block over the cap is returned as it is; otherwise the rows come
-        out ordered by ``(ℓ, score, κ - γ)``.
+        ``(d, κ - γ)``, smallest first: a short window of the same
+        distance leaves more room for the rest of the chain.  Ties keep
+        row order.  A table with no block over the cap is returned as it
+        is; otherwise the rows come out ordered by ``(ℓ, d, κ - γ)``.
         """
         if top_k is None or len(self) <= top_k:
             return self
         lo, _, sp, ep, d = self.rows.T
-        order = np.lexsort((ep - sp, -d if largest else d, lo))
+        order = np.lexsort((ep - sp, d, lo))
         lo_sorted = lo[order]
         rank = np.arange(len(order)) - np.searchsorted(lo_sorted, lo_sorted)
         if rank.max() < top_k:

@@ -32,8 +32,6 @@ plane: logical words vs physical bytes").
 Other commands
 --------------
 ``engines``     list every registered engine with its capabilities.
-``lcs``         run the LCS extension.
-``lis``         run the LIS extension on a generated permutation.
 ``table1``      print all four analytic Table 1 rows for a given (n, x).
 ``serve``       run a batch of concurrent mixed ulam/edit queries
                 through the persistent :mod:`repro.service` layer and
@@ -59,12 +57,13 @@ Other commands
 ``profdiff``    rank kernels by their profile delta between two runs.
 ``trace``       render timeline/skew reports from a saved span trace.
 
-A bad number (a length below 2, a count below 1, an ``--x`` outside the
-algorithm's range, a non-finite or non-positive ``--eps``) or a bad
-fault plan is an argparse usage error: exit 2 with one ``error:`` line,
-before any round runs.  File inputs (``--s-file`` / ``--t-file``) are
-read as text; otherwise a seeded workload with a planted distance is
-generated.
+A bad number (a length below 2, a count below 1, a negative
+``--budget``, an ``--x`` outside the algorithm's range, a non-finite or
+non-positive ``--eps``), a bad fault plan or a bad input file (only one
+of ``--s-file`` / ``--t-file``, a file that cannot be read, repeated
+symbols in an Ulam input) is an argparse usage error: exit 2 with one
+``error:`` line, before any round runs.  File inputs are read as text;
+otherwise a seeded workload with a planted distance is generated.
 """
 
 from __future__ import annotations
@@ -80,9 +79,8 @@ from .analysis import format_kv, format_table
 from .engines import (EngineRequest, NoEngineError, all_engines,
                       default_engine, distances, get_engine,
                       select_engine, workload_kind)
-from .extensions import mpc_lcs, mpc_lis
 from .params import EditParams, UlamParams, check_eps
-from .strings import levenshtein, ulam_distance
+from .strings import is_duplicate_free, levenshtein, ulam_distance
 from .strings.types import as_array
 from .workloads.permutations import planted_pair as perm_pair
 from .workloads.strings import planted_pair as str_pair
@@ -126,8 +124,8 @@ _PARAMS = {"ulam": UlamParams, "edit": EditParams}
 
 def _check_x(algo: Optional[str], x: float) -> None:
     """Raise ``ValueError`` for an ``--x`` outside *algo*'s range: its
-    parameter class's for ulam/edit, (0, 1) for ``"unit"`` (LCS, LIS,
-    Table 1), none for ``None`` (engines that ignore x)."""
+    parameter class's for ulam/edit, (0, 1) for ``"unit"`` (Table 1),
+    none for ``None`` (engines that ignore x)."""
     if algo in _PARAMS:
         _PARAMS[algo](n=2, x=x)
     elif algo == "unit" and not 0 < x < 1:
@@ -173,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
                default_eps: float, algo: Optional[str] = None) -> None:
         p.add_argument("--n", type=_length, default=512,
                        help="generated input length (default 512)")
-        p.add_argument("--budget", type=int, default=None,
+        p.add_argument("--budget", type=_int_at_least(0), default=None,
                        help="planted distance budget (default n/16)")
         p.add_argument("--x", type=_float_arg(lambda x: _check_x(algo, x)),
                        default=default_x, help="memory exponent")
@@ -251,10 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_opts(p_edit)
     telemetry_opts(p_edit)
     registry_opts(p_edit)
-    common(sub.add_parser("lcs", help="LCS extension (2 rounds)"),
-           default_x=0.25, default_eps=0.25, algo="unit")
-    common(sub.add_parser("lis", help="LIS extension (2 rounds)"),
-           default_x=0.3, default_eps=0.25, algo="unit")
     p_hss = sub.add_parser("hss", help="HSS'19 baseline (1+eps, 2 rounds)")
     common(p_hss, default_x=0.25, default_eps=1.0, algo="edit")
     registry_opts(p_hss)
@@ -329,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "don't match the corpus")
     sv.add_argument("--n", type=_length, default=256,
                     help="generated input length (default 256)")
-    sv.add_argument("--budget", type=int, default=None,
+    sv.add_argument("--budget", type=_int_at_least(0), default=None,
                     help="planted distance budget (default n/16)")
     sv.add_argument("--x", type=float, default=None,
                     help="memory exponent (default: per-algorithm)")
@@ -370,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "alternating ulam/edit, summed ledger")
     sb.add_argument("--n", type=_length, default=192,
                     help="generated input length (default 192)")
-    sb.add_argument("--budget", type=int, default=None,
+    sb.add_argument("--budget", type=_int_at_least(0), default=None,
                     help="planted distance budget (default n/16)")
     sb.add_argument("--x", type=_float_arg(
         lambda x: [_check_x(algo, x) for algo in _MIXED_CYCLE]),
@@ -573,12 +567,30 @@ def _planted_pair(kind: str, n: int, budget: int, seed: int):
 
 
 def _load_or_generate(args, kind: str):
+    """The input pair: the ``--s-file`` / ``--t-file`` texts, else a
+    generated pair of *kind*.  A bad file input (one flag without the
+    other, a file that cannot be read, repeated symbols where *kind* is
+    ``"perm"``) raises ``argparse.ArgumentError``; :func:`main` reports
+    it as a usage error.  Under ``--engine auto`` repeated symbols are
+    left to the planner, whose refusal names each engine's reason."""
     if (args.s_file is None) != (args.t_file is None):
-        raise SystemExit("provide both --s-file and --t-file, or neither")
-    if args.s_file is not None:
-        return tuple(as_array(pathlib.Path(path).read_text().strip())
-                     for path in (args.s_file, args.t_file))
-    return _planted_pair(kind, args.n, _budget(args), args.seed)
+        raise argparse.ArgumentError(
+            None, "provide both --s-file and --t-file, or neither")
+    if args.s_file is None:
+        return _planted_pair(kind, args.n, _budget(args), args.seed)
+    pair = []
+    for flag, path in (("--s-file", args.s_file), ("--t-file", args.t_file)):
+        try:
+            arr = as_array(pathlib.Path(path).read_text().strip())
+        except (OSError, UnicodeDecodeError) as exc:
+            raise argparse.ArgumentError(None, f"argument {flag}: {exc}")
+        if (kind == "perm" and getattr(args, "engine", None) != "auto"
+                and not is_duplicate_free(arr)):
+            raise argparse.ArgumentError(
+                None, f"argument {flag}: {path} repeats a symbol; "
+                      "Ulam distance needs duplicate-free input")
+        pair.append(arr)
+    return tuple(pair)
 
 
 def _print_result(title: str, answer: int, exact: Optional[int],
@@ -1114,7 +1126,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.command in _ENGINE_COMMANDS:
-        return _run_engine_command(args)
+        try:
+            return _run_engine_command(args)
+        except argparse.ArgumentError as exc:
+            # A bad file input, found once the distance is known.
+            parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
 
     if args.command == "engines":
         engines = all_engines()
@@ -1357,30 +1373,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             export_chrome_trace(spans, args.chrome)
             print(f"\nChrome trace written to {args.chrome} "
                   "(open in https://ui.perfetto.dev)")
-        return 0
-
-    if args.command == "lcs":
-        s, t = _load_or_generate(args, "str")
-        res = mpc_lcs(s, t, x=args.x, eps=args.eps)
-        from .strings import lcs_length
-        exact = lcs_length(s, t) if args.exact else None
-        _print_result("MPC LCS (extension)", res.lcs, exact, res.stats,
-                      {"guarantee": f"additive {args.eps}*n"},
-                      show_comm=args.comm)
-        return 0
-
-    if args.command == "lis":
-        from .workloads.permutations import apply_moves, random_permutation
-        budget = _budget(args)
-        seq = apply_moves(random_permutation(args.n, seed=args.seed),
-                          budget, seed=args.seed + 1)
-        res = mpc_lis(seq, x=args.x, eps=args.eps)
-        from .strings import lis_length
-        exact = lis_length(seq) if args.exact else None
-        _print_result("MPC LIS (extension)", res.lis, exact, res.stats,
-                      {"guarantee": f"additive 2*{args.eps}*n",
-                       "buckets": res.n_buckets},
-                      show_comm=args.comm)
         return 0
 
     if args.command == "profile":

@@ -17,7 +17,7 @@ Quick tour::
     report = engine.check_guarantees(s, t, result)
 
 See :mod:`repro.engines.base` for the protocol, ``registry`` for the
-planner, ``builtin`` for the eight shipped engines, and TUTORIAL §14 for
+planner, ``builtin`` for the eight shipped engines, and TUTORIAL §13 for
 writing your own engine in ~50 lines.
 """
 

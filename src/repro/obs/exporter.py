@@ -49,8 +49,8 @@ def _prom_name(key: str) -> str:
 
     ``repro.metrics`` keys are ``name{k=v,...}`` with dotted names and
     unquoted label values; Prometheus wants underscores and quoted
-    values.  ``lcs.dp_cells{kernel=hirschberg}`` becomes
-    ``repro_lcs_dp_cells{kernel="hirschberg"}``.
+    values.  ``strings.dp_cells{kernel=banded}`` becomes
+    ``repro_strings_dp_cells{kernel="banded"}``.
     """
     name, labels = key, ""
     if "{" in key:

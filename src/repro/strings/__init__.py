@@ -19,7 +19,6 @@ from .bitparallel import (myers_fitting_row, myers_last_row,
 from .edit_distance import (hamming, levenshtein, levenshtein_last_row,
                             levenshtein_script)
 from .fitting import fitting_alignment, fitting_distance, fitting_last_row
-from .hirschberg import hirschberg_script
 from .lcs import lcs_length, lcs_length_duplicate_free, position_map
 from .lis import lis_indices, lis_length, longest_increasing_subsequence
 from .polylog import ako_edit_upper_bound, ako_guarantee_factor, ako_window
@@ -38,7 +37,6 @@ __all__ = [
     "myers_levenshtein",
     "hamming", "levenshtein", "levenshtein_last_row", "levenshtein_script",
     "fitting_alignment", "fitting_distance", "fitting_last_row",
-    "hirschberg_script",
     "lcs_length", "lcs_length_duplicate_free", "position_map",
     "lis_indices", "lis_length", "longest_increasing_subsequence",
     "ako_edit_upper_bound", "ako_guarantee_factor", "ako_window",

@@ -67,33 +67,6 @@ def case_edit_large():
             "rounds": ledger(sim.stats)}
 
 
-def case_lis():
-    from repro.extensions import mpc_lis
-    from repro.workloads.permutations import apply_moves, random_permutation
-    seq = apply_moves(random_permutation(200, seed=2), 12, seed=4)
-    res = mpc_lis(seq, x=0.3, eps=0.25)
-    return {"lis": res.lis, "n_buckets": res.n_buckets,
-            "rounds": ledger(res.stats)}
-
-
-def case_lcs():
-    from repro.extensions import mpc_lcs
-    from repro.workloads.strings import planted_pair
-    s, t, _ = planted_pair(200, 10, sigma=4, seed=6)
-    res = mpc_lcs(s, t, x=0.25, eps=0.25)
-    return {"lcs": res.lcs, "n_tuples": res.n_tuples,
-            "rounds": ledger(res.stats)}
-
-
-def case_search():
-    from repro.extensions import mpc_approximate_search
-    from repro.workloads.strings import planted_pair
-    s, t, _ = planted_pair(300, 6, sigma=4, seed=8)
-    res = mpc_approximate_search(s[:24], t, k=3)
-    return {"matches": [[m.start, m.end, m.distance] for m in res.matches],
-            "rounds": ledger(res.stats)}
-
-
 def case_hss():
     from repro.baselines import hss_edit_distance
     from repro.workloads.strings import planted_pair
@@ -129,9 +102,6 @@ CASES = {
     "ulam": case_ulam,
     "edit_small": case_edit_small,
     "edit_large": case_edit_large,
-    "lis": case_lis,
-    "lcs": case_lcs,
-    "search": case_search,
     "hss": case_hss,
     "beghs": case_beghs,
     "single_machine": case_single_machine,

@@ -55,15 +55,33 @@ class TestParser:
         (["edit", "--n", "-5"], "repro edit: error: argument --n"),
         (["serve", "--workers", "-1"],
          "repro serve: error: argument --workers"),
-        (["lis", "--x", "0"], "repro lis: error: argument --x"),
         (["table1", "--x", "2"], "repro table1: error: argument --x"),
         (["history", "--limit", "-1"],
          "repro history: error: argument --limit"),
+        (["lcs"], "repro: error: argument command: invalid choice"),
+        (["lis"], "repro: error: argument command: invalid choice"),
+        (["ulam", "--s-file", "missing.txt", "--t-file", "perm.txt"],
+         "repro ulam: error: argument --s-file"),
+        (["ulam", "--s-file", "perm.txt", "--t-file", "subdir"],
+         "repro ulam: error: argument --t-file"),
+        (["ulam", "--s-file", "dup.txt", "--t-file", "perm.txt"],
+         "repro ulam: error: argument --s-file"),
+        (["edit", "--s-file", "perm.txt"],
+         "repro edit: error: provide both --s-file and --t-file"),
+        (["ulam", "--n", "64", "--budget", "-3"],
+         "repro ulam: error: argument --budget"),
     ], ids=["ulam-eps", "ulam-x", "edit-eps", "edit-x", "serve-eps",
             "serve-x", "chaos-x", "serve-bench-x", "serve-bench-x0",
             "hss-x", "ulam-n0", "edit-n-neg", "serve-workers-neg",
-            "lis-x0", "table1-x2", "history-limit-neg"])
-    def test_bad_x_eps_are_usage_errors(self, capsys, argv, prefix):
+            "table1-x2", "history-limit-neg", "lcs-gone", "lis-gone",
+            "s-file-missing", "t-file-dir", "s-file-dup", "t-file-absent",
+            "ulam-budget-neg"])
+    def test_bad_x_eps_are_usage_errors(self, capsys, tmp_path, argv,
+                                        prefix):
+        # File rows name these inputs; tests run from tmp_path.
+        (tmp_path / "perm.txt").write_text("helo")
+        (tmp_path / "dup.txt").write_text("hello")
+        (tmp_path / "subdir").mkdir()
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -86,17 +104,9 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Theorem 9" in out and "regime" in out
 
-    def test_lcs_runs(self, capsys):
-        assert main(["lcs", "--n", "128", "--exact"]) == 0
-        assert "MPC LCS" in capsys.readouterr().out
-
     def test_hss_runs(self, capsys):
         assert main(["hss", "--n", "128", "--budget", "4"]) == 0
         assert "HSS'19" in capsys.readouterr().out
-
-    def test_lis_runs(self, capsys):
-        assert main(["lis", "--n", "128", "--exact"]) == 0
-        assert "MPC LIS" in capsys.readouterr().out
 
     def test_beghs_runs(self, capsys):
         assert main(["beghs", "--n", "128", "--budget", "4",

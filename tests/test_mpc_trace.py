@@ -10,9 +10,12 @@ import dataclasses
 
 import pytest
 
-from repro.mpc import RoundStats, RunStats, run_stats_from_dict, \
-    run_stats_to_dict
+from repro import mpc_ulam
+from repro.mpc import (RoundStats, RunStats, load_run_stats,
+                       run_stats_from_dict, run_stats_to_dict,
+                       save_run_stats)
 from repro.mpc.trace import _FIELD_TYPES
+from repro.workloads.permutations import planted_pair
 
 
 def _full_round():
@@ -150,3 +153,39 @@ class TestAtomicSave:
         # The original ledger is intact and no .tmp file leaked.
         assert load_run_stats(path).rounds[0] == _full_round()
         assert [p.name for p in tmp_path.iterdir()] == ["ledger.json"]
+
+
+class TestRunTrace:
+    def _stats(self):
+        s, t, _ = planted_pair(64, 4, seed=1)
+        return mpc_ulam(s, t, x=0.4, eps=1.0).stats
+
+    def test_round_trip_dict(self):
+        stats = self._stats()
+        again = run_stats_from_dict(run_stats_to_dict(stats))
+        assert again.summary() == stats.summary()
+        assert [r.name for r in again.rounds] == \
+            [r.name for r in stats.rounds]
+
+    def test_round_trip_file(self, tmp_path):
+        stats = self._stats()
+        path = tmp_path / "ledger.json"
+        save_run_stats(stats, path)
+        again = load_run_stats(path)
+        assert again.summary() == stats.summary()
+
+    def test_json_is_readable(self, tmp_path):
+        import json
+        stats = self._stats()
+        path = tmp_path / "ledger.json"
+        save_run_stats(stats, path)
+        data = json.loads(path.read_text())
+        assert data["summary"]["rounds"] == 2
+        assert len(data["rounds"]) == 2
+        assert data["rounds"][0]["name"] == "ulam/1-candidates"
+
+    def test_empty_stats_round_trip(self):
+        from repro.mpc import RunStats
+        empty = RunStats()
+        assert run_stats_from_dict(
+            run_stats_to_dict(empty)).summary() == empty.summary()

@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import mpc_edit_distance, mpc_ulam
-from repro.extensions import mpc_lcs, mpc_lis
-from repro.strings import lcs_length, levenshtein, lis_length, ulam_distance
+from repro.strings import levenshtein, ulam_distance
 
 
 @st.composite
@@ -72,22 +71,3 @@ class TestEditDriverProperties:
         a = mpc_edit_distance(s, t, x=0.25, eps=1.0, seed=5)
         b = mpc_edit_distance(s, t, x=0.25, eps=1.0, seed=5)
         assert a.distance == b.distance
-
-
-class TestExtensionProperties:
-    @given(s=short_str, t=short_str)
-    @settings(max_examples=20, deadline=None)
-    def test_lcs_lower_bound(self, s, t):
-        assert mpc_lcs(s, t, x=0.25, eps=0.25).lcs <= lcs_length(s, t)
-
-    @given(s=perm_like())
-    @settings(max_examples=20, deadline=None)
-    def test_lis_lower_bound(self, s):
-        assert mpc_lis(s, x=0.3, eps=0.25).lis <= lis_length(s)
-
-    @given(s=perm_like())
-    @settings(max_examples=15, deadline=None)
-    def test_lis_at_least_one(self, s):
-        # any non-empty sequence has an increasing subsequence of size 1,
-        # and single elements never straddle a bucket boundary
-        assert mpc_lis(s, x=0.3, eps=0.25).lis >= 1

@@ -22,7 +22,6 @@ PACKAGES = [
     "repro.baselines",
     "repro.workloads",
     "repro.analysis",
-    "repro.extensions",
     "repro.service",
 ]
 
@@ -106,5 +105,5 @@ class TestSignatureStability:
 
     def test_results_expose_summary(self):
         import repro
-        for cls in (repro.UlamResult, repro.EditResult, repro.LcsResult):
+        for cls in (repro.UlamResult, repro.EditResult):
             assert callable(getattr(cls, "summary"))

@@ -150,9 +150,9 @@ RULES = {
         # not the driver package — exempt them all.
         ("src/repro/analysis/", "src/repro/baselines/",
          "src/repro/editdistance/", "src/repro/engines/",
-         "src/repro/extensions/", "src/repro/mpc/",
-         "src/repro/service/", "src/repro/strings/", "src/repro/ulam/",
-         "src/repro/workloads/", "src/repro/__init__.py"),
+         "src/repro/mpc/", "src/repro/service/", "src/repro/strings/",
+         "src/repro/ulam/", "src/repro/workloads/",
+         "src/repro/__init__.py"),
         "direct driver import outside repro.engines",
         "Resolve algorithms through the engine registry "
         "(repro.engines.get_engine / select_engine) instead of "
