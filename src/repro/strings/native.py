@@ -10,7 +10,7 @@ windows.  The two hottest ``strings.dp_cells`` kernels are:
   so every window with start ``sp`` reads the same prefix row:
   :func:`chain_table` (chain costs) and :func:`lis_table` (LIS ending at
   each point) compute one row per distinct start, all rows in one
-  column loop.
+  column loop, and can share one :func:`predecessors` list.
 * the Ukkonen band behind ``banded``: :func:`banded_values_batch` runs
   one pair on the scalar row-vectorised kernel
   (:func:`np_banded_value`) and two or more on the padded batch kernel,
@@ -27,30 +27,35 @@ This module must not import other ``repro.strings`` kernel modules
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .types import INF
 
-__all__ = ["lis_table", "chain_table", "banded_values_batch",
-           "np_banded_value"]
+__all__ = ["predecessors", "lis_table", "chain_table",
+           "banded_values_batch", "np_banded_value"]
 
 
 # ---------------------------------------------------------------------------
 # Chain-DP tables over many window starts
 
-def _predecessors(p_pts: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
-    """``(j, pred)`` per match point ``j >= 1`` (points sorted by ``i``):
-    its chain predecessors, the points ``k < j`` with ``p_k < p_j``."""
-    for j in range(1, len(p_pts)):
-        yield j, np.flatnonzero(p_pts[:j] < p_pts[j])
+def predecessors(p_pts: np.ndarray) -> List[np.ndarray]:
+    """Per match point ``j`` (points sorted by ``i``): its chain
+    predecessors, the points ``k < j`` with ``p_k < p_j``, from one
+    ``(c × c)`` comparison."""
+    c = len(p_pts)
+    j, k = np.nonzero(np.tril(p_pts[:, None] > p_pts, -1))
+    # ``np.split`` yields one (empty) piece even with no points.
+    return np.split(k, np.searchsorted(j, np.arange(1, c)))[:c]
 
 
-def lis_table(p_pts: np.ndarray, starts: np.ndarray) -> np.ndarray:
+def lis_table(p_pts: np.ndarray, starts: np.ndarray,
+              preds: Optional[List[np.ndarray]] = None) -> np.ndarray:
     """``L[row, j]``: longest increasing chain of the point set
     ``{p >= starts[row]}`` ending at point ``j`` (0 outside the set;
-    points sorted by ``i``).
+    points sorted by ``i``).  *preds* are the :func:`predecessors` of
+    *p_pts*, computed here when not given.
 
     A chain ending at ``j`` only uses points with ``p < p_j``, so the
     LIS of any window ``[start, ep)`` is the largest ``L[row, j]`` with
@@ -59,16 +64,19 @@ def lis_table(p_pts: np.ndarray, starts: np.ndarray) -> np.ndarray:
     # Chains of one point; outside points stay 0, since all their
     # predecessors are outside too.
     L = (p_pts >= starts[:, None]).astype(np.int64)
-    for j, pred in _predecessors(p_pts):
+    for j, pred in enumerate(predecessors(p_pts) if preds is None
+                             else preds):
         L[:, j] += L[:, pred].max(axis=1, initial=0)
     return L
 
 
-def chain_table(i_pts: np.ndarray, p_pts: np.ndarray,
-                starts: np.ndarray) -> np.ndarray:
+def chain_table(i_pts: np.ndarray, p_pts: np.ndarray, starts: np.ndarray,
+                preds: Optional[List[np.ndarray]] = None) -> np.ndarray:
     """``D[row, j]``: cheapest alignment of the pattern prefix
     ``[0, i_j]`` against the text ``[starts[row], p_j]`` whose last match
     is point ``j`` (``INF`` outside the point set ``{p >= starts[row]}``).
+    *preds* are the :func:`predecessors` of *p_pts*, computed here when
+    not given.
 
     Row ``row`` is the sparse chain DP of every window starting at
     ``starts[row]`` at once: a window ``[start, ep)`` contains all
@@ -80,7 +88,8 @@ def chain_table(i_pts: np.ndarray, p_pts: np.ndarray,
     # predecessors are outside too.
     D = np.where(p_pts >= starts[:, None],
                  np.maximum(i_pts, p_pts - starts[:, None]), INF)
-    for j, pred in _predecessors(p_pts):
+    for j, pred in enumerate(predecessors(p_pts) if preds is None
+                             else preds):
         gaps = np.maximum(i_pts[j] - i_pts[pred],
                           p_pts[j] - p_pts[pred]) - 1
         np.minimum(D[:, j], (D[:, pred] + gaps).min(axis=1, initial=INF),

@@ -143,9 +143,10 @@ def ulam_from_matches(i_pts: np.ndarray, p_pts: np.ndarray, m: int, n: int,
         keep = np.abs(i_pts - p_pts) <= band
         i_pts, p_pts = i_pts[keep], p_pts[keep]
     c = len(i_pts)
+    zero = np.zeros(1, dtype=np.int64)
     with charge("ulam_sparse", 1, c * c + 1):
-        return int(_chain_dp(i_pts, p_pts, m, np.zeros(1, dtype=np.int64),
-                             np.full(1, n, dtype=np.int64))[0])
+        return int(_chain_dp(i_pts, p_pts, m, zero,
+                             np.full(1, n, dtype=np.int64), zero, zero)[0])
 
 
 #: Cap on the ``windows × match points`` temporaries of
@@ -160,15 +161,18 @@ def _row_blocks(rows: int, cols: int) -> Iterator[slice]:
 
 
 def _chain_dp(i_pts: np.ndarray, p_pts: np.ndarray, m: int,
-              sp: np.ndarray, ep: np.ndarray) -> np.ndarray:
-    """Uncharged sparse chain DP of every window ``text[sp[w]:ep[w]]``.
+              sp: np.ndarray, ep: np.ndarray, starts: np.ndarray,
+              row: np.ndarray, preds: Optional[List[np.ndarray]] = None
+              ) -> np.ndarray:
+    """Uncharged sparse chain DP of every window ``text[sp[w]:ep[w]]``,
+    where ``sp[w] == starts[row[w]]``.
 
-    One :func:`~repro.strings.native.chain_table` row per distinct
-    start, read off per window as ``min(max(m, n), min_{p_j < ep} D[j] +
-    max(m-1-i_j, ep-1-p_j))``.
+    One :func:`~repro.strings.native.chain_table` row per start, read
+    off per window as ``min(max(m, n), min_{p_j < ep} D[j] +
+    max(m-1-i_j, ep-1-p_j))``.  *preds* are the points'
+    :func:`~repro.strings.native.predecessors`, if already computed.
     """
-    starts, row = np.unique(sp, return_inverse=True)
-    D = native.chain_table(i_pts, p_pts, starts)
+    D = native.chain_table(i_pts, p_pts, starts, preds)
     out = np.maximum(m, ep - sp)
     for blk in _row_blocks(len(sp), len(i_pts)):
         last = ep[blk, None] - 1
@@ -224,8 +228,10 @@ def ulam_windows(i_pts: np.ndarray, p_pts: np.ndarray, m: int,
     of :func:`~repro.strings.native.lis_table` per distinct start gives
     every window its LIS, and one row of
     :func:`~repro.strings.native.chain_table` per distinct evaluated
-    start serves all its windows.  The band never moves a value: it is
-    at least the indel distance, hence at least the true one.
+    start serves all its windows; both tables walk one shared
+    :func:`~repro.strings.native.predecessors` list.  The band never
+    moves a value: it is at least the indel distance, hence at least
+    the true one.
 
     With *top_k*, only windows that can rank among the *top_k* smallest
     distances are evaluated.  Each window's LIS bounds its distance,
@@ -243,6 +249,7 @@ def ulam_windows(i_pts: np.ndarray, p_pts: np.ndarray, m: int,
     if len(sp) == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     starts, row = np.unique(sp, return_inverse=True)
+    preds = native.predecessors(p_pts)
     n = ep - sp
     # LIS prologue: per-window LIS and point counts from prefix maxima
     # of the per-start LIS rows, taken in text order.
@@ -251,7 +258,7 @@ def ulam_windows(i_pts: np.ndarray, p_pts: np.ndarray, m: int,
     below_ep = np.searchsorted(p_sorted, ep)
     add_work(int((below_ep - np.searchsorted(p_sorted, sp)).sum()))
     lis = np.zeros((len(starts), len(i_pts) + 1), dtype=np.int64)
-    np.maximum.accumulate(native.lis_table(p_pts, starts)[:, order],
+    np.maximum.accumulate(native.lis_table(p_pts, starts, preds)[:, order],
                           axis=1, out=lis[:, 1:])
     lis_w = lis[row, below_ep]
     band = np.maximum(np.maximum(m + n - 2 * lis_w, np.abs(m - n)), 1)
@@ -264,8 +271,13 @@ def ulam_windows(i_pts: np.ndarray, p_pts: np.ndarray, m: int,
         survivors = np.flatnonzero(longer - lis_w <= tau)
         if len(survivors) > top_k:
             index = survivors
+    # Chain-DP rows only for the starts of evaluated windows.
+    used = np.zeros(len(starts), dtype=bool)
+    used[row[index]] = True
+    rank = np.cumsum(used) - 1
     with charge("ulam_sparse", len(sp), int((kept * kept).sum()) + len(sp)):
-        return index, _chain_dp(i_pts, p_pts, m, sp[index], ep[index])
+        return index, _chain_dp(i_pts, p_pts, m, sp[index], ep[index],
+                                starts[used], rank[row[index]], preds)
 
 
 def ulam_auto(i_pts: np.ndarray, p_pts: np.ndarray, m: int, n: int) -> int:

@@ -15,8 +15,11 @@ that, with high probability, contains an approximately optimal one
   each hit anchors a window via its position in ``s̄`` (Lemma 2), searched
   on the same ``G_i`` grid within ``û_i``.
 
-Each guess's ``(sp, ep)`` grid is built as NumPy ranges, deduplicated in
-first-occurrence order, and handed to one
+A hit's window depends only on its diagonal ``q − hit``, so each
+large-``u_i`` guess keeps one grid row per distinct diagonal (its first
+hit's).  Every guess's rows, each with its own gap, radius and end
+shift, are enumerated in one pass, deduplicated in first-occurrence
+order, cut to ``max_candidates_per_block`` and handed to one
 :func:`~repro.strings.ulam.ulam_windows` call with the block's
 ``top_k``.  It shares one chain-DP row per distinct window start and
 runs the DP only on windows whose LIS bounds let them reach the top-k
@@ -109,30 +112,57 @@ def make_block_payload(lo: int, hi: int, positions: np.ndarray, n_t: int,
             **make_block_part(lo, hi, positions, seed)}
 
 
-def _ticks(lo, hi, gap: int, n_t: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Algorithm 1's "indices divisible by G_i": the multiples of ``gap``
-    in ``[lo[r], hi[r]] ∩ [0, n_t]`` for each row ``r``, as padded
-    ``(values, valid)`` arrays of shape ``(rows, width)``."""
+#: Cap on the cells of one :func:`_window_keys` call: grid rows are
+#: enumerated in consecutive chunks of about this many cells.
+_GRID_CELLS = 1 << 16
+
+
+def _ticks(lo, hi, gap: np.ndarray, n_t: int
+           ) -> Tuple[np.ndarray, np.ndarray]:
+    """Algorithm 1's "indices divisible by G_i": the multiples of
+    ``gap[r]`` in ``[lo[r], hi[r]] ∩ [0, n_t]`` for each row ``r``, as
+    ``(first, count)`` arrays."""
     lo = np.maximum(np.ceil(lo), 0).astype(np.int64)
     hi = np.minimum(np.floor(hi), n_t).astype(np.int64)
     first = (lo + gap - 1) // gap * gap
-    width = int(np.max((hi - first) // gap + 1, initial=0))
-    values = first[:, None] + gap * np.arange(width)
-    return values, values <= hi[:, None]
+    return first, np.maximum((hi - first) // gap + 1, 0)
 
 
-def _window_keys(starts: Tuple[np.ndarray, np.ndarray],
-                 ends: Tuple[np.ndarray, np.ndarray], shift: int,
-                 n_t: int) -> np.ndarray:
-    """Windows ``[sp, min(end + shift, n_t))`` for every start tick
-    ``sp`` and end tick ``end`` of the same row with ``end + shift >=
-    sp``, as keys ``sp·(n_t+1) + ep`` in row, start, end order."""
-    (sp, sp_ok), (end, end_ok) = starts, ends
-    sp = sp[:, :, None]
-    ep = end[:, None, :] + shift
-    keep = sp_ok[:, :, None] & end_ok[:, None, :] & (ep >= sp)
-    sp, ep = np.broadcast_arrays(sp, np.minimum(ep, n_t))
-    return sp[keep] * (n_t + 1) + ep[keep]
+def _window_keys(grid: np.ndarray, n_t: int) -> np.ndarray:
+    """Windows of the grid rows ``(sp0, n_sp, end0, n_end, gap, shift)``:
+    ``[sp, min(end + shift, n_t))`` for every start tick ``sp = sp0 +
+    gap·a`` (``a < n_sp``) and end tick ``end = end0 + gap·b`` (``b <
+    n_end``) of the same row with ``end + shift >= sp``, as keys
+    ``sp·(n_t+1) + ep`` in row, start, end order."""
+    sp0, n_sp, end0, n_end, gap, shift = grid
+    cells = n_sp * n_end
+    row = np.repeat(np.arange(len(cells)), cells)
+    a, b = np.divmod(np.arange(len(row))
+                     - np.repeat(np.cumsum(cells) - cells, cells), n_end[row])
+    sp = sp0[row] + gap[row] * a
+    ep = end0[row] + gap[row] * b + shift[row]
+    keep = ep >= sp
+    return sp[keep] * (n_t + 1) + np.minimum(ep[keep], n_t)
+
+
+def _grid_keys(rows: List[Tuple[np.ndarray, np.ndarray, float, int, int]],
+               n_t: int) -> np.ndarray:
+    """Window keys of the grid rows ``(start anchors, end anchors,
+    radius, gap, shift)``, one row per anchor pair, in row order: one
+    :func:`_ticks` per axis over every row, then :func:`_window_keys`
+    over consecutive chunks of about ``_GRID_CELLS`` cells."""
+    sizes = [len(row[0]) for row in rows]
+    start, end = (np.concatenate([row[c] for row in rows]) for c in (0, 1))
+    radius, gap, shift = (np.repeat([row[c] for row in rows], sizes)
+                          for c in (2, 3, 4))
+    grid = np.stack([*_ticks(start - radius, start + radius, gap, n_t),
+                     *_ticks(end - radius, end + radius, gap, n_t),
+                     gap, shift])
+    cum = np.cumsum(grid[1] * grid[3])
+    cuts = np.searchsorted(cum, np.arange(_GRID_CELLS, cum[-1], _GRID_CELLS),
+                           side="right")
+    return np.concatenate([_window_keys(chunk, n_t)
+                           for chunk in np.split(grid, cuts, axis=1)])
 
 
 def run_block_machine(payload: BlockPayload) -> TupleTable:
@@ -149,28 +179,23 @@ def run_block_machine(payload: BlockPayload) -> TupleTable:
 
     # lulam(s[lo:hi), s̄): optimal local window (γ, κ) and distance d*.
     gamma, kappa, d_star = local_ulam_from_matches(i_pts, p_pts, B)
+    lulam = (np.array([gamma]), np.array([kappa]))
 
-    # Candidate windows as keys sp·(n_t+1) + ep, in generation order.
+    # Grid rows (start anchors, end anchors, radius, gap, end shift), in
+    # generation order.
     # Line 2-3: the lulam optimum is always a candidate (exact when d*=0).
-    keys = [np.array([gamma * (n_t + 1) + kappa])]
+    rows = [(*lulam, 0.0, 1, 0)]
 
     rng = np.random.default_rng(payload["seed"])
     local_rf = payload["local_radius_factor"]
     hit_rf = payload["hit_radius_factor"]
-    max_cands = payload["max_candidates"]
 
     for u in payload["u_guesses"]:
-        if max_cands is not None \
-                and len(np.unique(np.concatenate(keys))) >= max_cands:
-            break
         u_hat = (1.0 + eps_prime) * u
         gap = max(int(eps_prime * u), 1)
         if u < B / 2:
             # Small-distance branch (Lemma 1): search near the lulam window.
-            r = local_rf * u_hat
-            keys.append(_window_keys(
-                _ticks([gamma - r], [gamma + r], gap, n_t),
-                _ticks([kappa - r], [kappa + r], gap, n_t), 0, n_t))
+            rows.append((*lulam, local_rf * u_hat, gap, 0))
         else:
             # Large-distance branch (Lemma 2): hitting-set anchors.
             coins = rng.random(B)
@@ -180,19 +205,17 @@ def run_block_machine(payload: BlockPayload) -> TupleTable:
                 hits = rng.choice(hits, size=max_hits, replace=False)
             hits = np.sort(hits)
             q = positions[hits]
-            hits, q = hits[q >= 0], q[q >= 0]
-            g2 = q - hits                # anchor-implied window start
-            k2 = q + (B - 1 - hits)      # anchor-implied last index
+            g2 = (q - hits)[q >= 0]      # anchor-implied window start
+            # Hits on one diagonal anchor the same grid; its first hit
+            # already yields every window, in the same order.
+            g2 = g2[np.sort(np.unique(g2, return_index=True)[1])]
             # End ticks are last indices; the window is half-open (+1).
-            r = hit_rf * u_hat
-            keys.append(_window_keys(_ticks(g2 - r, g2 + r, gap, n_t),
-                                     _ticks(k2 - r, k2 + r, gap, n_t),
-                                     1, n_t))
+            rows.append((g2, g2 + (B - 1), hit_rf * u_hat, gap, 1))
 
     # Distinct windows in first-occurrence order, capped.
-    keys = np.concatenate(keys)
-    first = np.sort(np.unique(keys, return_index=True)[1])[:max_cands]
-    sp, ep = np.divmod(keys[first], n_t + 1)
+    keys = _grid_keys(rows, n_t)
+    first = np.sort(np.unique(keys, return_index=True)[1])
+    sp, ep = np.divmod(keys[first[:payload["max_candidates"]]], n_t + 1)
 
     # Distance evaluation: sparse chain DP per window from positions only.
     add_work(len(sp))

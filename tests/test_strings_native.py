@@ -451,6 +451,15 @@ class TestNumPyKernelPrimitives:
             starts = np.arange(n_t + 1, dtype=np.int64)
             D = native.chain_table(i_pts, p_pts, starts)
             L = native.lis_table(p_pts, starts)
+            # A supplied predecessor list gives the same tables.
+            preds = native.predecessors(p_pts)
+            assert [pred.tolist() for pred in preds] == [
+                [k for k in range(j) if p_pts[k] < p_pts[j]]
+                for j in range(len(p_pts))]
+            np.testing.assert_array_equal(
+                native.chain_table(i_pts, p_pts, starts, preds), D)
+            np.testing.assert_array_equal(
+                native.lis_table(p_pts, starts, preds), L)
             for sp in starts.tolist():
                 # Python double loop over the point set {p >= sp}.
                 for j, (ij, pj) in enumerate(zip(i_pts, p_pts)):

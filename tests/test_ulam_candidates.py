@@ -1,11 +1,17 @@
 """Unit tests for Algorithm 1 (Ulam candidate construction)."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import repro.ulam.candidates as candidates
+import repro.ulam.driver as driver
 from repro.params import UlamParams
 from repro.strings import local_ulam, local_ulam_from_matches, ulam_distance
-from repro.ulam import UlamConfig, make_block_payload, run_block_machine
+from repro.ulam import (UlamConfig, make_block_payload, mpc_ulam,
+                        run_block_machine)
 from repro.workloads.permutations import planted_pair, random_permutation
 
 
@@ -184,6 +190,74 @@ class TestWindowEnumeration:
                    run_block_machine(dict(payload))]
             assert got == _scalar_windows(payload)
             assert len(got) > 1
+
+    @staticmethod
+    def _n512_payload(**config):
+        """The first block of a benchmark-shaped ``perm_pair(512, 64,
+        "mixed")`` query under ``UlamConfig.default()``: ``θ = 1``, so
+        every block position is a hit and most diagonals hold several."""
+        s, t, _ = planted_pair(512, 64, seed=1, style="mixed")
+        params = UlamParams(n=512, x=0.25, eps=0.5)
+        assert params.hitting_rate == 1.0
+        B = params.block_size
+        payload = _payload_for(s, t, 0, B, params, seed=3,
+                               config=replace(UlamConfig.default(), **config))
+        present = payload["positions"] >= 0
+        diagonals = payload["positions"][present] - np.flatnonzero(present)
+        assert len(np.unique(diagonals)) < present.sum() // 2
+        payload["top_k"] = None  # keep generation order
+        return payload
+
+    def _check(self, payload):
+        got = [(sp, ep) for _, _, sp, ep, _ in
+               run_block_machine(dict(payload))]
+        assert got == _scalar_windows(payload)
+        return got
+
+    @pytest.mark.parametrize("grid_cells", [None, 97])
+    def test_benchmark_shape(self, grid_cells, monkeypatch):
+        if grid_cells:  # many chunks, some rows larger than one
+            monkeypatch.setattr(candidates, "_GRID_CELLS", grid_cells)
+        assert len(self._check(self._n512_payload())) > 1000
+
+    def test_cap_cuts_mid_guess(self):
+        payload = self._n512_payload()
+        guesses = payload["u_guesses"]
+        g = next(i for i, u in enumerate(guesses)
+                 if u >= payload["hi"] / 2) + 1
+        before, after = (len(_scalar_windows({**payload,
+                                              "u_guesses": guesses[:k]}))
+                         for k in (g, g + 1))
+        cap = (before + after) // 2
+        assert before < cap < after
+        got = self._check(self._n512_payload(max_candidates_per_block=cap))
+        assert len(got) == cap
+
+
+class TestGridMemory:
+    def test_block_machine_peak_is_bounded(self, monkeypatch):
+        """Enumerating every guess's grid in one pass keeps its
+        temporaries in chunks: no block machine of an ``n = 1024``,
+        ``eps = 0.2`` query traces more than 32 MB."""
+        payloads = []
+
+        def capture(payload):
+            payloads.append(dict(payload))
+            return run_block_machine(payload)
+
+        monkeypatch.setattr(driver, "run_block_machine", capture)
+        s, t, _ = planted_pair(1024, 128, seed=1, style="mixed")
+        mpc_ulam(s, t, x=0.25, eps=0.2, seed=1)
+        peaks = []
+        for payload in payloads:
+            tracemalloc.start()
+            try:
+                run_block_machine(payload)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len(peaks) > 1
+        assert max(peaks) <= 32 << 20, peaks
 
 
 class TestConfigPresets:

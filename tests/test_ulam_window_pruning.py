@@ -198,9 +198,9 @@ class TestBlockMachinePruning:
             windows.append(len(args[3]))
             return real_windows(*args, **kwargs)
 
-        def spy_dp(i_pts, p_pts, m, sp, ep):
+        def spy_dp(i_pts, p_pts, m, sp, ep, starts, row, preds=None):
             evaluated.append(len(sp))
-            return real_dp(i_pts, p_pts, m, sp, ep)
+            return real_dp(i_pts, p_pts, m, sp, ep, starts, row, preds)
 
         with monkeypatch.context() as patch:
             patch.setattr(cand, "ulam_windows", all_windows)
