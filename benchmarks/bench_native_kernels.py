@@ -101,9 +101,9 @@ def _capture_ulam_blocks():
     calls = []
     real = cand.ulam_windows
 
-    def record(*call, top_k=None):
+    def record(*call, top_k=None, links=None):
         calls.append((call, top_k))
-        return real(*call, top_k=top_k)
+        return real(*call, top_k=top_k, links=links)
 
     cand.ulam_windows = record
     try:

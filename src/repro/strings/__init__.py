@@ -20,7 +20,7 @@ from .edit_distance import (hamming, levenshtein, levenshtein_last_row,
                             levenshtein_script)
 from .fitting import fitting_alignment, fitting_distance, fitting_last_row
 from .lcs import lcs_length, lcs_length_duplicate_free, position_map
-from .lis import lis_indices, lis_length, longest_increasing_subsequence
+from .lis import lis_length
 from .polylog import ako_edit_upper_bound, ako_guarantee_factor, ako_window
 from .transform import EditOp, apply_script, gap_script, script_cost
 from .types import INF, StringLike, as_array
@@ -38,7 +38,7 @@ __all__ = [
     "hamming", "levenshtein", "levenshtein_last_row", "levenshtein_script",
     "fitting_alignment", "fitting_distance", "fitting_last_row",
     "lcs_length", "lcs_length_duplicate_free", "position_map",
-    "lis_indices", "lis_length", "longest_increasing_subsequence",
+    "lis_length",
     "ako_edit_upper_bound", "ako_guarantee_factor", "ako_window",
     "EditOp", "apply_script", "gap_script", "script_cost",
     "INF", "StringLike", "as_array",

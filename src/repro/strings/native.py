@@ -8,9 +8,11 @@ windows.  The two hottest ``strings.dp_cells`` kernels are:
   against one block, but only a few hundred distinct starts ``sp``.  A
   chain ending at match point ``j`` only uses points with ``p < p_j``,
   so every window with start ``sp`` reads the same prefix row:
-  :func:`chain_table` (chain costs) and :func:`lis_table` (LIS ending at
-  each point) compute one row per distinct start, all rows in one
-  column loop, and can share one :func:`predecessors` list.
+  :func:`chain_table` (chain costs) computes one row per distinct start
+  and :func:`lis_table` (LIS ending at each point) one per distinct
+  point set, all rows in one column loop.  Both walk one
+  :func:`predecessors` list of each point's chain predecessors and
+  their gap costs, which the machine's `lulam` walks too.
 * the Ukkonen band behind ``banded``: :func:`banded_values_batch` runs
   one pair on the scalar row-vectorised kernel
   (:func:`np_banded_value`) and two or more on the padded batch kernel,
@@ -40,43 +42,57 @@ __all__ = ["predecessors", "lis_table", "chain_table",
 # ---------------------------------------------------------------------------
 # Chain-DP tables over many window starts
 
-def predecessors(p_pts: np.ndarray) -> List[np.ndarray]:
+#: :func:`predecessors` of a point set: ``(preds, gaps)``, one array each
+#: per point.
+Links = Tuple[List[np.ndarray], List[np.ndarray]]
+
+
+def predecessors(i_pts: np.ndarray, p_pts: np.ndarray) -> Links:
     """Per match point ``j`` (points sorted by ``i``): its chain
-    predecessors, the points ``k < j`` with ``p_k < p_j``, from one
-    ``(c × c)`` comparison."""
+    predecessors, the points ``k < j`` with ``p_k < p_j`` in ascending
+    order, and their gaps ``max(i_j - i_k, p_j - p_k) - 1``, the cost of
+    the unmatched run between ``k`` and ``j``; one ``(c × c)``
+    comparison gives both lists."""
     c = len(p_pts)
     j, k = np.nonzero(np.tril(p_pts[:, None] > p_pts, -1))
-    # ``np.split`` yields one (empty) piece even with no points.
-    return np.split(k, np.searchsorted(j, np.arange(1, c)))[:c]
+    gaps = np.maximum(i_pts[j] - i_pts[k], p_pts[j] - p_pts[k]) - 1
+    cuts = np.searchsorted(j, np.arange(c + 1)).tolist()
+    pieces = list(zip(cuts[:-1], cuts[1:]))
+    return [k[a:b] for a, b in pieces], [gaps[a:b] for a, b in pieces]
 
 
-def lis_table(p_pts: np.ndarray, starts: np.ndarray,
-              preds: Optional[List[np.ndarray]] = None) -> np.ndarray:
+def lis_table(i_pts: np.ndarray, p_pts: np.ndarray, starts: np.ndarray,
+              links: Optional[Links] = None) -> np.ndarray:
     """``L[row, j]``: longest increasing chain of the point set
     ``{p >= starts[row]}`` ending at point ``j`` (0 outside the set;
-    points sorted by ``i``).  *preds* are the :func:`predecessors` of
-    *p_pts*, computed here when not given.
+    points sorted by ``i``).  *links* are the :func:`predecessors` of
+    the points, computed here when not given.
 
     A chain ending at ``j`` only uses points with ``p < p_j``, so the
     LIS of any window ``[start, ep)`` is the largest ``L[row, j]`` with
-    ``p_j < ep``.
+    ``p_j < ep``.  Starts with the same rank among the sorted ``p``
+    select the same point set, so one row is computed per rank.
     """
+    p_rank = np.argsort(np.argsort(p_pts))
+    ranks, row = np.unique(np.searchsorted(np.sort(p_pts), starts),
+                           return_inverse=True)
     # Chains of one point; outside points stay 0, since all their
     # predecessors are outside too.
-    L = (p_pts >= starts[:, None]).astype(np.int64)
-    for j, pred in enumerate(predecessors(p_pts) if preds is None
-                             else preds):
-        L[:, j] += L[:, pred].max(axis=1, initial=0)
-    return L
+    L = (p_rank >= ranks[:, None]).astype(np.int64)
+    preds, _ = predecessors(i_pts, p_pts) if links is None else links
+    for j, pred in enumerate(preds):
+        if len(pred):
+            L[:, j] += L[:, pred].max(axis=1)
+    return L[row]
 
 
 def chain_table(i_pts: np.ndarray, p_pts: np.ndarray, starts: np.ndarray,
-                preds: Optional[List[np.ndarray]] = None) -> np.ndarray:
+                links: Optional[Links] = None) -> np.ndarray:
     """``D[row, j]``: cheapest alignment of the pattern prefix
     ``[0, i_j]`` against the text ``[starts[row], p_j]`` whose last match
     is point ``j`` (``INF`` outside the point set ``{p >= starts[row]}``).
-    *preds* are the :func:`predecessors` of *p_pts*, computed here when
-    not given.
+    *links* are the :func:`predecessors` of the points, computed here
+    when not given.
 
     Row ``row`` is the sparse chain DP of every window starting at
     ``starts[row]`` at once: a window ``[start, ep)`` contains all
@@ -88,12 +104,10 @@ def chain_table(i_pts: np.ndarray, p_pts: np.ndarray, starts: np.ndarray,
     # predecessors are outside too.
     D = np.where(p_pts >= starts[:, None],
                  np.maximum(i_pts, p_pts - starts[:, None]), INF)
-    for j, pred in enumerate(predecessors(p_pts) if preds is None
-                             else preds):
-        gaps = np.maximum(i_pts[j] - i_pts[pred],
-                          p_pts[j] - p_pts[pred]) - 1
-        np.minimum(D[:, j], (D[:, pred] + gaps).min(axis=1, initial=INF),
-                   out=D[:, j])
+    preds, gaps = predecessors(i_pts, p_pts) if links is None else links
+    for j, (pred, gap) in enumerate(zip(preds, gaps)):
+        if len(pred):
+            np.minimum(D[:, j], (D[:, pred] + gap).min(axis=1), out=D[:, j])
     return D
 
 

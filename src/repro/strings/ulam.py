@@ -24,13 +24,19 @@ Kernels
   windows of one text, the Algorithm 1 machine's workload: one chain-DP
   row per distinct window start (:mod:`repro.strings.native`), charged
   as one certified banded pass per window.  Given the machine's per-block
-  ``top_k``, it runs the chain DP only on windows whose LIS lower bound
+  ``top_k``, it builds chain rows only for windows whose LIS lower bound
   ``max(m, n) - LIS`` does not exceed the ``top_k``-th smallest upper
-  bound ``min(m + n - 2·LIS, max(m, n))``; the charge stays per window,
-  over every window.
+  bound ``min(m + n - 2·LIS, max(m, n))``, and reads off only those
+  that can still beat the exact distances of the ``top_k`` windows with
+  the smallest upper bounds; the charge stays per window, over every
+  window.
 * :func:`ulam_auto` — one window of :func:`ulam_windows`.
 * :func:`local_ulam_from_matches` / :func:`local_ulam` — free-window
   variant implementing the `lulam` contract ``(γ, κ, d*)`` of Lemma 1.
+
+A block machine computes its points'
+:func:`~repro.strings.native.predecessors` (chain predecessors and gap
+costs) once and hands them to both `lulam` and :func:`ulam_windows`.
 
 Every sparse chain DP is charged once, by a
 :class:`~repro.mpc.accounting.charge` bracket under the kernel name
@@ -145,12 +151,13 @@ def ulam_from_matches(i_pts: np.ndarray, p_pts: np.ndarray, m: int, n: int,
     c = len(i_pts)
     zero = np.zeros(1, dtype=np.int64)
     with charge("ulam_sparse", 1, c * c + 1):
-        return int(_chain_dp(i_pts, p_pts, m, zero,
-                             np.full(1, n, dtype=np.int64), zero, zero)[0])
+        D = native.chain_table(i_pts, p_pts, zero)
+        return int(_read_off(D, i_pts, p_pts, m, zero,
+                             np.full(1, n, dtype=np.int64), zero)[0])
 
 
 #: Cap on the ``windows × match points`` temporaries of
-#: :func:`_chain_dp`: windows are read off in blocks of this many cells.
+#: :func:`_read_off`: windows are read off in blocks of this many cells.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -160,19 +167,12 @@ def _row_blocks(rows: int, cols: int) -> Iterator[slice]:
         yield slice(lo, lo + step)
 
 
-def _chain_dp(i_pts: np.ndarray, p_pts: np.ndarray, m: int,
-              sp: np.ndarray, ep: np.ndarray, starts: np.ndarray,
-              row: np.ndarray, preds: Optional[List[np.ndarray]] = None
-              ) -> np.ndarray:
-    """Uncharged sparse chain DP of every window ``text[sp[w]:ep[w]]``,
-    where ``sp[w] == starts[row[w]]``.
-
-    One :func:`~repro.strings.native.chain_table` row per start, read
-    off per window as ``min(max(m, n), min_{p_j < ep} D[j] +
-    max(m-1-i_j, ep-1-p_j))``.  *preds* are the points'
-    :func:`~repro.strings.native.predecessors`, if already computed.
-    """
-    D = native.chain_table(i_pts, p_pts, starts, preds)
+def _read_off(D: np.ndarray, i_pts: np.ndarray, p_pts: np.ndarray, m: int,
+              sp: np.ndarray, ep: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Exact distance of every window ``text[sp[w]:ep[w]]`` from row
+    ``row[w]`` of a :func:`~repro.strings.native.chain_table` whose start
+    is ``sp[w]``: ``min(max(m, n), min_{p_j < ep} D[j] + max(m-1-i_j,
+    ep-1-p_j))``."""
     out = np.maximum(m, ep - sp)
     for blk in _row_blocks(len(sp), len(i_pts)):
         last = ep[blk, None] - 1
@@ -211,7 +211,8 @@ def _band_counts(i_pts: np.ndarray, p_pts: np.ndarray, sp: np.ndarray,
 
 def ulam_windows(i_pts: np.ndarray, p_pts: np.ndarray, m: int,
                  sp: Sequence[int], ep: Sequence[int],
-                 top_k: Optional[int] = None
+                 top_k: Optional[int] = None,
+                 links: Optional[native.Links] = None
                  ) -> Tuple[np.ndarray, np.ndarray]:
     """Exact Ulam distances from a pattern to many windows of one text.
 
@@ -228,18 +229,23 @@ def ulam_windows(i_pts: np.ndarray, p_pts: np.ndarray, m: int,
     of :func:`~repro.strings.native.lis_table` per distinct start gives
     every window its LIS, and one row of
     :func:`~repro.strings.native.chain_table` per distinct evaluated
-    start serves all its windows; both tables walk one shared
-    :func:`~repro.strings.native.predecessors` list.  The band never
-    moves a value: it is at least the indel distance, hence at least
-    the true one.
+    start serves all its windows; both tables walk one
+    :func:`~repro.strings.native.predecessors` list, *links*, computed
+    here when not given.  The band never moves a value: it is at least
+    the indel distance, hence at least the true one.
 
     With *top_k*, only windows that can rank among the *top_k* smallest
     distances are evaluated.  Each window's LIS bounds its distance,
-    ``max(m, n) - LIS ≤ ulam ≤ min(m + n - 2·LIS, max(m, n))``; with
-    ``τ`` the *top_k*-th smallest upper bound, a window whose lower
-    bound exceeds ``τ`` is strictly worse than *top_k* others.  Those
-    are dropped only when more than *top_k* windows survive, so a
-    per-block :meth:`~repro.chain.TupleTable.capped` of the evaluated
+    ``max(m, n) - LIS ≤ ulam ≤ min(m + n - 2·LIS, max(m, n))``.  A first
+    pass keeps the windows whose lower bound is at most ``τ₁``, the
+    *top_k*-th smallest upper bound, and builds the chain rows of their
+    starts.  A second pass reads off the *top_k* survivors with the
+    smallest upper bounds; with ``τ₂ ≤ τ₁`` the largest of their exact
+    distances, it reads off only the other survivors whose lower bound
+    is at most ``τ₂``.  Every dropped window is strictly worse than
+    *top_k* evaluated ones.  Windows are dropped only when more than
+    *top_k* remain (otherwise every first-pass survivor is read off), so
+    a per-block :meth:`~repro.chain.TupleTable.capped` of the evaluated
     windows equals that of all of them, rows and order alike (``capped``
     leaves a table of at most *top_k* rows unsorted).  Without *top_k*
     every window is evaluated.
@@ -249,7 +255,8 @@ def ulam_windows(i_pts: np.ndarray, p_pts: np.ndarray, m: int,
     if len(sp) == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     starts, row = np.unique(sp, return_inverse=True)
-    preds = native.predecessors(p_pts)
+    if links is None:
+        links = native.predecessors(i_pts, p_pts)
     n = ep - sp
     # LIS prologue: per-window LIS and point counts from prefix maxima
     # of the per-start LIS rows, taken in text order.
@@ -258,26 +265,42 @@ def ulam_windows(i_pts: np.ndarray, p_pts: np.ndarray, m: int,
     below_ep = np.searchsorted(p_sorted, ep)
     add_work(int((below_ep - np.searchsorted(p_sorted, sp)).sum()))
     lis = np.zeros((len(starts), len(i_pts) + 1), dtype=np.int64)
-    np.maximum.accumulate(native.lis_table(p_pts, starts, preds)[:, order],
-                          axis=1, out=lis[:, 1:])
+    np.maximum.accumulate(
+        native.lis_table(i_pts, p_pts, starts, links)[:, order],
+        axis=1, out=lis[:, 1:])
     lis_w = lis[row, below_ep]
     band = np.maximum(np.maximum(m + n - 2 * lis_w, np.abs(m - n)), 1)
     kept = _band_counts(i_pts, p_pts, sp, ep, band)
     index = np.arange(len(sp))
+    longer = np.maximum(m, n)
+    lower, upper = longer - lis_w, np.minimum(m + n - 2 * lis_w, longer)
     if top_k and len(sp) > top_k:
-        longer = np.maximum(m, n)
-        upper = np.minimum(m + n - 2 * lis_w, longer)
         tau = np.partition(upper, top_k - 1)[top_k - 1]
-        survivors = np.flatnonzero(longer - lis_w <= tau)
+        survivors = np.flatnonzero(lower <= tau)
         if len(survivors) > top_k:
             index = survivors
-    # Chain-DP rows only for the starts of evaluated windows.
+    # Chain-DP rows only for the starts of first-pass survivors.
     used = np.zeros(len(starts), dtype=bool)
     used[row[index]] = True
     rank = np.cumsum(used) - 1
+    dists = np.zeros(len(sp), dtype=np.int64)
     with charge("ulam_sparse", len(sp), int((kept * kept).sum()) + len(sp)):
-        return index, _chain_dp(i_pts, p_pts, m, sp[index], ep[index],
-                                starts[used], rank[row[index]], preds)
+        D = native.chain_table(i_pts, p_pts, starts[used], links)
+
+        def read(w: np.ndarray) -> np.ndarray:
+            dists[w] = _read_off(D, i_pts, p_pts, m, sp[w], ep[w],
+                                 rank[row[w]])
+            return dists[w]
+
+        rest = index
+        if top_k and len(index) > top_k:
+            first = index[np.argsort(upper[index], kind="stable")[:top_k]]
+            rest = np.setdiff1d(index, first)
+            near = rest[lower[rest] <= read(first).max()]
+            if len(near):
+                index, rest = np.union1d(first, near), near
+        read(rest)
+    return index, dists[index]
 
 
 def ulam_auto(i_pts: np.ndarray, p_pts: np.ndarray, m: int, n: int) -> int:
@@ -293,8 +316,9 @@ def ulam_auto(i_pts: np.ndarray, p_pts: np.ndarray, m: int, n: int) -> int:
     return int(ulam_windows(i_pts, p_pts, m, [0], [n])[1][0])
 
 
-def local_ulam_from_matches(i_pts: np.ndarray, p_pts: np.ndarray,
-                            m: int) -> Tuple[int, int, int]:
+def local_ulam_from_matches(i_pts: np.ndarray, p_pts: np.ndarray, m: int,
+                            links: Optional[native.Links] = None
+                            ) -> Tuple[int, int, int]:
     """`lulam` from match points: best window of the text for the pattern.
 
     Returns ``(gamma, kappa, dist)`` — a half-open text window
@@ -306,23 +330,25 @@ def local_ulam_from_matches(i_pts: np.ndarray, p_pts: np.ndarray,
     ``m``.
 
     ``i_pts`` must be strictly increasing (sorted by pattern index).
+    *links* are the points' :func:`~repro.strings.native.predecessors`,
+    computed here when not given; each point's parent is its first
+    cheapest predecessor, if that beats starting the chain there.
     """
     c = len(i_pts)
     with charge("ulam_sparse", 1, c * c + 1):
         if c == 0:
             return 0, 0, m
-        D = np.empty(c, dtype=np.int64)
+        preds, gaps = (native.predecessors(i_pts, p_pts) if links is None
+                       else links)
+        D = i_pts.astype(np.int64)
         parent = np.full(c, -1, dtype=np.int64)
-        for j in range(c):
-            D[j] = i_pts[j]
-            if j > 0:
-                di = i_pts[j] - i_pts[:j] - 1
-                dp = p_pts[j] - p_pts[:j] - 1
-                cand = D[:j] + np.maximum(di, np.where(dp < 0, INF, dp))
+        for j, (pred, gap) in enumerate(zip(preds, gaps)):
+            if len(pred):
+                cand = D[pred] + gap
                 k = int(cand.argmin())
-                if int(cand[k]) < int(D[j]):
-                    D[j] = int(cand[k])
-                    parent[j] = k
+                if cand[k] < D[j]:
+                    D[j] = cand[k]
+                    parent[j] = pred[k]
         totals = D + (m - 1 - i_pts)
         j_best = int(totals.argmin())
         dist = int(totals[j_best])

@@ -22,10 +22,11 @@ shift, are enumerated in one pass, deduplicated in first-occurrence
 order, cut to ``max_candidates_per_block`` and handed to one
 :func:`~repro.strings.ulam.ulam_windows` call with the block's
 ``top_k``.  It shares one chain-DP row per distinct window start and
-runs the DP only on windows whose LIS bounds let them reach the top-k
+evaluates only windows whose LIS bounds let them reach the top-k
 (Lemma 3 keeps only the best few per block), so the capped tuples are
 those of evaluating every window; the ledger still charges one
-certified banded sparse DP per window, evaluated or not.
+certified banded sparse DP per window, evaluated or not.  `lulam` and
+the window kernel walk one chain predecessor/gap list per block.
 
 All coordinates are 0-based half-open (the paper is 1-based closed).
 """
@@ -40,6 +41,7 @@ from ..chain import Tuple5, TupleTable
 from ..metrics import get_registry
 from ..mpc.accounting import add_work
 from ..mpc.shm import SharedSlice
+from ..strings.native import predecessors
 from ..strings.ulam import local_ulam_from_matches, ulam_windows
 from .config import UlamConfig
 
@@ -177,8 +179,10 @@ def run_block_machine(payload: BlockPayload) -> TupleTable:
     i_pts = np.nonzero(present)[0].astype(np.int64)   # block-relative i
     p_pts = positions[present].astype(np.int64)       # absolute in s̄
 
+    # One chain predecessor/gap list serves lulam and every window.
+    links = predecessors(i_pts, p_pts)
     # lulam(s[lo:hi), s̄): optimal local window (γ, κ) and distance d*.
-    gamma, kappa, d_star = local_ulam_from_matches(i_pts, p_pts, B)
+    gamma, kappa, d_star = local_ulam_from_matches(i_pts, p_pts, B, links)
     lulam = (np.array([gamma]), np.array([kappa]))
 
     # Grid rows (start anchors, end anchors, radius, gap, end shift), in
@@ -225,7 +229,8 @@ def run_block_machine(payload: BlockPayload) -> TupleTable:
     # Only windows that can make the block's top-k are evaluated; the
     # cap below ships the same tuples as on every window.
     top_k = payload["top_k"]
-    index, dists = ulam_windows(i_pts, p_pts, B, sp, ep, top_k=top_k)
+    index, dists = ulam_windows(i_pts, p_pts, B, sp, ep, top_k=top_k,
+                                links=links)
     # Smallest (distance, length) first; ties keep generation order.
     tuples = TupleTable.from_columns(lo, hi, sp[index], ep[index],
                                      dists).capped(top_k)

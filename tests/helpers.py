@@ -9,6 +9,10 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
+from repro.strings.types import INF
+
 
 def brute_edit_distance(a: Sequence[int], b: Sequence[int]) -> int:
     """Textbook O(m·n) Wagner–Fischer, Python lists only."""
@@ -75,3 +79,35 @@ def random_duplicate_free_pair(rng, max_len: int = 12,
     a = rng.permutation(universe)[:m].tolist()
     b = rng.permutation(universe)[:n].tolist()
     return a, b
+
+
+def scan_local_ulam(i_pts: np.ndarray, p_pts: np.ndarray, m: int
+                    ) -> Tuple[int, int, int]:
+    """`lulam` ``(gamma, kappa, dist)`` from match points by a scan over
+    every earlier point, predecessors or not: ``p_k > p_j`` is masked to
+    ``INF``, each point's parent is the first cheapest earlier point if
+    it beats starting the chain there."""
+    c = len(i_pts)
+    if c == 0:
+        return 0, 0, m
+    D = np.empty(c, dtype=np.int64)
+    parent = np.full(c, -1, dtype=np.int64)
+    for j in range(c):
+        D[j] = i_pts[j]
+        if j > 0:
+            di = i_pts[j] - i_pts[:j] - 1
+            dp = p_pts[j] - p_pts[:j] - 1
+            cand = D[:j] + np.maximum(di, np.where(dp < 0, INF, dp))
+            k = int(cand.argmin())
+            if int(cand[k]) < int(D[j]):
+                D[j] = int(cand[k])
+                parent[j] = k
+    totals = D + (m - 1 - i_pts)
+    j_best = int(totals.argmin())
+    dist = int(totals[j_best])
+    if dist >= m:
+        return 0, 0, m
+    j = j_best
+    while parent[j] != -1:
+        j = int(parent[j])
+    return int(p_pts[j]), int(p_pts[j_best]) + 1, dist

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.strings import (lcs_length, lcs_length_duplicate_free,
-                           lis_indices, lis_length,
-                           longest_increasing_subsequence, position_map)
+                           lis_length, position_map)
 
 from .helpers import brute_lcs_length, brute_lis_length
 
@@ -32,22 +31,6 @@ class TestLisLength:
             n = int(rng.integers(0, 15))
             seq = rng.integers(0, 10, n).tolist()
             assert lis_length(seq) == brute_lis_length(seq)
-
-
-class TestLisIndices:
-    def test_indices_form_increasing_subsequence(self, rng):
-        for _ in range(60):
-            seq = rng.integers(0, 12, int(rng.integers(0, 15))).tolist()
-            idx = lis_indices(seq)
-            assert len(idx) == brute_lis_length(seq)
-            assert idx == sorted(idx)
-            values = [seq[i] for i in idx]
-            assert all(a < b for a, b in zip(values, values[1:]))
-
-    def test_values_helper(self):
-        vals = longest_increasing_subsequence([3, 1, 4, 1, 5])
-        assert vals == sorted(vals)
-        assert len(vals) == 3
 
 
 class TestLcsLength:

@@ -33,7 +33,7 @@ from repro.mpc import WorkMeter
 from repro.obs import profile as obs_profile
 from repro.strings import (fitting_last_row, hamming, levenshtein,
                            levenshtein_doubling, levenshtein_doubling_batch,
-                           levenshtein_script, lis_indices, lis_length,
+                           levenshtein_script, lis_length,
                            local_ulam_from_matches, match_points,
                            ulam_auto, ulam_distance, ulam_from_matches,
                            ulam_windows, within_threshold,
@@ -333,11 +333,12 @@ class TestBatchSizes:
             'strings.kernel_calls{kernel=ulam_sparse}': 1}
 
 
-def _per_window_ulam(i_pts, p_pts, m, sp, ep, top_k=None):
+def _per_window_ulam(i_pts, p_pts, m, sp, ep, top_k=None, links=None):
     """Stand-in for ``ulam_windows`` in the block machine: one
     :func:`ulam_auto` call per window, on the window's match points
-    re-based to its start.  Ignores *top_k*: every window is evaluated,
-    so the machine's cap runs on the full table."""
+    re-based to its start.  Ignores *top_k*, so every window is
+    evaluated and the machine's cap runs on the full table, and the
+    machine's *links*, so each window's predecessors are its own."""
     out = []
     for w_sp, w_ep in zip(sp.tolist(), ep.tolist()):
         inside = (p_pts >= w_sp) & (p_pts < w_ep)
@@ -450,16 +451,26 @@ class TestNumPyKernelPrimitives:
             i_pts, p_pts = _random_block(rng, m, n_t)
             starts = np.arange(n_t + 1, dtype=np.int64)
             D = native.chain_table(i_pts, p_pts, starts)
-            L = native.lis_table(p_pts, starts)
-            # A supplied predecessor list gives the same tables.
-            preds = native.predecessors(p_pts)
+            L = native.lis_table(i_pts, p_pts, starts)
+            # The predecessor/gap list against the brute formula, and a
+            # supplied list gives the same tables.
+            links = native.predecessors(i_pts, p_pts)
+            preds, gaps = links
             assert [pred.tolist() for pred in preds] == [
                 [k for k in range(j) if p_pts[k] < p_pts[j]]
                 for j in range(len(p_pts))]
+            assert [gap.tolist() for gap in gaps] == [
+                [max(i_pts[j] - i_pts[k], p_pts[j] - p_pts[k]) - 1
+                 for k in pred.tolist()] for j, pred in enumerate(preds)]
             np.testing.assert_array_equal(
-                native.chain_table(i_pts, p_pts, starts, preds), D)
+                native.chain_table(i_pts, p_pts, starts, links), D)
             np.testing.assert_array_equal(
-                native.lis_table(p_pts, starts, preds), L)
+                native.lis_table(i_pts, p_pts, starts, links), L)
+            # LIS rows are shared per point set: starts repeated and in
+            # any order still read their own rows.
+            mixed = rng.integers(0, n_t + 1, 12)
+            np.testing.assert_array_equal(
+                native.lis_table(i_pts, p_pts, mixed), L[mixed])
             for sp in starts.tolist():
                 # Python double loop over the point set {p >= sp}.
                 for j, (ij, pj) in enumerate(zip(i_pts, p_pts)):
@@ -483,6 +494,11 @@ class TestNumPyKernelPrimitives:
                     best = min([max(m, ep - sp)]
                                + (D[sp] + tails)[inside].tolist())
                     assert best == ulam_distance(pattern, text[sp:ep])
+        # No points: empty lists and one empty row per start.
+        empty = np.zeros(0, dtype=np.int64)
+        assert native.predecessors(empty, empty) == ([], [])
+        assert native.lis_table(empty, empty, starts).shape == \
+            (len(starts), 0)
 
 
 def _word(n, seed):
@@ -508,7 +524,6 @@ _KERNEL_CALLS = {
     "local_ulam_no_matches": (
         lambda: local_ulam_from_matches(_EMPTY, _EMPTY, 5), 1),
     "lis_length": (lambda: lis_length(_PERM), 240),
-    "lis_indices": (lambda: lis_indices(_PERM), 240),
     "levenshtein_short": (
         lambda: levenshtein(_word(40, 3), _word(50, 4)), 2000),
     "levenshtein_myers": (

@@ -2,14 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.metrics import enabled as metrics_enabled
+from repro.metrics import scoped_snapshot
+from repro.mpc import WorkMeter
+from repro.obs import profile as obs_profile
 from repro.strings import (check_duplicate_free, is_duplicate_free,
                            local_ulam, local_ulam_from_matches,
                            match_points, ulam_auto, ulam_distance,
                            ulam_from_matches, ulam_indel)
+from repro.strings.native import predecessors
 
 from .helpers import (brute_edit_distance, brute_fitting,
-                      random_duplicate_free_pair)
+                      random_duplicate_free_pair, scan_local_ulam)
 
 
 class TestDuplicateFreeValidation:
@@ -125,3 +132,54 @@ class TestLocalUlam:
     def test_from_matches_empty(self):
         empty = np.array([], dtype=np.int64)
         assert local_ulam_from_matches(empty, empty, 5) == (0, 0, 5)
+
+
+def _metered(fn):
+    """``fn()`` under full metering: its result, work, metric deltas and
+    profile calls/cells."""
+    with metrics_enabled(), obs_profile.enabled():
+        with scoped_snapshot() as scope, WorkMeter() as meter:
+            result = fn()
+    return (result, meter.total, scope.delta(),
+            {k: v[:2] for k, v in meter.kernels.items()})
+
+
+@st.composite
+def _match_point_sets(draw):
+    """Match points sorted by strictly increasing ``i``, with distinct
+    ``p`` from a small range (so equally cheap parents are common), and
+    a pattern length covering every ``i``."""
+    p_pts = draw(st.lists(st.integers(0, 14), unique=True, max_size=12))
+    steps = draw(st.lists(st.integers(1, 3), min_size=len(p_pts),
+                          max_size=len(p_pts)))
+    i_pts = np.cumsum(np.array(steps, dtype=np.int64)) - 1
+    m = int(i_pts[-1]) + 1 if len(i_pts) else 0
+    return i_pts, np.array(p_pts, dtype=np.int64), \
+        m + draw(st.integers(0, 3))
+
+
+class TestLocalUlamParity:
+    """The lulam kernel walks the shared predecessor/gap list; the scan
+    over every earlier point is its oracle, parents and ties included."""
+
+    @given(case=_match_point_sets())
+    # Empty; two equally cheap chains into the last point (the first
+    # one must win); points without predecessors.
+    @example(case=(np.zeros(0, dtype=np.int64),
+                   np.zeros(0, dtype=np.int64), 3))
+    @example(case=(np.array([0, 1, 2, 3], dtype=np.int64),
+                   np.array([6, 8, 0, 9], dtype=np.int64), 4))
+    @example(case=(np.array([0, 1, 2], dtype=np.int64),
+                   np.array([9, 5, 2], dtype=np.int64), 3))
+    @settings(max_examples=200, deadline=None)
+    def test_same_window_and_charge_as_scan(self, case):
+        i_pts, p_pts, m = case
+        got = _metered(lambda: local_ulam_from_matches(i_pts, p_pts, m))
+        assert got[0] == scan_local_ulam(i_pts, p_pts, m)
+        # The scan's charge: one ulam_sparse call of c² + 1 cells.
+        cells = len(i_pts) ** 2 + 1
+        assert got[1] == cells
+        assert got[3] == {"ulam_sparse": [1, cells]}
+        links = predecessors(i_pts, p_pts)
+        assert _metered(lambda: local_ulam_from_matches(
+            i_pts, p_pts, m, links)) == got

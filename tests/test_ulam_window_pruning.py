@@ -2,9 +2,11 @@
 
 :func:`~repro.strings.ulam.ulam_windows` runs the exact chain DP only on
 the windows that can reach the per-block top-k: each window's LIS gives
-``max(m, n) - LIS ≤ ulam ≤ min(m + n - 2·LIS, max(m, n))``, and a window
-whose lower bound exceeds the ``top_k``-th smallest upper bound is
-strictly worse than ``top_k`` others.  Pruning may only move
+``max(m, n) - LIS ≤ ulam ≤ min(m + n - 2·LIS, max(m, n))``.  A window
+whose lower bound exceeds the ``top_k``-th smallest upper bound, or the
+largest exact distance of the ``top_k`` windows with the smallest upper
+bounds (the second pass), is strictly worse than ``top_k`` others.
+Pruning may only move
 wall-clock: the machine's capped tuples (rows and order), the per-window
 ``ulam_sparse`` charge over every window and the work ledger must equal
 those of evaluating every window.
@@ -129,14 +131,14 @@ class TestTopKPruning:
         np.testing.assert_array_equal(
             _capped(m, sp, ep, index, dists, top_k),
             _capped(m, sp, ep, all_index, all_d, top_k))
-        # Every pruned window is provably worse than top_k others.
+        # Every pruned window is provably worse than top_k evaluated
+        # ones.
         pruned = np.setdiff1d(np.arange(W), index)
         if len(pruned):
-            uppers = sorted(_bounds(pattern, text, s, e)[1]
-                            for s, e in zip(sp.tolist(), ep.tolist()))
+            kth = sorted(dists.tolist())[top_k - 1]
             for w in pruned.tolist():
                 lower = _bounds(pattern, text, int(sp[w]), int(ep[w]))[0]
-                assert lower > uppers[top_k - 1]
+                assert lower > kth
 
     def test_exactly_top_k_survivors_evaluates_every_window(self):
         # One exact copy (upper bound 0) and two windows of lower bound
@@ -157,6 +159,28 @@ class TestTopKPruning:
         index, dists = ulam_windows(i_pts, p_pts, 8, sp, ep, top_k=1)
         assert index.tolist() == [1, 3]
         assert dists.tolist() == [0, 0]
+
+    def test_second_pass_prunes_or_reads_every_survivor(self):
+        # [0, 4) holds 0 _ 2 3 (distance 1, bounds 1..2), [2, 6) holds
+        # 2 3 _ _ (distance 4, bounds 2..4), [4, 8) no match (bounds
+        # 4..4).  With top_k = 1, tau_1 = 2 keeps the first two, and
+        # tau_2 = 1, the first one's distance, would leave exactly one
+        # window: so both survivors are read off ...
+        pattern = np.arange(4, dtype=np.int64)
+        text = np.array([0, 9, 2, 3, 8, 7, 6, 5], dtype=np.int64)
+        i_pts, p_pts = match_points(pattern, text)
+        sp = np.array([0, 2, 4], dtype=np.int64)
+        ep = np.array([4, 6, 8], dtype=np.int64)
+        index, dists = ulam_windows(i_pts, p_pts, 4, sp, ep, top_k=1)
+        assert index.tolist() == [0, 1]
+        assert dists.tolist() == [1, 4]
+        # ... while a second copy of [0, 4) (lower bound 1 <= tau_2)
+        # leaves two windows, and [2, 6) is dropped.
+        sp = np.array([0, 2, 4, 0], dtype=np.int64)
+        ep = np.array([4, 6, 8, 4], dtype=np.int64)
+        index, dists = ulam_windows(i_pts, p_pts, 4, sp, ep, top_k=1)
+        assert index.tolist() == [0, 3]
+        assert dists.tolist() == [1, 1]
 
     def test_no_top_k_or_few_windows_evaluates_every_window(self):
         pattern = np.array([3, 1, 2, 0], dtype=np.int64)
@@ -184,34 +208,50 @@ def _n512_block_payload():
         config=UlamConfig.default())
 
 
+def _first_pass_survivors(i_pts, p_pts, m, sp, ep, top_k):
+    """Windows whose LIS lower bound is at most the top_k-th smallest
+    upper bound, from an independent LIS per window."""
+    lower, upper = [], []
+    for w_sp, w_ep in zip(sp.tolist(), ep.tolist()):
+        lis = lis_length(p_pts[(p_pts >= w_sp) & (p_pts < w_ep)])
+        n = w_ep - w_sp
+        lower.append(max(m, n) - lis)
+        upper.append(min(m + n - 2 * lis, max(m, n)))
+    tau = sorted(upper)[top_k - 1]
+    return sum(low <= tau for low in lower)
+
+
 class TestBlockMachinePruning:
     def test_n512_machine_skips_most_windows(self, monkeypatch):
         payload = _n512_block_payload()
         real_windows = cand.ulam_windows
-        real_dp = ulam_mod._chain_dp
-        windows, evaluated = [], []
+        real_read = ulam_mod._read_off
+        calls, read = [], []
 
-        def all_windows(*args, top_k=None):
-            return real_windows(*args)
+        def all_windows(*args, top_k=None, links=None):
+            return real_windows(*args, links=links)
 
         def count_windows(*args, **kwargs):
-            windows.append(len(args[3]))
+            calls.append(args)
             return real_windows(*args, **kwargs)
 
-        def spy_dp(i_pts, p_pts, m, sp, ep, starts, row, preds=None):
-            evaluated.append(len(sp))
-            return real_dp(i_pts, p_pts, m, sp, ep, starts, row, preds)
+        def spy_read(D, i_pts, p_pts, m, sp, ep, row):
+            read.append(len(sp))
+            return real_read(D, i_pts, p_pts, m, sp, ep, row)
 
         with monkeypatch.context() as patch:
             patch.setattr(cand, "ulam_windows", all_windows)
             reference = _metered(
                 lambda: cand.run_block_machine(dict(payload)))
         monkeypatch.setattr(cand, "ulam_windows", count_windows)
-        monkeypatch.setattr(ulam_mod, "_chain_dp", spy_dp)
+        monkeypatch.setattr(ulam_mod, "_read_off", spy_read)
         tuples, *meter = _metered(
             lambda: cand.run_block_machine(dict(payload)))
-        assert payload["top_k"] == 256 and windows[0] > 256
-        assert 2 * sum(evaluated) <= windows[0], (evaluated, windows)
+        windows = len(calls[0][3])
+        assert payload["top_k"] == 256 and windows > 256
+        # The second pass reads off fewer windows than the first keeps.
+        assert 2 * sum(read) <= windows, (read, windows)
+        assert sum(read) < _first_pass_survivors(*calls[0], 256), read
         np.testing.assert_array_equal(tuples.rows, reference[0].rows)
         assert meter == list(reference[1:])
 
