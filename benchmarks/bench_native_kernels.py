@@ -8,11 +8,15 @@ operations.  Each scalar entry point is a batch of one, so the
 comparison is simply ``[scalar(x) for x in xs]`` against
 ``batch(xs)``.  The sparse-Ulam row compares one :func:`ulam_auto` call
 per candidate window against one :func:`ulam_windows` call per block,
-which shares a chain-DP row per distinct window start.  The top-k row
-compares each block's call on every window, followed by the machine's
-per-block cap, with the call given the machine's ``top_k``, which runs
-the chain DP only on the windows that can reach the cap; the shipped
-tuples must be identical.  The last-row
+which shares a chain-DP row per distinct window start, on the same
+first :data:`ULAM_WINDOW_BLOCKS` whole blocks (one-window calls cost
+~1.5 ms each, so every block would spend ~20 s on the scalar side).
+The top-k row compares each block's call on every window, followed by
+the machine's per-block cap, with the call given the machine's
+``top_k``, which runs the chain DP only on the windows that can reach
+the cap; the shipped tuples must be identical.  It is a ~30-100 ms case
+whose single timings swing by 1.5x, so each side reports its best of
+:data:`TOPK_REPEATS` alternating runs.  The last-row
 rows compare one Myers call per starting point of a small-regime edit
 block machine with one lane-packed :func:`myers_last_rows` call per
 machine.  Batching must move **only wall-clock**: distances (rows),
@@ -63,6 +67,13 @@ from .conftest import run_once
 
 #: The E13 workload (bench_executor_speedup): ulam, 1024 symbols.
 E13 = dict(n=1024, x=0.4, eps=1.0, seed=1, input_seed=31)
+
+#: Whole E13 blocks both sides of the sparse-window row run on.
+ULAM_WINDOW_BLOCKS = 2
+
+#: Alternating runs per side of the top-k row; each side reports its
+#: best.
+TOPK_REPEATS = 5
 
 #: E22-shaped banded-threshold batch: sigma-4 blocks near the edit
 #: small-regime block length, small planted distances, tau = 8.
@@ -229,14 +240,18 @@ def _e22_threshold_pairs():
     return pairs
 
 
-def _kernel_case(name, scalar_run, batch_run):
-    """Time *scalar_run* vs *batch_run*; assert equal answers, work and
-    metering."""
-    res_s, work_s, met_s, sec_s = _timed(scalar_run)
-    res_b, work_b, met_b, sec_b = _timed(batch_run)
-    assert list(res_s) == list(res_b), name
-    assert work_s == work_b, (name, work_s, work_b)
-    assert met_s == met_b, name
+def _kernel_case(name, scalar_run, batch_run, repeats=1):
+    """Time *scalar_run* vs *batch_run*, best of *repeats* alternating
+    runs per side; assert equal answers, work and metering on every
+    run."""
+    sec_s = sec_b = float("inf")
+    for _ in range(repeats):
+        res_s, work_s, met_s, dt_s = _timed(scalar_run)
+        res_b, work_b, met_b, dt_b = _timed(batch_run)
+        assert list(res_s) == list(res_b), name
+        assert work_s == work_b, (name, work_s, work_b)
+        assert met_s == met_b, name
+        sec_s, sec_b = min(sec_s, dt_s), min(sec_b, dt_b)
     return {"name": name, "scalar_s": sec_s, "batch_s": sec_b,
             "speedup": sec_s / sec_b if sec_b > 0 else float("inf")}
 
@@ -248,7 +263,8 @@ def _jobs_case(name, scalar, batch, jobs):
 
 def _run():
     ulam_calls = _capture_ulam_blocks()
-    ulam_jobs = _window_jobs(ulam_calls)
+    window_calls = ulam_calls[:ULAM_WINDOW_BLOCKS]
+    ulam_jobs = _window_jobs(window_calls)
     doubling_jobs = _capture_doubling_jobs()
     threshold_pairs = _e22_threshold_pairs()
     lanes = [_lanes_case(n, _capture_last_row_machines(n, budget, pairs))
@@ -256,15 +272,17 @@ def _run():
     return lanes + [
         _kernel_case(
             f"ulam_sparse windows ({len(ulam_jobs)} windows of "
-            f"{len(ulam_calls)} E13 blocks)",
+            f"{len(window_calls)} of {len(ulam_calls)} E13 blocks)",
             lambda: [ulam_auto(*job) for job in ulam_jobs],
-            lambda: [d for call, _ in ulam_calls
+            lambda: [d for call, _ in window_calls
                      for d in ulam_windows(*call)[1].tolist()]),
         _kernel_case(
             f"ulam_sparse top-k (every window then the cap vs the "
-            f"top_k={ulam_calls[0][1]} call, {len(ulam_calls)} E13 blocks)",
+            f"top_k={ulam_calls[0][1]} call, {len(ulam_calls)} E13 blocks, "
+            f"best of {TOPK_REPEATS})",
             lambda: _capped_tuples(ulam_calls, pruned=False),
-            lambda: _capped_tuples(ulam_calls, pruned=True)),
+            lambda: _capped_tuples(ulam_calls, pruned=True),
+            repeats=TOPK_REPEATS),
         _jobs_case(
             f"banded threshold ({E22_PAIRS} E22-shaped pairs)",
             lambda a, b: within_threshold(a, b, E22_TAU),
@@ -284,8 +302,9 @@ def bench_native_kernels(benchmark, report):
     lines = [
         "String kernels: list of scalar calls vs one batch call "
         "(ulam_sparse: one ulam_auto call per window vs one "
-        "ulam_windows call per block; ulam_sparse top-k: every window "
-        "then the per-block cap vs the top_k call, same capped tuples; "
+        "ulam_windows call per block, on the same whole blocks; "
+        "ulam_sparse top-k: every window then the per-block cap vs the "
+        "top_k call, same capped tuples, best of alternating runs; "
         "last-row lanes: one Myers call "
         "per starting point vs one lane-packed call per edit block "
         "machine)",

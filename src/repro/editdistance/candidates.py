@@ -5,14 +5,24 @@ grid within ``n^δ`` of the block start, and for each starting point the
 ending points ``κ = γ + B ± (1+ε')^a`` (plus ``κ = γ + B``), with
 candidate lengths capped at ``(1/ε')·B`` and endpoint offsets capped at
 ``n^δ``.
+
+:func:`candidate_grid` is the one enumeration of candidate windows: it
+takes a batch of starting points and returns the windows of all of them
+as flat arrays, in the order a per-start loop would list them.  A
+small-regime block machine (Algorithm 3) builds one grid for its starts,
+the ``G_τ`` node list one for every start of ``s̄``, and
+:func:`candidate_windows` is a batch of one.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
-__all__ = ["start_grid", "length_offsets", "candidate_windows"]
+import numpy as np
+
+__all__ = ["start_grid", "length_offsets", "candidate_grid",
+           "candidate_windows"]
 
 
 def start_grid(block_lo: int, distance_guess: int, gap: int,
@@ -48,14 +58,35 @@ def length_offsets(block_size: int, distance_guess: int,
     return sorted(out)
 
 
-def candidate_windows(start: int, block_size: int, offsets: List[int],
-                      eps_prime: float, n_t: int) -> List[Tuple[int, int]]:
-    """Half-open candidate windows for one starting point.
+def candidate_grid(starts: Sequence[int], block_size: int,
+                   offsets: Sequence[int], eps_prime: float, n_t: int
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Half-open candidate windows of every start in *starts*.
 
-    Lengths ``B + off`` clipped to ``[0, (1/ε')·B]`` and to the text.
+    Returns ``(st, en, lane)``, int64 arrays with one entry per window:
+    its start, its end and the index in *starts* of that start.  Windows
+    come start by start in *starts* order; within a start, one per
+    offset of the ascending *offsets* (as :func:`length_offsets` gives
+    them) with length ``B + off`` in ``[0, (1/ε')·B]``, the end clipped
+    to ``n_t``, keeping the first of each run of equal clipped ends and
+    only ends ``≥ st``.
     """
     max_len = int(block_size / eps_prime)
-    ends = [min(start + block_size + off, n_t) for off in offsets
-            if 0 <= block_size + off <= max_len]
-    # Distinct ends in first-occurrence order (clipping merges some).
-    return [(start, end) for end in dict.fromkeys(ends) if end >= start]
+    offs = np.asarray(offsets, dtype=np.int64)
+    offs = offs[(block_size + offs >= 0) & (block_size + offs <= max_len)]
+    sp = np.asarray(starts, dtype=np.int64).reshape(-1, 1)
+    ends = np.minimum(sp + block_size + offs, n_t)
+    keep = ends >= sp
+    # Clipping merges the longest candidates of a start near the text
+    # end into runs of equal ends; keep each run's first.
+    keep[:, 1:] &= ends[:, 1:] != ends[:, :-1]
+    lane, col = np.nonzero(keep)
+    return sp[lane, 0], ends[lane, col], lane
+
+
+def candidate_windows(start: int, block_size: int, offsets: List[int],
+                      eps_prime: float, n_t: int) -> List[Tuple[int, int]]:
+    """Half-open candidate windows of one starting point: a batch of one
+    of :func:`candidate_grid`."""
+    st, en, _ = candidate_grid([start], block_size, offsets, eps_prime, n_t)
+    return list(zip(st.tolist(), en.tolist()))

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .candidates import candidate_windows, length_offsets
+from .candidates import candidate_grid, length_offsets
 
 __all__ = ["NodeId", "build_candidate_nodes", "node_string", "RepDistances"]
 
@@ -44,15 +44,9 @@ def build_candidate_nodes(n_t: int, block_size: int, gap: int,
     bound of §5.2.1.
     """
     offsets = length_offsets(block_size, distance_guess, eps_prime)
-    nodes: List[NodeId] = []
-    seen = set()
-    for sp in range(0, n_t + 1, gap):
-        for (st, en) in candidate_windows(sp, block_size, offsets,
-                                          eps_prime, n_t):
-            if (st, en) not in seen:
-                seen.add((st, en))
-                nodes.append(("c", st, en))
-    return nodes
+    st, en, _ = candidate_grid(range(0, n_t + 1, gap), block_size, offsets,
+                               eps_prime, n_t)
+    return [("c", a, b) for a, b in zip(st.tolist(), en.tolist())]
 
 
 def node_string(node: NodeId, S: np.ndarray, T: np.ndarray) -> np.ndarray:

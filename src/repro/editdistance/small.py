@@ -25,7 +25,7 @@ from ..params import EditParams
 from ..service.runner import drive
 from ..strings.approx import make_inner
 from ..strings.bitparallel import myers_last_rows
-from .candidates import candidate_windows, length_offsets, start_grid
+from .candidates import candidate_grid, length_offsets, start_grid
 from .config import EditConfig
 
 __all__ = ["run_small_block_machine", "small_distance_phases",
@@ -67,35 +67,36 @@ def run_small_block_machine(payload: Dict[str, object]) -> TupleTable:
     top_k: Optional[int] = payload["top_k"]         # type: ignore
 
     B = hi - lo
-
-    def feed(st: int, en: int) -> np.ndarray:
-        seg = text[st - text_off:en - text_off]
-        if len(seg) != en - st:  # pragma: no cover - invariant
-            raise AssertionError("machine feed does not cover candidate")
-        return seg
-
-    windows = [win for sp in starts
-               for win in candidate_windows(sp, B, offsets, eps_prime, n_t)]
-    _M_WINDOWS.inc(len(windows))
+    st, en, lane = candidate_grid(starts, B, offsets, eps_prime, n_t)
+    _M_WINDOWS.inc(len(st))
+    # One lane per start with windows, its text running to the start's
+    # last end: every candidate of that start is a prefix of it.
+    counts = np.bincount(lane, minlength=len(starts))
+    counts = counts[counts > 0]
+    last = np.cumsum(counts) - 1
+    lane_st, lane_en = st[last], en[last]
+    if ((lane_st < text_off).any()
+            or (lane_en > text_off + len(text)).any()):
+        raise AssertionError("machine feed does not cover candidate")
     if inner_kind == "row":
-        # One lane per start, its row running to the start's last end;
-        # window (st, en) reads that row at column en - st.
-        ends: Dict[int, int] = {}
-        for st, en in windows:
-            ends[st] = max(ends.get(st, st), en)
-        rows = myers_last_rows(block, [feed(st, end)
-                                       for st, end in ends.items()])
-        base = dict(zip(ends, np.cumsum([0] + [len(r) for r in rows])))
-        dists = (np.concatenate(rows)[[base[st] + en - st
-                                       for st, en in windows]]
-                 if windows else np.zeros(0, dtype=np.int64))
+        rows = myers_last_rows(block, [
+            text[a - text_off:b - text_off]
+            for a, b in zip(lane_st.tolist(), lane_en.tolist())])
+        # Window (st, en) reads its lane's row at column en - st of the
+        # concatenated rows.
+        lens = lane_en - lane_st + 1
+        base = np.repeat(np.cumsum(lens) - lens, counts)
+        dists = (np.concatenate(rows)[base + en - st] if rows
+                 else np.zeros(0, dtype=np.int64))
     else:
         inner = make_inner(inner_kind, float(payload["eps_inner"]))
-        dists = np.array([inner(block, feed(st, en)) for st, en in windows],
+        dists = np.array([inner(block, text[a - text_off:b - text_off])
+                          for a, b in zip(st.tolist(), en.tolist())],
                          dtype=np.int64)
-    win = np.array(windows, dtype=np.int64).reshape(-1, 2)
-    tuples = TupleTable.from_columns(lo, hi, win[:, 0], win[:, 1],
-                                     dists).capped(top_k)
+    out = np.empty((len(st), 5), dtype=np.int64)
+    out[:, 0], out[:, 1] = lo, hi
+    out[:, 2], out[:, 3], out[:, 4] = st, en, dists
+    tuples = TupleTable(out).capped(top_k)
     _M_TUPLES.inc(len(tuples))
     return tuples
 

@@ -43,22 +43,23 @@ def _eq_words(P: np.ndarray, texts: List[np.ndarray], ncols: int,
               nbytes: int) -> Iterator[int]:
     """Packed Eq word of every column, lazily: bit ``i`` of lane ``k`` is
     set iff ``texts[k][j] == P[i]``."""
-    peq: dict = {}
-    for i, ch in enumerate(P.tolist()):
-        peq[ch] = peq.get(ch, 0) | (1 << i)
     if len(texts) == 1:
+        peq: dict = {}
+        for i, ch in enumerate(P.tolist()):
+            peq[ch] = peq.get(ch, 0) | (1 << i)
         return (peq.get(ch, 0) for ch in texts[0].tolist())
     # One byte row per pattern symbol plus a zero row for every other
     # symbol and for the padding of short lanes; column j gathers row
-    # codes[k, j] into lane k.
-    syms = sorted(peq)
+    # codes[k, j] into lane k.  Row r is the one-hot of the positions of
+    # syms[r] in P, packed little-endian.
+    syms = np.unique(P)
     none = len(syms)
-    table = np.frombuffer(b"".join(peq[c].to_bytes(nbytes, "little")
-                                   for c in syms) + bytes(nbytes),
-                          dtype=np.uint8).reshape(none + 1, nbytes)
+    onehot = np.zeros((none + 1, 8 * nbytes), dtype=np.uint8)
+    onehot[:none, :len(P)] = syms[:, None] == P
+    table = np.packbits(onehot, axis=1, bitorder="little")
     flat = np.concatenate(texts)
     idx = np.searchsorted(syms, flat)
-    hit = np.asarray(syms)[np.minimum(idx, none - 1)] == flat
+    hit = syms[np.minimum(idx, none - 1)] == flat
     codes = np.full((len(texts), ncols), none, dtype=np.intp)
     codes[np.arange(ncols) < np.array([len(T) for T in texts])[:, None]] = \
         np.where(hit, idx, none)

@@ -1,9 +1,14 @@
 """Unit tests for the edit-distance candidate geometry (Figs. 4–5)."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.editdistance import candidate_windows, length_offsets, start_grid
+from repro.editdistance.candidates import candidate_grid
 from repro.params import EditParams
+
+from .helpers import per_start_candidate_windows
 
 
 class TestStartGrid:
@@ -94,6 +99,52 @@ class TestCandidateWindows:
             gap = L - max(below)
             allowed = eps_p * max(abs(L - B), 1) + 1
             assert gap <= allowed, (L, max(below))
+
+
+@st.composite
+def _grids(draw):
+    """``(starts, B, offsets, ε', n_t)``: distinct starts in any order,
+    mostly in ``[0, n_t]`` (a start past the text has no windows), and
+    ascending offsets (repeats allowed) that may put ``B + off`` below 0
+    or above ``B/ε'``."""
+    n_t = draw(st.integers(0, 120))
+    B = draw(st.integers(1, 24))
+    eps_prime = draw(st.sampled_from([1.0, 0.5, 1 / 3, 0.25, 0.125]))
+    offsets = sorted(draw(st.lists(st.integers(-40, 200), max_size=16)))
+    starts = draw(st.lists(st.integers(0, n_t + 4), unique=True,
+                           min_size=1, max_size=12))
+    return starts, B, offsets, eps_prime, n_t
+
+
+class TestCandidateGrid:
+    """One grid over a batch of starts equals the per-start windows,
+    concatenated in start order."""
+
+    @given(case=_grids())
+    # Starts within B/ε' of n_t (clipped ends merge), a start equal to
+    # n_t, offsets outside [-B, B/ε' - B], and a single start.
+    @example(case=([40, 44, 48, 50], 8, length_offsets(8, 100, 0.5), 0.5,
+                   50))
+    @example(case=([50], 8, [-9, -8, -3, 0, 5, 8, 9, 40], 0.5, 50))
+    @example(case=([3, 0], 4, [-20, -5, -4, 0, 12, 13, 30], 0.25, 90))
+    @example(case=([17], 6, length_offsets(6, 40, 0.25), 0.25, 200))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_start_oracle(self, case):
+        starts, B, offsets, eps_prime, n_t = case
+        st_, en, lane = candidate_grid(starts, B, offsets, eps_prime, n_t)
+        want = [(k, win) for k, sp in enumerate(starts)
+                for win in per_start_candidate_windows(sp, B, offsets,
+                                                       eps_prime, n_t)]
+        assert (list(zip(lane.tolist(), zip(st_.tolist(), en.tolist())))
+                == want)
+        for sp in starts:
+            assert (candidate_windows(sp, B, offsets, eps_prime, n_t)
+                    == per_start_candidate_windows(sp, B, offsets,
+                                                   eps_prime, n_t))
+
+    def test_empty_batch(self):
+        st_, en, lane = candidate_grid([], 8, [0, 1], 0.5, 50)
+        assert len(st_) == len(en) == len(lane) == 0
 
 
 class TestRegimeBoundaryInteraction:

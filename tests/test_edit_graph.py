@@ -6,7 +6,10 @@ import pytest
 from repro.editdistance import (RepDistances, build_candidate_nodes,
                                 node_string)
 from repro.editdistance.large import group_candidates_by_start
+from repro.editdistance.candidates import length_offsets
 from repro.strings import levenshtein
+
+from .helpers import per_start_candidate_windows
 
 
 class TestBuildCandidateNodes:
@@ -22,6 +25,22 @@ class TestBuildCandidateNodes:
     def test_length_cap(self):
         nodes = build_candidate_nodes(200, 10, 5, 100, 0.5)
         assert all(en - st <= 20 for _, st, en in nodes)
+
+    @pytest.mark.parametrize("n_t, B, gap, guess, eps_prime", [
+        (100, 10, 5, 50, 0.5), (80, 8, 4, 40, 0.5), (57, 5, 3, 9, 0.5),
+        (300, 16, 7, 300, 0.125), (1024, 181, 16, 64, 0.25),
+        (40, 12, 1, 6, 0.25)])
+    def test_one_node_per_per_start_window(self, n_t, B, gap, guess,
+                                           eps_prime):
+        # Every window starts at its own grid start and the per-start
+        # windows have distinct ends, so no window repeats across
+        # starts: the nodes are the per-start windows, concatenated.
+        offsets = length_offsets(B, guess, eps_prime)
+        want = [("c", st, en) for sp in range(0, n_t + 1, gap)
+                for st, en in per_start_candidate_windows(
+                    sp, B, offsets, eps_prime, n_t)]
+        assert build_candidate_nodes(n_t, B, gap, guess, eps_prime) == want
+        assert len(set(want)) == len(want)
 
     def test_node_count_scales_inversely_with_gap(self):
         dense = build_candidate_nodes(200, 10, 1, 100, 0.5)

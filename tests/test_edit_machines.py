@@ -12,9 +12,12 @@ import repro.editdistance.small as small
 from repro import mpc_edit_distance
 from repro.chain import TupleTable
 from repro.editdistance.small import run_small_block_machine
+from repro.metrics import enabled as metrics_enabled, scoped_snapshot
 from repro.mpc import WorkMeter
 from repro.strings import levenshtein, levenshtein_last_row
 from repro.workloads.strings import planted_pair
+
+from .helpers import per_start_candidate_windows
 
 
 @pytest.fixture
@@ -100,37 +103,46 @@ def _captured_payloads(n, budget):
 
 
 def _per_start_machine(payload):
-    """Reference Algorithm 3 machine: one last-row DP per start."""
+    """Reference Algorithm 3 machine: one last-row DP per start.  Returns
+    its tuples and its candidate-window count."""
     lo, hi = payload["lo"], payload["hi"]
     block, text, off = payload["block"], payload["text"], payload["text_off"]
     out = []
     for sp in payload["starts"]:
-        wins = candidate_windows(sp, hi - lo, payload["offsets"],
-                                 payload["eps_prime"], payload["n_t"])
+        wins = per_start_candidate_windows(sp, hi - lo, payload["offsets"],
+                                           payload["eps_prime"],
+                                           payload["n_t"])
         if not wins:
             continue
         end = max(en for _, en in wins)
         row = levenshtein_last_row(block, text[sp - off:end - off])
         out.extend((lo, hi, st, en, row[en - sp]) for st, en in wins)
-    return TupleTable(out).capped(payload["top_k"])
+    return TupleTable(out).capped(payload["top_k"]), len(out)
 
 
-def _run_machines(machine, payloads):
-    """Tuples and work of *machine* over *payloads*."""
-    with WorkMeter() as meter:
-        tables = [machine(dict(p)) for p in payloads]
-    return [t.rows.tolist() for t in tables], meter.total
+_COUNTS = ("edit.candidate_windows{regime=small}",
+           "edit.candidate_tuples{regime=small}")
 
 
 class TestSmallMachineOneSweep:
-    """One lane-packed sweep per machine equals one DP per start."""
+    """One lane-packed sweep over one window grid per machine equals one
+    DP per start over its own windows."""
 
     @pytest.mark.parametrize("n, budget", [(128, 8), (1024, 64)])
     def test_matches_per_start_reference(self, n, budget):
         payloads = _captured_payloads(n, budget)
         assert max(len(p["starts"]) for p in payloads) > 1
-        assert (_run_machines(run_small_block_machine, payloads)
-                == _run_machines(_per_start_machine, payloads))
+        with metrics_enabled(), scoped_snapshot() as scope, \
+                WorkMeter() as meter:
+            got = [run_small_block_machine(dict(p)) for p in payloads]
+        with WorkMeter() as ref_meter:
+            ref = [_per_start_machine(dict(p)) for p in payloads]
+        assert ([t.rows.tolist() for t in got]
+                == [t.rows.tolist() for t, _ in ref])
+        assert meter.total == ref_meter.total
+        delta = scope.delta()
+        assert [delta[k]["value"] for k in _COUNTS] == [
+            sum(w for _, w in ref), sum(len(t) for t, _ in ref)]
 
 
 class TestRepDistanceMachine:

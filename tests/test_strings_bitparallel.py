@@ -7,9 +7,10 @@ from repro.strings import (fitting_last_row, levenshtein,
                            levenshtein_last_row, myers_fitting_row,
                            myers_last_row, myers_last_rows,
                            myers_levenshtein)
+from repro.strings.bitparallel import _eq_words
 from repro.strings.edit_distance import _wf_table
 
-from .helpers import brute_edit_distance
+from .helpers import brute_edit_distance, joined_bytes_eq_words
 from .test_strings_native import _metered
 
 
@@ -60,6 +61,17 @@ class TestLanePackedKernel:
             for t, row in zip(texts, rows):
                 assert row.tolist() == _free_start_row(p.tolist(),
                                                        t.tolist())
+
+    @pytest.mark.parametrize("m", [m for m in _M if m])
+    def test_eq_table_matches_joined_bytes_builder(self, m):
+        rng = np.random.default_rng(2000 + m)
+        for K, lo, hi in ((2, 0, 4), (int(rng.integers(3, 41)), 0, 4),
+                          (7, -3, 50)):
+            p = rng.integers(lo, hi, m)
+            texts = [t + lo for t in _ragged_texts(rng, K)]
+            ncols, nbytes = max(len(t) for t in texts), m // 8 + 1
+            assert (list(_eq_words(p, texts, ncols, nbytes))
+                    == joined_bytes_eq_words(p, texts, ncols, nbytes))
 
     def test_no_text_symbol_in_pattern(self):
         p = np.array([1, 2, 3, 1, 2], dtype=np.int64)
