@@ -2,29 +2,32 @@
 
 Two claims are measured on the Ulam workload:
 
-1. **Free when disabled** (the library default): every instrument
-   mutation is guarded by one ``_enabled`` attribute check on a cached
-   module-level handle, so a run with the registry off must be
-   indistinguishable from the seed code path (< 5 % paired delta, and
-   in practice ~0 %).
+1. **Free when disabled** (the library default): every metric write
+   is guarded by one module-flag check, and a machine's meter carries
+   no snapshot, so a run with metrics off must be indistinguishable
+   from the seed code path (< 5 % paired delta, and in practice ~0 %).
 2. **Cheap when enabled**: full collection — kernel counters, candidate
    histograms, per-round shuffle/broadcast counters and the per-run
-   delta snapshot — must stay within 5 % of the disabled run, so the
-   CLI can leave metrics on for every run it records into the history.
+   snapshot — must stay within 5 % of the disabled run, so the CLI can
+   leave metrics on for every run it records into the history.
 
-Two identities are asserted as well: the per-round
+Three identities are asserted as well: the per-round
 ``mpc.shuffle_words{round=...}`` counters must sum to exactly the
 ledger's shuffle volume, and the candidate-tuple counter must equal the
-driver's reported tuple count — the registry measures the same
-execution the ledger does, through an independent code path.
+driver's reported tuple count, both serially and for the same query
+run by a service on a two-worker process pool — the metrics measure the
+same execution the ledger does, through an independent code path, and
+machine-side counters ride the machines' results across the process
+boundary.
 """
 
 import time
 
 from repro import UlamConfig, mpc_ulam
 from repro.analysis import format_table
-from repro.metrics import enabled, get_registry
+from repro.metrics import enabled
 from repro.mpc import MPCSimulator
+from repro.service import run_workload
 
 from .conftest import run_once
 
@@ -67,6 +70,11 @@ def _run():
         if k.startswith("mpc.shuffle_words{"))
     tuple_metric = metrics.get("ulam.candidate_tuples",
                                {}).get("value", 0)
+    with enabled():
+        (pooled,), _ = run_workload(
+            [{"algo": "ulam", "s": s, "t": t, "x": X, "eps": EPS,
+              "seed": 1, "config": CFG}],
+            max_workers=2, check_guarantees=False)
     return {
         "off_s": off_s,
         "on_s": on_s,
@@ -78,6 +86,9 @@ def _run():
         "shuffle_ledger": on_res.stats.shuffle_words,
         "tuple_metric": tuple_metric,
         "tuple_driver": on_res.n_tuples,
+        "pool_tuple_metric": pooled.metrics.get(
+            "ulam.candidate_tuples", {}).get("value", 0),
+        "pool_tuple_driver": pooled.result.n_tuples,
     }
 
 
@@ -97,7 +108,9 @@ def bench_metrics_overhead(benchmark, report):
         f"shuffle counter {row['shuffle_metric']} == ledger "
         f"{row['shuffle_ledger']}; "
         f"tuple counter {row['tuple_metric']} == driver "
-        f"{row['tuple_driver']}",
+        f"{row['tuple_driver']}; on a 2-worker pool: tuple counter "
+        f"{row['pool_tuple_metric']} == driver "
+        f"{row['pool_tuple_driver']}",
     ]
     report("E21_metrics_overhead", "\n".join(lines))
 
@@ -109,6 +122,9 @@ def bench_metrics_overhead(benchmark, report):
     # counter matches the driver's own tuple count.
     assert row["shuffle_metric"] == row["shuffle_ledger"], row
     assert row["tuple_metric"] == row["tuple_driver"], row
+    # Machine-side counters cross the process boundary with the
+    # machines' results.
+    assert row["pool_tuple_metric"] == row["pool_tuple_driver"], row
     # Full collection must stay within 5% of the disabled run.
     assert row["n_metrics"] > 0
     assert row["on_delta"] < 0.05, row

@@ -14,12 +14,13 @@ first :data:`ULAM_WINDOW_BLOCKS` whole blocks (one-window calls cost
 The top-k row compares each block's call on every window, followed by
 the machine's per-block cap, with the call given the machine's
 ``top_k``, which runs the chain DP only on the windows that can reach
-the cap; the shipped tuples must be identical.  It is a ~30-100 ms case
-whose single timings swing by 1.5x, so each side reports its best of
-:data:`TOPK_REPEATS` alternating runs.  The last-row
+the cap; the shipped tuples must be identical.  The last-row
 rows compare one Myers call per starting point of a small-regime edit
 block machine with one lane-packed :func:`myers_last_rows` call per
-machine.  Batching must move **only wall-clock**: distances (rows),
+machine.  These three rows are ~10-150 ms cases whose single timings
+swing by 1.5x or more, so each side reports its best of
+:data:`REPEATS` alternating runs.
+Batching must move **only wall-clock**: distances (rows),
 work ledgers and ``strings.dp_cells`` / ``strings.kernel_calls``
 metering are asserted equal.
 
@@ -51,7 +52,7 @@ from repro.analysis import format_table
 from repro.chain import TupleTable
 from repro.editdistance.config import EditConfig
 from repro.editdistance.large import large_distance_upper_bound
-from repro.metrics import enabled, scoped_snapshot
+from repro.metrics import enabled
 from repro.mpc import MPCSimulator
 from repro.mpc.accounting import WorkMeter
 from repro.obs import profile as obs_profile
@@ -71,9 +72,9 @@ E13 = dict(n=1024, x=0.4, eps=1.0, seed=1, input_seed=31)
 #: Whole E13 blocks both sides of the sparse-window row run on.
 ULAM_WINDOW_BLOCKS = 2
 
-#: Alternating runs per side of the top-k row; each side reports its
-#: best.
-TOPK_REPEATS = 5
+#: Alternating runs per side of the top-k and last-row rows; each side
+#: reports its best.
+REPEATS = 5
 
 #: E22-shaped banded-threshold batch: sigma-4 blocks near the edit
 #: small-regime block length, small planted distances, tau = 8.
@@ -97,13 +98,12 @@ LANES_PEAK_BYTES = 2 * 1024 * 1024
 
 def _timed(fn):
     """Run *fn* with full metering; returns
-    ``(result, work_units, metrics_delta, seconds)``."""
-    with enabled(), obs_profile.enabled():
-        with scoped_snapshot() as scope, WorkMeter() as meter:
-            t0 = time.perf_counter()
-            result = fn()
-            dt = time.perf_counter() - t0
-    return result, meter.total, scope.delta(), dt
+    ``(result, work_units, metrics, seconds)``."""
+    with enabled(), obs_profile.enabled(), WorkMeter() as meter:
+        t0 = time.perf_counter()
+        result = fn()
+        dt = time.perf_counter() - t0
+    return result, meter.total, meter.metrics, dt
 
 
 def _capture_ulam_blocks():
@@ -203,12 +203,13 @@ def _lanes_case(n, machines):
     starts = sum(len(spans) for _, spans in machines)
     row = _kernel_case(
         f"last-row lanes n={n} ({starts} starts of "
-        f"{len(machines)} block machines)",
+        f"{len(machines)} block machines, best of {REPEATS})",
         lambda: [v for block, spans in machines for span in spans
                  for v in myers_last_rows(block, [span])[0].tolist()],
         lambda: [v for block, spans in machines
                  for r in myers_last_rows(block, spans)
-                 for v in r.tolist()])
+                 for v in r.tolist()],
+        repeats=REPEATS)
     block, spans = max(machines, key=lambda m: len(m[0]) * len(m[1]))
     row["peak_bytes"] = _peak_bytes(lambda: myers_last_rows(block, spans))
     row["peak_shape"] = (len(block), len(spans))
@@ -279,10 +280,10 @@ def _run():
         _kernel_case(
             f"ulam_sparse top-k (every window then the cap vs the "
             f"top_k={ulam_calls[0][1]} call, {len(ulam_calls)} E13 blocks, "
-            f"best of {TOPK_REPEATS})",
+            f"best of {REPEATS})",
             lambda: _capped_tuples(ulam_calls, pruned=False),
             lambda: _capped_tuples(ulam_calls, pruned=True),
-            repeats=TOPK_REPEATS),
+            repeats=REPEATS),
         _jobs_case(
             f"banded threshold ({E22_PAIRS} E22-shaped pairs)",
             lambda a, b: within_threshold(a, b, E22_TAU),
@@ -304,10 +305,11 @@ def bench_native_kernels(benchmark, report):
         "(ulam_sparse: one ulam_auto call per window vs one "
         "ulam_windows call per block, on the same whole blocks; "
         "ulam_sparse top-k: every window then the per-block cap vs the "
-        "top_k call, same capped tuples, best of alternating runs; "
+        "top_k call, same capped tuples; "
         "last-row lanes: one Myers call "
         "per starting point vs one lane-packed call per edit block "
-        "machine)",
+        "machine; top-k and last-row lanes report each side's best of "
+        "alternating runs)",
         "",
         format_table(["workload", "scalar_s", "batch_s", "speedup"],
                      table),

@@ -14,9 +14,9 @@ per rep, so back-to-back runs see the same system load):
    so the CLI can profile every run it records into the history.
 
 One identity is asserted as well: the profiler's per-kernel DP-cell
-total must exactly equal the metrics registry's ``strings.dp_cells``
-counter for the same kernel over the machine rounds — two views of the
-same charges, one execution.
+total must exactly equal the run's ``strings.dp_cells`` metric for the
+same kernel over the machine rounds — two views of the same charges,
+one execution.
 """
 
 import time
@@ -68,19 +68,17 @@ def _run():
         "off_has_profile": off_res.stats.profile_active,
         "rows": rows,
         "profiled_cells": profiled_cells,
+        "counter_cells": on_res.stats.metrics.get(
+            "strings.dp_cells{kernel=ulam_sparse}", {}).get("value", 0),
     }
 
 
 def bench_profiler_overhead(benchmark, report):
-    from repro.metrics import enabled as metrics_enabled, get_registry
+    from repro.metrics import enabled as metrics_enabled
     # Run under metrics too, so the cells identity below can be checked
-    # against the registry's independent counter path.
-    get_registry().reset()
+    # against the independent counter path.
     with metrics_enabled(True):
         row = run_once(benchmark, _run)
-        counter_cells = sum(
-            v["value"] for k, v in get_registry().snapshot().items()
-            if k == "strings.dp_cells{kernel=ulam_sparse}")
     lines = [
         "Kernel-profiler overhead on the Ulam workload "
         f"(n = {N}, x = {X}, best of {REPS})",
@@ -102,10 +100,7 @@ def bench_profiler_overhead(benchmark, report):
     # Full attribution was actually collected...
     assert row["rows"], row
     assert row["profiled_cells"] > 0
-    # ...and agrees with the registry's independent dp_cells counter
-    # (the counter saw both the profiled and the unprofiled runs, all
-    # through the same machine tasks: REPS pairs, profiler on in half).
-    assert counter_cells == 2 * REPS * row["profiled_cells"], \
-        (counter_cells, row["profiled_cells"])
+    # ...and agrees with the run's independent dp_cells counter.
+    assert row["counter_cells"] == row["profiled_cells"], row
     # ...while staying within 5% of the disabled run.
     assert row["on_delta"] < 0.05, row

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..chain import TupleTable, run_combine_machine, shipping_cap
-from ..mpc.accounting import RunStats
+from ..mpc.accounting import RunStats, WorkMeter
 from ..mpc.plan import Pipeline, RoundSpec
 from ..mpc.simulator import MPCSimulator
 from ..params import EditParams
@@ -71,8 +71,11 @@ def hss_edit_distance(s, t, x: float = 0.25, eps: float = 1.0,
     if n <= 1:
         from ..strings.edit_distance import levenshtein
         params = EditParams(n=2, x=min(x, 5 / 17), eps=eps)
-        return HSSResult(distance=levenshtein(S, T), n=n, params=params,
-                         stats=RunStats(), accepted_guess=None)
+        with WorkMeter() as meter:
+            d = levenshtein(S, T)
+        return HSSResult(distance=d, n=n, params=params,
+                         stats=RunStats(metrics=meter.metrics or {}),
+                         accepted_guess=None)
     params = EditParams(n=n, x=x, eps=eps,
                         eps_prime_divisor=eps_prime_divisor)
     if sim is None:

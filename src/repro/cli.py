@@ -624,14 +624,13 @@ def _print_result(title: str, answer: int, exact: Optional[int],
 def _enable_metrics() -> None:
     """Turn on metrics and kernel-profile collection for this run.
 
-    Per-run attribution comes from :func:`repro.metrics.scoped_snapshot`
-    (the query runner wraps every execution in a scope), so the
-    process-cumulative registry is *not* reset here: records stay
-    identical across invocations sharing one process (tests, notebooks),
-    and concurrent queries each see only their own delta.  The kernel
-    profiler rides along: CLI runs always want wall-clock attribution
-    in their records, and its accumulators are scoped per machine task,
-    so enabling it globally cannot bleed between runs either.
+    Both ride the run's own ledger: every machine's meter collects its
+    metrics snapshot and kernel map, and the simulator folds them into
+    the run's :class:`~repro.mpc.accounting.RunStats`, so nothing needs
+    resetting here — records stay identical across invocations sharing
+    one process (tests, notebooks), concurrent queries each see only
+    their own, and a process pool reports what the serial executor
+    does.
     """
     from .metrics import enable
     from .obs.profile import enable as enable_profiling

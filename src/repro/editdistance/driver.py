@@ -38,8 +38,8 @@ from typing import Dict, Generator, List, Optional
 import numpy as np
 
 from ..chain import shipping_cap
-from ..metrics import get_registry
-from ..mpc.accounting import RunStats
+from ..metrics import merge_into, set_gauge
+from ..mpc.accounting import RunStats, WorkMeter
 from ..mpc.simulator import MPCSimulator
 from ..params import EditParams
 from ..service.corpus import Corpus
@@ -113,9 +113,11 @@ class EditQuery:
         if n <= 1:
             # Degenerate inputs: solved directly (no rounds).
             from ..strings.edit_distance import levenshtein
-            d = levenshtein(S, T)
+            with WorkMeter() as meter:
+                d = levenshtein(S, T)
             self.result = EditResult(distance=d, n=n, params=params,
-                                     stats=RunStats(),
+                                     stats=RunStats(
+                                         metrics=meter.metrics or {}),
                                      accepted_guess=None,
                                      regime="trivial")
             return
@@ -129,21 +131,20 @@ class EditQuery:
         # The equality shortcut is a *sequential* prefix round; it runs
         # on its own simulator so the parallel-guess merge below cannot
         # fold it into a guess round, and its rounds are prepended to
-        # the ledger.
-        prefix_rounds: List[object] = []
+        # the ledger (its metrics merged).
+        prefix = RunStats()
         if config.distributed_equality_check:
             from ..mpc.utils import distributed_equal
             eq_sim = sim.spawn()
             equal = distributed_equal(S, T, eq_sim,
                                       round_name="ed/0-equality")
-            prefix_rounds = list(eq_sim.stats.rounds)
+            prefix = eq_sim.stats
             yield "ed/0-equality"
         else:
             equal = len(S) == len(T) and bool(np.array_equal(S, T))
         if equal:
-            sim.stats.rounds = prefix_rounds + sim.stats.rounds
             self.result = EditResult(distance=0, n=n, params=params,
-                                     stats=sim.stats.snapshot(),
+                                     stats=_after_prefix(prefix, sim),
                                      accepted_guess=0, regime="equal")
             return
 
@@ -189,14 +190,21 @@ class EditQuery:
                     break
 
         assert best is not None  # guess schedule always reaches 2n
-        sim.stats.rounds = prefix_rounds + sim.stats.rounds
-        reg = get_registry()
-        reg.gauge("edit.phase2_top_k").set(config.phase2_top_k)
-        reg.gauge("edit.n_guesses_run").set(len(per_guess))
+        set_gauge(sim.stats.metrics, "edit.phase2_top_k",
+                  config.phase2_top_k)
+        set_gauge(sim.stats.metrics, "edit.n_guesses_run", len(per_guess))
         self.result = EditResult(distance=int(best), n=n, params=params,
-                                 stats=sim.stats.snapshot(),
+                                 stats=_after_prefix(prefix, sim),
                                  accepted_guess=accepted_guess,
                                  regime=regime_used, per_guess=per_guess)
+
+
+def _after_prefix(prefix: RunStats, sim: MPCSimulator) -> RunStats:
+    """The query's ledger: *prefix*'s rounds ahead of *sim*'s, and the
+    metrics of both runs."""
+    sim.stats.rounds[:0] = prefix.rounds
+    merge_into(sim.stats.metrics, prefix.metrics)
+    return sim.stats.snapshot()
 
 
 def mpc_edit_distance(s, t, x: float = 0.25, eps: float = 1.0,

@@ -33,7 +33,7 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..chain import TupleTable, run_combine_machine
-from ..metrics import get_registry
+from ..metrics import inc
 from ..mpc.plan import Pipeline, RoundSpec
 from ..mpc.shm import DataPlane
 from ..mpc.simulator import MPCSimulator
@@ -49,15 +49,6 @@ __all__ = ["run_rep_distance_machine", "run_pair_distance_machine",
            "run_block_vs_groups_machine", "large_distance_phases",
            "large_distance_upper_bound", "group_candidates_by_start"]
 
-_M_REPS = get_registry().counter("edit.large.representatives")
-_M_SPARSE_BLOCKS = get_registry().counter("edit.large.sparse_blocks")
-_M_EXT_PAIRS = get_registry().counter("edit.large.ext_pairs")
-_M_TUPLES_DENSE = get_registry().counter("edit.candidate_tuples",
-                                         regime="large", phase="dense")
-_M_TUPLES_SPARSE = get_registry().counter("edit.candidate_tuples",
-                                          regime="large", phase="sparse")
-_M_TUPLES_EXT = get_registry().counter("edit.candidate_tuples",
-                                       regime="large", phase="extension")
 
 #: ``(start, [end, ...])`` — all candidate nodes sharing one start.
 CsGroup = Tuple[int, List[int]]
@@ -294,8 +285,10 @@ def large_distance_phases(S: np.ndarray, T: np.ndarray,
         for (b, u), w in repdist.triangle_edges(block_nodes,
                                                 cs_nodes).items()
     ]).capped(config.phase2_top_k)
-    _M_REPS.inc(len(rep_ids))
-    _M_TUPLES_DENSE.inc(len(edge_tuples))
+    inc(sim.stats.metrics, "edit.large.representatives", len(rep_ids))
+    inc(sim.stats.metrics,
+        "edit.candidate_tuples{phase=dense,regime=large}",
+        len(edge_tuples))
 
     # ---- round 2: sampled sparse blocks --------------------------------
     exponent = (params.y_large - params.y_prime)  # = 0.4x
@@ -356,8 +349,10 @@ def large_distance_phases(S: np.ndarray, T: np.ndarray,
         collector=collect_direct,
         allow_empty=True))
     yield f"{round_prefix}/2-sparse-samples"
-    _M_SPARSE_BLOCKS.inc(len(sampled))
-    _M_TUPLES_SPARSE.inc(len(direct_tuples))
+    inc(sim.stats.metrics, "edit.large.sparse_blocks", len(sampled))
+    inc(sim.stats.metrics,
+        "edit.candidate_tuples{phase=sparse,regime=large}",
+        len(direct_tuples))
 
     # ---- round 3: extension of sparse pairs ----------------------------
     larger_B = params.larger_block_size
@@ -415,8 +410,10 @@ def large_distance_phases(S: np.ndarray, T: np.ndarray,
         collector=collect_ext,
         allow_empty=True))
     yield f"{round_prefix}/3-extension"
-    _M_EXT_PAIRS.inc(len(ext_pairs))
-    _M_TUPLES_EXT.inc(len(ext_tuples))
+    inc(sim.stats.metrics, "edit.large.ext_pairs", len(ext_pairs))
+    inc(sim.stats.metrics,
+        "edit.candidate_tuples{phase=extension,regime=large}",
+        len(ext_tuples))
 
     # ---- round 4: combining DP ------------------------------------------
     all_tuples = TupleTable.concat(

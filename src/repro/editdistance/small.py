@@ -17,7 +17,8 @@ from typing import Dict, Generator, List, Optional, Tuple
 import numpy as np
 
 from ..chain import TupleTable, run_combine_machine
-from ..metrics import get_registry
+from ..metrics import inc
+from ..mpc.accounting import record_metric
 from ..mpc.plan import Pipeline, RoundSpec
 from ..mpc.shm import DataPlane
 from ..mpc.simulator import MPCSimulator
@@ -30,9 +31,6 @@ from .config import EditConfig
 
 __all__ = ["run_small_block_machine", "small_distance_phases",
            "small_distance_upper_bound"]
-
-_M_WINDOWS = get_registry().counter("edit.candidate_windows", regime="small")
-_M_TUPLES = get_registry().counter("edit.candidate_tuples", regime="small")
 
 
 def run_small_block_machine(payload: Dict[str, object]) -> TupleTable:
@@ -68,7 +66,7 @@ def run_small_block_machine(payload: Dict[str, object]) -> TupleTable:
 
     B = hi - lo
     st, en, lane = candidate_grid(starts, B, offsets, eps_prime, n_t)
-    _M_WINDOWS.inc(len(st))
+    record_metric(inc, "edit.candidate_windows{regime=small}", len(st))
     # One lane per start with windows, its text running to the start's
     # last end: every candidate of that start is a prefix of it.
     counts = np.bincount(lane, minlength=len(starts))
@@ -97,7 +95,7 @@ def run_small_block_machine(payload: Dict[str, object]) -> TupleTable:
     out[:, 0], out[:, 1] = lo, hi
     out[:, 2], out[:, 3], out[:, 4] = st, en, dists
     tuples = TupleTable(out).capped(top_k)
-    _M_TUPLES.inc(len(tuples))
+    record_metric(inc, "edit.candidate_tuples{regime=small}", len(tuples))
     return tuples
 
 

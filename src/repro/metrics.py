@@ -1,4 +1,4 @@
-"""Process-wide labelled metrics registry: counters, gauges, histograms.
+"""Labelled metrics: one snapshot dict per run, carried like work.
 
 The accounting layer (:mod:`repro.mpc.accounting`) answers "what did one
 run cost" in the paper's own currencies; the telemetry layer
@@ -6,73 +6,68 @@ run cost" in the paper's own currencies; the telemetry layer
 go".  What neither can answer is *what the algorithms actually did* —
 how many DP cells the string kernels evaluated, how many candidate
 windows Algorithm 1 generated per block, how much volume the shuffle
-moved per round name — in a form that can be snapshotted into a run
-record and compared across runs (see :mod:`repro.registry`).
+moved per round name — in a form that can be stored in a run record and
+compared across runs (see :mod:`repro.registry`).
 
 Design
 ------
-* One module-global :class:`MetricsRegistry`, **disabled by default**.
-  Every mutation helper is guarded by a single ``enabled`` check, the
-  same cheap-no-op pattern as :func:`repro.mpc.accounting.add_work`, so
-  library users who never call :func:`enable` pay one attribute load and
-  one branch per *kernel call* (not per DP cell) — measured < 5 %
-  enabled and unmeasurable disabled (benchmark E21).
+* Metric data has one representation: a :data:`MetricSnapshot`, a plain
+  dict keyed ``name{label=value,...}`` (:func:`metric_key`) whose values
+  are typed dicts, so it serialises to JSON untouched.  Three writes
+  mutate one:
+
+  - :func:`inc` — counters, monotone totals: DP cells, candidate
+    windows, shuffle words;
+  - :func:`set_gauge` — gauges, last-set values: effective config caps,
+    derived parameters;
+  - :func:`observe` — histograms, streaming ``count/sum/min/max``:
+    per-block candidate counts and similar distributions.
+
+  :func:`merge_snapshots` (and its in-place form :func:`merge_into`)
+  combines two snapshots exactly.
+* Collection is **off by default**.  Every write is guarded by one
+  module-flag check, so library users who never call :func:`enable`
+  pay one branch per write — measured < 5 % enabled and unmeasurable
+  disabled (benchmark E21).
+* A run's metrics travel the way its work does.  With collection on,
+  every :class:`~repro.mpc.accounting.WorkMeter` holds a snapshot; the
+  machine's meter (opened by :func:`repro.mpc.machine.execute_task`)
+  ships it in :class:`~repro.mpc.machine.MachineResult`, and
+  :meth:`~repro.mpc.simulator.MPCSimulator.run_round` folds the
+  snapshots of the surviving attempts into
+  :attr:`RunStats.metrics <repro.mpc.accounting.RunStats.metrics>`.
+  Driver-side writes (shuffle and broadcast volumes, phase gauges) go
+  straight into that dict, and sibling simulators merge on ``absorb``.
+  So a process pool reports exactly what the serial executor does: a
+  machine reports only through its round output.
 * The string kernels' ``strings.dp_cells`` / ``strings.kernel_calls``
   series are ticked only by :class:`repro.mpc.accounting.charge`, the
   one bracket that also charges the work ledger and the kernel
   profile, so all three views count the same calls and cells.
-* Three instrument types, all labelled:
+* :class:`MetricsRegistry` keeps only what is truly process-wide: the
+  fold of the finished service queries' snapshots plus the service's
+  own ``service.query_latency`` histogram, which ``/metrics`` renders.
 
-  - :class:`Counter` — monotone totals (``inc``): DP cells, candidate
-    windows, shuffle words.
-  - :class:`Gauge` — last-set values (``set``): effective config caps,
-    derived parameters.
-  - :class:`Histogram` — streaming ``count/sum/min/max`` (``observe``):
-    per-block candidate counts and similar distributions.
-
-* Snapshots are plain dicts keyed by ``name{label=value,...}`` so they
-  serialise to JSON untouched; :meth:`MetricsRegistry.delta` subtracts
-  two snapshots, and :func:`scoped_snapshot` collects a *windowed* view
-  directly — every increment made while the scope is active (in the
-  entering context or anything it spawns via ``contextvars`` copies,
-  e.g. ``asyncio.to_thread``) is accumulated into the scope, so
-  concurrent queries each get an exact per-query delta even though the
-  registry is process-cumulative and shared.
-
-Scope
------
-The registry is process-local.  Under the default
-:class:`~repro.mpc.executor.SerialExecutor` every machine function runs
-in the driver process, so kernel-level counters cover the whole run;
-under a :class:`~repro.mpc.executor.ProcessPoolExecutor` only
-driver-side instruments (shuffle/broadcast accounting, driver phase
-counters) are complete — worker-process increments stay in the workers.
-
-Mutation (obtaining a ``counter``/``gauge``/``histogram`` handle) is an
-internal privilege of ``src/repro/``: tests, examples and benchmarks
-consume snapshots read-only (enforced by ``tools/check_api_boundary.py``;
-the registry's own unit tests are the single sanctioned exception).
+Writes are an internal privilege of ``src/repro/``: tests, examples and
+benchmarks read ``RunStats.metrics`` or the ``/metrics`` snapshot only
+(enforced by ``tools/check_api_boundary.py``; the metrics module's own
+unit tests are the single sanctioned exception).
 """
 
 from __future__ import annotations
 
-import contextvars
 import threading
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "MetricsScope", "scoped_snapshot",
+__all__ = ["MetricsRegistry", "metric_key", "inc",
+           "set_gauge", "observe", "merge_into", "merge_snapshots",
            "get_registry", "enable", "disable", "enabled"]
 
+#: ``{name{label=value,...}: typed-dict}`` — see the module docstring.
 MetricSnapshot = Dict[str, dict]
 
-#: Active metric scopes for the current context.  A tuple (not a list)
-#: so that pushing a scope rebinds the ContextVar — child contexts
-#: (``asyncio.to_thread``, ``Context.run``) see the scopes that were
-#: active when they were forked, and sibling tasks never observe each
-#: other's scopes.
-_SCOPES: "contextvars.ContextVar[Tuple[MetricsScope, ...]]" = \
-    contextvars.ContextVar("repro_metrics_scopes", default=())
+#: Master switch, read by every write and by the meters.
+_ENABLED = False
 
 
 def metric_key(name: str, labels: Dict[str, object]) -> str:
@@ -83,238 +78,61 @@ def metric_key(name: str, labels: Dict[str, object]) -> str:
     return f"{name}{{{inner}}}"
 
 
-class _Instrument:
-    """Shared base: a registered metric with a touched flag.
+def inc(snap: MetricSnapshot, key: str, amount: int = 1) -> None:
+    """Counter write: add *amount* to ``snap[key]``.
 
-    ``touched`` gates snapshot inclusion — a handle created at import
-    time but never written (e.g. because the registry stayed disabled)
-    leaves no trace in snapshots or run records.
+    A no-op while collection is off; a zero *amount* leaves no entry,
+    so a snapshot never carries a zero-valued counter.
     """
-
-    __slots__ = ("_registry", "key", "touched")
-
-    kind = ""
-
-    def __init__(self, registry: "MetricsRegistry", key: str) -> None:
-        self._registry = registry
-        self.key = key
-        self.touched = False
-
-    def _reset(self) -> None:
-        raise NotImplementedError
-
-    def _snapshot(self) -> dict:
-        raise NotImplementedError
+    if not _ENABLED or not amount:
+        return
+    cur = snap.get(key)
+    if cur is None:
+        snap[key] = {"type": "counter", "value": amount}
+    else:
+        cur["value"] += amount
 
 
-class Counter(_Instrument):
-    """Monotone counter; ``inc`` is a no-op while the registry is disabled."""
-
-    __slots__ = ("value",)
-
-    kind = "counter"
-
-    def __init__(self, registry: "MetricsRegistry", key: str) -> None:
-        super().__init__(registry, key)
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        if not self._registry._enabled:
-            return
-        self.value += amount
-        self.touched = True
-        for scope in _SCOPES.get():
-            scope._record_counter(self.key, amount)
-
-    def _reset(self) -> None:
-        self.value = 0
-        self.touched = False
-
-    def _snapshot(self) -> dict:
-        return {"type": "counter", "value": self.value}
+def set_gauge(snap: MetricSnapshot, key: str, value: object) -> None:
+    """Gauge write: ``snap[key]`` becomes *value* (no-op while off)."""
+    if _ENABLED:
+        snap[key] = {"type": "gauge", "value": value}
 
 
-class Gauge(_Instrument):
-    """Last-set value; ``set`` is a no-op while the registry is disabled."""
-
-    __slots__ = ("value",)
-
-    kind = "gauge"
-
-    def __init__(self, registry: "MetricsRegistry", key: str) -> None:
-        super().__init__(registry, key)
-        self.value: object = 0
-
-    def set(self, value: object) -> None:
-        if not self._registry._enabled:
-            return
-        self.value = value
-        self.touched = True
-        for scope in _SCOPES.get():
-            scope._record_gauge(self.key, value)
-
-    def _reset(self) -> None:
-        self.value = 0
-        self.touched = False
-
-    def _snapshot(self) -> dict:
-        return {"type": "gauge", "value": self.value}
-
-
-class Histogram(_Instrument):
-    """Streaming distribution summary: ``count``/``sum``/``min``/``max``.
+def observe(snap: MetricSnapshot, key: str, value) -> None:
+    """Histogram write: fold *value* into ``snap[key]``'s four moments.
 
     Full bucketed histograms are overkill for run records; the four
-    moments answer the questions the registry exists for ("how many
-    candidates per block, and how skewed?") and merge exactly.
+    moments answer the questions metrics exist for ("how many
+    candidates per block, and how skewed?") and merge exactly.  A no-op
+    while collection is off.
     """
-
-    __slots__ = ("count", "sum", "min", "max")
-
-    kind = "histogram"
-
-    def __init__(self, registry: "MetricsRegistry", key: str) -> None:
-        super().__init__(registry, key)
-        self.count = 0
-        self.sum = 0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-
-    def observe(self, value) -> None:
-        if not self._registry._enabled:
-            return
-        self.count += 1
-        self.sum += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-        self.touched = True
-        for scope in _SCOPES.get():
-            scope._record_histogram(self.key, value)
-
-    def _reset(self) -> None:
-        self.count = 0
-        self.sum = 0
-        self.min = None
-        self.max = None
-        self.touched = False
-
-    def _snapshot(self) -> dict:
-        return {"type": "histogram", "count": self.count, "sum": self.sum,
-                "min": self.min, "max": self.max}
+    if not _ENABLED:
+        return
+    cur = snap.get(key)
+    if cur is None:
+        snap[key] = {"type": "histogram", "count": 1, "sum": value,
+                     "min": value, "max": value}
+    else:
+        cur["count"] += 1
+        cur["sum"] += value
+        cur["min"] = min(cur["min"], value)
+        cur["max"] = max(cur["max"], value)
 
 
-class MetricsRegistry:
-    """Registry of labelled instruments with snapshot/delta/merge algebra.
-
-    Handles are created once per ``(name, labels)`` pair and cached, so
-    hot call sites can hold a module-level handle and skip the lookup
-    entirely; :meth:`reset` zeroes instruments *in place*, which keeps
-    every cached handle valid.
-    """
-
-    def __init__(self, enabled: bool = False) -> None:
-        self._enabled = enabled
-        self._metrics: Dict[str, _Instrument] = {}
-        self._lock = threading.Lock()
-
-    # -- enablement ------------------------------------------------------
-    @property
-    def enabled(self) -> bool:
-        return self._enabled
-
-    def enable(self) -> None:
-        self._enabled = True
-
-    def disable(self) -> None:
-        self._enabled = False
-
-    # -- instrument factories (mutation surface; see module docstring) ---
-    def _get(self, cls, name: str, labels: Dict[str, object]) -> _Instrument:
-        key = metric_key(name, labels)
-        inst = self._metrics.get(key)
-        if inst is None:
-            with self._lock:
-                inst = self._metrics.get(key)
-                if inst is None:
-                    inst = cls(self, key)
-                    self._metrics[key] = inst
-        if not isinstance(inst, cls):
-            raise TypeError(
-                f"metric {key!r} already registered as {inst.kind}, "
-                f"requested {cls.kind}")
-        return inst
-
-    def counter(self, name: str, **labels) -> Counter:
-        return self._get(Counter, name, labels)
-
-    def gauge(self, name: str, **labels) -> Gauge:
-        return self._get(Gauge, name, labels)
-
-    def histogram(self, name: str, **labels) -> Histogram:
-        return self._get(Histogram, name, labels)
-
-    # -- snapshot algebra ------------------------------------------------
-    def snapshot(self) -> MetricSnapshot:
-        """All *touched* metrics as ``{key: typed-dict}`` (JSON-ready)."""
-        return {key: inst._snapshot()
-                for key, inst in sorted(self._metrics.items())
-                if inst.touched}
-
-    def mark(self) -> MetricSnapshot:
-        """Baseline snapshot for a later :meth:`delta` (alias for clarity)."""
-        return self.snapshot()
-
-    @staticmethod
-    def delta(before: MetricSnapshot, after: MetricSnapshot
-              ) -> MetricSnapshot:
-        """What happened between two snapshots of the same registry.
-
-        Counters and histogram ``count``/``sum`` subtract; gauges report
-        their current value when it changed (or first appeared).  A
-        histogram's ``min``/``max`` cannot be windowed after the fact,
-        so the delta carries the cumulative extremes — exact whenever
-        the window starts at a fresh (or reset) registry, conservative
-        otherwise.
-        """
-        out: MetricSnapshot = {}
-        for key, cur in after.items():
-            prev = before.get(key)
-            kind = cur["type"]
-            if kind == "counter":
-                value = cur["value"] - (prev["value"] if prev else 0)
-                if value:
-                    out[key] = {"type": "counter", "value": value}
-            elif kind == "gauge":
-                if prev is None or prev["value"] != cur["value"]:
-                    out[key] = dict(cur)
-            else:
-                count = cur["count"] - (prev["count"] if prev else 0)
-                if count:
-                    out[key] = {"type": "histogram", "count": count,
-                                "sum": cur["sum"]
-                                - (prev["sum"] if prev else 0),
-                                "min": cur["min"], "max": cur["max"]}
-        return out
-
-    def reset(self) -> None:
-        """Zero every instrument in place (cached handles stay valid)."""
-        for inst in self._metrics.values():
-            inst._reset()
-
-
-def merge_snapshots(a: MetricSnapshot, b: MetricSnapshot) -> MetricSnapshot:
-    """Combine two run-level metric snapshots (concurrent-siblings rule).
+def merge_into(dst: MetricSnapshot, src: MetricSnapshot) -> MetricSnapshot:
+    """Fold *src* into *dst* in place (concurrent-siblings rule); return it.
 
     Mirrors :meth:`~repro.mpc.accounting.RunStats.merge`: counters and
     histogram ``count``/``sum`` add, gauges and histogram ``max`` take
-    the maximum, histogram ``min`` the minimum.  Merging against an
-    empty snapshot (a metrics-free run) is the identity.
+    the maximum, histogram ``min`` the minimum.  *src* is never mutated
+    (new keys are copied), so a machine's snapshot can be folded into
+    several ledgers.
     """
-    out = {key: dict(val) for key, val in a.items()}
-    for key, val in b.items():
-        cur = out.get(key)
+    for key, val in src.items():
+        cur = dst.get(key)
         if cur is None:
-            out[key] = dict(val)
+            dst[key] = dict(val)
             continue
         if cur["type"] != val["type"]:
             raise ValueError(
@@ -330,146 +148,84 @@ def merge_snapshots(a: MetricSnapshot, b: MetricSnapshot) -> MetricSnapshot:
         else:
             cur["count"] += val["count"]
             cur["sum"] += val["sum"]
-            for field, pick in (("min", min), ("max", max)):
-                if cur[field] is None:
-                    cur[field] = val[field]
-                elif val[field] is not None:
-                    cur[field] = pick(cur[field], val[field])
-    return out
+            cur["min"] = min(cur["min"], val["min"])
+            cur["max"] = max(cur["max"], val["max"])
+    return dst
 
 
-# ---------------------------------------------------------------------------
-# Scoped collection
+def merge_snapshots(a: MetricSnapshot, b: MetricSnapshot) -> MetricSnapshot:
+    """Combine two run-level snapshots into a new one (see
+    :func:`merge_into`).  Merging against an empty snapshot (a
+    metrics-free run) is the identity."""
+    return merge_into({key: dict(val) for key, val in a.items()}, b)
 
-class MetricsScope:
-    """Accumulator for every metric write made while its scope is active.
 
-    Produced by :func:`scoped_snapshot`.  Unlike the
-    ``mark()``/``delta()`` pair — which reads the *shared* registry twice
-    and therefore attributes concurrent writers' increments to whichever
-    window happens to be open — a scope only ever receives the writes
-    that happen in its own context tree, so per-query deltas stay exact
-    when queries overlap.  Histogram ``min``/``max`` are windowed too
-    (the cumulative-extremes caveat of :meth:`MetricsRegistry.delta`
-    does not apply).
+class MetricsRegistry:
+    """The process-wide metrics: finished queries plus service latency.
 
-    Thread-safe: ``asyncio.to_thread`` copies the ambient context into
-    the worker thread, so several threads may record into one scope.
-
-    ``trace_id``/``query_id`` are the scope's query correlation identity
-    (the service stamps the pair it minted at submit; the one-shot path
-    leaves the ``("", -1)`` sentinel), so a scope's delta can always be
-    joined back to the spans and records of the query that produced it.
+    Per-run data lives in :attr:`RunStats.metrics
+    <repro.mpc.accounting.RunStats.metrics>`; the registry only folds
+    finished queries' snapshots (:meth:`record`) and takes the service's
+    own process-level writes (:meth:`observe`), under one lock, so the
+    ``/metrics`` exporter can read :meth:`snapshot` from any thread.
     """
 
-    __slots__ = ("_lock", "_data", "trace_id", "query_id")
-
-    def __init__(self, trace_id: str = "", query_id: int = -1) -> None:
+    def __init__(self) -> None:
+        self._data: MetricSnapshot = {}
         self._lock = threading.Lock()
-        self._data: Dict[str, dict] = {}
-        self.trace_id = trace_id
-        self.query_id = query_id
 
-    def _record_counter(self, key: str, amount) -> None:
+    @property
+    def enabled(self) -> bool:
+        """Whether metrics collection is on (the module-wide switch)."""
+        return _ENABLED
+
+    def record(self, snapshot: MetricSnapshot) -> None:
+        """Fold one finished query's snapshot into the process total."""
         with self._lock:
-            cur = self._data.get(key)
-            if cur is None:
-                self._data[key] = {"type": "counter", "value": amount}
-            else:
-                cur["value"] += amount
+            merge_into(self._data, snapshot)
 
-    def _record_gauge(self, key: str, value) -> None:
+    def observe(self, key: str, value) -> None:
+        """A process-level histogram write (no-op while off)."""
         with self._lock:
-            self._data[key] = {"type": "gauge", "value": value}
+            observe(self._data, key, value)
 
-    def _record_histogram(self, key: str, value) -> None:
+    def snapshot(self) -> MetricSnapshot:
+        """A detached copy of the process total, keys sorted."""
         with self._lock:
-            cur = self._data.get(key)
-            if cur is None:
-                self._data[key] = {"type": "histogram", "count": 1,
-                                   "sum": value, "min": value, "max": value}
-            else:
-                cur["count"] += 1
-                cur["sum"] += value
-                cur["min"] = min(cur["min"], value)
-                cur["max"] = max(cur["max"], value)
+            return {key: dict(val)
+                    for key, val in sorted(self._data.items())}
 
-    def delta(self) -> MetricSnapshot:
-        """The scope's accumulated writes, in snapshot/delta format.
-
-        Matches :meth:`MetricsRegistry.delta` output exactly: sorted
-        keys, zero-valued counters and empty histograms omitted, so the
-        result drops into :attr:`RunStats.metrics` / run records
-        unchanged.
-        """
+    def reset(self) -> None:
+        """Forget every folded query and observation."""
         with self._lock:
-            out: MetricSnapshot = {}
-            for key in sorted(self._data):
-                val = dict(self._data[key])
-                if val["type"] == "counter" and not val["value"]:
-                    continue
-                if val["type"] == "histogram" and not val["count"]:
-                    continue
-                out[key] = val
-            return out
+            self._data.clear()
 
-
-class scoped_snapshot:
-    """Context manager yielding a :class:`MetricsScope` for exact deltas.
-
-    ::
-
-        with scoped_snapshot() as scope:
-            ...  # run a query (possibly across asyncio.to_thread hops)
-        record["metrics"] = scope.delta()
-
-    Scopes nest (each write lands in every active scope) and are carried
-    by ``contextvars``, so two overlapping queries in one process —
-    interleaved asyncio tasks, or threads started with a copied context
-    — each collect only their own writes.  This replaces the global
-    ``registry.reset()`` the CLI used to need before every run.
-    """
-
-    def __init__(self, trace_id: str = "", query_id: int = -1) -> None:
-        self.scope = MetricsScope(trace_id=trace_id, query_id=query_id)
-        self._token: Optional[contextvars.Token] = None
-
-    def __enter__(self) -> MetricsScope:
-        self._token = _SCOPES.set(_SCOPES.get() + (self.scope,))
-        return self.scope
-
-    def __exit__(self, *exc) -> None:
-        if self._token is not None:
-            _SCOPES.reset(self._token)
-            self._token = None
-
-
-# ---------------------------------------------------------------------------
-# Module-global registry
 
 _REGISTRY = MetricsRegistry()
 
 
 def get_registry() -> MetricsRegistry:
-    """The process-wide registry every instrumented module writes to."""
+    """The process-wide registry ``/metrics`` renders."""
     return _REGISTRY
 
 
 def enable() -> None:
-    """Turn metrics collection on for the process-wide registry."""
-    _REGISTRY.enable()
+    """Turn metrics collection on for this process."""
+    global _ENABLED
+    _ENABLED = True
 
 
 def disable() -> None:
     """Turn metrics collection off (writes become no-ops again)."""
-    _REGISTRY.disable()
+    global _ENABLED
+    _ENABLED = False
 
 
 class enabled:
     """Context manager scoping metrics collection: ``with enabled(): ...``.
 
-    Restores the previous enablement state on exit, so benchmarks can
-    interleave enabled and disabled repetitions safely.
+    Restores the previous state on exit, so benchmarks can interleave
+    enabled and disabled repetitions safely.  Yields the registry.
     """
 
     def __init__(self, on: bool = True) -> None:
@@ -477,14 +233,11 @@ class enabled:
         self._saved = False
 
     def __enter__(self) -> MetricsRegistry:
-        self._saved = _REGISTRY._enabled
-        _REGISTRY._enabled = self._on
+        global _ENABLED
+        self._saved = _ENABLED
+        _ENABLED = self._on
         return _REGISTRY
 
     def __exit__(self, *exc) -> None:
-        _REGISTRY._enabled = self._saved
-
-
-def _iter_instruments() -> Iterator[_Instrument]:  # pragma: no cover
-    """Debugging aid: iterate registered instruments."""
-    return iter(_REGISTRY._metrics.values())
+        global _ENABLED
+        _ENABLED = self._saved

@@ -23,26 +23,31 @@ simulator meter a whole round while a machine meters itself.
 A DP kernel reports each call exactly once, through the :class:`charge`
 bracket around its loop.  The one ``(kernel, calls, cells)`` event feeds
 three views: the work ledger (every active meter's ``total``), the
-metrics registry (``strings.dp_cells`` / ``strings.kernel_calls``) and,
-with the kernel profiler on (:mod:`repro.obs.profile`), the per-kernel
-``[calls, cells, seconds]`` map of every active meter opened while
-profiling — so the per-machine meter of
-:func:`repro.mpc.machine.execute_task` yields both a machine's work and
-its kernel profile.
+metrics snapshot of every active meter opened while metrics were on
+(``strings.dp_cells`` / ``strings.kernel_calls``, see
+:mod:`repro.metrics`) and, with the kernel profiler on
+(:mod:`repro.obs.profile`), the per-kernel ``[calls, cells, seconds]``
+map of every active meter opened while profiling — so the per-machine
+meter of :func:`repro.mpc.machine.execute_task` yields a machine's
+work, metrics and kernel profile.  Other machine-side metric writes go
+through :func:`record_metric`, into the same snapshots.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from ..metrics import Counter, get_registry, merge_snapshots
+from .. import metrics as _metrics
+from ..metrics import MetricSnapshot, merge_snapshots
 from ..obs import profile as _profile
 
-__all__ = ["WorkMeter", "add_work", "charge", "RoundStats", "RunStats"]
+__all__ = ["WorkMeter", "add_work", "record_metric", "charge",
+           "RoundStats", "RunStats"]
 
 _local = threading.local()
 
@@ -85,23 +90,43 @@ class isolated_meters:
         _stack()[:] = self._saved
 
 
+def record_metric(write: Callable[[MetricSnapshot, str, object], None],
+                  key: str, value) -> None:
+    """Apply a metrics write to every active meter's snapshot.
+
+    *write* is :func:`repro.metrics.inc` or :func:`repro.metrics.observe`
+    (or :func:`~repro.metrics.set_gauge`); meters opened while metrics
+    were off carry no snapshot and are skipped, so this is the
+    machine-side counterpart of :func:`add_work`.
+    """
+    for meter in _stack():
+        if meter.metrics is not None:
+            write(meter.metrics, key, value)
+
+
 class WorkMeter:
     """Accumulates abstract work units charged via :func:`add_work`.
 
     ``kernels`` is ``None`` unless the kernel profiler was on when the
     meter opened; then it maps kernel name to ``[calls, cells,
     seconds]`` for every :class:`charge` bracket run inside the meter.
+    ``metrics`` is likewise ``None`` unless metrics collection was on;
+    then it is the :mod:`repro.metrics` snapshot of every write made
+    inside the meter (:class:`charge`, :func:`record_metric`).
     """
 
-    __slots__ = ("total", "kernels")
+    __slots__ = ("total", "kernels", "metrics")
 
     def __init__(self) -> None:
         self.total = 0
         self.kernels: Optional[Dict[str, list]] = None
+        self.metrics: Optional[MetricSnapshot] = None
 
     def __enter__(self) -> "WorkMeter":
         if _profile._ENABLED:
             self.kernels = {}
+        if _metrics._ENABLED:
+            self.metrics = {}
         _stack().append(self)
         return self
 
@@ -112,16 +137,20 @@ class WorkMeter:
         return f"WorkMeter(total={self.total})"
 
 
-#: kernel name -> its ``(strings.dp_cells, strings.kernel_calls)``
-#: counter handles, created on the kernel's first charge.
-_HANDLES: Dict[str, Tuple[Counter, Counter]] = {}
+@functools.lru_cache(maxsize=None)
+def _kernel_keys(kernel: str) -> Tuple[str, str]:
+    """The kernel's ``strings.dp_cells`` / ``strings.kernel_calls`` keys."""
+    label = {"kernel": kernel}
+    return (_metrics.metric_key("strings.dp_cells", label),
+            _metrics.metric_key("strings.kernel_calls", label))
 
 
 class charge:
     """``with charge(kernel, calls, cells): <loop>`` — the one way a DP
     kernel reports itself.
 
-    Entering adds *cells* to every active :class:`WorkMeter` and ticks
+    Entering adds *cells* to every active :class:`WorkMeter` and, in
+    every meter carrying a metrics snapshot, ticks
     ``strings.dp_cells{kernel}`` by *cells* and
     ``strings.kernel_calls{kernel}`` by *calls* (a batched kernel
     charges its whole batch as *calls* logical calls).  With the kernel
@@ -143,15 +172,10 @@ class charge:
         cells = self.cells
         for meter in _stack():
             meter.total += cells
-        handles = _HANDLES.get(self.kernel)
-        if handles is None:
-            registry = get_registry()
-            handles = _HANDLES[self.kernel] = (
-                registry.counter("strings.dp_cells", kernel=self.kernel),
-                registry.counter("strings.kernel_calls",
-                                 kernel=self.kernel))
-        handles[0].inc(cells)
-        handles[1].inc(self.calls)
+            if meter.metrics is not None:
+                cells_key, calls_key = _kernel_keys(self.kernel)
+                _metrics.inc(meter.metrics, cells_key, cells)
+                _metrics.inc(meter.metrics, calls_key, self.calls)
         self._t0 = time.perf_counter() if _profile._ENABLED else -1.0
         return self
 
@@ -273,12 +297,14 @@ def _fold_profile(into: Dict[Hashable, list], key: Hashable,
 class RunStats:
     """Aggregated statistics of a full MPC execution (several rounds).
 
-    ``metrics`` is the run's metrics-registry delta (see
-    :mod:`repro.metrics`): what the instrumented kernels and phases did
-    during this run, keyed ``name{label=value}``.  Empty when metrics
+    ``metrics`` is the run's :mod:`repro.metrics` snapshot: what the
+    instrumented kernels and phases did during this run, keyed
+    ``name{label=value}``.  :meth:`MPCSimulator.run_round
+    <repro.mpc.simulator.MPCSimulator.run_round>` folds in the snapshot
+    of every surviving machine attempt, and drivers write their own
+    counters and gauges into it directly.  Empty when metrics
     collection was disabled — the default — so legacy ledgers are
-    unchanged.  Drivers attach it after the final round; it is *not*
-    per-round data.
+    unchanged.  It is run-level data, not per-round.
     """
 
     rounds: List[RoundStats] = field(default_factory=list)
@@ -445,7 +471,8 @@ class RunStats:
         ledgers already returned to the caller.
         """
         return RunStats(rounds=[copy.deepcopy(r) for r in self.rounds],
-                        metrics=copy.deepcopy(self.metrics))
+                        metrics={key: dict(val) for key, val
+                                 in sorted(self.metrics.items())})
 
     def merge(self, other: "RunStats") -> "RunStats":
         """Concatenate two runs (used when sub-algorithms run in parallel).

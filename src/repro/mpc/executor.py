@@ -29,23 +29,27 @@ import pickle
 from collections import OrderedDict
 from typing import List, Optional, Sequence, Tuple
 
+from ..metrics import enable as _enable_metrics, get_registry
 from ..obs.profile import enable as _enable_profiling, profiling_enabled
 from .machine import Broadcast, MachineResult, MachineTask, execute_task
 
 __all__ = ["Executor", "SerialExecutor", "ProcessPoolExecutor"]
 
 
-def _worker_init(profiling_on: bool) -> None:
-    """Pool-worker initializer: replicate driver-side profiler state.
+def _worker_init(profiling_on: bool, metrics_on: bool) -> None:
+    """Pool-worker initializer: replicate driver-side collection state.
 
-    The kernel profiler's on/off switch is a module global; fork-started
-    workers happen to inherit it, but spawn-started workers would not.
-    Capturing the flag at pool construction and re-applying it here makes
-    :class:`~repro.mpc.machine.MachineResult.profile` collection
-    start-method-independent.
+    The kernel profiler's and the metrics' on/off switches are module
+    globals; fork-started workers happen to inherit them, but
+    spawn-started workers would not.  Capturing the flags at pool
+    construction and re-applying them here makes
+    :class:`~repro.mpc.machine.MachineResult` ``profile`` and
+    ``metrics`` collection start-method-independent.
     """
     if profiling_on:
         _enable_profiling()
+    if metrics_on:
+        _enable_metrics()
 
 
 class Executor:
@@ -165,7 +169,7 @@ class ProcessPoolExecutor(Executor):
             self._pool = concurrent.futures.ProcessPoolExecutor(
                 max_workers=self.max_workers,
                 initializer=_worker_init,
-                initargs=(profiling_enabled(),))
+                initargs=(profiling_enabled(), get_registry().enabled))
         return self._pool
 
     def run(self, tasks: Sequence[MachineTask],

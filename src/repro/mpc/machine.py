@@ -109,13 +109,13 @@ class MachineResult:
     ``time.perf_counter()`` start (a system-wide monotonic clock on
     Linux, hence comparable across workers and the driver).
 
-    ``work`` and ``profile`` come from the one
+    ``work``, ``profile`` and ``metrics`` come from the one
     :class:`~repro.mpc.accounting.WorkMeter` opened around the machine
-    function: its ``total`` and its kernel map ``{kernel: [calls,
-    cells, seconds]}`` for the kernel profiler
-    (:mod:`repro.obs.profile`), ``None`` when profiling was disabled in
-    the executing process — the simulator folds it into the round
-    ledger exactly like span data.
+    function: its ``total``, its kernel map ``{kernel: [calls, cells,
+    seconds]}`` for the kernel profiler (:mod:`repro.obs.profile`) and
+    its :mod:`repro.metrics` snapshot — each of the last two ``None``
+    when that collection was off in the executing process.  The
+    simulator folds them into the run ledger exactly like span data.
     """
 
     output: Any
@@ -124,6 +124,7 @@ class MachineResult:
     worker: int = 0
     started: float = 0.0
     profile: Optional[Dict[str, list]] = None
+    metrics: Optional[Dict[str, dict]] = None
 
 
 def execute_task(task: MachineTask,
@@ -153,4 +154,4 @@ def execute_task(task: MachineTask,
     return MachineResult(output=output, work=meter.total,
                          wall_seconds=time.perf_counter() - start,
                          worker=os.getpid(), started=start,
-                         profile=meter.kernels)
+                         profile=meter.kernels, metrics=meter.metrics)

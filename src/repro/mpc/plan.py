@@ -59,7 +59,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
-from ..metrics import get_registry
+from ..metrics import get_registry, inc, metric_key
 from .accounting import WorkMeter
 from .shm import payload_byte_stats
 from .simulator import MPCSimulator
@@ -141,19 +141,25 @@ class Pipeline:
         """
         payloads = list(spec.partitioner(state))
         broadcast = spec.resolve_broadcast(state)
-        # Per-round labels would defeat the registry's cached-handle fast
-        # path, so the lookup itself is gated on ``reg.enabled``.
-        reg = get_registry()
-        if reg.enabled and broadcast is not None:
-            reg.counter("mpc.broadcast_words",
-                        round=spec.name).inc(sizeof(broadcast))
+        # Driver-side metrics go straight into the run's snapshot, keyed
+        # per round name.  ``mpc.broadcast_words`` sums the blob's size
+        # over every run of the round name (guess siblings included), so
+        # it is not the ledger's per-machine ``broadcast_words`` charge.
+        metered = get_registry().enabled
+
+        def count(name: str, amount: int) -> None:
+            inc(self.sim.stats.metrics,
+                metric_key(name, {"round": spec.name}), amount)
+
+        if metered and broadcast is not None:
+            count("mpc.broadcast_words", sizeof(broadcast))
         outputs = self.sim.run_round(spec.name, spec.fn, payloads,
                                      allow_empty=spec.allow_empty,
                                      broadcast=broadcast)
         # run_round appended the round's stats last — with or without a
         # fault plan — so the ledger row is still addressable.
         round_stats = self.sim.stats.rounds[-1]
-        if reg.enabled:
+        if metered:
             # Physical transport accounting: the pickle cost of this
             # round's payloads and the bytes the data-plane descriptors
             # referenced without copying.  Gated on metrics because the
@@ -161,10 +167,8 @@ class Pipeline:
             shipped, avoided = payload_byte_stats(payloads)
             round_stats.payload_bytes = shipped
             round_stats.payload_bytes_avoided = avoided
-            reg.counter("data_plane.bytes_shipped",
-                        round=spec.name).inc(shipped)
-            reg.counter("data_plane.bytes_avoided",
-                        round=spec.name).inc(avoided)
+            count("data_plane.bytes_shipped", shipped)
+            count("data_plane.bytes_avoided", avoided)
         if spec.collector is None:
             return outputs
         collect_start = time.perf_counter()
@@ -175,11 +179,9 @@ class Pipeline:
         shuffle_words = sizeof(next_state)
         round_stats.shuffle_work += meter.total
         round_stats.shuffle_words += shuffle_words
-        if reg.enabled:
-            reg.counter("mpc.shuffle_words",
-                        round=spec.name).inc(shuffle_words)
-            reg.counter("mpc.shuffle_work",
-                        round=spec.name).inc(meter.total)
+        if metered:
+            count("mpc.shuffle_words", shuffle_words)
+            count("mpc.shuffle_work", meter.total)
         tracer = self.sim.tracer
         if tracer is not None:
             # Collector span: ``work`` is the shuffle work metered inside

@@ -31,6 +31,7 @@ import os
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..metrics import merge_into
 from ..obs.profile import fold_global
 from .accounting import RoundStats, RunStats, add_work
 from .errors import MemoryLimitExceeded, RoundFailedError, RoundProtocolError
@@ -220,6 +221,8 @@ class MPCSimulator:
             if result.profile:
                 round_stats.observe_profile(i, result.profile)
                 fold_global(result.profile, *current_trace())
+            if result.metrics:
+                merge_into(self.stats.metrics, result.metrics)
             if tracer is not None:
                 tracer.emit(Span(
                     kind="machine", name=name, machine=i,
@@ -253,9 +256,9 @@ class MPCSimulator:
         dropped) and the attempt that produced it.  Discarded attempts
         are charged to the round's recovery fields, to any enclosing
         work meter (the cluster really burned that work) and, with a
-        tracer, to ``wasted`` machine spans; their kernel profiles are
-        not folded, so a run's hot spots stay attributed to the work
-        that counted.
+        tracer, to ``wasted`` machine spans; their kernel profiles and
+        metrics are not folded, so a run's hot spots and counters stay
+        attributed to the work that counted.
         """
         plan, policy, tracer = self.fault_plan, self.retry_policy, self.tracer
         results: List[Optional[MachineResult]] = [None] * len(payloads)

@@ -111,9 +111,10 @@ def trace_context(trace_id: str, query_id: int) -> Iterator[None]:
 
     Every span emitted while the context is active — including from
     worker threads started inside it via ``asyncio.to_thread`` — is
-    stamped with the pair by :meth:`Tracer.emit`, and
-    :func:`repro.metrics.scoped_snapshot` scopes opened inside carry it
-    too.  Contexts nest; the innermost binding wins.
+    stamped with the pair by :meth:`Tracer.emit`, and kernel-profile
+    records folded inside are attributed to it
+    (:func:`repro.obs.profile.fold_global`).  Contexts nest; the
+    innermost binding wins.
     """
     token = _TRACE_CTX.set((trace_id, query_id))
     try:

@@ -3,8 +3,8 @@
 Three pillars, built on the correlation ids the service mints per query
 (:meth:`repro.service.DistanceService.submit`):
 
-* **query-correlated tracing** — every span, metrics scope, history
-  record and guarantee verdict carries ``trace_id``/``query_id``;
+* **query-correlated tracing** — every span, history record and
+  guarantee verdict carries ``trace_id``/``query_id``;
   :mod:`repro.analysis.skew` filters a shared trace stream per query;
 * **exporter** (:mod:`.exporter`) — ``/metrics`` (Prometheus text) +
   ``/healthz`` + ``/readyz`` over stdlib ``http.server``;

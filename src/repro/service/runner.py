@@ -5,8 +5,9 @@ a generator that executes one MPC round per ``next()`` and stores its
 result on ``query.result`` when exhausted.  This module drives that
 protocol for the *one-shot* path (``mpc_ulam`` / ``mpc_edit_distance``
 and therefore the classic CLI subcommands): run every step in the
-calling thread, collect the per-query metrics delta through a
-:func:`~repro.metrics.scoped_snapshot`, and hand back the result.
+calling thread and hand back the result.  The query's metrics ride its
+own ledger (``result.stats.metrics``, filled by the simulator and the
+driver), so nothing here needs to window them.
 
 The asyncio :class:`~repro.service.service.DistanceService` implements
 the same protocol with admission control between steps; because both
@@ -16,8 +17,6 @@ golden-equivalence suite holds them to it).
 """
 
 from __future__ import annotations
-
-from ..metrics import scoped_snapshot
 
 __all__ = ["drive", "run_query"]
 
@@ -34,18 +33,14 @@ def drive(gen):
 def run_query(query, sim):
     """Run *query* on *sim* to completion; return its result.
 
-    The metrics scope wraps exactly the query's own rounds, so the
-    attached :attr:`~repro.mpc.accounting.RunStats.metrics` block is the
-    query's exact contribution even when other queries run concurrently
-    in the same process (scopes are context-local; the old global
-    ``mark()``/``delta()`` window was not).
+    The result's :attr:`~repro.mpc.accounting.RunStats.metrics` block
+    is built from *sim*'s own rounds, so it is the query's exact
+    contribution even when other queries run concurrently in the same
+    process, under any executor.
     """
     gen = query.steps(sim)
-    with scoped_snapshot() as scope:
-        try:
-            drive(gen)
-        finally:
-            gen.close()
-    result = query.result
-    result.stats.metrics = scope.delta()
-    return result
+    try:
+        drive(gen)
+    finally:
+        gen.close()
+    return query.result

@@ -28,11 +28,13 @@ single persistent executor and per-corpus shared-memory segments:
   could not overlap them, and one thread runs queued rounds back to
   back instead of trading the lock and waking through the event loop
   between them;
-* per-query ledgers come from the query's own simulator and a
-  :func:`~repro.metrics.scoped_snapshot`, so concurrent queries never
-  bleed into each other's :class:`~repro.mpc.accounting.RunStats` or
-  metrics delta, and each ledger is byte-identical to the one-shot
-  driver path (golden-equivalence suite);
+* per-query ledgers, metrics included, come from the query's own
+  simulator, so concurrent queries never bleed into each other's
+  :class:`~repro.mpc.accounting.RunStats`, a process pool reports what
+  the serial executor does, and each ledger is byte-identical to the
+  one-shot driver path (golden-equivalence suite); each finished
+  query's metrics fold into the process-wide registry ``/metrics``
+  renders;
 * :meth:`~DistanceService.close` drains in-flight queries, releases
   every corpus, shuts the owned executor down, and asserts
   :func:`~repro.mpc.shm.active_segments` is empty — a leak anywhere in
@@ -60,7 +62,7 @@ from typing import Dict, Optional
 from ..engines import (Engine, EngineRequest, NoEngineError,
                        default_engine, distances, get_engine,
                        select_engine)
-from ..metrics import get_registry, scoped_snapshot
+from ..metrics import get_registry, metric_key
 from ..mpc.executor import Executor, ProcessPoolExecutor, SerialExecutor
 from ..mpc.faults import FaultPlan, RetryPolicy
 from ..mpc.shm import active_segments
@@ -86,8 +88,8 @@ class QueryOutcome:
     """Everything one finished query reports.
 
     ``result`` is the driver-native result object (``UlamResult`` /
-    ``EditResult``) whose ``stats`` ledger and ``stats.metrics`` delta
-    are exclusively this query's; ``guarantees`` is the
+    ``EditResult``) whose ``stats`` ledger and ``stats.metrics``
+    snapshot are exclusively this query's; ``guarantees`` is the
     :class:`~repro.analysis.guarantees.GuaranteeReport` dict when the
     service checked them (service default), else ``None``.
     """
@@ -110,7 +112,7 @@ class QueryOutcome:
 
     @property
     def metrics(self) -> dict:
-        """The query's exact metrics delta (scoped snapshot)."""
+        """The query's own metrics snapshot (``stats.metrics``)."""
         return self.result.stats.metrics
 
     @property
@@ -508,8 +510,8 @@ class DistanceService:
         # is its sole owner.  The trace context wraps the whole
         # execution, so every span the query emits — simulator rounds,
         # retry attempts, collector and publish spans, all produced in
-        # round threads that run in a copy of this context — and the
-        # metrics scope carry the service-minted identity.
+        # round threads that run in a copy of this context — carries the
+        # service-minted identity.
         query_slots, round_slots = self._semaphores()
         start = time.perf_counter()
         try:
@@ -521,36 +523,32 @@ class DistanceService:
                 finally:
                     self._queued -= 1
                 try:
-                    with scoped_snapshot(trace_id=trace_id,
-                                         query_id=query_id) as scope:
-                        gen = query.steps(sim)
-                        loop = asyncio.get_running_loop()
-                        step: Optional[asyncio.Future] = None
-                        try:
-                            while True:
-                                async with round_slots:
-                                    step = loop.run_in_executor(
-                                        self._round_threads,
-                                        contextvars.copy_context().run,
-                                        self._advance, gen)
-                                    done = await asyncio.shield(step)
-                                    step = None
-                                if done:
-                                    break
-                        finally:
-                            # A cancelled await leaves the in-flight
-                            # round running in its thread; let it finish
-                            # before finalising the generator (which
-                            # closes the query's scratch plane) so no
-                            # segment leaks.
-                            if step is not None and not step.done():
-                                try:
-                                    await asyncio.shield(step)
-                                except BaseException:
-                                    pass
-                            gen.close()
+                    gen = query.steps(sim)
+                    loop = asyncio.get_running_loop()
+                    step: Optional[asyncio.Future] = None
+                    try:
+                        while True:
+                            async with round_slots:
+                                step = loop.run_in_executor(
+                                    self._round_threads,
+                                    contextvars.copy_context().run,
+                                    self._advance, gen)
+                                done = await asyncio.shield(step)
+                                step = None
+                            if done:
+                                break
+                    finally:
+                        # A cancelled await leaves the in-flight round
+                        # running in its thread; let it finish before
+                        # finalising the generator (which closes the
+                        # query's scratch plane) so no segment leaks.
+                        if step is not None and not step.done():
+                            try:
+                                await asyncio.shield(step)
+                            except BaseException:
+                                pass
+                        gen.close()
                     result = query.result
-                    result.stats.metrics = scope.delta()
                 finally:
                     query_slots.release()
                 guarantees = None
@@ -560,15 +558,15 @@ class DistanceService:
                     guarantees["trace_id"] = trace_id
                     guarantees["query_id"] = query_id
             latency = time.perf_counter() - start
-            # Observed *after* the query's scope has exited: the
-            # process-cumulative registry (and the /metrics exporter)
-            # sees the latency distribution, while per-query scoped
-            # deltas stay byte-identical to the one-shot driver path.
+            # The process-wide registry (the /metrics exporter) folds the
+            # query's snapshot and sees the latency distribution; the
+            # latency stays out of the query's own ledger, which is
+            # byte-identical to the one-shot driver path.
             registry = get_registry()
-            if registry.enabled:
-                registry.histogram("service.query_latency",
-                                   engine=spec.engine_name) \
-                    .observe(round(latency, 6))
+            registry.record(result.stats.metrics)
+            registry.observe(metric_key("service.query_latency",
+                                        {"engine": spec.engine_name}),
+                             round(latency, 6))
             caps = spec.engine.caps
             x_eff = spec.x if spec.x is not None else caps.default_x
             eps_eff = spec.eps if spec.eps is not None \

@@ -38,16 +38,12 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ..chain import Tuple5, TupleTable
-from ..metrics import get_registry
-from ..mpc.accounting import add_work
+from ..metrics import inc, observe
+from ..mpc.accounting import add_work, record_metric
 from ..mpc.shm import SharedSlice
 from ..strings.native import predecessors
 from ..strings.ulam import local_ulam_from_matches, ulam_windows
 from .config import UlamConfig
-
-_M_WINDOWS = get_registry().counter("ulam.candidate_windows")
-_M_TUPLES = get_registry().counter("ulam.candidate_tuples")
-_M_PER_BLOCK = get_registry().histogram("ulam.candidates_per_block")
 
 __all__ = ["BlockPayload", "make_block_payload", "make_block_part",
            "make_round1_broadcast", "run_block_machine", "CandidateTuple"]
@@ -223,8 +219,8 @@ def run_block_machine(payload: BlockPayload) -> TupleTable:
 
     # Distance evaluation: sparse chain DP per window from positions only.
     add_work(len(sp))
-    _M_WINDOWS.inc(len(sp))
-    _M_PER_BLOCK.observe(len(sp))
+    record_metric(inc, "ulam.candidate_windows", len(sp))
+    record_metric(observe, "ulam.candidates_per_block", len(sp))
 
     # Only windows that can make the block's top-k are evaluated; the
     # cap below ships the same tuples as on every window.
@@ -234,5 +230,5 @@ def run_block_machine(payload: BlockPayload) -> TupleTable:
     # Smallest (distance, length) first; ties keep generation order.
     tuples = TupleTable.from_columns(lo, hi, sp[index], ep[index],
                                      dists).capped(top_k)
-    _M_TUPLES.inc(len(tuples))
+    record_metric(inc, "ulam.candidate_tuples", len(tuples))
     return tuples

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Generator, Optional
 
 from ..chain import TupleTable, run_combine_machine, shipping_cap
-from ..metrics import get_registry
+from ..metrics import set_gauge
 from ..mpc.accounting import RunStats
 from ..mpc.plan import Pipeline, RoundSpec
 from ..mpc.simulator import MPCSimulator
@@ -153,7 +153,8 @@ class UlamQuery:
                 scratch.close()
 
         distance = min(int(answer), max(n, len(T)))
-        get_registry().gauge("ulam.phase2_top_k").set(config.phase2_top_k)
+        set_gauge(sim.stats.metrics, "ulam.phase2_top_k",
+                  config.phase2_top_k)
         self.result = UlamResult(
             distance=distance, n=n, params=params,
             stats=sim.stats.snapshot(), n_tuples=len(tuples),

@@ -14,23 +14,23 @@ def rng() -> np.random.Generator:
 
 @pytest.fixture(autouse=True)
 def _metrics_isolation():
-    """Keep the process-wide metrics registry isolated between tests.
+    """Keep the process-wide metrics state isolated between tests.
 
-    CLI commands enable collection globally; without this fixture a test
-    running after a CLI test would silently observe (and accumulate
-    into) another test's counters.
+    CLI commands switch collection on globally and service runs fold
+    their queries into the process registry that ``/metrics`` renders;
+    without this fixture a test running after them would collect (or
+    read) metrics it never asked for.
     """
-    from repro.metrics import get_registry
+    from repro import metrics
     from repro.obs import profile
-    reg = get_registry()
-    was_enabled = reg.enabled
+    was_enabled = metrics.get_registry().enabled
     profiling_was_on = profile.profiling_enabled()
     yield
     if was_enabled:
-        reg.enable()
+        metrics.enable()
     else:
-        reg.disable()
-    reg.reset()
+        metrics.disable()
+    metrics.get_registry().reset()
     # The kernel profiler follows the same discipline: CLI commands
     # enable it process-wide, so restore and clear its global aggregate.
     if profiling_was_on:

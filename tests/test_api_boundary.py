@@ -75,8 +75,8 @@ def test_checker_flags_metrics_mutation_outside_repro(tmp_path):
     bad = tmp_path / "tests"
     bad.mkdir(parents=True)
     (bad / "test_rogue.py").write_text(
-        "from repro.metrics import get_registry\n"
-        "get_registry().counter('sneaky').inc()\n")
+        "from repro.metrics import inc\n"
+        "inc(res.stats.metrics, 'sneaky')\n")
     proc = _check(tmp_path)
     assert proc.returncode == 1
     assert "test_rogue.py:2" in proc.stdout
@@ -88,13 +88,13 @@ def test_checker_allows_metrics_mutation_in_repro_and_own_tests(tmp_path):
     src = tmp_path / "src" / "repro"
     src.mkdir(parents=True)
     (src / "kernel.py").write_text(
-        "_M = get_registry().counter('dp.cells')\n")
+        "record_metric(inc, 'dp.cells', 1)\n")
     tests = tmp_path / "tests"
     tests.mkdir()
     (tests / "test_metrics.py").write_text(
-        "c = reg.counter('c')\n"
-        "g = reg.gauge('g')\n"
-        "h = reg.histogram('h')\n")
+        "inc(snap, 'c')\n"
+        "set_gauge(snap, 'g', 1)\n"
+        "observe(snap, 'h', 1)\n")
     proc = _check(tmp_path)
     assert proc.returncode == 0, proc.stdout
 
@@ -103,7 +103,7 @@ def test_checker_flags_metrics_mutation_in_benchmarks(tmp_path):
     bench = tmp_path / "benchmarks"
     bench.mkdir(parents=True)
     (bench / "bench_rogue.py").write_text(
-        "reg.histogram('lat', phase='x').observe(1)\n")
+        "get_registry().observe('lat{phase=x}', 1)\n")
     proc = _check(tmp_path)
     assert proc.returncode == 1
     assert "bench_rogue.py:1" in proc.stdout

@@ -12,7 +12,7 @@ import repro.editdistance.small as small
 from repro import mpc_edit_distance
 from repro.chain import TupleTable
 from repro.editdistance.small import run_small_block_machine
-from repro.metrics import enabled as metrics_enabled, scoped_snapshot
+from repro.metrics import enabled as metrics_enabled
 from repro.mpc import WorkMeter
 from repro.strings import levenshtein, levenshtein_last_row
 from repro.workloads.strings import planted_pair
@@ -132,16 +132,14 @@ class TestSmallMachineOneSweep:
     def test_matches_per_start_reference(self, n, budget):
         payloads = _captured_payloads(n, budget)
         assert max(len(p["starts"]) for p in payloads) > 1
-        with metrics_enabled(), scoped_snapshot() as scope, \
-                WorkMeter() as meter:
+        with metrics_enabled(), WorkMeter() as meter:
             got = [run_small_block_machine(dict(p)) for p in payloads]
         with WorkMeter() as ref_meter:
             ref = [_per_start_machine(dict(p)) for p in payloads]
         assert ([t.rows.tolist() for t in got]
                 == [t.rows.tolist() for t, _ in ref])
         assert meter.total == ref_meter.total
-        delta = scope.delta()
-        assert [delta[k]["value"] for k in _COUNTS] == [
+        assert [meter.metrics[k]["value"] for k in _COUNTS] == [
             sum(w for _, w in ref), sum(len(t) for t, _ in ref)]
 
 

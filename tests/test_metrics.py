@@ -1,8 +1,8 @@
-"""Tests for the labelled metrics registry (repro.metrics).
+"""Tests for the metrics snapshot writes and registry (repro.metrics).
 
 This file is the single sanctioned place outside ``src/repro/`` that
-obtains instrument handles (``counter``/``gauge``/``histogram``) — the
-API-boundary checker exempts it by name.
+calls the metric writes (``inc``/``set_gauge``/``observe``/
+``record_metric``) — the API-boundary checker exempts it by name.
 """
 
 import json
@@ -10,8 +10,10 @@ import json
 import pytest
 
 from repro.metrics import (MetricsRegistry, disable, enable, enabled,
-                           get_registry, merge_snapshots, metric_key,
-                           scoped_snapshot)
+                           get_registry, inc, merge_snapshots, metric_key,
+                           observe, set_gauge)
+from repro.mpc import MPCSimulator, WorkMeter
+from repro.mpc.accounting import record_metric
 
 
 class TestMetricKey:
@@ -24,73 +26,72 @@ class TestMetricKey:
 
 
 class TestInstruments:
+    """The three writes on a snapshot dict."""
+
     def test_counter_disabled_is_noop(self):
-        reg = MetricsRegistry()
-        c = reg.counter("c")
-        c.inc(5)
-        assert c.value == 0 and not c.touched
+        snap = {}
+        inc(snap, "c", 5)
+        assert snap == {}
 
     def test_counter_enabled_accumulates(self):
-        reg = MetricsRegistry(enabled=True)
-        c = reg.counter("c")
-        c.inc()
-        c.inc(41)
-        assert c.value == 42 and c.touched
+        snap = {}
+        with enabled():
+            inc(snap, "c")
+            inc(snap, "c", 41)
+        assert snap == {"c": {"type": "counter", "value": 42}}
 
     def test_gauge_last_set_wins(self):
-        reg = MetricsRegistry(enabled=True)
-        g = reg.gauge("g")
-        g.set(3)
-        g.set(7)
-        assert g.value == 7
+        snap = {}
+        with enabled():
+            set_gauge(snap, "g", 3)
+            set_gauge(snap, "g", 7)
+        assert snap["g"]["value"] == 7
 
     def test_gauge_disabled_is_noop(self):
-        reg = MetricsRegistry()
-        g = reg.gauge("g")
-        g.set(3)
-        assert g.value == 0 and not g.touched
+        snap = {}
+        set_gauge(snap, "g", 3)
+        assert snap == {}
 
     def test_histogram_moments(self):
-        reg = MetricsRegistry(enabled=True)
-        h = reg.histogram("h")
-        for v in (4, 1, 7):
-            h.observe(v)
-        snap = h._snapshot()
-        assert snap == {"type": "histogram", "count": 3, "sum": 12,
-                        "min": 1, "max": 7}
+        snap = {}
+        with enabled():
+            for v in (4, 1, 7):
+                observe(snap, "h", v)
+        assert snap["h"] == {"type": "histogram", "count": 3, "sum": 12,
+                             "min": 1, "max": 7}
 
     def test_histogram_disabled_is_noop(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("h")
-        h.observe(5)
-        assert h.count == 0 and h.min is None and not h.touched
-
-    def test_handles_are_cached_per_name_and_labels(self):
-        reg = MetricsRegistry(enabled=True)
-        assert reg.counter("c", a=1) is reg.counter("c", a=1)
-        assert reg.counter("c", a=1) is not reg.counter("c", a=2)
+        snap = {}
+        observe(snap, "h", 5)
+        assert snap == {}
 
     def test_type_conflict_raises(self):
-        reg = MetricsRegistry(enabled=True)
-        reg.counter("m")
-        with pytest.raises(TypeError, match="already registered"):
-            reg.gauge("m")
+        reg = MetricsRegistry()
+        reg.record({"m": {"type": "counter", "value": 1}})
+        with pytest.raises(ValueError, match="cannot merge"):
+            reg.record({"m": {"type": "gauge", "value": 1}})
 
 
 class TestSnapshots:
     def _loaded(self):
-        reg = MetricsRegistry(enabled=True)
-        reg.counter("work", phase="dense").inc(100)
-        reg.gauge("top_k").set(8)
-        reg.histogram("per_block").observe(3)
-        reg.histogram("per_block").observe(5)
+        snap = {}
+        with enabled():
+            inc(snap, metric_key("work", {"phase": "dense"}), 100)
+            set_gauge(snap, "top_k", 8)
+            observe(snap, "per_block", 3)
+            observe(snap, "per_block", 5)
+        reg = MetricsRegistry()
+        reg.record(snap)
         return reg
 
     def test_snapshot_includes_only_touched(self):
+        snap = {}
+        with enabled():
+            inc(snap, "never.written", 0)   # a zero tick leaves no entry
         reg = self._loaded()
-        reg.counter("never.written")    # handle exists, never incremented
-        snap = reg.snapshot()
-        assert set(snap) == {"work{phase=dense}", "top_k", "per_block"}
+        reg.record(snap)
+        assert set(reg.snapshot()) == {"work{phase=dense}", "top_k",
+                                       "per_block"}
 
     def test_snapshot_is_json_serialisable(self):
         snap = self._loaded().snapshot()
@@ -100,53 +101,27 @@ class TestSnapshots:
         snap = self._loaded().snapshot()
         assert list(snap) == sorted(snap)
 
-    def test_delta_counters_subtract(self):
+    def test_registry_folds_recorded_snapshots(self):
         reg = self._loaded()
-        mark = reg.mark()
-        reg.counter("work", phase="dense").inc(50)
-        delta = MetricsRegistry.delta(mark, reg.snapshot())
-        assert delta["work{phase=dense}"]["value"] == 50
+        reg.record({"work{phase=dense}": {"type": "counter", "value": 5},
+                    "per_block": {"type": "histogram", "count": 1,
+                                  "sum": 9, "min": 9, "max": 9}})
+        snap = reg.snapshot()
+        assert snap["work{phase=dense}"]["value"] == 105
+        assert snap["per_block"] == {"type": "histogram", "count": 3,
+                                     "sum": 17, "min": 3, "max": 9}
 
-    def test_delta_drops_untouched_series(self):
+    def test_snapshot_is_detached(self):
         reg = self._loaded()
-        mark = reg.mark()
-        reg.counter("work", phase="dense").inc(1)
-        delta = MetricsRegistry.delta(mark, reg.snapshot())
-        # gauge unchanged, histogram saw no new observations
-        assert "top_k" not in delta and "per_block" not in delta
+        reg.snapshot()["top_k"]["value"] = 99
+        assert reg.snapshot()["top_k"]["value"] == 8
 
-    def test_delta_gauge_reports_change_and_first_appearance(self):
-        reg = MetricsRegistry(enabled=True)
-        reg.gauge("g").set(1)
-        mark = reg.mark()
-        reg.gauge("g").set(2)
-        reg.gauge("fresh").set(9)
-        delta = MetricsRegistry.delta(mark, reg.snapshot())
-        assert delta["g"]["value"] == 2
-        assert delta["fresh"]["value"] == 9
-
-    def test_delta_histogram_windows_count_and_sum(self):
-        reg = MetricsRegistry(enabled=True)
-        reg.histogram("h").observe(10)
-        mark = reg.mark()
-        reg.histogram("h").observe(2)
-        delta = MetricsRegistry.delta(mark, reg.snapshot())
-        assert delta["h"]["count"] == 1 and delta["h"]["sum"] == 2
-        # min/max cannot be windowed post-hoc: cumulative extremes.
-        assert delta["h"]["min"] == 2 and delta["h"]["max"] == 10
-
-    def test_delta_from_empty_mark_is_full_snapshot(self):
+    def test_reset_clears_the_fold(self):
         reg = self._loaded()
-        assert MetricsRegistry.delta({}, reg.snapshot()) == reg.snapshot()
-
-    def test_reset_keeps_cached_handles_valid(self):
-        reg = self._loaded()
-        c = reg.counter("work", phase="dense")
         reg.reset()
         assert reg.snapshot() == {}
-        c.inc(7)
-        assert reg.snapshot() == {
-            "work{phase=dense}": {"type": "counter", "value": 7}}
+        reg.record({"c": {"type": "counter", "value": 7}})
+        assert reg.snapshot() == {"c": {"type": "counter", "value": 7}}
 
 
 class TestMergeSnapshots:
@@ -214,20 +189,32 @@ class TestGlobalRegistry:
 
     def test_enabled_context_collects(self):
         with enabled() as reg:
-            reg.counter("scoped").inc(2)
+            reg.observe("scoped", 2)
+        reg.observe("ignored", 5)       # collection is off again
         snap = get_registry().snapshot()
-        assert snap["scoped"]["value"] == 2
+        assert snap["scoped"]["sum"] == 2
+        assert "ignored" not in snap
+
+
+def _tick_machine(amount: int) -> int:
+    record_metric(inc, "sc.q", amount)
+    return amount
 
 
 class TestScopedSnapshot:
+    """A metrics snapshot is scoped by the :class:`WorkMeter` it rides:
+    every write made while the meter is active lands in it, and a
+    machine's meter ships it through the simulator into the run's
+    ledger."""
+
     def test_scope_collects_writes_in_delta_format(self):
         enable()
-        with scoped_snapshot() as scope:
-            get_registry().counter("sc.c").inc(3)
-            get_registry().gauge("sc.g").set(7)
-            get_registry().histogram("sc.h").observe(2)
-            get_registry().histogram("sc.h").observe(5)
-        assert scope.delta() == {
+        with WorkMeter() as meter:
+            record_metric(inc, "sc.c", 3)
+            record_metric(set_gauge, "sc.g", 7)
+            record_metric(observe, "sc.h", 2)
+            record_metric(observe, "sc.h", 5)
+        assert meter.metrics == {
             "sc.c": {"type": "counter", "value": 3},
             "sc.g": {"type": "gauge", "value": 7},
             "sc.h": {"type": "histogram", "count": 2, "sum": 7,
@@ -236,55 +223,55 @@ class TestScopedSnapshot:
 
     def test_writes_outside_scope_excluded(self):
         enable()
-        get_registry().counter("sc.before").inc(10)
-        with scoped_snapshot() as scope:
-            get_registry().counter("sc.inside").inc(1)
-        get_registry().counter("sc.after").inc(10)
-        assert list(scope.delta()) == ["sc.inside"]
+        record_metric(inc, "sc.before", 10)     # no meter: no-op
+        with WorkMeter() as meter:
+            record_metric(inc, "sc.inside", 1)
+        record_metric(inc, "sc.after", 10)
+        assert list(meter.metrics) == ["sc.inside"]
 
     def test_disabled_registry_records_nothing(self):
         assert not get_registry().enabled
-        with scoped_snapshot() as scope:
-            get_registry().counter("sc.c").inc(5)
-        assert scope.delta() == {}
+        with WorkMeter() as meter:
+            record_metric(inc, "sc.c", 5)
+        assert meter.metrics is None    # nothing to ship over the pool
 
     def test_scopes_nest(self):
         enable()
-        with scoped_snapshot() as outer:
-            get_registry().counter("sc.c").inc(1)
-            with scoped_snapshot() as inner:
-                get_registry().counter("sc.c").inc(2)
-        assert outer.delta()["sc.c"]["value"] == 3
-        assert inner.delta()["sc.c"]["value"] == 2
+        with WorkMeter() as outer:
+            record_metric(inc, "sc.c", 1)
+            with WorkMeter() as inner:
+                record_metric(inc, "sc.c", 2)
+        assert outer.metrics["sc.c"]["value"] == 3
+        assert inner.metrics["sc.c"]["value"] == 2
 
     def test_windowed_histogram_extremes_are_exact(self):
-        # The registry saw an earlier extreme observation; the scope's
-        # min/max must reflect only the window (unlike mark()/delta(),
-        # whose extremes are cumulative).
+        # An earlier extreme observation in an enclosing meter does not
+        # leak into a meter opened after it.
         enable()
-        get_registry().histogram("sc.h").observe(1000)
-        with scoped_snapshot() as scope:
-            get_registry().histogram("sc.h").observe(4)
-        assert scope.delta()["sc.h"]["min"] == 4
-        assert scope.delta()["sc.h"]["max"] == 4
+        with WorkMeter() as outer:
+            record_metric(observe, "sc.h", 1000)
+            with WorkMeter() as inner:
+                record_metric(observe, "sc.h", 4)
+        assert inner.metrics["sc.h"]["min"] == 4
+        assert inner.metrics["sc.h"]["max"] == 4
+        assert outer.metrics["sc.h"]["max"] == 1000
 
     def test_concurrent_threads_do_not_bleed(self):
-        # Each thread starts with its own context, so a scope opened in
-        # one worker never sees another worker's increments even though
-        # all of them hammer the same shared counter handle.
+        # Meter stacks are thread-local, so a meter opened in one worker
+        # never sees another worker's writes to the same key.
         import threading
 
         enable()
-        deltas = {}
+        snaps = {}
         barrier = threading.Barrier(4)
 
         def worker(wid: int) -> None:
             barrier.wait()
-            with scoped_snapshot() as scope:
+            with WorkMeter() as meter:
                 for _ in range(200):
-                    get_registry().counter("sc.shared").inc()
-                get_registry().counter("sc.mine", w=wid).inc(wid)
-            deltas[wid] = scope.delta()
+                    record_metric(inc, "sc.shared", 1)
+                record_metric(inc, metric_key("sc.mine", {"w": wid}), wid)
+            snaps[wid] = meter.metrics
 
         threads = [threading.Thread(target=worker, args=(w,))
                    for w in range(4)]
@@ -294,29 +281,25 @@ class TestScopedSnapshot:
             t.join()
 
         for wid in range(4):
-            delta = deltas[wid]
-            assert delta["sc.shared"]["value"] == 200
-            mine = [k for k in delta if k.startswith("sc.mine")]
+            snap = snaps[wid]
+            assert snap["sc.shared"]["value"] == 200
+            mine = [k for k in snap if k.startswith("sc.mine")]
             assert mine == ([f"sc.mine{{w={wid}}}"] if wid else [])
-        # The shared registry still holds the cumulative total.
-        snap = get_registry().snapshot()
-        assert snap["sc.shared"]["value"] == 800
 
     def test_overlapping_async_tasks_get_exact_deltas(self):
-        # The service execution pattern: concurrent tasks, each wrapping
-        # its work in one scope and hopping through asyncio.to_thread
-        # (which copies the ambient context into the worker thread).
+        # The service execution pattern: concurrent tasks, each running
+        # its rounds on its own simulator through asyncio.to_thread.
         import asyncio
 
         enable()
 
         async def query(amount: int) -> dict:
-            with scoped_snapshot() as scope:
-                for _ in range(3):
-                    await asyncio.to_thread(
-                        lambda: get_registry().counter("sc.q").inc(amount))
-                    await asyncio.sleep(0)
-            return scope.delta()
+            sim = MPCSimulator()
+            for _ in range(3):
+                await asyncio.to_thread(sim.run_round, "r", _tick_machine,
+                                        [amount])
+                await asyncio.sleep(0)
+            return sim.stats.metrics
 
         async def main():
             return await asyncio.gather(query(1), query(10), query(100))

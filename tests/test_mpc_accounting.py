@@ -103,7 +103,7 @@ class TestRunStats:
 
 
 class TestRunStatsMetrics:
-    """RunStats carries the per-run metrics delta through snapshot,
+    """RunStats carries the per-run metrics snapshot through snapshot,
     merge and summary (see repro.metrics)."""
 
     C = {"type": "counter", "value": 10}

@@ -8,6 +8,7 @@ identical to a one-shot reference run — while ``/metrics`` and
 when queries actually violate their budgets.
 """
 
+import asyncio
 import json
 import threading
 import time
@@ -23,7 +24,7 @@ from repro.obs import (SLO, ObservabilityServer, QuerySample, SLOMonitor,
                        burn_rate, default_slos, prometheus_exposition,
                        render_health, sample_from_record)
 from repro.params import EditParams, UlamParams
-from repro.service import run_workload
+from repro.service import DistanceService, run_workload
 from repro.ulam import mpc_ulam
 from repro.workloads.permutations import planted_pair as perm_pair
 from repro.workloads.strings import planted_pair as str_pair
@@ -340,6 +341,37 @@ class TestExporter:
                 and needle in line)
             if counted:
                 assert rec["cells"] <= counted + 1e-9, kernel
+
+    def test_pool_service_metrics_equal_one_shot_and_export(self):
+        # A pool-backed service reports the machine counters a serial
+        # one-shot run does, and /metrics renders the finished queries.
+        # Queries run one at a time, so the pool forks its workers while
+        # no other query's round thread is running.
+        enable()
+        queries = _mixed_queries(2)
+
+        async def main():
+            async with DistanceService(max_workers=2) as service:
+                obs.bind(service)
+                outcomes = []
+                for q in queries:
+                    cid = service.register_corpus(q["s"], q["t"])
+                    outcomes.append(await service.submit(
+                        q["algo"], cid, seed=q["seed"],
+                        x=q["x"], eps=q["eps"], check_guarantees=False))
+                return outcomes
+
+        obs = ObservabilityServer(port=0).start()
+        try:
+            outcomes = asyncio.run(main())
+            code, text = _http_get(obs.url + "/metrics")
+        finally:
+            obs.stop()
+        for q, o in zip(queries, outcomes):
+            ref, _ = _traced_reference(q)
+            assert o.metrics == ref.stats.metrics
+        assert code == 200
+        assert "repro_strings_dp_cells_total{" in text
 
     def test_unbound_exporter_serves_registry_only(self):
         with ObservabilityServer(port=0) as obs:

@@ -18,7 +18,6 @@ import time
 
 from repro.engines import EngineRequest, get_engine
 from repro.metrics import enabled as metrics_enabled
-from repro.metrics import scoped_snapshot
 from repro.mpc.accounting import WorkMeter, charge
 from repro.mpc.telemetry import Span
 from repro.obs import profile
@@ -72,11 +71,11 @@ class TestCharge:
 
     def test_one_charge_feeds_ledger_registry_and_profile(self):
         with metrics_enabled(), enabled():
-            with scoped_snapshot() as scope, WorkMeter() as meter:
+            with WorkMeter() as meter:
                 _spin(calls=2, cells=9)
         assert meter.total == 9
         assert meter.kernels["demo"][:2] == [2, 9]
-        assert scope.delta() == {
+        assert meter.metrics == {
             "strings.dp_cells{kernel=demo}": {"type": "counter",
                                               "value": 9},
             "strings.kernel_calls{kernel=demo}": {"type": "counter",

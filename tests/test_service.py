@@ -16,8 +16,9 @@ import pytest
 
 from repro.editdistance import mpc_edit_distance
 from repro.metrics import enable
-from repro.mpc import FaultPlan
+from repro.mpc import FaultPlan, MPCSimulator, ProcessPoolExecutor
 from repro.mpc.shm import active_segments
+from repro.params import EditParams, UlamParams
 from repro.service import (AdmissionError, Corpus, DistanceService,
                            ServiceClient, content_id, run_workload)
 from repro.ulam import mpc_ulam
@@ -331,6 +332,50 @@ class TestConcurrentMultiplexing:
                                    check_guarantees=False)
         assert len(outcomes) == self.N_QUERIES
         assert len(names) == 1 and names.pop().endswith("-rounds_0")
+
+
+class TestPoolMetrics:
+    """A process pool reports every machine counter: machine-side
+    metrics ride the machines' results, as work and kernel profiles
+    do, so a pool run's ``stats.metrics`` equals the serial run's."""
+
+    def _run(self, algo, executor=None, fault_plan=None):
+        if algo == "ulam":
+            s, t, _ = perm_pair(256, 16, seed=1)
+            fn, params = mpc_ulam, UlamParams(n=256, x=0.25, eps=0.5)
+        else:
+            s, t, _ = str_pair(256, 16, seed=1)
+            fn, params = mpc_edit_distance, EditParams(n=256, x=0.25,
+                                                       eps=1.0)
+        sim = MPCSimulator(memory_limit=params.memory_limit,
+                           executor=executor, fault_plan=fault_plan)
+        return fn(s, t, x=params.x, eps=params.eps, seed=1, sim=sim)
+
+    @pytest.mark.parametrize("algo", ["ulam", "edit"])
+    def test_pool_metrics_equal_serial(self, algo):
+        enable()
+        serial = self._run(algo)
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            pooled = self._run(algo, executor=pool)
+        assert pooled.distance == serial.distance
+        assert pooled.stats.total_work == serial.stats.total_work
+        assert any(k.startswith("strings.dp_cells")
+                   for k in serial.stats.metrics)
+        assert pooled.stats.metrics == serial.stats.metrics
+
+    def test_fault_plan_counts_surviving_attempts_only(self):
+        # Discarded attempts are charged to the recovery fields only:
+        # metrics, like total_work, count the attempts that survived.
+        enable()
+        plan = FaultPlan.from_spec("crash=0.1", seed=5)
+        clean = self._run("ulam")
+        serial = self._run("ulam", fault_plan=plan)
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            pooled = self._run("ulam", executor=pool, fault_plan=plan)
+        assert serial.stats.failed_attempts > 0
+        assert pooled.stats.failed_attempts == serial.stats.failed_attempts
+        assert serial.stats.metrics == clean.stats.metrics
+        assert pooled.stats.metrics == clean.stats.metrics
 
 
 class TestServiceClient:

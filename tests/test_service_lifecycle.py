@@ -169,8 +169,8 @@ class TestChaosThroughService:
 class TestScopeIsolation:
     """Spans and metric deltas never bleed across sibling queries.
 
-    The per-query ``MetricsScope`` and the tracer's contextvar stamping
-    must hold up under the two ugliest interleavings: a sibling dying
+    Per-query metrics (carried by each query's own simulator) and the
+    tracer's contextvar stamping must hold up under the two ugliest interleavings: a sibling dying
     to ``asyncio.CancelledError`` mid-round, and a sibling burning
     retries against injected faults.  In both cases the unaffected
     query's span slice, metric delta and ledger must be byte-identical

@@ -8,13 +8,13 @@ sparse Ulam kernel takes many windows of one text:
 :func:`~repro.strings.ulam.ulam_windows` shares one chain-DP row per
 window start, and :func:`~repro.strings.ulam.ulam_auto` is one window.
 Batching may only move wall-clock: distances, abstract work,
-``strings.*`` metric deltas and kernel-profile call/cell attribution
+``strings.*`` metric counts and kernel-profile call/cell attribution
 must equal those of the same inputs issued one scalar call at a time.  These tests compare both on random
 and boundary inputs, and check the answers against the independent
 exact kernels (``levenshtein``, ``ulam_distance``, a brute-force DP).
 
 Every kernel entry point reports through one
-:class:`~repro.mpc.accounting.charge` bracket, so its registry deltas
+:class:`~repro.mpc.accounting.charge` bracket, so its metric counters
 and its profile rows must agree call for call and cell for cell, while
 the work ledger keeps its pinned totals (:class:`TestOneChargePerCall`).
 """
@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 
 import repro.ulam.candidates as cand
 from repro.metrics import enabled as metrics_enabled
-from repro.metrics import scoped_snapshot
 from repro.mpc import WorkMeter
 from repro.obs import profile as obs_profile
 from repro.strings import (fitting_last_row, hamming, levenshtein,
@@ -48,17 +47,17 @@ from .helpers import brute_edit_distance
 
 def _metered(fn):
     """``fn()`` under full metering; returns
-    ``(result, work, metrics_delta, profile_calls_cells)``."""
+    ``(result, work, metrics, profile_calls_cells)``."""
     with metrics_enabled(), obs_profile.enabled():
-        with scoped_snapshot() as scope, WorkMeter() as meter:
+        with WorkMeter() as meter:
             result = fn()
     shape = {k: v[:2] for k, v in meter.kernels.items()}
-    return result, meter.total, scope.delta(), shape
+    return result, meter.total, meter.metrics, shape
 
 
 def _assert_batch_matches_scalars(batch, scalar, items):
     """``batch(items)`` against ``[scalar(*x) for x in items]``: same
-    results, work, metric delta and profile calls/cells."""
+    results, work, metrics and profile calls/cells."""
     res_b, work_b, met_b, prof_b = _metered(lambda: batch(items))
     res_s, work_s, met_s, prof_s = _metered(
         lambda: [scalar(*x) for x in items])
@@ -197,7 +196,7 @@ def _random_block(rng, m, n_t, absent=0.2):
 
 def _check_windows(i_pts, p_pts, m, n_t, windows):
     """Window kernel ≡ per-window ``ulam_auto`` (answers, work, metric
-    deltas, profile) ≡ per-window ``ulam_distance``, charged as one
+    counts, profile) ≡ per-window ``ulam_distance``, charged as one
     certified banded pass per window."""
     batch, scalar = _windows_batch(i_pts, p_pts, m)
     got = _assert_batch_matches_scalars(batch, scalar, windows)

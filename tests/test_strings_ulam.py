@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.metrics import enabled as metrics_enabled
-from repro.metrics import scoped_snapshot
 from repro.mpc import WorkMeter
 from repro.obs import profile as obs_profile
 from repro.strings import (check_duplicate_free, is_duplicate_free,
@@ -135,12 +134,12 @@ class TestLocalUlam:
 
 
 def _metered(fn):
-    """``fn()`` under full metering: its result, work, metric deltas and
+    """``fn()`` under full metering: its result, work, metrics and
     profile calls/cells."""
     with metrics_enabled(), obs_profile.enabled():
-        with scoped_snapshot() as scope, WorkMeter() as meter:
+        with WorkMeter() as meter:
             result = fn()
-    return (result, meter.total, scope.delta(),
+    return (result, meter.total, meter.metrics,
             {k: v[:2] for k, v in meter.kernels.items()})
 
 

@@ -26,7 +26,6 @@ import repro.strings.ulam as ulam_mod
 import repro.ulam.candidates as cand
 from repro.chain import TupleTable
 from repro.metrics import enabled as metrics_enabled
-from repro.metrics import scoped_snapshot
 from repro.mpc import WorkMeter
 from repro.obs import profile as obs_profile
 from repro.params import UlamParams
@@ -38,12 +37,12 @@ from repro.workloads.permutations import planted_pair as perm_pair
 
 def _metered(fn):
     """``fn()`` under full metering; returns
-    ``(result, work, metrics_delta, profile_calls_cells)``."""
+    ``(result, work, metrics, profile_calls_cells)``."""
     with metrics_enabled(), obs_profile.enabled():
-        with scoped_snapshot() as scope, WorkMeter() as meter:
+        with WorkMeter() as meter:
             result = fn()
     shape = {k: v[:2] for k, v in meter.kernels.items()}
-    return result, meter.total, scope.delta(), shape
+    return result, meter.total, meter.metrics, shape
 
 
 def reference_kept(i_pts, p_pts, sp, ep, band):
@@ -121,7 +120,7 @@ class TestTopKPruning:
         assert all_index.tolist() == list(range(W))
         (index, dists), *meter = _metered(
             lambda: ulam_windows(i_pts, p_pts, m, sp, ep, top_k=top_k))
-        # Same work, metric deltas and per-window ulam_sparse charge.
+        # Same work, metrics and per-window ulam_sparse charge.
         assert meter == all_meter
         # Evaluated windows keep input order and get exact distances.
         assert np.all(np.diff(index) > 0)

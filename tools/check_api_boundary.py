@@ -13,11 +13,13 @@ Eight rules:
   benchmarks receive a ready :class:`~repro.mpc.telemetry.Tracer` (or
   build one via ``Tracer.to_jsonl``/``Tracer.in_memory``) and stay
   sink-agnostic, so the choice of trace format remains with the caller.
-* Metrics-registry *mutation* — obtaining a ``counter``/``gauge``/
-  ``histogram`` handle — is an internal privilege of ``src/repro/``.
-  Tests, examples and benchmarks consume snapshots read-only
-  (``get_registry().snapshot()`` / ``RunStats.metrics``); the
-  registry's own unit tests are the single sanctioned exception.
+* Metric *writes* — the snapshot writes ``inc``/``set_gauge``/
+  ``observe``, the meter-side ``record_metric`` and the process
+  registry's ``record``/``observe`` — are an internal privilege of
+  ``src/repro/``.  Tests, examples and benchmarks read metrics only
+  through ``RunStats.metrics`` or the ``/metrics`` snapshot
+  (``get_registry().snapshot()``); the metrics module's own unit tests
+  are the single sanctioned exception.
 * Kernel charging (``charge(kernel, calls, cells)``, the one bracket
   through which a DP kernel reports work, counters and profile) is
   likewise internal to ``src/repro/``: everything outside consumes the
@@ -86,15 +88,16 @@ RULES = {
         "Tracer.in_memory) so drivers stay sink-agnostic.",
     ),
     "metrics-mutation": (
-        re.compile(r"\.(?:counter|gauge|histogram)\s*\("),
+        re.compile(r"(?<![\w.])(?:inc|set_gauge|observe|record_metric)"
+                   r"\s*\(|get_registry\(\)\s*\.\s*(?:record|observe)\s*\("),
         ("src", "benchmarks", "tests", "examples"),
-        # test_metrics.py exercises the instruments themselves;
+        # test_metrics.py exercises the writes themselves;
         # test_api_boundary.py holds offending lines as string fixtures.
         ("src/repro/", "tests/test_metrics.py",
          "tests/test_api_boundary.py"),
-        "metrics-registry instrument creation outside src/repro/",
-        "Metrics mutation is internal to src/repro/; consume snapshots "
-        "read-only via get_registry().snapshot() or RunStats.metrics "
+        "metric write outside src/repro/",
+        "Metric writes are internal to src/repro/; read RunStats.metrics "
+        "or the /metrics snapshot (get_registry().snapshot()) instead "
         "(tests/test_metrics.py is the sanctioned exception).",
     ),
     "kernel-charge": (
@@ -228,7 +231,7 @@ def main(argv):
             print(hint)
         return 1
     print("API boundary clean: no direct run_round calls, sink "
-          "constructions, metrics mutation, kernel charges, "
+          "constructions, metric writes, kernel charges, "
           "raw shared_memory use, driver imports, pool/data-plane "
           "construction, or HTTP server construction outside their "
           "sanctioned modules")
