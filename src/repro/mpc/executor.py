@@ -26,7 +26,9 @@ from __future__ import annotations
 import concurrent.futures
 import os
 import pickle
+import time
 from collections import OrderedDict
+from multiprocessing import resource_tracker
 from typing import List, Optional, Sequence, Tuple
 
 from ..metrics import enable as _enable_metrics, get_registry
@@ -50,6 +52,12 @@ def _worker_init(profiling_on: bool, metrics_on: bool) -> None:
         _enable_profiling()
     if metrics_on:
         _enable_metrics()
+
+
+def _worker_pid(hold: float) -> int:
+    """Hold a pool worker busy for *hold* seconds; return its pid."""
+    time.sleep(hold)
+    return os.getpid()
 
 
 class Executor:
@@ -135,12 +143,12 @@ class ProcessPoolExecutor(Executor):
         while many-small-machine rounds stop paying per-task IPC.  An
         explicit value stays authoritative for every round.
 
-    Pool lifecycle is explicit: workers are spawned lazily on the first
-    non-empty :meth:`run`, released by :meth:`close` (or leaving the
-    ``with`` block), and *respawned* if :meth:`run` is called again after
-    a close — each close/run cycle is a fresh pool, never a zombie handle
-    to a shut-down one.  Prefer the context-manager form so workers are
-    always reclaimed::
+    Pool lifecycle is explicit: workers are spawned by :meth:`start` or
+    lazily on the first non-empty :meth:`run`, released by :meth:`close`
+    (or leaving the ``with`` block), and *respawned* if :meth:`run` is
+    called again after a close — each close/run cycle is a fresh pool,
+    never a zombie handle to a shut-down one.  Prefer the context-manager
+    form so workers are always reclaimed::
 
         with ProcessPoolExecutor(max_workers=8) as pool:
             sim = MPCSimulator(memory_limit=limit, executor=pool)
@@ -171,6 +179,27 @@ class ProcessPoolExecutor(Executor):
                 initializer=_worker_init,
                 initargs=(profiling_enabled(), get_registry().enabled))
         return self._pool
+
+    def start(self) -> None:
+        """Spawn every worker now, from the calling thread.
+
+        A forked worker inherits every lock held at the fork: one forked
+        at a round's first :meth:`run` while another thread holds the
+        resource tracker's lock (during a shared-memory publish or
+        attach) hangs at its own first attach.  Call this before such
+        threads exist.  The tracker starts first, so the workers share
+        it: one started by a worker unlinks what that worker attached
+        when it exits.  ``concurrent.futures`` forks every worker at the
+        first submit from Python 3.11 on, and before that one per submit
+        while none is idle, so the workers are held briefly busy until
+        every pid has answered.
+        """
+        resource_tracker.ensure_running()
+        pool = self._ensure_pool()
+        pids: set = set()
+        while len(pids) < self.max_workers:
+            pids.update(pool.map(_worker_pid,
+                                 [0.001] * self.max_workers))
 
     def run(self, tasks: Sequence[MachineTask],
             broadcast: Optional[Broadcast] = None) -> List[MachineResult]:

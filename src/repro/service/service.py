@@ -19,15 +19,17 @@ single persistent executor and per-corpus shared-memory segments:
 * every query is a resumable generator (the engine's
   :meth:`~repro.engines.Engine.make_query` — the native ``UlamQuery`` /
   ``EditQuery`` for the paper's drivers, a one-step
-  :class:`~repro.engines.SolveStepQuery` for everything else) advanced
-  one MPC round at a time in a worker thread, with a semaphore bounding
-  how many rounds' machine work is in flight at once — the
-  service-level analogue of the paper's per-round machine budget.  On
-  a serial executor that thread is one service-owned thread for every
-  query: its machines hold the interpreter lock, so a second thread
-  could not overlap them, and one thread runs queued rounds back to
-  back instead of trading the lock and waking through the event loop
-  between them;
+  :class:`~repro.engines.SolveStepQuery` for everything else) admitted
+  through one semaphore (``max_concurrent_queries``) into a round
+  scheduler: a FIFO run queue served by service-owned threads.  A
+  thread pops a query, runs one MPC round of it and puts it back at the
+  tail, so concurrent queries interleave round by round while the event
+  loop stays free, and a query hops back to the loop once, when it
+  ends.  A serial executor gets one thread: its machines hold the
+  interpreter lock, so a second thread could not overlap them.  A
+  process pool gets ``max_inflight_rounds`` threads, which bounds the
+  rounds whose machine work is in flight at once — the service-level
+  analogue of the paper's per-round machine budget;
 * per-query ledgers, metrics included, come from the query's own
   simulator, so concurrent queries never bleed into each other's
   :class:`~repro.mpc.accounting.RunStats`, a process pool reports what
@@ -42,20 +44,21 @@ single persistent executor and per-corpus shared-memory segments:
   outliving the service.
 
 Cancellation: an MPC round is not interruptible mid-flight (machine
-functions run to completion), so cancelling a query lets the in-flight
-round finish in its thread, then finalises the query generator — which
-closes the query's scratch plane — before the cancellation propagates.
-Segments therefore never leak, whichever await the cancellation lands
-on.
+functions run to completion), so cancelling a query flags it in the run
+queue; its thread lets an in-flight round finish, runs no further round,
+finalises the query generator — which closes the query's scratch plane
+— and only then lets the cancellation propagate.  Segments therefore
+never leak, whichever await the cancellation lands on.
 """
 
 from __future__ import annotations
 
 import asyncio
+import collections
 import contextvars
 import itertools
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -183,6 +186,111 @@ class _QuerySpec:
         return self.engine.caps.name
 
 
+class _Run:
+    """One admitted query in the round scheduler's run queue."""
+
+    __slots__ = ("gen", "context", "future", "error", "cancelled")
+
+    def __init__(self, gen) -> None:
+        self.gen = gen
+        # Captured once: every round of the query runs in this context.
+        self.context = contextvars.copy_context()
+        self.future = asyncio.get_running_loop().create_future()
+        self.error: Optional[BaseException] = None
+        self.cancelled = False
+
+
+class _RoundScheduler:
+    """Round-robin run queue of query generators on service threads.
+
+    A worker pops the query at the head, runs one round of it through
+    ``advance`` inside the query's context and puts it back at the tail,
+    so concurrent queries interleave round by round while the event loop
+    stays free.  A query crosses back to the loop once, when it finishes,
+    fails or is cancelled.  Threads start at the first query and are
+    named ``<name>_<i>``.
+    """
+
+    def __init__(self, threads: int, name: str, advance) -> None:
+        self._size = threads
+        self._name = name
+        self._advance = advance
+        self._queue: "collections.deque[_Run]" = collections.deque()
+        self._ready = threading.Condition()
+        self._threads: list = []
+        self._stopped = False
+
+    async def run(self, gen) -> None:
+        """Run *gen* to exhaustion, one round per turn of the queue.
+
+        Cancelling the awaiting task flags the query: the worker lets an
+        in-flight round finish, closes the generator on its own thread
+        and only then resolves the query, so the cancellation propagates
+        after the query's cleanup ran.
+        """
+        run = _Run(gen)
+        with self._ready:
+            if not self._threads:
+                self._threads = [
+                    threading.Thread(target=self._work, daemon=True,
+                                     name=f"{self._name}_{i}")
+                    for i in range(self._size)]
+                for thread in self._threads:
+                    thread.start()
+            self._queue.append(run)
+            self._ready.notify()
+        try:
+            await asyncio.shield(run.future)
+        except asyncio.CancelledError:
+            run.cancelled = True
+            while not run.future.done():
+                try:
+                    await asyncio.shield(run.future)
+                except asyncio.CancelledError:
+                    pass
+            raise
+        if run.error is not None:
+            raise run.error
+
+    def _work(self) -> None:
+        queue, ready = self._queue, self._ready
+        while True:
+            with ready:
+                while not queue:
+                    if self._stopped:
+                        return
+                    ready.wait()
+                run = queue.popleft()
+            try:
+                done = run.cancelled \
+                    or run.context.run(self._advance, run.gen)
+                if run.cancelled:
+                    # Flagged before or during this round: the query's
+                    # cleanup runs here, before the cancellation
+                    # propagates.
+                    run.context.run(run.gen.close)
+                    done = True
+            except BaseException as exc:  # the query's task raises it
+                run.error, done = exc, True
+            if not done:
+                with ready:
+                    queue.append(run)
+                continue
+            try:
+                run.future.get_loop().call_soon_threadsafe(
+                    run.future.set_result, None)
+            except RuntimeError:  # the query's loop is closed
+                pass
+
+    def shutdown(self) -> None:
+        """Stop the workers once the queue is empty; join them."""
+        with self._ready:
+            self._stopped = True
+            self._ready.notify_all()
+        for thread in self._threads:
+            thread.join()
+
+
 class DistanceService:
     """Concurrent ulam/edit query multiplexer (see module docstring).
 
@@ -191,8 +299,9 @@ class DistanceService:
     max_workers:
         ``> 0`` builds one shared
         :class:`~repro.mpc.executor.ProcessPoolExecutor` — every query's
-        rounds run on the *same* persistent pool.  Default (``None``)
-        uses a shared :class:`~repro.mpc.executor.SerialExecutor`.
+        rounds run on the *same* persistent pool, whose workers start
+        here, before any round thread exists.  Default (``None``) uses
+        a shared :class:`~repro.mpc.executor.SerialExecutor`.
     executor:
         Alternatively, bring your own executor; the service then does
         not close it at shutdown.
@@ -201,7 +310,9 @@ class DistanceService:
         submissions queue on the semaphore, they are not rejected).
     max_inflight_rounds:
         Bound on MPC rounds executing machine work simultaneously
-        across all queries — the service-level machine-work throttle.
+        across all queries — the service-level machine-work throttle:
+        the round threads of a process pool.  A serial executor runs
+        one round at a time on one thread.
     machine_memory_cap:
         Optional cap (words) on the per-machine memory a query's
         parameters imply; queries over the cap are rejected at
@@ -235,16 +346,18 @@ class DistanceService:
         elif max_workers:
             self._executor = ProcessPoolExecutor(max_workers=max_workers)
             self._owns_executor = True
+            # Fork the workers before any round thread exists.
+            self._executor.start()
         else:
             self._executor = SerialExecutor()
             self._owns_executor = True
         self._tag = f"svc{next(_SERVICE_SEQ)}"
         # Serial machines hold the interpreter lock, so one thread runs
         # their rounds back to back; a pool takes one per round in flight.
-        self._round_threads = ThreadPoolExecutor(
+        self._rounds = _RoundScheduler(
             1 if isinstance(self._executor, SerialExecutor)
             else max_inflight_rounds,
-            thread_name_prefix=f"{self._tag}-rounds")
+            f"{self._tag}-rounds", self._advance)
         self._max_concurrent_queries = max_concurrent_queries
         self._max_inflight_rounds = max_inflight_rounds
         self._machine_memory_cap = machine_memory_cap
@@ -255,7 +368,6 @@ class DistanceService:
         self._handles: Dict[int, QueryHandle] = {}
         self._ids = itertools.count(1)
         self._query_slots: Optional[asyncio.Semaphore] = None
-        self._round_slots: Optional[asyncio.Semaphore] = None
         self._closing = False
         self._closed = False
         # Plain-int observability counters (no registry dependence, so
@@ -483,17 +595,6 @@ class DistanceService:
                             retry_policy=spec.retry_policy)
 
     # -- execution -----------------------------------------------------
-    def _semaphores(self):
-        # Created lazily so the service can be constructed outside a
-        # running loop (asyncio.Semaphore binds to the loop at first
-        # await in 3.10 and warns when built loop-less — avoid both).
-        if self._query_slots is None:
-            self._query_slots = asyncio.Semaphore(
-                self._max_concurrent_queries)
-            self._round_slots = asyncio.Semaphore(
-                self._max_inflight_rounds)
-        return self._query_slots, self._round_slots
-
     @staticmethod
     def _advance(gen) -> bool:
         """Run one round in the calling (worker) thread; True = done."""
@@ -509,10 +610,16 @@ class DistanceService:
         # The corpus reference was taken in submit(); the finally below
         # is its sole owner.  The trace context wraps the whole
         # execution, so every span the query emits — simulator rounds,
-        # retry attempts, collector and publish spans, all produced in
-        # round threads that run in a copy of this context — carries the
+        # retry attempts, collector and publish spans, all produced on
+        # round threads in a copy of this context — carries the
         # service-minted identity.
-        query_slots, round_slots = self._semaphores()
+        if self._query_slots is None:
+            # Created here, not in __init__: the service may be built
+            # outside a running loop (asyncio.Semaphore binds to the
+            # loop at first await in 3.10 and warns when built loop-less).
+            self._query_slots = asyncio.Semaphore(
+                self._max_concurrent_queries)
+        query_slots = self._query_slots
         start = time.perf_counter()
         try:
             with trace_context(trace_id, query_id):
@@ -523,31 +630,7 @@ class DistanceService:
                 finally:
                     self._queued -= 1
                 try:
-                    gen = query.steps(sim)
-                    loop = asyncio.get_running_loop()
-                    step: Optional[asyncio.Future] = None
-                    try:
-                        while True:
-                            async with round_slots:
-                                step = loop.run_in_executor(
-                                    self._round_threads,
-                                    contextvars.copy_context().run,
-                                    self._advance, gen)
-                                done = await asyncio.shield(step)
-                                step = None
-                            if done:
-                                break
-                    finally:
-                        # A cancelled await leaves the in-flight round
-                        # running in its thread; let it finish before
-                        # finalising the generator (which closes the
-                        # query's scratch plane) so no segment leaks.
-                        if step is not None and not step.done():
-                            try:
-                                await asyncio.shield(step)
-                            except BaseException:
-                                pass
-                        gen.close()
+                    await self._rounds.run(query.steps(sim))
                     result = query.result
                 finally:
                     query_slots.release()
@@ -616,7 +699,7 @@ class DistanceService:
                 corpus.close()
         if self._owns_executor:
             self._executor.close()
-        self._round_threads.shutdown()
+        self._rounds.shutdown()
         self._closed = True
         leaked = active_segments()
         if leaked:

@@ -4,6 +4,8 @@ Machine functions must be top-level for pickling, hence the module-level
 helpers.
 """
 
+from multiprocessing import resource_tracker
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,10 @@ from repro.mpc import (MachineTask, MPCSimulator, ProcessPoolExecutor,
                        SerialExecutor, add_work, execute_task)
 from repro.mpc import executor as executor_mod
 from repro.mpc.executor import _resolve_broadcast
+
+
+def _tracker_pid(_):
+    return resource_tracker._resource_tracker._pid
 
 
 def _square(payload):
@@ -86,6 +92,22 @@ class TestProcessPoolExecutor:
         assert pool.running
         pool.close()
         assert not pool.running
+
+    def test_start_spawns_every_worker_up_front(self):
+        # Every worker forks in start(), from this thread, after the
+        # resource tracker started: the workers share this process's
+        # tracker, and a round run afterwards spawns no worker.
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            pool.start()
+            workers = set(pool._pool._processes)
+            assert len(workers) == 2
+            tracker = _tracker_pid(None)
+            assert tracker is not None
+            assert set(pool._pool.map(_tracker_pid, range(4))) == {tracker}
+            assert [r.output for r in pool.run(
+                [MachineTask(_square, k) for k in range(6)])] \
+                == [k * k for k in range(6)]
+            assert set(pool._pool._processes) == workers
 
     def test_double_close_is_idempotent(self):
         pool = ProcessPoolExecutor(max_workers=2)

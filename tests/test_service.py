@@ -8,16 +8,20 @@ shutdown leaves no shared-memory segment behind.
 """
 
 import asyncio
+import collections
 import json
 import math
+import sys
 import threading
 
 import pytest
 
 from repro.editdistance import mpc_edit_distance
 from repro.metrics import enable
-from repro.mpc import FaultPlan, MPCSimulator, ProcessPoolExecutor
+from repro.mpc import (Executor, FaultPlan, MPCSimulator,
+                       ProcessPoolExecutor, SerialExecutor)
 from repro.mpc.shm import active_segments
+from repro.mpc.telemetry import current_trace
 from repro.params import EditParams, UlamParams
 from repro.service import (AdmissionError, Corpus, DistanceService,
                            ServiceClient, content_id, run_workload)
@@ -333,6 +337,118 @@ class TestConcurrentMultiplexing:
         assert len(outcomes) == self.N_QUERIES
         assert len(names) == 1 and names.pop().endswith("-rounds_0")
 
+    def test_round_threads_never_share_a_query(self, monkeypatch):
+        # An executor that is not the serial one gets max_inflight_rounds
+        # round threads.  With more threads than cores and a short switch
+        # interval, no query ever has two rounds running at once, and
+        # every ledger still equals the one-shot run's.
+        class InProcess(Executor):
+            def run(self, tasks, broadcast=None):
+                return SerialExecutor().run(tasks, broadcast)
+
+        lock = threading.Lock()
+        running = collections.Counter()
+        overlaps = []
+        names = set()
+        advance = DistanceService._advance
+
+        def spy(gen):
+            qid = current_trace()[1]
+            with lock:
+                names.add(threading.current_thread().name)
+                running[qid] += 1
+                if running[qid] > 1:
+                    overlaps.append(qid)
+            try:
+                return advance(gen)
+            finally:
+                with lock:
+                    running[qid] -= 1
+
+        monkeypatch.setattr(DistanceService, "_advance", staticmethod(spy))
+        queries = self._mixed_queries()
+
+        async def main():
+            async with DistanceService(executor=InProcess(),
+                                       max_inflight_rounds=4,
+                                       check_guarantees=False) as service:
+                handles = [service.submit(
+                               q["algo"], service.register_corpus(
+                                   q["s"], q["t"]),
+                               x=q["x"], eps=q["eps"], seed=q["seed"])
+                           for q in queries]
+                return await asyncio.wait_for(asyncio.gather(*handles),
+                                              timeout=120)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            outcomes = asyncio.run(main())
+        finally:
+            sys.setswitchinterval(interval)
+        assert not overlaps
+        assert len(names) > 1
+        for q, o in zip(queries, outcomes):
+            fn = mpc_ulam if q["algo"] == "ulam" else mpc_edit_distance
+            ref = fn(q["s"], q["t"], x=q["x"], eps=q["eps"], seed=q["seed"])
+            assert _ledger(o.stats) == _ledger(ref.stats)
+        assert not active_segments()
+
+    def test_rounds_alternate_and_the_loop_stays_free(self, monkeypatch):
+        # Two multi-round queries on the one serial round thread take
+        # turns round by round, an event-loop ticker keeps advancing
+        # while their rounds run, and each query hops back to the loop
+        # once, not once per round.
+        (s_p, t_p), (s_s, t_s) = _pairs()
+        turns = []
+        ticks = [0]
+        hops = []
+        advance = DistanceService._advance
+
+        def spy(gen):
+            turns.append((current_trace()[1], ticks[0]))
+            return advance(gen)
+
+        monkeypatch.setattr(DistanceService, "_advance", staticmethod(spy))
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            call_soon_threadsafe = loop.call_soon_threadsafe
+
+            def counted(*args, **kwargs):
+                hops.append(threading.current_thread().name)
+                return call_soon_threadsafe(*args, **kwargs)
+
+            loop.call_soon_threadsafe = counted
+            async with DistanceService() as service:
+                queries = [service.submit("ulam", service.register_corpus(
+                               s_p, t_p), seed=1, check_guarantees=False),
+                           service.submit("edit", service.register_corpus(
+                               s_s, t_s), seed=1, check_guarantees=False)]
+                running = asyncio.gather(*queries)
+                while not running.done():
+                    ticks[0] += 1
+                    await asyncio.sleep(0)
+                return await running
+
+        ulam, edit = asyncio.run(main())
+        order = [qid for qid, _ in turns]
+        ids = {ulam.query_id, edit.query_id}
+        assert set(order) == ids
+        assert all(order.count(qid) > 2 for qid in ids)
+        # Once both are queued, neither runs two rounds in a row until
+        # the one that finishes first has run its last.
+        second = next(i for i, qid in enumerate(order) if qid != order[0])
+        last = min(max(i for i, q in enumerate(order) if q == qid)
+                   for qid in ids)
+        shared = order[second - 1:last + 1]
+        assert len(shared) > 3
+        assert all(a != b for a, b in zip(shared, shared[1:]))
+        # The loop ran between the rounds: the ticker moved.
+        assert len({tick for _, tick in turns}) > 1
+        assert len(hops) == 2
+        assert all(name.endswith("-rounds_0") for name in hops)
+
 
 class TestPoolMetrics:
     """A process pool reports every machine counter: machine-side
@@ -376,6 +492,46 @@ class TestPoolMetrics:
         assert pooled.stats.failed_attempts == serial.stats.failed_attempts
         assert serial.stats.metrics == clean.stats.metrics
         assert pooled.stats.metrics == clean.stats.metrics
+
+
+class TestPoolService:
+    def test_fresh_pool_service_runs_concurrent_batches(self):
+        # The pool's workers fork when the service is built, before any
+        # round thread exists.  Forked later, from a round thread, a
+        # worker could inherit the resource tracker's lock held by a
+        # sibling query's publish or attach and hang at its first
+        # shared-memory attach.  So concurrent batches with fresh
+        # corpora need no sequential warm-up.
+        batches = []
+        for b in range(4):
+            s_p, t_p, _ = perm_pair(N, BUDGET, seed=b, style="mixed")
+            s_s, t_s, _ = str_pair(N, BUDGET, sigma=4, seed=b)
+            batches.append([("ulam", s_p, t_p), ("edit", s_s, t_s),
+                            ("ulam", s_p, t_p)])
+
+        async def main():
+            async with DistanceService(max_workers=2) as service:
+                pool = service.executor
+                workers = set(pool._pool._processes)
+                assert len(workers) == 2
+                answers = []
+                for batch in batches:
+                    handles = [service.submit(
+                                   algo, service.register_corpus(s, t),
+                                   seed=i, check_guarantees=False)
+                               for i, (algo, s, t) in enumerate(batch)]
+                    answers.append([o.distance for o in
+                                    await asyncio.gather(*handles)])
+                assert set(pool._pool._processes) == workers
+                return answers
+
+        answers = asyncio.run(main())
+        for batch, got in zip(batches, answers):
+            want = [(mpc_ulam if algo == "ulam" else mpc_edit_distance)(
+                        s, t, seed=i).distance
+                    for i, (algo, s, t) in enumerate(batch)]
+            assert got == want
+        assert not active_segments()
 
 
 class TestServiceClient:

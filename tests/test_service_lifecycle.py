@@ -9,6 +9,7 @@ every test here is double-checked by shutdown itself.
 
 import asyncio
 import json
+import time
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.analysis import filter_spans
 from repro.metrics import enable
 from repro.mpc import FaultPlan, MPCSimulator, RetryPolicy, Tracer
 from repro.mpc.shm import active_segments
+from repro.mpc.telemetry import current_trace
 from repro.params import UlamParams
 from repro.service import DistanceService, run_workload
 from repro.ulam import mpc_ulam
@@ -102,6 +104,50 @@ class TestCancellation:
                 return outcome
 
         outcome = asyncio.run(main())
+        assert outcome.distance == reference.distance
+        assert _ledger(outcome.stats) == _ledger(reference.stats)
+        assert not active_segments()
+
+    def test_cancel_while_queued_behind_a_sibling_round(self):
+        # The victim has run a round and waits in the run queue while
+        # its sibling's round runs; the cancellation lands there.  The
+        # victim runs no further round and is closed before the
+        # cancellation propagates; the sibling finishes untouched.
+        s, t, _ = perm_pair(N, BUDGET, seed=0, style="mixed")
+        reference = mpc_ulam(s, t, x=0.25, eps=0.5, seed=2)
+        rounds = {}
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            async with _RoundSignallingService() as service:
+                cid = service.register_corpus(s, t)
+                victim = service.submit("ulam", cid, seed=1)
+                sibling = service.submit("ulam", cid, seed=2)
+
+                def on_round():
+                    qid = current_trace()[1]
+                    rounds[qid] = rounds.get(qid, 0) + 1
+                    if qid != sibling.query_id or "cancelled_at" in rounds \
+                            or not rounds.get(victim.query_id):
+                        return
+                    # Hold the round thread until the loop has flagged
+                    # the queued victim.
+                    rounds["cancelled_at"] = rounds[victim.query_id]
+                    loop.call_soon_threadsafe(victim.cancel)
+                    queue = service._rounds._queue
+                    deadline = time.monotonic() + 30
+                    while not any(run.cancelled for run in list(queue)):
+                        assert time.monotonic() < deadline
+                        time.sleep(0.001)
+
+                service.on_round = on_round
+                outcome = await sibling
+                with pytest.raises(asyncio.CancelledError):
+                    await victim
+                return victim, outcome
+
+        victim, outcome = asyncio.run(main())
+        assert rounds["cancelled_at"] == rounds[victim.query_id]
         assert outcome.distance == reference.distance
         assert _ledger(outcome.stats) == _ledger(reference.stats)
         assert not active_segments()
