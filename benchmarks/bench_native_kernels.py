@@ -35,8 +35,9 @@ per-row python loop, so batching wins big), >= 2x on the ``n = 1024``
 last-row row, and conservative floors on the ``n = 128`` last-row,
 sparse-window, top-k and doubling paths.
 Memory gate: the tracemalloc peak of the lane-packed call on the
-largest captured machine stays <= 2 MB (the rows are decoded from one
-bit per lane and column, never from every bit of every column).
+largest captured machine stays <= 2 MB (the rows are decoded once from
+the final vertical vectors, and the Eq table holds one packed word per
+distinct pattern symbol).
 """
 
 import time
@@ -339,8 +340,8 @@ def bench_native_kernels(benchmark, report):
     assert by_name["banded doubling"]["speedup"] >= 1.2, by_name
     # Lanes against per-start Myers calls: >= 2x on the n = 1024
     # machines (m = 181, up to 33 starts).  The n = 128 machines (m = 38,
-    # ~4 starts) measure ~2x, mostly the one-off cost of the NumPy Eq
-    # gather, so their floor is conservative.
+    # ~4 starts) pay the per-call NumPy cost of the Eq table and the row
+    # decode on few lanes, so their floor is conservative.
     for n, _, _ in EDIT_SMALL:
         lanes = by_name[f"last-row lanes n={n}"]
         assert lanes["speedup"] >= (2.0 if n == 1024 else 1.2), lanes

@@ -9,6 +9,10 @@ one pattern and a batch of texts (:mod:`repro.strings.bitparallel`);
 their scalar entry points are batches of one.
 """
 
+# ``np.unique``, which the kernels call, imports ``numpy.ma`` on first
+# use; importing it with the package lets forked pool workers inherit it.
+import numpy.ma
+
 from .approx import (InnerSolver, cgks_edit_upper_bound, geometric_offsets,
                      make_inner)
 from .banded import (levenshtein_banded, levenshtein_doubling,

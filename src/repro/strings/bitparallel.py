@@ -1,26 +1,33 @@
 """Myers' bit-parallel last-row DP, lane-packed across texts.
 
 Myers (JACM 1999) encodes a DP column in two bit-vectors of vertical
-deltas (+1 / −1) and advances one text character per step with a dozen
-word operations; Hyyrö's global variant shifts a carry bit into the
-horizontal positive vector, realising ``D[0][j] = j``, and a zero carry
-realises the free start ``D[0][j] = 0`` of the fitting row.  Python's
-unbounded integers act as arbitrary-width words.
+deltas (+1 / −1) and advances one symbol per step with a dozen word
+operations; Hyyrö's global variant shifts a carry bit into the
+horizontal positive vector.  Python's unbounded integers act as
+arbitrary-width words.
 
-:func:`myers_last_rows` packs K texts against one pattern into one word:
-lane ``k`` holds bits ``[k·W, (k+1)·W)`` with ``W = 8·(m//8 + 1)``, so
-every lane has a guard bit and is byte-aligned.  Each column's Eq word
-is one ``int.from_bytes`` of a NumPy gather, the add is masked per lane
-so no carry crosses lanes, short lanes are padded with a symbol that
-matches nothing, and only each lane's high bit of ``Ph``/``Mh`` is kept
-and decoded at the end.  This is the one last-row kernel: the scalar
-entry points are batches of one, and a small-regime block machine
+:func:`myers_last_rows` runs the DP transposed, so that K texts share one
+sweep over the pattern: the bit-vectors span the texts, lane ``k``
+holding text ``k`` in bits ``[k·W, (k+1)·W)`` with
+``W = 8·(max_len//8 + 1)``, so every lane is byte-aligned and has a
+guard bit.  The add's carry stays inside the lane, the top bit of a
+shifted ``Ph`` lands on the next lane's bit 0, which the carry sets
+anyway, and one mask of ``Pv`` per step keeps lanes apart; positions
+past a short text's end match nothing.  Each of the pattern's ``m``
+symbols is one step, and its Eq word is one row of a per-call table of
+(distinct pattern symbols × lane bytes), scattered from the texts'
+positions.  After the last step the vertical vectors are the deltas of
+the last rows, decoded once with ``unpackbits`` and ``cumsum`` from
+``D[m][0] = m``.  The top row of the transposed table is ``D[i][0] = i``
+in both modes (carry 1); the free start ``D[0][j] = 0`` of the fitting
+row is the initial ``Pv = 0``.  This is the one last-row kernel: the
+scalar entry points are batches of one, and a small-regime block machine
 (Algorithm 3) runs all its starting points as one batch.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -37,47 +44,6 @@ def _cells(m: int, n: int) -> int:
     if m == 0 or n == 0:
         return max(m, 1) * max(n, 1)
     return m * n + (n * (1 + m // 64) if m >= 96 and n >= 8 else 0)
-
-
-def _eq_words(P: np.ndarray, texts: List[np.ndarray], ncols: int,
-              nbytes: int) -> Iterator[int]:
-    """Packed Eq word of every column, lazily: bit ``i`` of lane ``k`` is
-    set iff ``texts[k][j] == P[i]``."""
-    if len(texts) == 1:
-        peq: dict = {}
-        for i, ch in enumerate(P.tolist()):
-            peq[ch] = peq.get(ch, 0) | (1 << i)
-        return (peq.get(ch, 0) for ch in texts[0].tolist())
-    # One byte row per pattern symbol plus a zero row for every other
-    # symbol and for the padding of short lanes; column j gathers row
-    # codes[k, j] into lane k.  Row r is the one-hot of the positions of
-    # syms[r] in P, packed little-endian.
-    syms = np.unique(P)
-    none = len(syms)
-    onehot = np.zeros((none + 1, 8 * nbytes), dtype=np.uint8)
-    onehot[:none, :len(P)] = syms[:, None] == P
-    table = np.packbits(onehot, axis=1, bitorder="little")
-    flat = np.concatenate(texts)
-    idx = np.searchsorted(syms, flat)
-    hit = syms[np.minimum(idx, none - 1)] == flat
-    codes = np.full((len(texts), ncols), none, dtype=np.intp)
-    codes[np.arange(ncols) < np.array([len(T) for T in texts])[:, None]] = \
-        np.where(hit, idx, none)
-    data = memoryview(table[codes.T].reshape(-1))
-    stride, from_bytes = len(texts) * nbytes, int.from_bytes
-    return (from_bytes(data[i:i + stride], "little")
-            for i in range(0, ncols * stride, stride))
-
-
-def _score_steps(groups: List[int], K: int, nbytes: int, m: int
-                 ) -> np.ndarray:
-    """Unfold the high bits of :func:`myers_last_rows`: word ``g`` holds
-    column ``g·m + c`` at bit ``m−1−c`` of every lane.  Returns a
-    ``(len(groups)·m, K)`` 0/1 array, one row per column."""
-    buf = b"".join(g.to_bytes(K * nbytes, "little") for g in groups)
-    bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8).reshape(
-        len(groups), K, nbytes), axis=2, bitorder="little")
-    return bits[:, :, m - 1::-1].transpose(0, 2, 1).reshape(-1, K)
 
 
 def myers_last_rows(pattern: StringLike, texts: Sequence[StringLike],
@@ -97,45 +63,44 @@ def myers_last_rows(pattern: StringLike, texts: Sequence[StringLike],
     lens = [len(T) for T in Ts]
     ncols = max(lens)
     with charge("bitparallel", K, sum(_cells(m, n) for n in lens)):
-        if m == 0:
-            return [np.arange(n + 1, dtype=np.int64) * (not fitting)
-                    for n in lens]
-        nbytes = m // 8 + 1                 # lane width W = 8·nbytes bits
-        lanes = range(0, 8 * nbytes * K, 8 * nbytes)
-        mask = sum(((1 << m) - 1) << s for s in lanes)
-        carry = 0 if fitting else sum(1 << s for s in lanes)
-        hi = sum(1 << (m - 1 + s) for s in lanes)
-        pv, mv = mask, 0
-        # Only each lane's high bit of Ph / Mh (the score step of the
-        # last DP row) is kept: m columns share one word, column c of a
-        # group shifted down to bit m−1−c of its lane.
-        hp: List[int] = []
-        hm: List[int] = []
-        acc_p = acc_m = shift = 0
-        for eq in _eq_words(P, Ts, ncols, nbytes):
+        nbytes = ncols // 8 + 1             # lane width W = 8·nbytes bits
+        mask = int.from_bytes(((1 << ncols) - 1).to_bytes(nbytes, "little")
+                              * K, "little")
+        carry = int.from_bytes((1).to_bytes(nbytes, "little") * K,
+                               "little")
+        # Eq table: row r has bit k·W + j set iff texts[k][j] == syms[r],
+        # scattered from the texts' positions into (symbols × lane bytes).
+        syms = np.unique(P)
+        flat = np.concatenate(Ts)
+        row = np.searchsorted(syms, flat, side="right") - 1
+        hit = (syms.take(row, mode="clip") == flat if m
+               else np.zeros(len(flat), dtype=bool))
+        at = np.flatnonzero(np.arange(8 * nbytes)
+                            < np.array(lens)[:, None])[hit]
+        table = np.zeros((len(syms), K * nbytes), dtype=np.uint8)
+        np.add.at(table.reshape(-1), row[hit] * (K * nbytes) + (at >> 3),
+                  np.left_shift(1, at & 7).astype(np.uint8))
+        words = [int.from_bytes(r, "little") for r in table]
+        pv, mv = (0 if fitting else mask), 0
+        for eq in map(words.__getitem__,
+                      np.searchsorted(syms, P).tolist()):
             xv = eq | mv
-            xh = ((((eq & pv) + pv) & mask) ^ pv) | eq
+            xh = (((eq & pv) + pv) ^ pv) | eq
             ph = mv | (mask ^ (xh | pv))
             mh = pv & xh
-            acc_p |= (ph & hi) >> shift
-            acc_m |= (mh & hi) >> shift
-            shift += 1
-            if shift == m:
-                hp.append(acc_p)
-                hm.append(acc_m)
-                acc_p = acc_m = shift = 0
-            ph = ((ph << 1) | carry) & mask
-            mh = (mh << 1) & mask
-            pv = mh | (mask ^ (xv | ph))
+            ph = (ph << 1) | carry
             mv = ph & xv
-        hp.append(acc_p)
-        hm.append(acc_m)
-        steps = _score_steps(hp + hm, K, nbytes, m).astype(np.int64)
-        rows = np.full((ncols + 1, K), m, dtype=np.int64)
-        np.cumsum(steps[:ncols] - steps[len(hp) * m:len(hp) * m + ncols],
-                  axis=0, out=rows[1:])
-        rows[1:] += m
-        return [rows[:n + 1, k] for k, n in enumerate(lens)]
+            pv = ((mh << 1) | (mask ^ (xv | ph))) & mask
+        # The last vertical deltas are the steps of the last rows.
+        bits = np.unpackbits(np.frombuffer(
+            pv.to_bytes(K * nbytes, "little")
+            + mv.to_bytes(K * nbytes, "little"), dtype=np.uint8),
+            bitorder="little").view(np.int8).reshape(2, K, -1)
+        rows = np.empty((K, ncols + 1), dtype=np.int64)
+        rows[:, 0] = m
+        rows[:, 1:] = bits[0, :, :ncols] - bits[1, :, :ncols]
+        rows.cumsum(axis=1, out=rows)
+        return [rows[k, :n + 1] for k, n in enumerate(lens)]
 
 
 def myers_last_row(a: StringLike, b: StringLike) -> np.ndarray:
@@ -153,6 +118,6 @@ def myers_levenshtein(a: StringLike, b: StringLike) -> int:
     """Exact edit distance via Myers' bit-parallel algorithm.
 
     Equivalent to :func:`repro.strings.levenshtein`, ledger included;
-    the bit-vectors span the *first* argument.
+    the bit-vectors span the *second* argument.
     """
     return int(myers_last_row(a, b)[-1])

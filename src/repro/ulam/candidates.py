@@ -36,6 +36,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 import numpy as np
+from numpy.random import default_rng
 
 from ..chain import Tuple5, TupleTable
 from ..metrics import inc, observe
@@ -186,7 +187,7 @@ def run_block_machine(payload: BlockPayload) -> TupleTable:
     # Line 2-3: the lulam optimum is always a candidate (exact when d*=0).
     rows = [(*lulam, 0.0, 1, 0)]
 
-    rng = np.random.default_rng(payload["seed"])
+    rng = default_rng(payload["seed"])
     local_rf = payload["local_radius_factor"]
     hit_rf = payload["hit_radius_factor"]
 

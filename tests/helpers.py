@@ -123,28 +123,3 @@ def per_start_candidate_windows(start: int, block_size: int,
     ends = [min(start + block_size + off, n_t) for off in offsets
             if 0 <= block_size + off <= max_len]
     return [(start, end) for end in dict.fromkeys(ends) if end >= start]
-
-
-def joined_bytes_eq_words(P: np.ndarray, texts: Sequence[np.ndarray],
-                          ncols: int, nbytes: int) -> List[int]:
-    """Packed Eq word of every column of a lane-packed Myers sweep of
-    two or more texts, from a per-symbol int table joined into one byte
-    table: bit ``i`` of lane ``k`` (lane width ``8·nbytes`` bits) is set
-    iff ``texts[k][j] == P[i]``; columns past a text's end match
-    nothing."""
-    peq: dict = {}
-    for i, ch in enumerate(P.tolist()):
-        peq[ch] = peq.get(ch, 0) | (1 << i)
-    syms = sorted(peq)
-    none = len(syms)
-    table = np.frombuffer(b"".join(peq[c].to_bytes(nbytes, "little")
-                                   for c in syms) + bytes(nbytes),
-                          dtype=np.uint8).reshape(none + 1, nbytes)
-    flat = np.concatenate(texts)
-    idx = np.searchsorted(syms, flat)
-    hit = np.asarray(syms)[np.minimum(idx, none - 1)] == flat
-    codes = np.full((len(texts), ncols), none, dtype=np.intp)
-    codes[np.arange(ncols) < np.array([len(T) for T in texts])[:, None]] = \
-        np.where(hit, idx, none)
-    data = table[codes.T].reshape(ncols, -1)
-    return [int.from_bytes(row.tobytes(), "little") for row in data]

@@ -11,7 +11,11 @@ import asyncio
 import collections
 import json
 import math
+import os
+import pathlib
+import subprocess
 import sys
+import textwrap
 import threading
 
 import pytest
@@ -29,6 +33,7 @@ from repro.ulam import mpc_ulam
 from repro.workloads.permutations import planted_pair as perm_pair
 from repro.workloads.strings import planted_pair as str_pair
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 N = 96
 BUDGET = 6
 
@@ -532,6 +537,44 @@ class TestPoolService:
                     for i, (algo, s, t) in enumerate(batch)]
             assert got == want
         assert not active_segments()
+
+    def test_workers_import_no_numpy_module_after_the_fork(self):
+        # Machines reach numpy.random (ulam candidates) and numpy.ma
+        # (np.unique) at their first query.  Imported by repro before the
+        # pool forks, they load once in the parent, not once per worker.
+        # A fresh interpreter, so no earlier test has imported them.
+        script = textwrap.dedent("""
+            import asyncio, random, sys
+            from repro.service import DistanceService
+
+            def numpy_modules(_=None):
+                return {m for m in sys.modules if m.split(".")[0] == "numpy"}
+
+            rng = random.Random(7)
+            s = [rng.randrange(4) for _ in range(128)]
+            t = [c if rng.random() > 0.1 else rng.randrange(4) for c in s]
+            p = rng.sample(range(128), 128)
+            q = p[:9] + p[10:60] + p[9:10] + p[60:]
+
+            async def main():
+                at_fork = numpy_modules()
+                async with DistanceService(max_workers=2) as service:
+                    for algo, a, b in (("edit", s, t), ("ulam", p, q)):
+                        await service.submit(
+                            algo, service.register_corpus(a, b), seed=1,
+                            check_guarantees=False)
+                    pool = service.executor._pool
+                    seen = set().union(*pool.map(numpy_modules, range(8)))
+                print(sorted(seen - at_fork))
+
+            asyncio.run(main())
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestServiceClient:

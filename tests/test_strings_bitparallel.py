@@ -7,10 +7,9 @@ from repro.strings import (fitting_last_row, levenshtein,
                            levenshtein_last_row, myers_fitting_row,
                            myers_last_row, myers_last_rows,
                            myers_levenshtein)
-from repro.strings.bitparallel import _eq_words
 from repro.strings.edit_distance import _wf_table
 
-from .helpers import brute_edit_distance, joined_bytes_eq_words
+from .helpers import brute_edit_distance
 from .test_strings_native import _metered
 
 
@@ -62,17 +61,6 @@ class TestLanePackedKernel:
                 assert row.tolist() == _free_start_row(p.tolist(),
                                                        t.tolist())
 
-    @pytest.mark.parametrize("m", [m for m in _M if m])
-    def test_eq_table_matches_joined_bytes_builder(self, m):
-        rng = np.random.default_rng(2000 + m)
-        for K, lo, hi in ((2, 0, 4), (int(rng.integers(3, 41)), 0, 4),
-                          (7, -3, 50)):
-            p = rng.integers(lo, hi, m)
-            texts = [t + lo for t in _ragged_texts(rng, K)]
-            ncols, nbytes = max(len(t) for t in texts), m // 8 + 1
-            assert (list(_eq_words(p, texts, ncols, nbytes))
-                    == joined_bytes_eq_words(p, texts, ncols, nbytes))
-
     def test_no_text_symbol_in_pattern(self):
         p = np.array([1, 2, 3, 1, 2], dtype=np.int64)
         texts = [np.full(n, 9, dtype=np.int64) for n in (0, 3, 5, 8)]
@@ -113,6 +101,65 @@ class TestLanePackedKernel:
                                          np.ones(n, np.int64)))
         assert work == cells
         assert prof == {"bitparallel": [1, cells]}
+
+
+#: Longest text of a batch at the lane-width edges: a lane is
+#: ``W = 8·(n//8 + 1)`` bits, so 7/8/9 and 15/16 straddle a byte and
+#: 63–65 and 127–129 a 64-bit word.
+_N = (0, 1, 7, 8, 9, 15, 16, 63, 64, 65, 127, 128, 129)
+
+
+def _assert_lanes(p, texts, fitting):
+    rows = myers_last_rows(p, texts, fitting=fitting)
+    assert len(rows) == len(texts)
+    for t, row in zip(texts, rows):
+        want = (_free_start_row(p.tolist(), t.tolist()) if fitting
+                else _wf_table(p, t)[-1].tolist())
+        assert row.tolist() == want, (len(p), len(t))
+
+
+@pytest.mark.parametrize("fitting", [False, True])
+@pytest.mark.parametrize("n", _N)
+class TestLaneWidthEdges:
+    def test_ragged_lanes_over_small_alphabets(self, n, fitting):
+        """Lanes of every length up to *n*, one of them exactly *n* and
+        one empty; alphabets of 1, 2, 4 and 26 symbols, texts also
+        drawing two symbols no pattern has; patterns from empty to
+        longer than every text."""
+        rng = np.random.default_rng(n)
+        for sigma in (1, 2, 4, 26):
+            for m in sorted({0, 1, n // 2 + 1, n + 5}):
+                p = rng.integers(0, sigma, m)
+                lens = [n, 0] + rng.integers(
+                    0, n + 1, int(rng.integers(0, 5))).tolist()
+                texts = [rng.integers(0, sigma + 2, k)
+                         for k in rng.permutation(lens).tolist()]
+                _assert_lanes(p, texts, fitting)
+
+    def test_permutations(self, n, fitting):
+        """All-distinct alphabets: one Eq word per pattern symbol, each
+        with at most one bit per lane."""
+        rng = np.random.default_rng(100 + n)
+        for m in sorted({1, n // 2 + 1, n, n + 3}):
+            p = rng.permutation(n + 3)[:m]
+            texts = [rng.permutation(n + 3)[:k]
+                     for k in (n, 0, n // 2, max(n - 1, 0))]
+            _assert_lanes(p, texts, fitting)
+
+    def test_pattern_symbols_in_no_text(self, n, fitting):
+        """Half the pattern's symbols occur in no text: their Eq words
+        are zero in every lane."""
+        rng = np.random.default_rng(200 + n)
+        p = rng.integers(0, 4, n + 2)
+        p[::2] = 1000 + np.arange(len(p[::2]))
+        texts = [rng.integers(0, 4, k) for k in (n, n // 3, 0)]
+        _assert_lanes(p, texts, fitting)
+
+    def test_pattern_longer_than_every_text(self, n, fitting):
+        rng = np.random.default_rng(300 + n)
+        p = rng.integers(0, 3, 2 * n + 7)
+        texts = [rng.integers(0, 3, k) for k in (n, max(n - 8, 0), 1)]
+        _assert_lanes(p, texts, fitting)
 
 
 class TestMyersLevenshtein:
