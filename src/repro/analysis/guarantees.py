@@ -15,10 +15,12 @@ Reference distances
 The approximation check needs the true distance ``d`` — which the MPC
 algorithm exists to avoid computing.  Two affordable routes:
 
-* **exact** — the returned value ``ub`` is a valid upper bound, so the
-  banded DP :func:`~repro.strings.banded.levenshtein_banded` with band
-  ``ub`` is certified exact in ``O(ub·n)`` work (Ukkonen).  Used when
-  that product is below ``work_cap``.
+* **exact** — when the banded DP with band ``ub`` (certified exact in
+  ``O(ub·n)`` work, Ukkonen) fits ``work_cap``, the exact distance comes
+  from Myers' bit-parallel DP
+  (:func:`~repro.strings.bitparallel.myers_levenshtein`), one word step
+  per symbol of the shorter string; a distance above ``ub`` refutes the
+  claimed upper bound.
 * **certified lower bound** — otherwise run the banded DP with the
   *smaller* band ``k₀ = ⌈ub/factor⌉ - 1``.  If it certifies ``d > k₀``
   then ``d ≥ ub/factor``, hence ``ub/d ≤ factor`` — the guarantee holds
@@ -38,6 +40,7 @@ from typing import Dict, List, Optional
 
 from ..mpc.accounting import RunStats
 from ..strings.banded import levenshtein_banded
+from ..strings.bitparallel import myers_levenshtein
 from ..strings.types import as_array
 
 __all__ = ["GuaranteeCheck", "GuaranteeReport", "reference_distance",
@@ -116,12 +119,14 @@ def reference_distance(s, t, upper_bound: int, factor: float,
         return {"mode": "exact", "distance": None,
                 "valid_upper_bound": False}
     if (ub + 1) * n <= work_cap:
-        d = levenshtein_banded(S, T, ub)
-        if d is None:
+        # The distance is symmetric: the shorter string is the pattern,
+        # whose symbols are the sweep's steps.
+        d = (myers_levenshtein(S, T) if len(S) <= len(T)
+             else myers_levenshtein(T, S))
+        if d > ub:
             return {"mode": "exact", "distance": None,
                     "valid_upper_bound": False}
-        return {"mode": "exact", "distance": int(d),
-                "valid_upper_bound": True}
+        return {"mode": "exact", "distance": d, "valid_upper_bound": True}
     k0 = max(int(math.ceil(ub / factor)) - 1, 0)
     if (k0 + 1) * n <= work_cap:
         d = levenshtein_banded(S, T, k0)

@@ -83,7 +83,7 @@ class UlamMpcEngine(Engine):
     caps = EngineCaps(
         name="ulam-mpc", title="MPC Ulam distance (Theorem 4)",
         distances=("ulam",),
-        regime=Regime(min_n=2, requires_duplicate_free=True, max_x=0.5),
+        regime=Regime(min_n=0, requires_duplicate_free=True, max_x=0.5),
         guarantee="1+eps (w.h.p.)", guarantee_class="1+eps",
         cost=CostModel(work_exponent=2.0, log_power=1.0, constant=20.0,
                        rounds=2),

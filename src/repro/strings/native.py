@@ -10,9 +10,17 @@ windows.  The two hottest ``strings.dp_cells`` kernels are:
   so every window with start ``sp`` reads the same prefix row:
   :func:`chain_table` (chain costs) computes one row per distinct start
   and :func:`lis_table` (LIS ending at each point) one per distinct
-  point set, all rows in one column loop.  Both walk one
-  :func:`predecessors` list of each point's chain predecessors and
-  their gap costs, which the machine's `lulam` walks too.
+  point set, all rows in one loop over the points' diagonal runs
+  (:func:`diagonal_runs`: maximal stretches with ``Δi = Δp = 1``, Myers'
+  "snakes").  Only a run's head gathers over its chain predecessors;
+  its other members follow with one ``minimum.accumulate`` (chain) or
+  ``cumsum`` (LIS) over the run's columns, since along a run
+  ``preds(j+1) = preds(j) ∪ {j}`` and every gap grows by one.  Runs are
+  not split at window starts: a start that cuts a run leaves its in-set
+  members as a suffix, which both vector steps handle.  Both tables
+  walk one :func:`run_links` (the run bounds plus the heads'
+  :func:`predecessors` and gap costs), which the machine's `lulam`
+  walks too.
 * the Ukkonen band behind ``banded``: :func:`banded_values_batch` runs
   one pair on the scalar row-vectorised kernel
   (:func:`np_banded_value`) and two or more on the padded batch kernel,
@@ -35,43 +43,79 @@ import numpy as np
 
 from .types import INF
 
-__all__ = ["predecessors", "lis_table", "chain_table",
-           "banded_values_batch", "np_banded_value"]
+__all__ = ["diagonal_runs", "predecessors", "run_links", "runs",
+           "lis_table", "chain_table", "banded_values_batch",
+           "np_banded_value"]
 
 
 # ---------------------------------------------------------------------------
-# Chain-DP tables over many window starts
+# Chain-DP tables over many window starts, one step per diagonal run
 
-#: :func:`predecessors` of a point set: ``(preds, gaps)``, one array each
-#: per point.
-Links = Tuple[List[np.ndarray], List[np.ndarray]]
+#: :func:`run_links` of a point set: ``(bounds, preds, gaps)``, the run
+#: bounds and, per run head, its :func:`predecessors` and their gaps.
+Links = Tuple[np.ndarray, List[np.ndarray], List[np.ndarray]]
 
 
-def predecessors(i_pts: np.ndarray, p_pts: np.ndarray) -> Links:
-    """Per match point ``j`` (points sorted by ``i``): its chain
-    predecessors, the points ``k < j`` with ``p_k < p_j`` in ascending
-    order, and their gaps ``max(i_j - i_k, p_j - p_k) - 1``, the cost of
-    the unmatched run between ``k`` and ``j``; one ``(c × c)``
-    comparison gives both lists."""
+def diagonal_runs(i_pts: np.ndarray, p_pts: np.ndarray) -> np.ndarray:
+    """Bounds of the diagonal runs of a point set sorted by ``i``: run
+    ``r`` is points ``[bounds[r], bounds[r+1])``, a maximal stretch of
+    consecutive points with ``Δi = Δp = 1`` (``bounds[-1] = c``)."""
+    if len(i_pts) == 0:
+        return np.zeros(1, dtype=np.int64)
+    step = (np.diff(i_pts) == 1) & (np.diff(p_pts) == 1)
+    return np.flatnonzero(np.concatenate(([True], ~step, [True])))
+
+
+def predecessors(i_pts: np.ndarray, p_pts: np.ndarray, heads: np.ndarray
+                 ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """Per match point ``j`` of *heads* (points sorted by ``i``): its
+    chain predecessors, the points ``k < j`` with ``p_k < p_j`` in
+    ascending order, and their gaps ``max(i_j - i_k, p_j - p_k) - 1``,
+    the cost of the unmatched run between ``k`` and ``j``; one
+    ``(heads × c)`` comparison gives both lists."""
     c = len(p_pts)
-    j, k = np.nonzero(np.tril(p_pts[:, None] > p_pts, -1))
+    row, k = np.nonzero((p_pts[heads, None] > p_pts)
+                        & (np.arange(c) < heads[:, None]))
+    j = heads[row]
     gaps = np.maximum(i_pts[j] - i_pts[k], p_pts[j] - p_pts[k]) - 1
-    cuts = np.searchsorted(j, np.arange(c + 1)).tolist()
+    cuts = np.searchsorted(row, np.arange(len(heads) + 1)).tolist()
     pieces = list(zip(cuts[:-1], cuts[1:]))
     return [k[a:b] for a, b in pieces], [gaps[a:b] for a, b in pieces]
+
+
+def run_links(i_pts: np.ndarray, p_pts: np.ndarray) -> Links:
+    """The :func:`diagonal_runs` of a point set and the
+    :func:`predecessors` of their heads.
+
+    Along a run the tables need no links past the head: for consecutive
+    members ``j`` and ``j+1``, ``preds(j+1) = preds(j) ∪ {j}``, each
+    gap to ``j+1`` is one more than the gap to ``j``, and the gap from
+    ``j`` is 0.
+    """
+    bounds = diagonal_runs(i_pts, p_pts)
+    return (bounds, *predecessors(i_pts, p_pts, bounds[:-1]))
+
+
+def runs(links: Links):
+    """``(head, end, preds, gaps)`` per run ``[head, end)`` of *links*."""
+    bounds, preds, gaps = links
+    return zip(bounds[:-1].tolist(), bounds[1:].tolist(), preds, gaps)
 
 
 def lis_table(i_pts: np.ndarray, p_pts: np.ndarray, starts: np.ndarray,
               links: Optional[Links] = None) -> np.ndarray:
     """``L[row, j]``: longest increasing chain of the point set
     ``{p >= starts[row]}`` ending at point ``j`` (0 outside the set;
-    points sorted by ``i``).  *links* are the :func:`predecessors` of
-    the points, computed here when not given.
+    points sorted by ``i``).  *links* are the :func:`run_links` of the
+    points, computed here when not given.
 
     A chain ending at ``j`` only uses points with ``p < p_j``, so the
     LIS of any window ``[start, ep)`` is the largest ``L[row, j]`` with
     ``p_j < ep``.  Starts with the same rank among the sorted ``p``
-    select the same point set, so one row is computed per rank.
+    select the same point set, so one row is computed per rank.  Only a
+    run's head takes the max over its predecessors: every later member
+    ``j+1`` has ``L[j+1] = L[j] + [j+1 in the set]`` (a start that cuts
+    the run leaves its in-set members as a suffix), one ``cumsum``.
     """
     p_rank = np.argsort(np.argsort(p_pts))
     ranks, row = np.unique(np.searchsorted(np.sort(p_pts), starts),
@@ -79,10 +123,12 @@ def lis_table(i_pts: np.ndarray, p_pts: np.ndarray, starts: np.ndarray,
     # Chains of one point; outside points stay 0, since all their
     # predecessors are outside too.
     L = (p_rank >= ranks[:, None]).astype(np.int64)
-    preds, _ = predecessors(i_pts, p_pts) if links is None else links
-    for j, pred in enumerate(preds):
+    for head, end, pred, _ in runs(run_links(i_pts, p_pts)
+                                   if links is None else links):
         if len(pred):
-            L[:, j] += L[:, pred].max(axis=1)
+            L[:, head] += L[:, pred].max(axis=1)
+        if end - head > 1:
+            np.cumsum(L[:, head:end], axis=1, out=L[:, head:end])
     return L[row]
 
 
@@ -91,23 +137,29 @@ def chain_table(i_pts: np.ndarray, p_pts: np.ndarray, starts: np.ndarray,
     """``D[row, j]``: cheapest alignment of the pattern prefix
     ``[0, i_j]`` against the text ``[starts[row], p_j]`` whose last match
     is point ``j`` (``INF`` outside the point set ``{p >= starts[row]}``).
-    *links* are the :func:`predecessors` of the points, computed here
-    when not given.
+    *links* are the :func:`run_links` of the points, computed here when
+    not given.
 
     Row ``row`` is the sparse chain DP of every window starting at
     ``starts[row]`` at once: a window ``[start, ep)`` contains all
     predecessors of each of its points, so its ``D`` entries are this
     row's, masked to ``p_j < ep``.  All rows advance together, one
-    column per match point.
+    diagonal run at a time: the head takes the min over its
+    predecessors, and every later member ``j+1`` has ``D[j+1] =
+    min(D[j+1], D[j])``, one ``minimum.accumulate`` over the run.
     """
     # Chains of one point; outside points stay INF, since all their
     # predecessors are outside too.
     D = np.where(p_pts >= starts[:, None],
                  np.maximum(i_pts, p_pts - starts[:, None]), INF)
-    preds, gaps = predecessors(i_pts, p_pts) if links is None else links
-    for j, (pred, gap) in enumerate(zip(preds, gaps)):
+    for head, end, pred, gap in runs(run_links(i_pts, p_pts)
+                                     if links is None else links):
         if len(pred):
-            np.minimum(D[:, j], (D[:, pred] + gap).min(axis=1), out=D[:, j])
+            np.minimum(D[:, head], (D[:, pred] + gap).min(axis=1),
+                       out=D[:, head])
+        if end - head > 1:
+            np.minimum.accumulate(D[:, head:end], axis=1,
+                                  out=D[:, head:end])
     return D
 
 

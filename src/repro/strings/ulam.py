@@ -22,8 +22,12 @@ Kernels
   within the band).
 * :func:`ulam_windows` — exact distances from one pattern to many
   windows of one text, the Algorithm 1 machine's workload: one chain-DP
-  row per distinct window start (:mod:`repro.strings.native`), charged
-  as one certified banded pass per window.  Given the machine's per-block
+  row per distinct window start (:mod:`repro.strings.native`), computed
+  one diagonal run at a time, charged as one certified banded pass per
+  window.  A window reads off only the run tails below its end ``ep``
+  plus the point at ``ep - 1`` (the one run that can cross ``ep``):
+  along a run the chain cost does not increase and the end term falls.
+  Given the machine's per-block
   ``top_k``, it builds chain rows only for windows whose LIS lower bound
   ``max(m, n) - LIS`` does not exceed the ``top_k``-th smallest upper
   bound ``min(m + n - 2·LIS, max(m, n))``, and reads off only those
@@ -32,11 +36,15 @@ Kernels
   window.
 * :func:`ulam_auto` — one window of :func:`ulam_windows`.
 * :func:`local_ulam_from_matches` / :func:`local_ulam` — free-window
-  variant implementing the `lulam` contract ``(γ, κ, d*)`` of Lemma 1.
+  variant implementing the `lulam` contract ``(γ, κ, d*)`` of Lemma 1;
+  it walks only run heads, and every other run member copies its
+  head's cost with the previous point as its parent.
 
 A block machine computes its points'
-:func:`~repro.strings.native.predecessors` (chain predecessors and gap
-costs) once and hands them to both `lulam` and :func:`ulam_windows`.
+:func:`~repro.strings.native.run_links` (diagonal runs, and their heads'
+chain predecessors and gap costs) once and hands them to both `lulam`
+and :func:`ulam_windows`.  The ``ulam_sparse`` charge stays per point
+(``c²`` cells): the paper-facing figure, not the loops executed.
 
 Every sparse chain DP is charged once, by a
 :class:`~repro.mpc.accounting.charge` bracket under the kernel name
@@ -151,13 +159,15 @@ def ulam_from_matches(i_pts: np.ndarray, p_pts: np.ndarray, m: int, n: int,
     c = len(i_pts)
     zero = np.zeros(1, dtype=np.int64)
     with charge("ulam_sparse", 1, c * c + 1):
-        D = native.chain_table(i_pts, p_pts, zero)
+        links = native.run_links(i_pts, p_pts)
+        D = native.chain_table(i_pts, p_pts, zero, links)
         return int(_read_off(D, i_pts, p_pts, m, zero,
-                             np.full(1, n, dtype=np.int64), zero)[0])
+                             np.full(1, n, dtype=np.int64), zero,
+                             links[0][1:] - 1)[0])
 
 
-#: Cap on the ``windows × match points`` temporaries of
-#: :func:`_read_off`: windows are read off in blocks of this many cells.
+#: Cap on the ``windows × runs`` temporaries of :func:`_read_off`:
+#: windows are read off in blocks of this many cells.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -168,17 +178,35 @@ def _row_blocks(rows: int, cols: int) -> Iterator[slice]:
 
 
 def _read_off(D: np.ndarray, i_pts: np.ndarray, p_pts: np.ndarray, m: int,
-              sp: np.ndarray, ep: np.ndarray, row: np.ndarray) -> np.ndarray:
+              sp: np.ndarray, ep: np.ndarray, row: np.ndarray,
+              tails: np.ndarray) -> np.ndarray:
     """Exact distance of every window ``text[sp[w]:ep[w]]`` from row
     ``row[w]`` of a :func:`~repro.strings.native.chain_table` whose start
     is ``sp[w]``: ``min(max(m, n), min_{p_j < ep} D[j] + max(m-1-i_j,
-    ep-1-p_j))``."""
+    ep-1-p_j))``.
+
+    *tails* are the last points of the points'
+    :func:`~repro.strings.native.diagonal_runs`.  Along a run ``D`` does
+    not increase and the end term falls by one per step, so a run's best
+    point below ``ep`` is its last one there: its tail if ``p < ep``,
+    else the point at ``ep - 1``.  Text positions are distinct, so at
+    most one run crosses ``ep``; each window reads the run tails with
+    ``p < ep`` plus the point at ``ep - 1``, if there is one.
+    """
     out = np.maximum(m, ep - sp)
-    for blk in _row_blocks(len(sp), len(i_pts)):
+    i_t, p_t, D_t = i_pts[tails], p_pts[tails], D[:, tails]
+    for blk in _row_blocks(len(sp), len(tails)):
         last = ep[blk, None] - 1
-        cost = D[row[blk]] + np.maximum(m - 1 - i_pts, last - p_pts)
+        cost = D_t[row[blk]] + np.maximum(m - 1 - i_t, last - p_t)
         out[blk] = np.minimum(out[blk], np.where(
-            p_pts <= last, cost, INF).min(axis=1, initial=INF))
+            p_t <= last, cost, INF).min(axis=1, initial=INF))
+    if len(p_pts):
+        order = np.argsort(p_pts)
+        k = np.minimum(np.searchsorted(p_pts[order], ep - 1),
+                       len(p_pts) - 1)
+        at = np.flatnonzero(p_pts[order[k]] == ep - 1)
+        j = order[k[at]]
+        out[at] = np.minimum(out[at], D[row[at], j] + (m - 1 - i_pts[j]))
     return out
 
 
@@ -229,10 +257,11 @@ def ulam_windows(i_pts: np.ndarray, p_pts: np.ndarray, m: int,
     of :func:`~repro.strings.native.lis_table` per distinct start gives
     every window its LIS, and one row of
     :func:`~repro.strings.native.chain_table` per distinct evaluated
-    start serves all its windows; both tables walk one
-    :func:`~repro.strings.native.predecessors` list, *links*, computed
-    here when not given.  The band never moves a value: it is at least
-    the indel distance, hence at least the true one.
+    start serves all its windows; both tables walk the points' diagonal
+    runs, *links* (:func:`~repro.strings.native.run_links`, computed
+    here when not given), and each window reads one entry per run.  The
+    band never moves a value: it is at least the indel distance, hence
+    at least the true one.
 
     With *top_k*, only windows that can rank among the *top_k* smallest
     distances are evaluated.  Each window's LIS bounds its distance,
@@ -256,7 +285,8 @@ def ulam_windows(i_pts: np.ndarray, p_pts: np.ndarray, m: int,
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     starts, row = np.unique(sp, return_inverse=True)
     if links is None:
-        links = native.predecessors(i_pts, p_pts)
+        links = native.run_links(i_pts, p_pts)
+    tails = links[0][1:] - 1
     n = ep - sp
     # LIS prologue: per-window LIS and point counts from prefix maxima
     # of the per-start LIS rows, taken in text order.
@@ -289,16 +319,18 @@ def ulam_windows(i_pts: np.ndarray, p_pts: np.ndarray, m: int,
 
         def read(w: np.ndarray) -> np.ndarray:
             dists[w] = _read_off(D, i_pts, p_pts, m, sp[w], ep[w],
-                                 rank[row[w]])
+                                 rank[row[w]], tails)
             return dists[w]
 
         rest = index
         if top_k and len(index) > top_k:
-            first = index[np.argsort(upper[index], kind="stable")[:top_k]]
-            rest = np.setdiff1d(index, first)
-            near = rest[lower[rest] <= read(first).max()]
-            if len(near):
-                index, rest = np.union1d(first, near), near
+            first = np.zeros(len(index), dtype=bool)
+            first[np.argsort(upper[index], kind="stable")[:top_k]] = True
+            near = ~first & (lower[index] <= read(index[first]).max())
+            if near.any():
+                index, rest = index[first | near], index[near]
+            else:
+                rest = index[~first]
         read(rest)
     return index, dists[index]
 
@@ -330,34 +362,41 @@ def local_ulam_from_matches(i_pts: np.ndarray, p_pts: np.ndarray, m: int,
     ``m``.
 
     ``i_pts`` must be strictly increasing (sorted by pattern index).
-    *links* are the points' :func:`~repro.strings.native.predecessors`,
-    computed here when not given; each point's parent is its first
-    cheapest predecessor, if that beats starting the chain there.
+    *links* are the points' :func:`~repro.strings.native.run_links`,
+    computed here when not given.  Each point's parent is its first
+    cheapest predecessor, if that beats starting the chain there.  Only
+    run heads are walked: every later member of a diagonal run has its
+    head's cost, and its parent is the point before it.
     """
     c = len(i_pts)
     with charge("ulam_sparse", 1, c * c + 1):
         if c == 0:
             return 0, 0, m
-        preds, gaps = (native.predecessors(i_pts, p_pts) if links is None
-                       else links)
+        if links is None:
+            links = native.run_links(i_pts, p_pts)
         D = i_pts.astype(np.int64)
         parent = np.full(c, -1, dtype=np.int64)
-        for j, (pred, gap) in enumerate(zip(preds, gaps)):
+        for head, end, pred, gap in native.runs(links):
             if len(pred):
                 cand = D[pred] + gap
                 k = int(cand.argmin())
-                if cand[k] < D[j]:
-                    D[j] = cand[k]
-                    parent[j] = pred[k]
+                if cand[k] < D[head]:
+                    D[head] = cand[k]
+                    parent[head] = pred[k]
+            if end - head > 1:
+                D[head + 1:end] = D[head]
         totals = D + (m - 1 - i_pts)
         j_best = int(totals.argmin())
         dist = int(totals[j_best])
         if dist >= m:
             return 0, 0, m
-        # Walk back to the first match of the optimal chain.
-        j = j_best
+        # Walk back to the first match of the optimal chain, one run at
+        # a time: a run member's parents lead back to its head.
+        bounds = links[0]
+        head_of = np.repeat(bounds[:-1], np.diff(bounds))
+        j = int(head_of[j_best])
         while parent[j] != -1:
-            j = int(parent[j])
+            j = int(head_of[parent[j]])
         gamma = int(p_pts[j])
         kappa = int(p_pts[j_best]) + 1
         return gamma, kappa, dist

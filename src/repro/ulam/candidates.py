@@ -26,7 +26,10 @@ evaluates only windows whose LIS bounds let them reach the top-k
 (Lemma 3 keeps only the best few per block), so the capped tuples are
 those of evaluating every window; the ledger still charges one
 certified banded sparse DP per window, evaluated or not.  `lulam` and
-the window kernel walk one chain predecessor/gap list per block.
+the window kernel walk the block's match points one diagonal run
+(``Δi = Δp = 1``) at a time, from one
+:func:`~repro.strings.native.run_links` per block: only run heads need
+chain predecessors, and each window reads off one entry per run.
 
 All coordinates are 0-based half-open (the paper is 1-based closed).
 """
@@ -42,7 +45,7 @@ from ..chain import Tuple5, TupleTable
 from ..metrics import inc, observe
 from ..mpc.accounting import add_work, record_metric
 from ..mpc.shm import SharedSlice
-from ..strings.native import predecessors
+from ..strings.native import run_links
 from ..strings.ulam import local_ulam_from_matches, ulam_windows
 from .config import UlamConfig
 
@@ -177,7 +180,7 @@ def run_block_machine(payload: BlockPayload) -> TupleTable:
     p_pts = positions[present].astype(np.int64)       # absolute in s̄
 
     # One chain predecessor/gap list serves lulam and every window.
-    links = predecessors(i_pts, p_pts)
+    links = run_links(i_pts, p_pts)
     # lulam(s[lo:hi), s̄): optimal local window (γ, κ) and distance d*.
     gamma, kappa, d_star = local_ulam_from_matches(i_pts, p_pts, B, links)
     lulam = (np.array([gamma]), np.array([kappa]))

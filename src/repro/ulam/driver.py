@@ -32,14 +32,14 @@ from typing import Dict, Generator, Optional
 
 from ..chain import TupleTable, run_combine_machine, shipping_cap
 from ..metrics import set_gauge
-from ..mpc.accounting import RunStats
+from ..mpc.accounting import RunStats, WorkMeter
 from ..mpc.plan import Pipeline, RoundSpec
 from ..mpc.simulator import MPCSimulator
 from ..mpc.sizeof import sizeof
 from ..params import UlamParams
 from ..service.corpus import Corpus
 from ..service.runner import run_query
-from ..strings.ulam import check_duplicate_free
+from ..strings.ulam import check_duplicate_free, ulam_distance
 from .candidates import (make_block_part, make_round1_broadcast,
                          run_block_machine)
 from .config import UlamConfig
@@ -78,7 +78,9 @@ class UlamQuery:
     :class:`UlamResult` on :attr:`result` when exhausted.  Intermediate
     state (the phase-2 tuple pack) lives on a per-query scratch plane
     closed when the generator finalises — normal exhaustion, error, or
-    ``close()`` after cancellation all release it.
+    ``close()`` after cancellation all release it.  An ``s`` of at most
+    one symbol has no blocks to spread; it is solved directly, with no
+    rounds.
     """
 
     algo = "ulam"
@@ -87,7 +89,7 @@ class UlamQuery:
                  config: Optional[UlamConfig] = None, seed: int = 0,
                  keep_tuples: bool = False) -> None:
         self.corpus = corpus
-        self.params = UlamParams(n=len(corpus.S), x=x, eps=eps)
+        self.params = UlamParams(n=max(len(corpus.S), 2), x=x, eps=eps)
         self.config = config or UlamConfig.default()
         self.seed = seed
         self.keep_tuples = keep_tuples
@@ -100,6 +102,16 @@ class UlamQuery:
         n = len(S)
         params = self.params
         config = self.config
+
+        if n <= 1:
+            # Degenerate inputs: solved directly (no rounds).
+            with WorkMeter() as meter:
+                d = ulam_distance(S, T)
+            self.result = UlamResult(
+                distance=d, n=n, params=params,
+                stats=RunStats(metrics=meter.metrics or {}), n_tuples=0,
+                tuples=TupleTable() if self.keep_tuples else None)
+            return
 
         # The phase-2 machine must hold every shipped tuple, so the
         # per-block shipping cap adapts to the memory budget.
@@ -214,13 +226,13 @@ def mpc_ulam(s, t, x: float = 0.25, eps: float = 0.5,
     """
     S = check_duplicate_free(s, "s")
     T = check_duplicate_free(t, "t")
-    params = UlamParams(n=len(S), x=x, eps=eps)
-    if sim is None:
-        sim = MPCSimulator(memory_limit=params.memory_limit)
-    corpus = Corpus(S, T, use_plane=data_plane, tracer=sim.tracer)
+    corpus = Corpus(S, T, use_plane=data_plane,
+                    tracer=sim.tracer if sim is not None else None)
     try:
         query = UlamQuery(corpus, x=x, eps=eps, config=config, seed=seed,
                           keep_tuples=keep_tuples)
+        if sim is None:
+            sim = MPCSimulator(memory_limit=query.params.memory_limit)
         return run_query(query, sim)
     finally:
         # One-shot corpora are ephemeral: segments die with the run

@@ -113,6 +113,104 @@ def scan_local_ulam(i_pts: np.ndarray, p_pts: np.ndarray, m: int
     return int(p_pts[j]), int(p_pts[j_best]) + 1, dist
 
 
+def pointwise_predecessors(i_pts: np.ndarray, p_pts: np.ndarray
+                           ) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """Per point ``j``: the points ``k < j`` with ``p_k < p_j`` and their
+    gaps ``max(i_j - i_k, p_j - p_k) - 1``, by a Python double loop."""
+    preds, gaps = [], []
+    for j in range(len(p_pts)):
+        ks = [k for k in range(j) if p_pts[k] < p_pts[j]]
+        preds.append(np.array(ks, dtype=np.int64))
+        gaps.append(np.array([max(i_pts[j] - i_pts[k], p_pts[j] - p_pts[k])
+                              - 1 for k in ks], dtype=np.int64))
+    return preds, gaps
+
+
+def pointwise_chain_table(i_pts: np.ndarray, p_pts: np.ndarray,
+                          starts: np.ndarray) -> np.ndarray:
+    """``D[row, j]`` of the chain DP, one column step per match point: a
+    gather-min over every predecessor of every point."""
+    D = np.where(p_pts >= starts[:, None],
+                 np.maximum(i_pts, p_pts - starts[:, None]), INF)
+    for j, (pred, gap) in enumerate(zip(*pointwise_predecessors(i_pts,
+                                                                p_pts))):
+        if len(pred):
+            np.minimum(D[:, j], (D[:, pred] + gap).min(axis=1), out=D[:, j])
+    return D
+
+
+def pointwise_lis_table(i_pts: np.ndarray, p_pts: np.ndarray,
+                        starts: np.ndarray) -> np.ndarray:
+    """``L[row, j]``: LIS of ``{p >= starts[row]}`` ending at ``j``, one
+    column step per match point (one row per start)."""
+    L = (p_pts >= starts[:, None]).astype(np.int64)
+    for j, pred in enumerate(pointwise_predecessors(i_pts, p_pts)[0]):
+        if len(pred):
+            L[:, j] += L[:, pred].max(axis=1)
+    return L
+
+
+def pointwise_read_off(D: np.ndarray, i_pts: np.ndarray, p_pts: np.ndarray,
+                       m: int, sp: np.ndarray, ep: np.ndarray,
+                       row: np.ndarray) -> np.ndarray:
+    """Distance of window ``w`` from chain-table row ``row[w]``, over
+    every match point: ``min(max(m, n), min_{p_j < ep} D[j] +
+    max(m-1-i_j, ep-1-p_j))``."""
+    last = ep[:, None] - 1
+    cost = D[row] + np.maximum(m - 1 - i_pts, last - p_pts)
+    return np.minimum(np.maximum(m, ep - sp), np.where(
+        p_pts <= last, cost, INF).min(axis=1, initial=INF))
+
+
+def pointwise_local_ulam(i_pts: np.ndarray, p_pts: np.ndarray, m: int
+                         ) -> Tuple[int, int, int]:
+    """`lulam` ``(gamma, kappa, dist)`` walking every match point's
+    predecessors; each point's parent is its first cheapest predecessor
+    if it beats starting the chain there."""
+    c = len(i_pts)
+    if c == 0:
+        return 0, 0, m
+    D = i_pts.astype(np.int64)
+    parent = np.full(c, -1, dtype=np.int64)
+    for j, (pred, gap) in enumerate(zip(*pointwise_predecessors(i_pts,
+                                                                p_pts))):
+        if len(pred):
+            cand = D[pred] + gap
+            k = int(cand.argmin())
+            if cand[k] < D[j]:
+                D[j] = cand[k]
+                parent[j] = pred[k]
+    totals = D + (m - 1 - i_pts)
+    j_best = int(totals.argmin())
+    dist = int(totals[j_best])
+    if dist >= m:
+        return 0, 0, m
+    j = j_best
+    while parent[j] != -1:
+        j = int(parent[j])
+    return int(p_pts[j]), int(p_pts[j_best]) + 1, dist
+
+
+def two_pass_selection(lower: np.ndarray, upper: np.ndarray,
+                       dists: np.ndarray, top_k) -> np.ndarray:
+    """The windows the top-k pruning of ``ulam_windows`` evaluates, from
+    every window's LIS bounds and exact distance, by set operations."""
+    index = np.arange(len(lower))
+    if not top_k or len(index) <= top_k:
+        return index
+    tau = np.partition(upper, top_k - 1)[top_k - 1]
+    survivors = np.flatnonzero(lower <= tau)
+    if len(survivors) > top_k:
+        index = survivors
+    if len(index) > top_k:
+        first = index[np.argsort(upper[index], kind="stable")[:top_k]]
+        rest = np.setdiff1d(index, first)
+        near = rest[lower[rest] <= dists[first].max()]
+        if len(near):
+            index = np.union1d(first, near)
+    return index
+
+
 def per_start_candidate_windows(start: int, block_size: int,
                                 offsets: Sequence[int], eps_prime: float,
                                 n_t: int) -> List[Tuple[int, int]]:

@@ -10,7 +10,7 @@ from repro.analysis import (check_edit_guarantees, check_ulam_guarantees,
 from repro.editdistance import mpc_edit_distance
 from repro.mpc import RoundStats, RunStats
 from repro.params import UlamParams
-from repro.strings import levenshtein
+from repro.strings import levenshtein, levenshtein_banded
 from repro.ulam import mpc_ulam
 from repro.workloads.permutations import planted_pair as perm_pair
 from repro.workloads.strings import planted_pair as str_pair
@@ -65,6 +65,43 @@ class TestReferenceDistance:
                                  work_cap=10)
         assert ref["mode"] == "skipped"
         assert ref["valid_upper_bound"]
+
+
+def _banded_reference(s, t, upper_bound, factor, work_cap):
+    """The exact mode taken by the row-by-row banded DP with band ``ub``;
+    the other modes are :func:`reference_distance`'s own."""
+    n, ub = max(len(s), len(t), 1), int(upper_bound)
+    if ub >= abs(len(s) - len(t)) and (ub + 1) * n <= work_cap:
+        d = levenshtein_banded(s, t, ub)
+        return {"mode": "exact", "distance": d,
+                "valid_upper_bound": d is not None}
+    return reference_distance(s, t, upper_bound, factor, work_cap=work_cap)
+
+
+class TestReferenceDistanceMatchesBanded:
+    """Exact mode reads Myers' distance; every report dict equals the
+    banded DP's, for either argument order, far-apart lengths and
+    refuted upper bounds."""
+
+    def test_random_pairs(self, rng):
+        shapes = [(int(rng.integers(0, 40)), int(rng.integers(0, 40)))
+                  for _ in range(40)]
+        shapes += [(300, 3), (2, 250), (200, 0), (0, 5), (0, 0)]
+        for m, n in shapes:
+            sigma = int(rng.integers(2, 5))
+            a = rng.integers(0, sigma, m).tolist()
+            b = rng.integers(0, sigma, n).tolist()
+            d = levenshtein(a, b)
+            # Tight, loose and refuted bounds, and one below the length
+            # difference.
+            for ub in {d, d + 3, max(d - 1, 0), max(d - 5, 0),
+                       max(abs(m - n) - 1, 0)}:
+                for cap, factor in ((50_000_000, 1.5), (4 * max(m, n), 4.0)):
+                    for s, t in ((a, b), (b, a)):
+                        assert reference_distance(
+                            s, t, ub, factor, work_cap=cap) == \
+                            _banded_reference(s, t, ub, factor, cap), \
+                            (m, n, ub, cap)
 
 
 class TestMachineBudget:

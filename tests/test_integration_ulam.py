@@ -136,6 +136,20 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             mpc_ulam(s, t, x=0.6)
 
+    def test_tiny_inputs_solved_without_rounds(self):
+        # An s of at most one symbol is solved directly; a longer s with
+        # an empty t still runs both rounds.
+        for s, t in (("", "abc"), ("a", "a"), ("", ""), ("a", ""),
+                     ("b", "abc"), ("z", "abc")):
+            res = mpc_ulam(s, t, x=X, eps=EPS)
+            assert res.distance == ulam_distance(s, t), (s, t)
+            assert res.stats.n_rounds == 0
+        assert mpc_ulam("abc", "", x=X).distance == 3
+        with pytest.raises(ValueError):
+            mpc_ulam("a", "bb", x=X)
+        with pytest.raises(ValueError):
+            mpc_ulam("", "abc", x=0.6)
+
     def test_keep_tuples_flag(self):
         s, t, _ = planted_pair(N, 2, seed=1)
         res = mpc_ulam(s, t, x=X, eps=EPS, config=CFG, keep_tuples=True)

@@ -29,6 +29,7 @@ from repro.mpc.telemetry import current_trace
 from repro.params import EditParams, UlamParams
 from repro.service import (AdmissionError, Corpus, DistanceService,
                            ServiceClient, content_id, run_workload)
+from repro.strings import ulam_distance
 from repro.ulam import mpc_ulam
 from repro.workloads.permutations import planted_pair as perm_pair
 from repro.workloads.strings import planted_pair as str_pair
@@ -164,6 +165,23 @@ class TestServiceBasics:
                 assert outcome.distance >= 0
 
         asyncio.run(main())
+
+    def test_tiny_ulam_inputs_answered_like_one_shot(self):
+        pairs = [("", "abc"), ("a", "a"), ("abc", ""), ("b", "abc")]
+
+        async def main():
+            async with DistanceService() as service:
+                return [await service.submit(
+                            "ulam", service.register_corpus(s, t), seed=1)
+                        for s, t in pairs]
+
+        for (s, t), outcome in zip(pairs, asyncio.run(main())):
+            assert outcome.distance == ulam_distance(s, t) == \
+                mpc_ulam(s, t, seed=1).distance
+            assert outcome.guarantees["passed"]
+            assert _ledger(outcome.result.stats) == _ledger(
+                mpc_ulam(s, t, seed=1).stats)
+        assert not active_segments()
 
     def test_memory_cap_rejects_oversized_query(self):
         (s_p, t_p), _ = _pairs()

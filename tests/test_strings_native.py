@@ -451,10 +451,11 @@ class TestNumPyKernelPrimitives:
             starts = np.arange(n_t + 1, dtype=np.int64)
             D = native.chain_table(i_pts, p_pts, starts)
             L = native.lis_table(i_pts, p_pts, starts)
-            # The predecessor/gap list against the brute formula, and a
-            # supplied list gives the same tables.
-            links = native.predecessors(i_pts, p_pts)
-            preds, gaps = links
+            # The predecessor/gap list against the brute formula, and
+            # supplied run links give the same tables.
+            preds, gaps = native.predecessors(
+                i_pts, p_pts, np.arange(len(p_pts)))
+            links = native.run_links(i_pts, p_pts)
             assert [pred.tolist() for pred in preds] == [
                 [k for k in range(j) if p_pts[k] < p_pts[j]]
                 for j in range(len(p_pts))]
@@ -495,7 +496,7 @@ class TestNumPyKernelPrimitives:
                     assert best == ulam_distance(pattern, text[sp:ep])
         # No points: empty lists and one empty row per start.
         empty = np.zeros(0, dtype=np.int64)
-        assert native.predecessors(empty, empty) == ([], [])
+        assert native.predecessors(empty, empty, empty) == ([], [])
         assert native.lis_table(empty, empty, starts).shape == \
             (len(starts), 0)
 

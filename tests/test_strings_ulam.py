@@ -12,7 +12,7 @@ from repro.strings import (check_duplicate_free, is_duplicate_free,
                            local_ulam, local_ulam_from_matches,
                            match_points, ulam_auto, ulam_distance,
                            ulam_from_matches, ulam_indel)
-from repro.strings.native import predecessors
+from repro.strings.native import run_links
 
 from .helpers import (brute_edit_distance, brute_fitting,
                       random_duplicate_free_pair, scan_local_ulam)
@@ -179,6 +179,6 @@ class TestLocalUlamParity:
         cells = len(i_pts) ** 2 + 1
         assert got[1] == cells
         assert got[3] == {"ulam_sparse": [1, cells]}
-        links = predecessors(i_pts, p_pts)
+        links = run_links(i_pts, p_pts)
         assert _metered(lambda: local_ulam_from_matches(
             i_pts, p_pts, m, links)) == got

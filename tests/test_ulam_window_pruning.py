@@ -234,9 +234,9 @@ class TestBlockMachinePruning:
             calls.append(args)
             return real_windows(*args, **kwargs)
 
-        def spy_read(D, i_pts, p_pts, m, sp, ep, row):
+        def spy_read(D, i_pts, p_pts, m, sp, ep, row, tails):
             read.append(len(sp))
-            return real_read(D, i_pts, p_pts, m, sp, ep, row)
+            return real_read(D, i_pts, p_pts, m, sp, ep, row, tails)
 
         with monkeypatch.context() as patch:
             patch.setattr(cand, "ulam_windows", all_windows)
