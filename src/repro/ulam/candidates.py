@@ -16,10 +16,15 @@ that, with high probability, contains an approximately optimal one
   on the same ``G_i`` grid within ``û_i``.
 
 A hit's window depends only on its diagonal ``q − hit``, so each
-large-``u_i`` guess keeps one grid row per distinct diagonal (its first
-hit's).  Every guess's rows, each with its own gap, radius and end
-shift, are enumerated in one pass, deduplicated in first-occurrence
-order, cut to ``max_candidates_per_block`` and handed to one
+large-``u_i`` guess's grid row has one anchor per distinct diagonal (its
+first hit's).  The windows of every guess's row, each row with its own
+gap, radius and end shift, are listed in one pass, each distinct window
+once, in the order of generating every anchor's box cell by cell: a box
+lists only the runs of end ticks that no earlier box is known to have
+listed (a hit row's boxes as one union; a lulam row less the earlier
+lulam row whose gap divides its own), and one stable sort drops the few
+repeats no cut can see.  The list is cut to
+``max_candidates_per_block`` and handed to one
 :func:`~repro.strings.ulam.ulam_windows` call with the block's
 ``top_k``.  It shares one chain-DP row per distinct window start and
 evaluates only windows whose LIS bounds let them reach the top-k
@@ -114,9 +119,12 @@ def make_block_payload(lo: int, hi: int, positions: np.ndarray, n_t: int,
             **make_block_part(lo, hi, positions, seed)}
 
 
-#: Cap on the cells of one :func:`_window_keys` call: grid rows are
-#: enumerated in consecutive chunks of about this many cells.
+#: Cap on the cells of one :func:`_window_keys` call: the grid's end
+#: runs are expanded in consecutive chunks of about this many cells.
 _GRID_CELLS = 1 << 16
+
+#: Past every tick: "no earlier anchor" below or above, or no cut.
+_FAR = 1 << 40
 
 
 def _ticks(lo, hi, gap: np.ndarray, n_t: int
@@ -130,69 +138,161 @@ def _ticks(lo, hi, gap: np.ndarray, n_t: int
     return first, np.maximum((hi - first) // gap + 1, 0)
 
 
-def _window_keys(grid: np.ndarray, n_t: int) -> np.ndarray:
-    """Windows of the grid rows ``(sp0, n_sp, end0, n_end, gap, shift)``:
-    ``[sp, min(end + shift, n_t))`` for every start tick ``sp = sp0 +
-    gap·a`` (``a < n_sp``) and end tick ``end = end0 + gap·b`` (``b <
-    n_end``) of the same row with ``end + shift >= sp``, as keys
-    ``sp·(n_t+1) + ep`` in row, start, end order."""
-    sp0, n_sp, end0, n_end, gap, shift = grid
-    cells = n_sp * n_end
-    row = np.repeat(np.arange(len(cells)), cells)
-    a, b = np.divmod(np.arange(len(row))
-                     - np.repeat(np.cumsum(cells) - cells, cells), n_end[row])
-    sp = sp0[row] + gap[row] * a
-    ep = end0[row] + gap[row] * b + shift[row]
-    keep = ep >= sp
-    return sp[keep] * (n_t + 1) + np.minimum(ep[keep], n_t)
+def _first_occurrences(values: np.ndarray) -> np.ndarray:
+    """Mask of the first occurrence of each distinct value.  A stable
+    sort ranks each value's earliest index first among its equals."""
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    head = np.ones(len(values), dtype=bool)
+    head[1:] = ranked[1:] != ranked[:-1]
+    first = np.zeros(len(values), dtype=bool)
+    first[order[head]] = True
+    return first
+
+
+def _earlier_neighbours(starts: List[np.ndarray]) -> np.ndarray:
+    """Per anchor of the rows ``starts`` (concatenated), as two rows: the
+    nearest start below and above its own among the earlier anchors of
+    its row, or ``∓_FAR``.  Rows that share one anchor array share the
+    answer."""
+    near, last, lone = [], None, np.array([[-_FAR], [_FAR]])
+    for s in starts:
+        if len(s) < 2:
+            near.append(lone[:, :len(s)])
+            continue
+        if s is not last:
+            earlier = np.tri(len(s), k=-1, dtype=bool)   # [k, j]: j < k
+            lower = earlier & (s < s[:, None])
+            last, pair = s, np.stack((
+                np.where(lower, s, -_FAR).max(axis=1),
+                np.where(earlier & ~lower, s, _FAR).min(axis=1)))
+        near.append(pair)
+    return np.concatenate(near, axis=1)
+
+
+def _window_keys(runs: np.ndarray, at: int) -> np.ndarray:
+    """Keys of the end runs ``(base, gap, count)`` whose cells sit at
+    listing positions ``at, at + 1, …``: a run's cell at position ``p``
+    is the key ``base + gap·p``."""
+    base, gap, count = runs
+    return np.repeat(base, count) + np.repeat(gap, count) * np.arange(
+        at, at + count.sum())
 
 
 def _grid_keys(rows: List[Tuple[np.ndarray, np.ndarray, float, int, int]],
                n_t: int) -> np.ndarray:
-    """Window keys of the grid rows ``(start anchors, end anchors,
-    radius, gap, shift)``, one row per anchor pair, in row order: one
-    :func:`_ticks` per axis over every row, then :func:`_window_keys`
-    over consecutive chunks of about ``_GRID_CELLS`` cells."""
+    """Distinct window keys ``sp·(n_t+1) + ep`` of the grid rows ``(start
+    anchors, end anchors, radius, gap, shift)``, in first-occurrence
+    order of row, anchor, start tick and end tick.  Each anchor's box
+    holds the windows ``[sp, min(end + shift, n_t))`` of its start ticks
+    ``sp`` and end ticks ``end + shift >= sp``.  Rows of shift 0 are the
+    lulam rows, rows of shift 1 the hit rows.
+
+    A box lists, per start, one or two runs of end ticks: its ends less
+    those an earlier box is known to have listed.  The box's starts fall
+    in three pieces, ``sp <= u``, ``u < sp < v`` and ``sp >= v``, each
+    with its own runs:
+
+    * Hit rows: the anchors of a row share gap, radius ``r`` and end
+      offset ``B − 1``, and every box holds the ``±⌊r⌋`` square around
+      its anchor.  So the earlier anchors within ``⌊r⌋`` of ``sp`` cover
+      one interval of ends, bounded by the squares of the nearest
+      earlier anchors below (``P``) and above (``N``) the box's own.
+      Starts up to ``u = P + ⌊r⌋`` keep the ends above ``P``'s square,
+      starts from ``v = N − ⌊r⌋`` those below ``N``'s, and starts both
+      squares hold (``v <= sp <= u``) keep none.
+    * Lulam rows: an earlier lulam row whose gap divides the row's
+      listed every cell of the row inside its own box.  The latest such
+      row (with nested boxes, the largest) cuts: the starts in its start
+      ticks, ``u < sp < v``, keep the ends outside its end ticks, two
+      runs.
+
+    What the cuts miss (hit cells of earlier rows, lulam cells of rows
+    whose gaps do not divide, ``ep = n_t`` from two clipped ends) is
+    dropped by :func:`_first_occurrences` over the keys."""
     sizes = [len(row[0]) for row in rows]
     start, end = (np.concatenate([row[c] for row in rows]) for c in (0, 1))
     radius, gap, shift = (np.repeat([row[c] for row in rows], sizes)
                           for c in (2, 3, 4))
-    grid = np.stack([*_ticks(start - radius, start + radius, gap, n_t),
-                     *_ticks(end - radius, end + radius, gap, n_t),
-                     gap, shift])
-    cum = np.cumsum(grid[1] * grid[3])
-    cuts = np.searchsorted(cum, np.arange(_GRID_CELLS, cum[-1], _GRID_CELLS),
-                           side="right")
-    return np.concatenate([_window_keys(chunk, n_t)
-                           for chunk in np.split(grid, cuts, axis=1)])
+    anchors = np.stack((start, end))
+    first, count = _ticks(anchors - radius, anchors + radius, gap, n_t)
+    last = first + gap * (count - 1)
+
+    # Hit rows: P's square holds the starts up to u and the ends below
+    # cut_a; N's the starts from v and the ends above cut_c.
+    below, above = _earlier_neighbours([row[0] for row in rows])
+    reach = np.floor(radius).astype(np.int64)
+    u, v = below + reach, above - reach
+    cut_a, cut_c = u + 1 + (end - start), v - 1 + (end - start)
+    cut_lo, cut_hi = np.full((2, len(start)), _FAR)
+    # Lulam rows: the latest earlier lulam row whose gap divides the
+    # row's holds the starts (u, v) and, for them, the ends [cut_lo,
+    # cut_hi]; with no end ticks, that range holds no tick of the row.
+    local = np.flatnonzero(shift == 0)
+    cutter = np.where(np.tri(len(local), k=-1, dtype=bool)
+                      & (gap[local, None] % gap[local] == 0), local, -1
+                      ).max(axis=1, initial=-1)
+    has, cutter = local[cutter >= 0], cutter[cutter >= 0]
+    u[local], v[local], cut_a[local], cut_c[local] = _FAR - 1, _FAR + 1, \
+        -_FAR, _FAR
+    u[has], v[has] = first[0, cutter] - 1, last[0, cutter] + 1
+    cut_lo[has], cut_hi[has] = first[1, cutter], last[1, cutter]
+
+    # Per box, the bounds of its three pieces: starts, then two runs of
+    # ends, inside the box and on its lattice.
+    far = np.full(len(start), _FAR)
+    piece = np.array([[-far, u + 1, np.maximum(v, u + 1)],
+                      [np.minimum(u, v - 1), v - 1, far],
+                      [cut_a, -far, -far], [far, cut_lo - 1, cut_c],
+                      [far, cut_hi + 1, far], [far, far, far]])
+    piece[0::2] = -(-np.maximum(piece[0::2], first[[0, 1, 1], None])
+                    // gap) * gap
+    piece[1::2] = np.minimum(piece[1::2], last[[0, 1, 1], None]) // gap * gap
+    piece = piece.transpose(0, 2, 1).reshape(6, -1)     # box, then piece
+    g = np.repeat(gap, 3)
+    n_sp = np.maximum((piece[1] - piece[0]) // g + 1, 0)
+    n_sp[(piece[3] < piece[2]) & (piece[5] < piece[4])] = 0
+
+    # Per start tick sp, the piece's two runs from the first end tick
+    # with end + shift >= sp.
+    owner = np.repeat(np.arange(len(n_sp)), n_sp)
+    g, s = g[owner], np.repeat(shift, 3)[owner]
+    sp = piece[0, owner] + g * (np.arange(len(owner))
+                                - np.repeat(np.cumsum(n_sp) - n_sp, n_sp))
+    lo = np.maximum(piece[2::2, owner], (sp - s + g - 1) // g * g)
+    count = np.maximum((piece[3::2, owner] - lo) // g + 1, 0).T.ravel()
+    lo, g, s = lo.T.ravel(), np.repeat(g, 2), np.repeat(s, 2)
+
+    # A run's cells sit at listing positions at, at + 1, …: the cell at
+    # position p is its first key plus g·(p − at).
+    at = np.cumsum(count) - count
+    runs = np.stack((np.repeat(sp * (n_t + 1), 2) + lo + s - g * at,
+                     g, count))
+    cuts = np.searchsorted(at + count, np.arange(
+        _GRID_CELLS, at[-1] + count[-1], _GRID_CELLS), side="right")
+    keys = np.concatenate([_window_keys(chunk, at[i]) for i, chunk in zip(
+        [0, *cuts], np.split(runs, cuts, axis=1))])
+    # An end tick n_t shifted past the text is the window ending at n_t.
+    clip = (count > 0) & (lo + g * (count - 1) + s > n_t)
+    keys[(at + count - 1)[clip]] -= 1
+    return keys[_first_occurrences(keys)]
 
 
-def run_block_machine(payload: BlockPayload) -> TupleTable:
-    """Execute Algorithm 1 for one block; returns its candidate tuples."""
-    lo, hi = payload["lo"], payload["hi"]
+def _grid_rows(payload: BlockPayload, gamma: int, kappa: int
+               ) -> List[Tuple[np.ndarray, np.ndarray, float, int, int]]:
+    """Algorithm 1's grid rows ``(start anchors, end anchors, radius,
+    gap, end shift)`` for one block, in generation order."""
     positions: np.ndarray = payload["positions"]
-    n_t: int = payload["n_t"]
     eps_prime: float = payload["eps_prime"]
-    B = hi - lo
-
-    present = positions >= 0
-    i_pts = np.nonzero(present)[0].astype(np.int64)   # block-relative i
-    p_pts = positions[present].astype(np.int64)       # absolute in s̄
-
-    # One chain predecessor/gap list serves lulam and every window.
-    links = run_links(i_pts, p_pts)
-    # lulam(s[lo:hi), s̄): optimal local window (γ, κ) and distance d*.
-    gamma, kappa, d_star = local_ulam_from_matches(i_pts, p_pts, B, links)
+    B = payload["hi"] - payload["lo"]
     lulam = (np.array([gamma]), np.array([kappa]))
-
-    # Grid rows (start anchors, end anchors, radius, gap, end shift), in
-    # generation order.
     # Line 2-3: the lulam optimum is always a candidate (exact when d*=0).
     rows = [(*lulam, 0.0, 1, 0)]
 
     rng = default_rng(payload["seed"])
     local_rf = payload["local_radius_factor"]
     hit_rf = payload["hit_radius_factor"]
+    hits_before = g2 = None
 
     for u in payload["u_guesses"]:
         u_hat = (1.0 + eps_prime) * u
@@ -208,18 +308,39 @@ def run_block_machine(payload: BlockPayload) -> TupleTable:
             if max_hits is not None and len(hits) > max_hits:
                 hits = rng.choice(hits, size=max_hits, replace=False)
             hits = np.sort(hits)
-            q = positions[hits]
-            g2 = (q - hits)[q >= 0]      # anchor-implied window start
-            # Hits on one diagonal anchor the same grid; its first hit
-            # already yields every window, in the same order.
-            g2 = g2[np.sort(np.unique(g2, return_index=True)[1])]
+            if not np.array_equal(hits, hits_before):
+                # The same hits share one anchor array (at θ = 1, every
+                # guess's).
+                q = positions[hits]
+                g2 = (q - hits)[q >= 0]      # anchor-implied window start
+                # Hits on one diagonal anchor the same grid; its first
+                # hit already yields every window, in the same order.
+                g2 = g2[_first_occurrences(g2)]
+                hits_before = hits
             # End ticks are last indices; the window is half-open (+1).
             rows.append((g2, g2 + (B - 1), hit_rf * u_hat, gap, 1))
+    return rows
+
+
+def run_block_machine(payload: BlockPayload) -> TupleTable:
+    """Execute Algorithm 1 for one block; returns its candidate tuples."""
+    lo, hi = payload["lo"], payload["hi"]
+    positions: np.ndarray = payload["positions"]
+    n_t: int = payload["n_t"]
+    B = hi - lo
+
+    present = positions >= 0
+    i_pts = np.nonzero(present)[0].astype(np.int64)   # block-relative i
+    p_pts = positions[present].astype(np.int64)       # absolute in s̄
+
+    # One chain predecessor/gap list serves lulam and every window.
+    links = run_links(i_pts, p_pts)
+    # lulam(s[lo:hi), s̄): optimal local window (γ, κ) and distance d*.
+    gamma, kappa, d_star = local_ulam_from_matches(i_pts, p_pts, B, links)
 
     # Distinct windows in first-occurrence order, capped.
-    keys = _grid_keys(rows, n_t)
-    first = np.sort(np.unique(keys, return_index=True)[1])
-    sp, ep = np.divmod(keys[first[:payload["max_candidates"]]], n_t + 1)
+    keys = _grid_keys(_grid_rows(payload, gamma, kappa), n_t)
+    sp, ep = np.divmod(keys[:payload["max_candidates"]], n_t + 1)
 
     # Distance evaluation: sparse chain DP per window from positions only.
     add_work(len(sp))

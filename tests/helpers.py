@@ -221,3 +221,66 @@ def per_start_candidate_windows(start: int, block_size: int,
     ends = [min(start + block_size + off, n_t) for off in offsets
             if 0 <= block_size + off <= max_len]
     return [(start, end) for end in dict.fromkeys(ends) if end >= start]
+
+
+def _oracle_ticks(lo, hi, gap, n_t):
+    """The multiples of ``gap[r]`` in ``[lo[r], hi[r]] ∩ [0, n_t]`` per
+    row ``r``, as ``(first, count)``."""
+    lo = np.maximum(np.ceil(lo), 0).astype(np.int64)
+    hi = np.minimum(np.floor(hi), n_t).astype(np.int64)
+    first = (lo + gap - 1) // gap * gap
+    return first, np.maximum((hi - first) // gap + 1, 0)
+
+
+def grid_keys_oracle(rows, n_t: int) -> np.ndarray:
+    """Window keys ``sp·(n_t+1) + ep`` of Algorithm 1's grid rows
+    ``(start anchors, end anchors, radius, gap, shift)`` by generate,
+    then sort: every anchor's box cell by cell (its start ticks × its
+    end ticks with ``end + shift >= sp``, ``ep = min(end + shift,
+    n_t)``), in row, anchor, start, end order, then each key's first
+    occurrence by ``np.unique``."""
+    sizes = [len(row[0]) for row in rows]
+    start, end = (np.concatenate([row[c] for row in rows]) for c in (0, 1))
+    radius, gap, shift = (np.repeat([row[c] for row in rows], sizes)
+                          for c in (2, 3, 4))
+    sp0, n_sp = _oracle_ticks(start - radius, start + radius, gap, n_t)
+    end0, n_end = _oracle_ticks(end - radius, end + radius, gap, n_t)
+    cells = n_sp * n_end
+    box = np.repeat(np.arange(len(cells)), cells)
+    a, b = np.divmod(np.arange(len(box))
+                     - np.repeat(np.cumsum(cells) - cells, cells), n_end[box])
+    sp = sp0[box] + gap[box] * a
+    ep = end0[box] + gap[box] * b + shift[box]
+    keep = ep >= sp
+    keys = sp[keep] * (n_t + 1) + np.minimum(ep[keep], n_t)
+    return keys[np.sort(np.unique(keys, return_index=True)[1])]
+
+
+def ulam_n512_block_payloads() -> List[dict]:
+    """The Algorithm 1 block payloads of the ``ulam-n512`` benchmark's
+    seed-1 query pool: 8 ``perm_pair(512, 64, "mixed")`` pairs drawn
+    from ``default_rng([1, k])``, each solved once with the engine
+    defaults (``x = 0.25``, ``eps = 0.5``) and its query seed; 5 blocks
+    a query."""
+    import repro.ulam.driver as driver
+    from repro.ulam import mpc_ulam, run_block_machine
+    from repro.workloads.permutations import planted_pair
+
+    payloads: List[dict] = []
+
+    def capture(payload):
+        payloads.append(dict(payload))
+        return run_block_machine(payload)
+
+    real = driver.run_block_machine
+    driver.run_block_machine = capture
+    try:
+        for k in range(8):
+            s, t, _ = planted_pair(512, 64, seed=np.random.default_rng([1, k]),
+                                   style="mixed")
+            seed = int(np.random.SeedSequence([1, k]).generate_state(1)[0]
+                       % (1 << 31))
+            mpc_ulam(s, t, x=0.25, eps=0.5, seed=seed, data_plane=False)
+    finally:
+        driver.run_block_machine = real
+    return payloads

@@ -9,6 +9,7 @@ every test here is double-checked by shutdown itself.
 
 import asyncio
 import json
+import threading
 import time
 
 import pytest
@@ -44,6 +45,26 @@ class _RoundSignallingService(DistanceService):
         done = DistanceService._advance(gen)
         self.on_round()
         return done
+
+
+def _cancel_after_first_round(service, loop, victim) -> None:
+    """Cancel *victim* once its first round is done: the round thread
+    waits until the loop has flagged it, so the victim always dies
+    mid-query, however long its rounds take."""
+    asked, flagged = [], threading.Event()
+
+    def cancel():
+        victim.cancel()
+        loop.call_soon(flagged.set)   # after the victim's task saw it
+
+    def on_round():
+        if current_trace()[1] != victim.query_id or asked:
+            return
+        asked.append(True)
+        loop.call_soon_threadsafe(cancel)
+        assert flagged.wait(30)
+
+    service.on_round = on_round
 
 
 class TestCancellation:
@@ -92,12 +113,12 @@ class TestCancellation:
         reference = mpc_ulam(s, t, x=0.25, eps=0.5, seed=2)
 
         async def main():
-            async with DistanceService() as service:
+            loop = asyncio.get_running_loop()
+            async with _RoundSignallingService() as service:
                 cid = service.register_corpus(s, t)
                 victim = service.submit("ulam", cid, seed=1)
                 survivor = service.submit("ulam", cid, seed=2)
-                await asyncio.sleep(0.02)
-                victim.cancel()
+                _cancel_after_first_round(service, loop, victim)
                 outcome = await survivor
                 with pytest.raises(asyncio.CancelledError):
                     await victim
@@ -230,12 +251,12 @@ class TestScopeIsolation:
         tracer = Tracer.in_memory()
 
         async def main():
-            async with DistanceService(tracer=tracer) as service:
+            loop = asyncio.get_running_loop()
+            async with _RoundSignallingService(tracer=tracer) as service:
                 cid = service.register_corpus(s, t)
                 victim = service.submit("ulam", cid, seed=1)
                 survivor = service.submit("ulam", cid, seed=2)
-                await asyncio.sleep(0.02)
-                victim.cancel()
+                _cancel_after_first_round(service, loop, victim)
                 outcome = await survivor
                 with pytest.raises(asyncio.CancelledError):
                     await victim

@@ -14,6 +14,8 @@ from repro.ulam import (UlamConfig, make_block_payload, mpc_ulam,
                         run_block_machine)
 from repro.workloads.permutations import planted_pair, random_permutation
 
+from .helpers import grid_keys_oracle, ulam_n512_block_payloads
+
 
 def _payload_for(s, t, lo, hi, params, config=None, seed=0):
     pos_t = {int(v): i for i, v in enumerate(t.tolist())}
@@ -234,7 +236,204 @@ class TestWindowEnumeration:
         assert len(got) == cap
 
 
+@pytest.fixture(scope="module")
+def n512_blocks():
+    """The 40 block payloads of the ``ulam-n512`` seed-1 query pool."""
+    return ulam_n512_block_payloads()
+
+
+def _rows(payload):
+    """The payload's grid rows, around its lulam window."""
+    B = payload["hi"] - payload["lo"]
+    positions = payload["positions"]
+    i_pts = np.flatnonzero(positions >= 0)
+    gamma, kappa, _ = local_ulam_from_matches(i_pts, positions[i_pts], B)
+    return candidates._grid_rows(payload, gamma, kappa)
+
+
+def _windows(payload):
+    """The block machine's windows, in generation order."""
+    return [(sp, ep) for _, _, sp, ep, _ in
+            run_block_machine({**payload, "top_k": None})]
+
+
+def _oracle_windows(payload):
+    """The oracle's windows of the payload, cut like the machine's."""
+    n_t = payload["n_t"]
+    keys = grid_keys_oracle(_rows(payload), n_t)[:payload["max_candidates"]]
+    return [tuple(map(int, divmod(key, n_t + 1))) for key in keys]
+
+
+def _assert_oracle_keys(rows, n_t):
+    got = candidates._grid_keys(rows, n_t)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, grid_keys_oracle(rows, n_t))
+    return got
+
+
+def _hit_row(anchors, B, radius, gap):
+    anchors = np.asarray(anchors, dtype=np.int64)
+    return (anchors, anchors + (B - 1), radius, gap, 1)
+
+
+class TestGridOracle:
+    """The union-of-boxes enumeration lists exactly the windows of
+    generate-then-sort (``helpers.grid_keys_oracle``), in its order."""
+
+    def test_benchmark_blocks(self, n512_blocks, monkeypatch):
+        """Same windows, and the cuts' census: the 40 blocks list 4,726
+        cells a block (generate-then-sort: 17,293) for 4,295 windows."""
+        assert len(n512_blocks) == 40
+        rows = [_rows(payload) for payload in n512_blocks]
+        listed, first = [], candidates._first_occurrences
+        monkeypatch.setattr(candidates, "_first_occurrences",
+                            lambda keys: listed.append(len(keys))
+                            or first(keys))
+        kept = sum(len(_assert_oracle_keys(block, payload["n_t"]))
+                   for block, payload in zip(rows, n512_blocks))
+        assert (sum(listed), kept) == (189_026, 171_808)
+
+    def test_benchmark_block_windows(self, n512_blocks):
+        for payload in n512_blocks[:5]:
+            assert _windows(payload) == _oracle_windows(payload)
+
+    @pytest.mark.parametrize("config", [UlamConfig.paper(),
+                                        UlamConfig.default(),
+                                        UlamConfig.practical()],
+                             ids=["paper", "default", "practical"])
+    def test_presets(self, config):
+        s, t, _ = planted_pair(256, 40, seed=4, style="mixed")
+        t = t[~np.isin(t, s[::11])]  # some block symbols absent from t
+        params = UlamParams(n=256, x=0.3)
+        B = params.block_size
+        for lo in range(0, 256, B):
+            payload = _payload_for(s, t, lo, min(lo + B, 256), params,
+                                   config=config, seed=lo)
+            _assert_oracle_keys(_rows(payload), payload["n_t"])
+            assert _windows(payload) == _oracle_windows(payload)
+
+    def test_cap_cuts_mid_guess(self, n512_blocks):
+        payload = n512_blocks[0]
+        rows = _rows(payload)
+        hit = next(i for i, row in enumerate(rows) if row[4] == 1)
+        before, after = (len(grid_keys_oracle(rows[:k], payload["n_t"]))
+                         for k in (hit, hit + 1))
+        cap = (before + after) // 2
+        assert before < cap < after
+        capped = {**payload, "max_candidates": cap}
+        got = _windows(capped)
+        assert len(got) == cap
+        assert got == _oracle_windows(capped)
+
+    def test_gap_one_hit_rows_at_the_text_end(self):
+        # End ticks n_t - 1 and n_t of one box both clip to ep = n_t.
+        n_t, B = 30, 4
+        rows = [(np.array([24]), np.array([28]), 0.0, 1, 0),
+                _hit_row([27, 25, 29, 26], B, 2.5, 1),
+                _hit_row([26, 28, 24], B, 3.0, 1),
+                _hit_row([22, 29], B, 4.0, 2)]
+        keys = _assert_oracle_keys(rows, n_t)
+        assert n_t in keys % (n_t + 1)
+
+    def test_several_anchors_on_one_diagonal(self):
+        # Adjacent anchors: every box overlaps the ones before it.
+        rows = [(np.array([40]), np.array([52]), 0.0, 1, 0),
+                _hit_row([44, 41, 47, 42, 43, 46, 40, 45], 12, 6.5, 1),
+                _hit_row([44, 41, 47, 42, 43, 46, 40, 45], 12, 9.0, 3)]
+        _assert_oracle_keys(rows, 100)
+        s = random_permutation(96, seed=3)
+        params = UlamParams(n=96, x=0.4)
+        B = params.block_size
+        payload = _payload_for(s, s, B, 2 * B, params)  # one diagonal
+        assert all(len(row[0]) <= 1 for row in _rows(payload))
+        assert _windows(payload) == _oracle_windows(payload)
+
+    def test_disjoint_anchor_boxes(self):
+        rows = [(np.array([10]), np.array([15]), 0.0, 1, 0),
+                _hit_row([60, 0, 30, 90], 6, 4.0, 2),
+                _hit_row([61, 1, 31], 6, 7.25, 3)]
+        _assert_oracle_keys(rows, 120)
+
+    def test_lulam_row_without_end_ticks(self):
+        # Gap 2 around an odd kappa with radius 0.5: a start tick but no
+        # end tick, so as the later gap-2 and gap-4 rows' cut it cuts
+        # nothing.
+        anchors = np.array([6]), np.array([9])
+        rows = [(*anchors, 0.0, 1, 0), (*anchors, 0.5, 2, 0),
+                (*anchors, 5.0, 2, 0), (*anchors, 9.0, 4, 0)]
+        _assert_oracle_keys(rows, 30)
+
+    def test_no_hit_present(self):
+        s = np.arange(32, dtype=np.int64)
+        t = np.arange(16, dtype=np.int64)  # second half absent
+        params = UlamParams(n=32, x=0.4)
+        payload = _payload_for(s, t, 16, 32, params)  # all-absent block
+        rows = _rows(payload)
+        assert any(row[4] == 1 for row in rows)
+        assert all(len(row[0]) == 0 for row in rows if row[4] == 1)
+        _assert_oracle_keys(rows, payload["n_t"])
+        assert _windows(payload) == _oracle_windows(payload)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_rows(self, seed):
+        """Random lulam and hit rows in any order, with radii that sit a
+        rounding error off an integer."""
+        rng = np.random.default_rng(seed)
+        radii = [1.15 * 20, 1.1 * 10, 0.1 * 33, 0.0, 0.5, 7.0, 2.5]
+        for _ in range(100):
+            n_t, B = int(rng.integers(1, 80)), int(rng.integers(1, 20))
+            gamma = int(rng.integers(0, n_t + 1))
+            kappa = int(rng.integers(gamma, n_t + 1))
+            rows = [(np.array([gamma]), np.array([kappa]), 0.0, 1, 0)]
+            for _ in range(int(rng.integers(0, 8))):
+                radius = float(rng.choice(radii) if rng.random() < 0.3
+                               else rng.random() * 30)
+                gap = int(rng.integers(1, 8))
+                if rng.random() < 0.5:
+                    rows.append((rows[0][0], rows[0][1], radius, gap, 0))
+                else:
+                    anchors = rng.permutation(np.arange(1 - B, n_t))
+                    rows.append(_hit_row(anchors[:rng.integers(0, 12)], B,
+                                         radius, gap))
+            _assert_oracle_keys(rows, n_t)
+
+
+class TestFirstOccurrences:
+    @pytest.mark.parametrize("values", [
+        [], [7], [3, 3, 3, 3], [-2, 5, -2, 0, 5, 5, 9, -7, 0]],
+        ids=["empty", "singleton", "all-equal", "negative"])
+    def test_small(self, values):
+        values = np.array(values, dtype=np.int64)
+        self._check(values)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random(self, seed):
+        rng = np.random.default_rng(seed)
+        self._check(rng.integers(-50, 50, size=int(rng.integers(1, 3000))))
+
+    @staticmethod
+    def _check(values):
+        first = candidates._first_occurrences(values)
+        assert first.dtype == bool and first.shape == values.shape
+        np.testing.assert_array_equal(
+            np.flatnonzero(first),
+            np.sort(np.unique(values, return_index=True)[1]))
+
+
 class TestGridMemory:
+    def test_benchmark_block_peak(self, n512_blocks):
+        """No block machine of the ``ulam-n512`` seed-1 pool traces more
+        than 2.1 MB: the enumeration holds no table over the key span."""
+        peaks = []
+        for payload in n512_blocks:
+            tracemalloc.start()
+            try:
+                run_block_machine(dict(payload))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 2.1 * (1 << 20), max(peaks)
+
     def test_block_machine_peak_is_bounded(self, monkeypatch):
         """Enumerating every guess's grid in one pass keeps its
         temporaries in chunks: no block machine of an ``n = 1024``,
