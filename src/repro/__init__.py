@@ -17,7 +17,7 @@ Substrates, baselines and workloads live in the subpackages
 
 from .editdistance import EditConfig, EditResult, mpc_edit_distance
 from .params import EditParams, UlamParams
-from .reconstruct import chain_script, chain_tuples, edit_script, ulam_script
+from .reconstruct import chain_script, chain_tuples, ulam_script
 from .ulam import UlamConfig, UlamResult, mpc_ulam
 
 __version__ = "1.0.0"
@@ -25,7 +25,7 @@ __version__ = "1.0.0"
 __all__ = [
     "EditConfig", "EditResult", "mpc_edit_distance",
     "EditParams", "UlamParams",
-    "chain_script", "chain_tuples", "edit_script", "ulam_script",
+    "chain_script", "chain_tuples", "ulam_script",
     "UlamConfig", "UlamResult", "mpc_ulam",
     "__version__",
 ]

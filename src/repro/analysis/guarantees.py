@@ -266,14 +266,12 @@ def check_approx_guarantees(s, t, distance: int, stats: RunStats, *,
                             rounds_bound: Optional[int] = None,
                             work_cap: int = DEFAULT_WORK_CAP
                             ) -> GuaranteeReport:
-    """Generic checker for registry engines (exact / AKO / CGKS / ...).
+    """Generic checker for registry engines (exact / HSS / BEGHS).
 
     Every engine promises *some* approximation factor — ``1.0`` for the
-    exact engines, a constant for CGKS-style solvers, ``polylog(n)`` for
-    AKO-style ones — verified through the same certified
-    :func:`reference_distance` route as the paper's theorems, so a new
-    guarantee class is one ``factor`` expression away from being a
-    checkable verdict.  Resource bounds are optional: pass
+    exact engines, ``1+ε`` for the HSS and BEGHS baselines — verified
+    through the same certified :func:`reference_distance` route as the
+    paper's theorems.  Resource bounds are optional: pass
     ``memory_limit`` / ``machines_bound`` / ``rounds_bound`` when the
     engine makes those promises (single-machine engines pass 1 / 1).
     """

@@ -44,6 +44,7 @@ import numpy as np
 from ..mpc.accounting import RunStats, add_work
 from ..mpc.plan import Pipeline, RoundSpec
 from ..mpc.simulator import MPCSimulator
+from ..params import check_eps
 from ..strings.edit_distance import levenshtein_last_row
 from ..strings.types import INF, as_array
 
@@ -177,8 +178,7 @@ def beghs_edit_distance(s, t, eps: float = 1.0,
     """
     S, T = as_array(s), as_array(t)
     n, n_t = len(S), len(T)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    check_eps(eps)
     if n == 0 or n_t == 0:
         return BeghsResult(distance=n + n_t, n=n, eps=eps,
                            stats=RunStats(), accepted_guess=None, depth=0)

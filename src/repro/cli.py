@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     so.add_argument("--guarantee", choices=guarantee_classes,
                     default=None,
                     help="minimum guarantee class auto-selection must "
-                         "honour (e.g. 1+eps excludes polylog engines)")
+                         "honour (e.g. 1+eps excludes 3+eps engines)")
     # x/eps default to the resolved engine's own defaults.
     common(so, default_x=None, default_eps=None)
     data_plane_opts(so)

@@ -1,12 +1,11 @@
 """Engine protocol: capabilities, requests, results.
 
 An *engine* is one algorithm that answers distance queries — the paper's
-MPC drivers (Theorems 4 and 9), the baselines they are measured against
-(HSS'19, BEGHS'18, single-machine exact), and non-MPC competitors from
-the related-work table (AKO-style polylog, CGKS-style sub-quadratic).
-Every engine advertises an :class:`EngineCaps` record — which distances
-it answers, in which input regime, at what guarantee, at what predicted
-cost — and implements ``solve(request) -> EngineResult``.  The registry
+MPC drivers (Theorems 4 and 9) and the baselines they are measured
+against (HSS'19, BEGHS'18, single-machine exact).  Every engine
+advertises an :class:`EngineCaps` record — which distances it answers,
+in which input regime, at what guarantee, at what predicted cost — and
+implements ``solve(request) -> EngineResult``.  The registry
 (:mod:`repro.engines.registry`) keys engines by those capabilities so
 ``select_engine`` can plan a query without importing any driver, and the
 layers above (CLI ``solve``, :class:`repro.service.DistanceService`)
@@ -35,14 +34,13 @@ __all__ = ["Regime", "CostModel", "EngineCaps", "EngineRequest",
            "EngineResult", "Engine", "SolveStepQuery",
            "GUARANTEE_STRENGTH", "guarantee_strength"]
 
-#: Guarantee classes ordered weakest-first by approximation factor.
+#: Guarantee classes ordered strongest-first by approximation factor.
 #: ``select_engine(..., guarantee=c)`` admits engines whose class is at
 #: least as strong as ``c`` (smaller rank = stronger).
 GUARANTEE_STRENGTH: Dict[str, int] = {
     "exact": 0,      # factor 1
     "1+eps": 1,      # Theorem 4 / HSS'19 / BEGHS'18
-    "3+eps": 2,      # Theorem 9 / CGKS-style constant factor
-    "polylog": 3,    # AKO-style O(polylog n) factor
+    "3+eps": 2,      # Theorem 9
 }
 
 
@@ -244,9 +242,10 @@ class SolveStepQuery:
     """Adapter running a non-resumable engine as a one-step query.
 
     The whole solve executes on the service's simulator inside a single
-    ``steps`` advance, so non-MPC engines (exact, AKO, CGKS) multiplex
-    through :class:`~repro.service.DistanceService` with the same
-    protocol — admission control reads :attr:`params`, the runner drives
+    ``steps`` advance, so engines without a resumable query (the exact
+    ones, HSS, BEGHS) multiplex through
+    :class:`~repro.service.DistanceService` with the same protocol —
+    admission control reads :attr:`params`, the runner drives
     :meth:`steps` and reads :attr:`result` — as the native MPC queries.
     """
 

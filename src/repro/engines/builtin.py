@@ -1,6 +1,6 @@
 """The built-in engines: every driver in the repo behind one protocol.
 
-Eight engines register on import:
+Six engines register on import:
 
 ========================  ========  ===========  ==================
 name                      distance  guarantee    model
@@ -11,8 +11,6 @@ name                      distance  guarantee    model
 ``beghs``                 edit      1+eps        MPC (BEGHS'18)
 ``exact-ulam``            ulam      exact        single machine
 ``exact-edit``            edit      exact        single machine
-``ako-polylog``           edit      polylog      near-linear (AKO)
-``cgks-subquadratic``     edit      3+eps        sub-quadratic (CGKS)
 ========================  ========  ===========  ==================
 
 Porting contract: the MPC engines delegate to the existing drivers with
@@ -26,36 +24,30 @@ API-boundary checker enforces it).
 
 Cost-model constants are calibrated against measured ``total_work`` at
 n≈256–1024 (benchmark E24): exact DP is the cheapest engine far beyond
-those sizes — the polylog/sub-quadratic asymptotics only win past the
-exact engines' crossover, which is exactly what ``max_n`` on their
-regime encodes.
+those sizes — the MPC engines' asymptotics only win past the exact
+engines' crossover, which is exactly what ``max_n`` on their regime
+encodes.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 from ..analysis.guarantees import (DEFAULT_WORK_CAP, check_approx_guarantees,
                                    check_edit_guarantees,
                                    check_ulam_guarantees, machine_budget)
-from ..mpc.plan import Pipeline, RoundSpec
-from ..mpc.simulator import MPCSimulator
 from ..params import EditParams, UlamParams
-from ..strings.polylog import (ako_edit_upper_bound, ako_guarantee_factor,
-                               ako_window)
-from ..strings.types import as_array
 from .base import (CostModel, Engine, EngineCaps, EngineRequest,
                    EngineResult, Regime)
 from .registry import register
 
 __all__ = ["EXACT_CROSSOVER_N", "UlamMpcEngine", "EditMpcEngine",
            "HssEngine", "BeghsEngine", "ExactUlamEngine",
-           "ExactEditEngine", "AkoPolylogEngine", "CgksEngine"]
+           "ExactEditEngine"]
 
 #: Largest n the exact single-machine engines admit: beyond it the
 #: quadratic DP (~n² work) stops being the cheapest answer and `auto`
-#: must fall over to sub-quadratic / MPC engines.
+#: must fall over to the MPC engines.
 EXACT_CROSSOVER_N = 1 << 16
 
 
@@ -66,9 +58,8 @@ def _work_cap(work_cap: Optional[int]) -> int:
 def _raw(result):
     """Unwrap an :class:`EngineResult` to the driver's native result.
 
-    Engines without a native driver result (the one-round approximators)
-    keep ``raw=None``; the :class:`EngineResult` itself then carries the
-    ``distance``/``n``/``stats`` fields the checkers read.
+    A driver result passed directly (no ``raw`` attribute) is returned
+    as it is.
     """
     inner = getattr(result, "raw", None)
     return result if inner is None else inner
@@ -294,107 +285,6 @@ class ExactEditEngine(_ExactEngineBase):
             extra={"guarantee": "exact"})
 
 
-# ---------------------------------------------------------------------------
-# Non-MPC competitors (the registry's reason to exist)
-
-def _run_ako(payload) -> int:
-    return ako_edit_upper_bound(payload["s"], payload["t"],
-                                eps=payload["eps"])
-
-
-def _run_cgks(payload) -> int:
-    from ..strings.approx import cgks_edit_upper_bound
-    return cgks_edit_upper_bound(payload["s"], payload["t"],
-                                 eps=payload["eps"])
-
-
-class _OneRoundEngineBase(Engine):
-    """Shared shape of the non-MPC approximators: one metered round on a
-    single machine, so the ledger/telemetry/metrics stack applies to them
-    exactly as it does to the MPC drivers."""
-
-    round_name: str
-    runner = None
-
-    def solve(self, request: EngineRequest) -> EngineResult:
-        S, T = as_array(request.s), as_array(request.t)
-        _, eps = self.resolve_params(request)
-        sim = request.sim or MPCSimulator(memory_limit=None)
-        d = Pipeline(sim).round(RoundSpec(
-            self.round_name, type(self).runner,
-            partitioner=lambda _: [{"s": S, "t": T, "eps": eps}],
-            collector=lambda outs, _: outs[0]))
-        return EngineResult(
-            engine=self.caps.name, distance=int(d), n=len(S),
-            params={"x": None, "eps": eps}, stats=sim.stats.snapshot(),
-            extra=self._extra(len(S), eps))
-
-
-class AkoPolylogEngine(_OneRoundEngineBase):
-    """AKO-style polylog approximation in near-linear time
-    (arXiv:1005.4033)."""
-
-    round_name = "ako/solve"
-    runner = staticmethod(_run_ako)
-
-    caps = EngineCaps(
-        name="ako-polylog",
-        title="AKO-style polylog approximation (near-linear)",
-        distances=("edit",),
-        regime=Regime(min_n=0),
-        guarantee="O(log^2 n)", guarantee_class="polylog",
-        cost=CostModel(work_exponent=1.0, log_power=3.0, constant=5.0,
-                       rounds=1),
-        model="single-machine", default_eps=0.5)
-
-    def _extra(self, n, eps):
-        return {"guarantee": f"(1+{eps})·log²n",
-                "factor_bound": round(ako_guarantee_factor(n, eps), 2),
-                "window": ako_window(max(n, 2))}
-
-    def check_guarantees(self, s, t, result, work_cap=None):
-        raw = _raw(result)
-        n = max(raw.n, 2)
-        eps = (getattr(result, "params", None) or {}).get("eps") or 0.5
-        return check_approx_guarantees(
-            s, t, raw.distance, raw.stats, algorithm="ako-polylog",
-            factor=ako_guarantee_factor(n, eps),
-            machines_bound=1, machines_label="1 machine",
-            rounds_bound=1, work_cap=_work_cap(work_cap))
-
-
-class CgksEngine(_OneRoundEngineBase):
-    """CGKS-style constant-factor sub-quadratic solver
-    (arXiv:1810.03664)."""
-
-    round_name = "cgks/solve"
-    runner = staticmethod(_run_cgks)
-
-    caps = EngineCaps(
-        name="cgks-subquadratic",
-        title="CGKS-style 3+eps sub-quadratic solver",
-        distances=("edit",),
-        regime=Regime(min_n=0),
-        guarantee="3+eps (empirical)", guarantee_class="3+eps",
-        cost=CostModel(work_exponent=1.5, log_power=1.0, constant=5.0,
-                       rounds=1),
-        model="single-machine", default_eps=0.5)
-
-    def _extra(self, n, eps):
-        window = max(1, int(math.isqrt(max(n, 2))))
-        return {"guarantee": f"3+{eps}", "window": window}
-
-    def check_guarantees(self, s, t, result, work_cap=None):
-        raw = _raw(result)
-        eps = (getattr(result, "params", None) or {}).get("eps") or 0.5
-        return check_approx_guarantees(
-            s, t, raw.distance, raw.stats, algorithm="cgks-subquadratic",
-            factor=3.0 + eps,
-            machines_bound=1, machines_label="1 machine",
-            rounds_bound=1, work_cap=_work_cap(work_cap))
-
-
 for _engine_cls in (UlamMpcEngine, EditMpcEngine, HssEngine, BeghsEngine,
-                    ExactUlamEngine, ExactEditEngine, AkoPolylogEngine,
-                    CgksEngine):
+                    ExactUlamEngine, ExactEditEngine):
     register(_engine_cls())

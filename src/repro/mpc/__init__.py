@@ -43,7 +43,7 @@ from .executor import Executor, ProcessPoolExecutor, SerialExecutor
 from .faults import (CorruptedOutput, FailedOutput, FaultDecision,
                      FaultPlan, RetryPolicy, fault_kind, is_failed)
 from .machine import Broadcast, MachineResult, MachineTask, execute_task
-from .partition import block_of, blocks, chunk, pack_by_weight
+from .partition import blocks, chunk
 from .plan import Pipeline, RoundSpec, run_plan
 from .shm import (DataPlane, SharedSlice, active_segments,
                   detach_segments, payload_byte_stats, resolve_payload)
@@ -65,7 +65,7 @@ __all__ = [
     "fault_kind", "is_failed",
     "RetryPolicy",
     "Broadcast", "MachineResult", "MachineTask", "execute_task",
-    "block_of", "blocks", "chunk", "pack_by_weight",
+    "blocks", "chunk",
     "Pipeline", "RoundSpec", "run_plan",
     "MPCSimulator", "prepare_broadcast", "sizeof",
     "load_run_stats", "run_stats_from_dict", "run_stats_to_dict",

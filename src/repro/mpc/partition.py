@@ -1,17 +1,15 @@
-"""Partitioning helpers: blocks of a string, memory-bounded bin packing.
+"""Partitioning helpers: blocks of a string, chunks of a list.
 
 The algorithms of the paper share one decomposition idiom: split ``s``
 into contiguous blocks of size ``B = n^(1-y)`` (Fig. 1) and route
-per-block work to machines, packing several small items onto one machine
-whenever they jointly fit in memory (§5.1.1 — the source of the
-machine-count improvement over HSS'19).
+per-block work to machines.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Tuple, TypeVar
+from typing import Iterator, List, Sequence, Tuple, TypeVar
 
-__all__ = ["blocks", "block_of", "chunk", "pack_by_weight"]
+__all__ = ["blocks", "chunk"]
 
 T = TypeVar("T")
 
@@ -38,47 +36,9 @@ def blocks(n: int, block_size: int) -> List[Tuple[int, int]]:
     return out
 
 
-def block_of(position: int, block_size: int) -> int:
-    """Index of the block containing ``position`` (0-based)."""
-    if position < 0:
-        raise ValueError("position must be non-negative")
-    if block_size <= 0:
-        raise ValueError("block_size must be positive")
-    return position // block_size
-
-
 def chunk(items: Sequence[T], size: int) -> Iterator[List[T]]:
     """Yield consecutive chunks of at most ``size`` items."""
     if size <= 0:
         raise ValueError("size must be positive")
     for lo in range(0, len(items), size):
         yield list(items[lo:lo + size])
-
-
-def pack_by_weight(items: Iterable[T], weights: Iterable[int],
-                   capacity: int) -> List[List[T]]:
-    """Greedy first-fit-in-order packing of weighted items into bins.
-
-    Items arrive in order (the paper packs *consecutive* starting points
-    of candidate substrings together so one contiguous slice of ``s̄``
-    covers them), so we only ever append to the current bin.  An item
-    heavier than ``capacity`` gets a bin of its own; the simulator's
-    memory check will then report the violation with full context instead
-    of this helper guessing.
-
-    Returns a list of bins, each a list of items.
-    """
-    if capacity <= 0:
-        raise ValueError("capacity must be positive")
-    bins: List[List[T]] = []
-    current: List[T] = []
-    load = 0
-    for item, weight in zip(items, weights):
-        if current and load + weight > capacity:
-            bins.append(current)
-            current, load = [], 0
-        current.append(item)
-        load += weight
-    if current:
-        bins.append(current)
-    return bins

@@ -16,14 +16,14 @@ position-disjoint scripts.)
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
-from .chain import Tuple5, TupleTable, chain_tuples
+from .chain import Tuple5, chain_tuples
 from .strings.edit_distance import levenshtein_script
 from .strings.transform import EditOp, gap_script
 from .strings.types import StringLike, as_array
 
-__all__ = ["chain_tuples", "chain_script", "ulam_script", "edit_script"]
+__all__ = ["chain_tuples", "chain_script", "ulam_script"]
 
 
 def chain_script(s: StringLike, t: StringLike,
@@ -65,21 +65,4 @@ def ulam_script(s: StringLike, t: StringLike, result
     S, T = as_array(s), as_array(t)
     _, chain = chain_tuples(result.tuples, len(S), len(T), mode="max")
     ops = chain_script(S, T, chain, mode="max")
-    return len(ops), ops
-
-
-def edit_script(s: StringLike, t: StringLike,
-                tuples: Union[TupleTable, Sequence[Tuple5]]
-                ) -> Tuple[int, List[EditOp]]:
-    """Edit script from small-regime edit-distance tuples (Algorithm 4).
-
-    ``tuples`` are ``⟨block, window, distance⟩`` entries, e.g. collected
-    from a custom run of
-    :func:`repro.editdistance.small.small_distance_upper_bound`.  A
-    tuple that is not a block of ``s``, a window of ``t`` and a
-    non-negative distance raises ``ValueError``.
-    """
-    S, T = as_array(s), as_array(t)
-    _, chain = chain_tuples(tuples, len(S), len(T), mode="sum")
-    ops = chain_script(S, T, chain, mode="sum")
     return len(ops), ops

@@ -34,8 +34,7 @@ import numpy as np
 from ..mpc.accounting import charge
 from .types import StringLike, as_array
 
-__all__ = ["myers_last_rows", "myers_levenshtein", "myers_last_row",
-           "myers_fitting_row"]
+__all__ = ["myers_last_rows", "myers_levenshtein"]
 
 
 def _cells(m: int, n: int) -> int:
@@ -103,21 +102,10 @@ def myers_last_rows(pattern: StringLike, texts: Sequence[StringLike],
         return [rows[k, :n + 1] for k, n in enumerate(lens)]
 
 
-def myers_last_row(a: StringLike, b: StringLike) -> np.ndarray:
-    """``j ↦ ed(a, b[:j])`` — a batch of one of :func:`myers_last_rows`."""
-    return myers_last_rows(a, [b])[0]
-
-
-def myers_fitting_row(a: StringLike, b: StringLike) -> np.ndarray:
-    """``j ↦ min over g ≤ j of ed(a, b[g:j])`` — a batch of one of
-    :func:`myers_last_rows` in fitting mode (Myers' matching variant)."""
-    return myers_last_rows(a, [b], fitting=True)[0]
-
-
 def myers_levenshtein(a: StringLike, b: StringLike) -> int:
     """Exact edit distance via Myers' bit-parallel algorithm.
 
     Equivalent to :func:`repro.strings.levenshtein`, ledger included;
     the bit-vectors span the *second* argument.
     """
-    return int(myers_last_row(a, b)[-1])
+    return int(myers_last_rows(a, [b])[0][-1])

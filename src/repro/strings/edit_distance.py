@@ -21,8 +21,7 @@ from ..mpc.accounting import charge
 from .bitparallel import myers_last_rows
 from .types import StringLike, as_array
 
-__all__ = ["levenshtein", "levenshtein_last_row", "levenshtein_script",
-           "hamming"]
+__all__ = ["levenshtein", "levenshtein_last_row", "levenshtein_script"]
 
 
 def levenshtein_last_row(a: StringLike, b: StringLike) -> np.ndarray:
@@ -41,15 +40,6 @@ def levenshtein(a: StringLike, b: StringLike) -> int:
     3
     """
     return int(levenshtein_last_row(a, b)[-1])
-
-
-def hamming(a: StringLike, b: StringLike) -> int:
-    """Number of mismatching positions (requires equal lengths)."""
-    A, B = as_array(a), as_array(b)
-    if len(A) != len(B):
-        raise ValueError("hamming distance requires equal-length strings")
-    with charge("hamming", 1, len(A)):
-        return int(np.count_nonzero(A != B))
 
 
 def _wf_table(A: np.ndarray, B: np.ndarray) -> np.ndarray:

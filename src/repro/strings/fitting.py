@@ -1,10 +1,10 @@
 """Fitting (substring) alignment: align a whole pattern inside a text.
 
-``fitting_distance(p, t)`` is ``min over substrings w of t of ed(p, w)``
-— exactly the *local Ulam distance* contract of the paper's Appendix A
-(`lulam`), generalised to arbitrary strings.  The DP is the Wagner–Fischer
-recurrence with a free start (``D[0][j] = 0``) and a free end
-(answer = min of the last row).
+The fitting distance of ``p`` in ``t``, ``min over substrings w of t of
+ed(p, w)``, is exactly the *local Ulam distance* contract of the paper's
+Appendix A (`lulam`), generalised to arbitrary strings.  The DP is the
+Wagner–Fischer recurrence with a free start (``D[0][j] = 0``) and a
+free end (answer = min of the last row).
 
 Endpoint recovery uses a second, reversed pass instead of storing the full
 table: once the best end ``κ`` is known, the best start is found by a
@@ -24,7 +24,7 @@ from .bitparallel import myers_last_rows
 from .edit_distance import levenshtein_last_row
 from .types import StringLike, as_array
 
-__all__ = ["fitting_last_row", "fitting_distance", "fitting_alignment"]
+__all__ = ["fitting_last_row", "fitting_alignment"]
 
 
 def fitting_last_row(pattern: StringLike, text: StringLike) -> np.ndarray:
@@ -36,21 +36,16 @@ def fitting_last_row(pattern: StringLike, text: StringLike) -> np.ndarray:
     return myers_last_rows(pattern, [text], fitting=True)[0]
 
 
-def fitting_distance(pattern: StringLike, text: StringLike) -> int:
-    """``min over substrings w of text of ed(pattern, w)`` (distance only)."""
-    return int(fitting_last_row(pattern, text).min())
-
-
 def fitting_alignment(pattern: StringLike, text: StringLike
                       ) -> Tuple[int, int, int]:
     """Best-matching substring of *text* for *pattern*.
 
     Returns ``(gamma, kappa, dist)`` with a half-open window
     ``text[gamma:kappa]`` achieving ``ed(pattern, text[gamma:kappa]) ==
-    dist == fitting_distance(pattern, text)``.  Among optimal windows, the
-    reported one ends at the earliest optimal ``κ`` and is shortest for
-    that ``κ`` — callers must only rely on optimality, not on a specific
-    tie-break.
+    dist == fitting_last_row(pattern, text).min()``.  Among optimal
+    windows, the reported one ends at the earliest optimal ``κ`` and is
+    shortest for that ``κ`` — callers must only rely on optimality, not
+    on a specific tie-break.
     """
     P, T = as_array(pattern), as_array(text)
     m, n = len(P), len(T)

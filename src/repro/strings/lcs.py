@@ -1,13 +1,8 @@
-"""Longest common subsequence kernels.
+"""Longest common subsequence of duplicate-free strings.
 
-Two engines:
-
-* :func:`lcs_length` — general strings, NumPy row-vectorised DP in
-  ``O(m·n)`` work (the ``max`` left-dependency collapses into a running
-  maximum, no offset needed because insertions do not change the score).
-* :func:`lcs_length_duplicate_free` — strings with no repeated characters
-  (the Ulam-distance setting), reduced to LIS of the position mapping in
-  ``O(n log n)`` work.
+:func:`lcs_length_duplicate_free` handles strings with no repeated
+characters (the Ulam-distance setting), reduced to LIS of the position
+mapping in ``O(n log n)`` work.
 """
 
 from __future__ import annotations
@@ -20,26 +15,7 @@ from ..mpc.accounting import add_work
 from .lis import lis_length
 from .types import StringLike, as_array
 
-__all__ = ["lcs_length", "lcs_length_duplicate_free", "position_map"]
-
-
-def lcs_length(a: StringLike, b: StringLike) -> int:
-    """Length of the longest common subsequence (general strings)."""
-    A, B = as_array(a), as_array(b)
-    m, n = len(A), len(B)
-    add_work(max(m, 1) * max(n, 1))
-    if m == 0 or n == 0:
-        return 0
-    row = np.zeros(n + 1, dtype=np.int64)
-    for i in range(1, m + 1):
-        eq = (B == A[i - 1]).astype(np.int64)
-        t = np.maximum(row[1:], row[:-1] + eq)
-        cur = np.empty(n + 1, dtype=np.int64)
-        cur[0] = 0
-        cur[1:] = t
-        np.maximum.accumulate(cur, out=cur)
-        row = cur
-    return int(row[n])
+__all__ = ["lcs_length_duplicate_free", "position_map"]
 
 
 def position_map(s: StringLike) -> Dict[int, int]:

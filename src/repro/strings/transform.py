@@ -16,7 +16,7 @@ import numpy as np
 
 from .types import StringLike, as_array
 
-__all__ = ["EditOp", "apply_script", "script_cost", "gap_script"]
+__all__ = ["EditOp", "apply_script", "gap_script"]
 
 EditOp = Tuple[str, int, int]
 
@@ -45,11 +45,6 @@ def apply_script(source: StringLike, target: StringLike,
         else:
             raise ValueError(f"unknown edit op kind {kind!r}")
     return np.asarray(out, dtype=np.int64)
-
-
-def script_cost(ops: Sequence[EditOp]) -> int:
-    """Unit-cost total of a script (= its length)."""
-    return len(ops)
 
 
 def gap_script(s_lo: int, s_hi: int, t_lo: int, t_hi: int,

@@ -25,9 +25,11 @@ INF = np.iinfo(np.int64).max // 4
 def as_array(s: StringLike) -> np.ndarray:
     """Normalise *s* to a 1-D contiguous ``int64`` NumPy array.
 
-    ``str`` inputs are converted code-point by code-point; integer
-    sequences are converted element-wise.  NumPy integer arrays pass
-    through (cast to ``int64`` when needed, never copied otherwise).
+    ``str`` inputs are converted code-point by code-point; sequences of
+    integers (or bools) are converted element-wise, and any other element
+    type (floats, strings) raises ``TypeError`` rather than being
+    truncated.  NumPy integer arrays pass through (cast to ``int64`` when
+    needed, never copied otherwise).
     """
     if isinstance(s, np.ndarray):
         if s.ndim != 1:
@@ -38,7 +40,9 @@ def as_array(s: StringLike) -> np.ndarray:
     if isinstance(s, str):
         return np.frombuffer(s.encode("utf-32-le"), dtype=np.uint32).astype(
             np.int64)
-    arr = np.asarray(list(s), dtype=np.int64)
+    arr = np.asarray(list(s))
     if arr.ndim != 1:
         raise ValueError("expected a flat sequence of symbols")
-    return arr
+    if len(arr) and arr.dtype.kind not in "iub":
+        raise TypeError(f"expected integer symbols, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)

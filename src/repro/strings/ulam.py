@@ -17,9 +17,6 @@ Kernels
 * :func:`ulam_distance` — exact, general validation path (dense DP).
 * :func:`ulam_indel` — insertion/deletion-only Ulam distance in
   ``O(n log n)`` via LIS.
-* :func:`ulam_from_matches` — exact sparse chain DP, optional diagonal
-  band (Ukkonen-style pruning, exactness certified when the result is
-  within the band).
 * :func:`ulam_windows` — exact distances from one pattern to many
   windows of one text, the Algorithm 1 machine's workload: one chain-DP
   row per distinct window start (:mod:`repro.strings.native`), computed
@@ -65,7 +62,7 @@ from .types import INF, StringLike, as_array
 
 __all__ = [
     "is_duplicate_free", "check_duplicate_free", "ulam_distance",
-    "ulam_indel", "match_points", "ulam_from_matches", "ulam_windows",
+    "ulam_indel", "match_points", "ulam_windows",
     "ulam_auto", "local_ulam_from_matches", "local_ulam",
 ]
 
@@ -131,39 +128,6 @@ def match_points(pattern: StringLike, text: StringLike
     add_work(len(P))
     return (np.asarray(idx, dtype=np.int64),
             np.asarray(pos, dtype=np.int64))
-
-
-def ulam_from_matches(i_pts: np.ndarray, p_pts: np.ndarray, m: int, n: int,
-                      band: Optional[int] = None) -> int:
-    """Exact Ulam distance from match points via the sparse chain DP.
-
-    Parameters
-    ----------
-    i_pts, p_pts:
-        Match coordinates, sorted by ``i_pts`` (strictly increasing);
-        ``pattern[i_pts[k]] == text[p_pts[k]]``.
-    m, n:
-        Lengths of pattern and text.
-    band:
-        Optional diagonal band: only matches with ``|i - p| ≤ band``
-        participate.  The returned value is always an upper bound on the
-        true distance and is *exact* whenever it is ``≤ band`` (the
-        standard Ukkonen argument: an alignment of cost ``d`` never
-        leaves the ``d``-diagonal band).
-
-    Work is ``O(c²)`` for ``c`` participating match points.
-    """
-    if band is not None:
-        keep = np.abs(i_pts - p_pts) <= band
-        i_pts, p_pts = i_pts[keep], p_pts[keep]
-    c = len(i_pts)
-    zero = np.zeros(1, dtype=np.int64)
-    with charge("ulam_sparse", 1, c * c + 1):
-        links = native.run_links(i_pts, p_pts)
-        D = native.chain_table(i_pts, p_pts, zero, links)
-        return int(_read_off(D, i_pts, p_pts, m, zero,
-                             np.full(1, n, dtype=np.int64), zero,
-                             links[0][1:] - 1)[0])
 
 
 #: Cap on the ``windows × runs`` temporaries of :func:`_read_off`:

@@ -15,8 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["ALPHABET", "random_genome", "evolve", "to_dna", "from_dna",
-           "diverged_pair"]
+__all__ = ["ALPHABET", "random_genome", "evolve", "to_dna", "diverged_pair"]
 
 #: Base encoding used throughout: A=0, C=1, G=2, T=3.
 ALPHABET = "ACGT"
@@ -88,12 +87,3 @@ def diverged_pair(n: int, divergence: float = 0.02, seed=0
 def to_dna(s: np.ndarray) -> str:
     """Decode an encoded genome to an ``ACGT`` string."""
     return "".join(ALPHABET[int(v)] for v in s)
-
-
-def from_dna(text: str) -> np.ndarray:
-    """Encode an ``ACGT`` string (case-insensitive)."""
-    lookup = {c: i for i, c in enumerate(ALPHABET)}
-    try:
-        return np.asarray([lookup[c] for c in text.upper()], dtype=np.int64)
-    except KeyError as exc:
-        raise ValueError(f"non-DNA character {exc.args[0]!r}") from None

@@ -6,8 +6,7 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["random_string", "mutate", "planted_pair", "repetitive_string",
-           "block_shuffled_pair"]
+__all__ = ["random_string", "mutate", "planted_pair", "block_shuffled_pair"]
 
 
 def _rng(seed) -> np.random.Generator:
@@ -50,21 +49,6 @@ def planted_pair(n: int, distance_budget: int, sigma: int = 4, seed=0
     s = random_string(n, sigma, rng)
     t = mutate(s, distance_budget, rng, sigma=sigma)
     return s, t, distance_budget
-
-
-def repetitive_string(n: int, period: int, sigma: int = 4, seed=0
-                      ) -> np.ndarray:
-    """Periodic string — the adversarial case for block decompositions.
-
-    Every window of ``t`` looks alike, so candidate-substring filtering
-    gets no help from content; used to stress false-positive handling in
-    the threshold-graph phases.
-    """
-    if period < 1:
-        raise ValueError("period must be at least 1")
-    base = random_string(period, sigma, seed)
-    reps = -(-n // period)
-    return np.tile(base, reps)[:n].astype(np.int64)
 
 
 def block_shuffled_pair(n: int, n_segments: int, sigma: int = 4, seed=0

@@ -12,6 +12,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.strings.types import INF
+from repro.workloads.strings import random_string
 
 
 def brute_edit_distance(a: Sequence[int], b: Sequence[int]) -> int:
@@ -79,6 +80,19 @@ def random_duplicate_free_pair(rng, max_len: int = 12,
     a = rng.permutation(universe)[:m].tolist()
     b = rng.permutation(universe)[:n].tolist()
     return a, b
+
+
+def repetitive_string(n: int, period: int, sigma: int = 4, seed=0
+                      ) -> np.ndarray:
+    """Periodic string — the adversarial case for block decompositions.
+
+    Every window looks alike, so candidate-substring filtering gets no
+    help from content.
+    """
+    if period < 1:
+        raise ValueError("period must be at least 1")
+    base = random_string(period, sigma, seed)
+    return np.tile(base, -(-n // period))[:n]
 
 
 def scan_local_ulam(i_pts: np.ndarray, p_pts: np.ndarray, m: int

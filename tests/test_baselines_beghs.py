@@ -131,6 +131,13 @@ class TestBeghsResources:
         with pytest.raises(ValueError):
             beghs_edit_distance([1], [2], eps=0)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_non_finite_eps_rejected_by_engine(self, eps):
+        from repro.engines import EngineRequest, get_engine
+        with pytest.raises(ValueError, match="finite number > 0"):
+            get_engine("beghs").solve(EngineRequest(
+                distance="edit", s=[1, 2, 3], t=[1, 3, 2], eps=eps))
+
     def test_guess_schedule_doubles(self):
         s, t, _ = planted_pair(N, 20, sigma=4, seed=8)
         res = beghs_edit_distance(s, t, eps=EPS, base_exponent=BASE_EXP)

@@ -698,12 +698,12 @@ class TestEngineCommands:
 
     def test_solve_named_engine_record_carries_engine(self, capsys):
         assert main(["solve", "--distance", "edit", "--engine",
-                     "cgks-subquadratic", "--n", "96", "--budget", "4",
+                     "hss", "--n", "96", "--budget", "4",
                      "--json", "--no-history"]) == 0
         record = json.loads(capsys.readouterr().out)
         assert record["command"] == "solve"
-        assert record["engine"] == "cgks-subquadratic"
-        assert record["engine_spec"] == "cgks-subquadratic"
+        assert record["engine"] == "hss"
+        assert record["engine_spec"] == "hss"
         assert record["distance"] == "edit"
         assert record["summary"]["total_work"] > 0
 
@@ -737,8 +737,7 @@ class TestEngineCommands:
         assert main(["engines"]) == 0
         out = capsys.readouterr().out
         for name in ("ulam-mpc", "edit-mpc", "hss", "beghs",
-                     "exact-ulam", "exact-edit", "ako-polylog",
-                     "cgks-subquadratic"):
+                     "exact-ulam", "exact-edit"):
             assert name in out
 
     def test_engines_json_and_distance_filter(self, capsys):
@@ -776,16 +775,16 @@ class TestEngineCommands:
     def test_history_engine_filter(self, tmp_path, capsys):
         history = str(tmp_path / "h.jsonl")
         assert main(["solve", "--distance", "edit", "--engine",
-                     "ako-polylog", "--n", "64", "--history",
+                     "hss", "--n", "64", "--history",
                      history]) == 0
         assert main(["solve", "--distance", "edit", "--engine",
                      "exact-edit", "--n", "64", "--history",
                      history]) == 0
         capsys.readouterr()
         assert main(["history", "--history", history,
-                     "--engine", "ako-polylog"]) == 0
+                     "--engine", "hss"]) == 0
         out = capsys.readouterr().out
-        assert "ako-polylog" in out and "exact-edit" not in out
+        assert "hss" in out and "exact-edit" not in out
 
 
 #: Fields of a run record that come from the clock or the checkout.

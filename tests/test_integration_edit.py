@@ -8,7 +8,9 @@ from repro.baselines import hss_edit_distance
 from repro.mpc import MPCSimulator, ProcessPoolExecutor
 from repro.strings import levenshtein
 from repro.workloads.strings import (block_shuffled_pair, planted_pair,
-                                     random_string, repetitive_string)
+                                     random_string)
+
+from .helpers import repetitive_string
 
 N = 256
 X = 0.29
@@ -183,6 +185,12 @@ class TestValidation:
     def test_rejects_bad_x(self):
         with pytest.raises(ValueError):
             mpc_edit_distance([1, 2, 3, 4], [1, 2, 3], x=0.5)
+
+    def test_float_lists_rejected_before_any_round(self):
+        sim = MPCSimulator(memory_limit=None)
+        with pytest.raises(TypeError):
+            mpc_edit_distance([1.5, 1.2], [1.2, 1.5], x=0.25, sim=sim)
+        assert sim.stats.n_rounds == 0
 
     def test_string_inputs_accepted(self):
         res = mpc_edit_distance("elephant" * 8, "relevant" * 8, x=0.25,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mpc import block_of, blocks, chunk, pack_by_weight
+from repro.mpc import blocks, chunk
 
 
 class TestBlocks:
@@ -31,26 +31,6 @@ class TestBlocks:
             blocks(4, 0)
 
 
-class TestBlockOf:
-    def test_maps_position_to_block(self):
-        assert block_of(0, 4) == 0
-        assert block_of(3, 4) == 0
-        assert block_of(4, 4) == 1
-
-    def test_consistent_with_blocks(self):
-        bs = blocks(50, 7)
-        for pos in range(50):
-            i = block_of(pos, 7)
-            lo, hi = bs[i]
-            assert lo <= pos < hi
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            block_of(-1, 4)
-        with pytest.raises(ValueError):
-            block_of(1, 0)
-
-
 class TestChunk:
     def test_chunks(self):
         assert list(chunk([1, 2, 3, 4, 5], 2)) == [[1, 2], [3, 4], [5]]
@@ -61,25 +41,3 @@ class TestChunk:
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             list(chunk([1], 0))
-
-
-class TestPackByWeight:
-    def test_respects_capacity(self):
-        bins = pack_by_weight("abcdef", [2, 2, 2, 2, 2, 2], capacity=4)
-        assert bins == [["a", "b"], ["c", "d"], ["e", "f"]]
-
-    def test_preserves_order(self):
-        bins = pack_by_weight(range(5), [3, 3, 3, 3, 3], capacity=6)
-        flat = [x for b in bins for x in b]
-        assert flat == list(range(5))
-
-    def test_oversized_item_gets_own_bin(self):
-        bins = pack_by_weight(["big", "small"], [100, 1], capacity=10)
-        assert bins == [["big"], ["small"]]
-
-    def test_empty(self):
-        assert pack_by_weight([], [], capacity=5) == []
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            pack_by_weight([1], [1], capacity=0)

@@ -8,11 +8,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.strings import (cgks_edit_upper_bound, fitting_distance,
-                           lcs_length, levenshtein, levenshtein_banded,
+from repro.strings import (cgks_edit_upper_bound, fitting_last_row,
+                           levenshtein, levenshtein_banded,
                            levenshtein_doubling, lis_length, local_ulam,
                            match_points, ulam_auto, ulam_distance,
-                           ulam_from_matches, ulam_indel)
+                           ulam_indel)
+
+from .helpers import brute_fitting, brute_lcs_length
 
 short = st.lists(st.integers(0, 5), max_size=14)
 tiny = st.lists(st.integers(0, 3), max_size=10)
@@ -76,13 +78,13 @@ class TestCrossKernelConsistency:
     @settings(max_examples=60, deadline=None)
     def test_lcs_indel_duality(self, a, b):
         # insertion/deletion-only distance = m + n - 2·LCS ≥ levenshtein
-        indel = len(a) + len(b) - 2 * lcs_length(a, b)
+        indel = len(a) + len(b) - 2 * brute_lcs_length(a, b)
         assert levenshtein(a, b) <= indel <= 2 * levenshtein(a, b)
 
     @given(a=short, b=short)
     @settings(max_examples=60, deadline=None)
     def test_fitting_lower_bounds_global(self, a, b):
-        assert fitting_distance(a, b) <= levenshtein(a, b)
+        assert fitting_last_row(a, b).min() <= levenshtein(a, b)
 
     @given(a=short, b=short)
     @settings(max_examples=40, deadline=None)
@@ -102,7 +104,6 @@ class TestUlamProperties:
     def test_sparse_kernels_agree(self, a, b):
         i_pts, p_pts = match_points(a, b)
         expected = levenshtein(a, b)
-        assert ulam_from_matches(i_pts, p_pts, len(a), len(b)) == expected
         assert ulam_auto(i_pts, p_pts, len(a), len(b)) == expected
 
     @given(a=duplicate_free(), b=duplicate_free())
@@ -126,7 +127,7 @@ class TestUlamProperties:
     @settings(max_examples=60, deadline=None)
     def test_local_ulam_is_window_minimum(self, a, b):
         _, _, d = local_ulam(a, b)
-        assert d == fitting_distance(a, b)
+        assert d == brute_fitting(a, b)[2]
 
     @given(seq=st.lists(st.integers(0, 30), max_size=15, unique=True))
     @settings(max_examples=60, deadline=None)

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpc import blocks, pack_by_weight, sizeof
+from repro.mpc import blocks, sizeof
 from repro.ulam import combine_tuples
 
 payload = st.recursive(
@@ -51,25 +51,6 @@ class TestBlocksProperties:
     @settings(max_examples=100, deadline=None)
     def test_block_count_formula(self, n, b):
         assert len(blocks(n, b)) == -(-n // b)
-
-
-class TestPackByWeightProperties:
-    @given(weights=st.lists(st.integers(1, 10), max_size=30),
-           cap=st.integers(10, 40))
-    @settings(max_examples=100, deadline=None)
-    def test_bins_respect_capacity_unless_single_item(self, weights, cap):
-        items = list(range(len(weights)))
-        for b in pack_by_weight(items, weights, cap):
-            load = sum(weights[i] for i in b)
-            assert load <= cap or len(b) == 1
-
-    @given(weights=st.lists(st.integers(1, 10), max_size=30),
-           cap=st.integers(10, 40))
-    @settings(max_examples=100, deadline=None)
-    def test_order_preserved_and_complete(self, weights, cap):
-        items = list(range(len(weights)))
-        flat = [i for b in pack_by_weight(items, weights, cap) for i in b]
-        assert flat == items
 
 
 tuple_strategy = st.tuples(

@@ -1,9 +1,13 @@
 """Unit tests for fitting (substring) alignment."""
 
-from repro.strings import (fitting_alignment, fitting_distance,
-                           fitting_last_row, levenshtein)
+from repro.strings import fitting_alignment, fitting_last_row, levenshtein
 
 from .helpers import brute_edit_distance, brute_fitting
+
+
+def fitting_distance(pattern, text) -> int:
+    """``min over substrings w of text of ed(pattern, w)``."""
+    return int(fitting_last_row(pattern, text).min())
 
 
 class TestFittingDistance:

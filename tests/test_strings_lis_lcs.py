@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.strings import (lcs_length, lcs_length_duplicate_free,
-                           lis_length, position_map)
+from repro.strings import lcs_length_duplicate_free, lis_length, position_map
 
 from .helpers import brute_lcs_length, brute_lis_length
 
@@ -31,23 +30,6 @@ class TestLisLength:
             n = int(rng.integers(0, 15))
             seq = rng.integers(0, 10, n).tolist()
             assert lis_length(seq) == brute_lis_length(seq)
-
-
-class TestLcsLength:
-    def test_known_case(self):
-        assert lcs_length("ABCBDAB", "BDCABA") == 4
-
-    def test_disjoint(self):
-        assert lcs_length([1, 2], [3, 4]) == 0
-
-    def test_empty(self):
-        assert lcs_length([], [1, 2]) == 0
-
-    def test_against_brute_force(self, rng):
-        for _ in range(100):
-            a = rng.integers(0, 4, int(rng.integers(0, 12))).tolist()
-            b = rng.integers(0, 4, int(rng.integers(0, 12))).tolist()
-            assert lcs_length(a, b) == brute_lcs_length(a, b)
 
 
 class TestLcsDuplicateFree:

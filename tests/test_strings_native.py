@@ -30,11 +30,11 @@ import repro.ulam.candidates as cand
 from repro.metrics import enabled as metrics_enabled
 from repro.mpc import WorkMeter
 from repro.obs import profile as obs_profile
-from repro.strings import (fitting_last_row, hamming, levenshtein,
+from repro.strings import (fitting_last_row, levenshtein,
                            levenshtein_doubling, levenshtein_doubling_batch,
                            levenshtein_script, lis_length,
                            local_ulam_from_matches, match_points,
-                           ulam_auto, ulam_distance, ulam_from_matches,
+                           ulam_auto, ulam_distance,
                            ulam_windows, within_threshold,
                            within_threshold_batch)
 from repro.strings import native
@@ -320,15 +320,19 @@ class TestBatchSizes:
         m = n = c + 7
         i_pts = np.sort(rng.choice(m, size=c, replace=False))
         p_pts = np.sort(rng.choice(n, size=c, replace=False))
+        # The LIS prologue charges c; the chain DP charges c_f² + 1 for
+        # the c_f points inside the certified band.
+        band = max(m + n - 2 * lis_length(p_pts), abs(m - n), 1)
+        cells = int((np.abs(p_pts - i_pts) <= band).sum()) ** 2 + 1
         got, work, met, prof = _metered(
-            lambda: ulam_from_matches(i_pts, p_pts, m, n))
+            lambda: ulam_auto(i_pts, p_pts, m, n))
         assert got == ulam_distance(*_strings_for_matches(i_pts, p_pts,
                                                           m, n))
-        assert work == c * c + 1
-        assert prof == {"ulam_sparse": [1, c * c + 1]}
+        assert work == c + cells
+        assert prof == {"ulam_sparse": [1, cells]}
         assert {key: v["value"] for key, v in met.items()
                 if "ulam_sparse" in key} == {
-            'strings.dp_cells{kernel=ulam_sparse}': c * c + 1,
+            'strings.dp_cells{kernel=ulam_sparse}': cells,
             'strings.kernel_calls{kernel=ulam_sparse}': 1}
 
 
@@ -538,7 +542,6 @@ _KERNEL_CALLS = {
         lambda: myers_levenshtein(_word(70, 13), _word(80, 14)), 5600),
     "levenshtein_script": (
         lambda: levenshtein_script(_word(12, 15), _word(14, 16)), 168),
-    "hamming": (lambda: hamming(_word(25, 17), _word(25, 18)), 25),
 }
 
 

@@ -11,7 +11,7 @@ from repro.obs import profile as obs_profile
 from repro.strings import (check_duplicate_free, is_duplicate_free,
                            local_ulam, local_ulam_from_matches,
                            match_points, ulam_auto, ulam_distance,
-                           ulam_from_matches, ulam_indel)
+                           ulam_indel)
 from repro.strings.native import run_links
 
 from .helpers import (brute_edit_distance, brute_fitting,
@@ -78,26 +78,6 @@ class TestSparseMatches:
         for i, p in zip(i_pts, p_pts):
             assert a[i] == b[p]
 
-    def test_ulam_from_matches_equals_dense(self, rng):
-        for _ in range(200):
-            a, b = random_duplicate_free_pair(rng)
-            i_pts, p_pts = match_points(a, b)
-            expected = brute_edit_distance(a, b)
-            assert ulam_from_matches(i_pts, p_pts, len(a),
-                                     len(b)) == expected
-
-    def test_banded_is_upper_bound_and_exact_when_certified(self, rng):
-        for _ in range(150):
-            a, b = random_duplicate_free_pair(rng)
-            i_pts, p_pts = match_points(a, b)
-            exact = brute_edit_distance(a, b)
-            for band in (0, 1, 2, 5, 50):
-                got = ulam_from_matches(i_pts, p_pts, len(a), len(b),
-                                        band=band)
-                assert got >= exact
-                if got <= band:
-                    assert got == exact
-
     def test_ulam_auto_always_exact(self, rng):
         for _ in range(200):
             a, b = random_duplicate_free_pair(rng)
@@ -107,7 +87,7 @@ class TestSparseMatches:
 
     def test_no_matches_gives_max_length(self):
         empty = np.array([], dtype=np.int64)
-        assert ulam_from_matches(empty, empty, 4, 7) == 7
+        assert ulam_auto(empty, empty, 4, 7) == 7
 
 
 class TestLocalUlam:
