@@ -10,7 +10,7 @@ import pytest
 
 from repro.strings import (fitting_alignment, levenshtein,
                            levenshtein_doubling, lis_length, local_ulam,
-                           match_points, myers_levenshtein, ulam_auto)
+                           match_points, ulam_auto)
 from repro.workloads.permutations import planted_pair
 from repro.workloads.strings import planted_pair as str_pair
 
@@ -30,13 +30,6 @@ def bench_levenshtein_dense_2000(benchmark, near_pair):
     s, t = near_pair
     result = benchmark(levenshtein, s, t)
     assert result >= 0
-
-
-def bench_myers_bitparallel_2000(benchmark, near_pair):
-    s, t = near_pair
-    exact = levenshtein(s, t)
-    result = benchmark(myers_levenshtein, s, t)
-    assert result == exact
 
 
 def bench_levenshtein_banded_near_2000(benchmark, near_pair):

@@ -18,7 +18,7 @@ algorithm exists to avoid computing.  Two affordable routes:
 * **exact** — when the banded DP with band ``ub`` (certified exact in
   ``O(ub·n)`` work, Ukkonen) fits ``work_cap``, the exact distance comes
   from Myers' bit-parallel DP
-  (:func:`~repro.strings.bitparallel.myers_levenshtein`), one word step
+  (:func:`~repro.strings.edit_distance.levenshtein`), one word step
   per symbol of the shorter string; a distance above ``ub`` refutes the
   claimed upper bound.
 * **certified lower bound** — otherwise run the banded DP with the
@@ -40,7 +40,7 @@ from typing import Dict, List, Optional
 
 from ..mpc.accounting import RunStats
 from ..strings.banded import levenshtein_banded
-from ..strings.bitparallel import myers_levenshtein
+from ..strings.edit_distance import levenshtein
 from ..strings.types import as_array
 
 __all__ = ["GuaranteeCheck", "GuaranteeReport", "reference_distance",
@@ -121,8 +121,7 @@ def reference_distance(s, t, upper_bound: int, factor: float,
     if (ub + 1) * n <= work_cap:
         # The distance is symmetric: the shorter string is the pattern,
         # whose symbols are the sweep's steps.
-        d = (myers_levenshtein(S, T) if len(S) <= len(T)
-             else myers_levenshtein(T, S))
+        d = levenshtein(S, T) if len(S) <= len(T) else levenshtein(T, S)
         if d > ub:
             return {"mode": "exact", "distance": None,
                     "valid_upper_bound": False}
@@ -239,8 +238,7 @@ def check_edit_guarantees(s, t, result,
     Theorem 9.
 
     Promises checked: ``3+ε`` approximation, per-machine memory,
-    ``Õ(n^(9/5·x))`` machines, 4 rounds (+1 when the distributed
-    equality round ran; it is a sequential prefix, not a guess round).
+    ``Õ(n^(9/5·x))`` machines, 4 rounds.
     """
     params = result.params
     factor = 3.0 + params.eps
@@ -251,10 +249,7 @@ def check_edit_guarantees(s, t, result,
     report.checks.append(
         _machines_check(result.stats, params.n, 1.8 * params.x,
                         "n^(9/5·x)"))
-    has_equality_round = any(r.name == "ed/0-equality"
-                             for r in result.stats.rounds)
-    report.checks.append(
-        _rounds_check(result.stats, 4 + int(has_equality_round)))
+    report.checks.append(_rounds_check(result.stats, 4))
     return report
 
 

@@ -167,8 +167,7 @@ def _tree_levels(n: int, base_size: int) -> List[List[Node]]:
 
 def beghs_edit_distance(s, t, eps: float = 1.0,
                         base_exponent: float = 8.0 / 9.0,
-                        sim: Optional[MPCSimulator] = None,
-                        guess_mode: str = "doubling") -> BeghsResult:
+                        sim: Optional[MPCSimulator] = None) -> BeghsResult:
     """``(1+O(ε))``-approximate ``ed(s, t)`` in ``O(log n)`` MPC rounds.
 
     ``base_exponent`` sets the base segment size ``n^(8/9)`` (the BEGHS
@@ -222,10 +221,8 @@ def beghs_edit_distance(s, t, eps: float = 1.0,
         if best is None or bound < best:
             best = bound
         if bound <= (1 + eps) * D:
-            if accepted is None:
-                accepted = D
-            if guess_mode == "doubling":
-                break
+            accepted = D
+            break
         if D >= n + n_t:
             break
         guess = min(2 * D, n + n_t)

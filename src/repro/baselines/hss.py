@@ -57,7 +57,6 @@ class HSSResult:
 
 def hss_edit_distance(s, t, x: float = 0.25, eps: float = 1.0,
                       sim: Optional[MPCSimulator] = None,
-                      guess_mode: str = "doubling",
                       phase2_top_k: Optional[int] = 256,
                       eps_prime_divisor: float = 4.0) -> HSSResult:
     """``1+ε``-approximate ``ed(s, t)`` with the HSS'19 scheme.
@@ -142,10 +141,8 @@ def hss_edit_distance(s, t, x: float = 0.25, eps: float = 1.0,
         if best is None or bound < best:
             best = bound
         if bound <= accept * guess:
-            if accepted is None:
-                accepted = guess
-            if guess_mode == "doubling":
-                break
+            accepted = guess
+            break
 
     assert best is not None
     return HSSResult(distance=int(best), n=n, params=params,

@@ -1,8 +1,9 @@
 """Tunable constants of the edit-distance MPC algorithm (§5).
 
-Defaults are paper-faithful; the :meth:`EditConfig.practical` preset
-bounds the poly(1/ε)·polylog constants so moderate-``n`` benchmarks finish
-— every cap is surfaced in result summaries.
+The defaults keep the paper's constants except for the ``ε'`` divisor
+and the phase-2 shipping cap; :meth:`EditConfig.paper` restores both
+and switches to parallel guessing.  Every cap is surfaced in result
+summaries.
 """
 
 from __future__ import annotations
@@ -11,6 +12,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 __all__ = ["EditConfig"]
+
+#: The allowed values of each enumerated field.
+_CHOICES = {
+    "inner": ("row", "cgks", "exact", "banded"),
+    "rep_solver": ("exact", "banded", "cgks"),
+    "guess_mode": ("doubling", "parallel"),
+    "force_regime": ("auto", "small", "large"),
+}
 
 
 @dataclass(frozen=True)
@@ -43,10 +52,6 @@ class EditConfig:
         first accepted one (practical; identical output, strictly less
         work; still *reported* with the parallel round count since the
         guesses never depend on each other).
-    accept_slack:
-        A guess ``g`` is accepted when the returned upper bound is at
-        most ``accept_slack·g``; must be at least the approximation
-        factor so a correct guess is never rejected.
     phase2_top_k:
         Per-block cap on tuples entering the combining DP (``None`` =
         ship everything).  Same role and justification as the Ulam cap.
@@ -63,8 +68,16 @@ class EditConfig:
         every grid by ~5× for no measurable accuracy gain, so the default
         uses ``ε/4`` and experiment E10 verifies the measured ratios stay
         within ``3+ε``.  ``EditConfig.paper()`` restores 22.
-    eps_inner:
-        Grid resolution handed to the cgks inner solver.
+    force_regime:
+        ``"auto"`` applies the paper's ``n^(1-x/5)`` boundary per guess;
+        ``"small"`` / ``"large"`` force one regime for every guess.  At
+        benchable ``n`` the boundary exceeds ``n/2``, so the large
+        regime is only reachable by forcing it (experiments E6/E8 do).
+
+    A guess ``g`` is accepted when its upper bound is at most
+    ``(3+ε)·g``; the cgks inner solver runs at grid resolution 0.5.
+    The four enumerated fields are checked at construction: an unknown
+    value raises ``ValueError``.
     """
 
     inner: str = "row"
@@ -72,23 +85,20 @@ class EditConfig:
     rep_rate_constant: float = 2.0
     low_rate_constant: float = 3.0
     guess_mode: str = "doubling"
-    accept_slack: Optional[float] = None
     phase2_top_k: Optional[int] = 256
     max_low_degree_samples: Optional[int] = None
     max_extensions_per_pair_source: Optional[int] = None
     max_representatives: Optional[int] = None
     eps_prime_divisor: float = 4.0
-    eps_inner: float = 0.5
-    #: When True, the ``ed = 0`` shortcut (§3.2: "detects the case of
-    #: ed = 0 separately") runs as a real one-round distributed equality
-    #: check charged to the ledger; by default it is a driver-side
-    #: comparison treated as input formatting.
-    distributed_equality_check: bool = False
-    #: ``"auto"`` applies the paper's ``n^(1-x/5)`` boundary per guess;
-    #: ``"small"`` / ``"large"`` force one regime for every guess.  At
-    #: benchable ``n`` the boundary exceeds ``n/2``, so the large regime
-    #: is only reachable by forcing it (experiments E6/E8 do).
     force_regime: str = "auto"
+
+    def __post_init__(self) -> None:
+        for name, allowed in _CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(
+                    f"EditConfig.{name} must be one of "
+                    f"{', '.join(map(repr, allowed))}; got {value!r}")
 
     @classmethod
     def paper(cls) -> "EditConfig":
@@ -99,16 +109,3 @@ class EditConfig:
     @classmethod
     def default(cls) -> "EditConfig":
         return cls()
-
-    @classmethod
-    def practical(cls) -> "EditConfig":
-        """Throughput preset for larger benchmark inputs."""
-        return cls(rep_rate_constant=1.0, low_rate_constant=0.5,
-                   phase2_top_k=128, max_low_degree_samples=24,
-                   max_extensions_per_pair_source=32,
-                   max_representatives=24)
-
-    @classmethod
-    def exact_inner(cls) -> "EditConfig":
-        """Ablation configuration: certified-exact inner distances."""
-        return cls(inner="banded")

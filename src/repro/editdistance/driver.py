@@ -2,8 +2,8 @@
 
 Structure (§3.2):
 
-1. ``ed = 0`` is detected separately (a distributed equality check; done
-   as a driver-side comparison here, documented in DESIGN.md).
+1. ``ed = 0`` is detected separately: a driver-side comparison that
+   runs no round.
 2. The solution size is guessed as ``n^δ = (1+ε)^i``.  For each guess the
    small-distance algorithm (two rounds, §5.1) or the large-distance
    algorithm (four rounds, §5.2) runs, depending on whether the guess is
@@ -38,7 +38,7 @@ from typing import Dict, Generator, List, Optional
 import numpy as np
 
 from ..chain import shipping_cap
-from ..metrics import merge_into, set_gauge
+from ..metrics import set_gauge
 from ..mpc.accounting import RunStats, WorkMeter
 from ..mpc.simulator import MPCSimulator
 from ..params import EditParams
@@ -80,9 +80,9 @@ class EditQuery:
     Construction validates parameters and derives :class:`EditParams`
     (so admission control can inspect ``params.memory_limit`` before
     any round runs); :meth:`steps` is a generator executing one MPC
-    round per ``next()`` — the equality prefix round, then each guess's
-    small- or large-regime rounds — and storing the
-    :class:`EditResult` on :attr:`result` when exhausted.
+    round per ``next()`` — each guess's small- or large-regime rounds —
+    and storing the :class:`EditResult` on :attr:`result` when
+    exhausted.
     """
 
     algo = "edit"
@@ -128,28 +128,15 @@ class EditQuery:
             config.phase2_top_k, sim.memory_limit,
             max(1, -(-n // params.block_size_small))))
 
-        # The equality shortcut is a *sequential* prefix round; it runs
-        # on its own simulator so the parallel-guess merge below cannot
-        # fold it into a guess round, and its rounds are prepended to
-        # the ledger (its metrics merged).
-        prefix = RunStats()
-        if config.distributed_equality_check:
-            from ..mpc.utils import distributed_equal
-            eq_sim = sim.spawn()
-            equal = distributed_equal(S, T, eq_sim,
-                                      round_name="ed/0-equality")
-            prefix = eq_sim.stats
-            yield "ed/0-equality"
-        else:
-            equal = len(S) == len(T) and bool(np.array_equal(S, T))
-        if equal:
+        # §3.2: ed = 0 is detected separately, treated as input
+        # formatting (no round).
+        if len(S) == len(T) and bool(np.array_equal(S, T)):
             self.result = EditResult(distance=0, n=n, params=params,
-                                     stats=_after_prefix(prefix, sim),
+                                     stats=sim.stats.snapshot(),
                                      accepted_guess=0, regime="equal")
             return
 
-        accept = config.accept_slack if config.accept_slack is not None \
-            else (3.0 + params.eps)
+        accept = 3.0 + params.eps
         best: Optional[int] = None
         accepted_guess: Optional[int] = None
         regime_used = "none"
@@ -194,17 +181,9 @@ class EditQuery:
                   config.phase2_top_k)
         set_gauge(sim.stats.metrics, "edit.n_guesses_run", len(per_guess))
         self.result = EditResult(distance=int(best), n=n, params=params,
-                                 stats=_after_prefix(prefix, sim),
+                                 stats=sim.stats.snapshot(),
                                  accepted_guess=accepted_guess,
                                  regime=regime_used, per_guess=per_guess)
-
-
-def _after_prefix(prefix: RunStats, sim: MPCSimulator) -> RunStats:
-    """The query's ledger: *prefix*'s rounds ahead of *sim*'s, and the
-    metrics of both runs."""
-    sim.stats.rounds[:0] = prefix.rounds
-    merge_into(sim.stats.metrics, prefix.metrics)
-    return sim.stats.snapshot()
 
 
 def mpc_edit_distance(s, t, x: float = 0.25, eps: float = 1.0,

@@ -250,8 +250,8 @@ def large_distance_phases(S: np.ndarray, T: np.ndarray,
         flush(gchunk, block_nodes if first else [])
 
     pipe = Pipeline(sim)
-    solver_blob = {"solver": config.rep_solver,
-                   "eps_inner": config.eps_inner}
+    # 0.5: grid resolution of the cgks inner solver.
+    solver_blob = {"solver": config.rep_solver, "eps_inner": 0.5}
 
     def collect_repdist(outs: List[object], _state: object) -> RepDistances:
         if len(outs) != len(layouts):  # pragma: no cover - sim contract

@@ -149,7 +149,7 @@ def small_distance_phases(S: np.ndarray, T: np.ndarray,
         "eps_prime": params.eps_prime,
         "n_t": n_t,
         "inner": config.inner,
-        "eps_inner": config.eps_inner,
+        "eps_inner": 0.5,  # grid resolution of the cgks inner solver
         "top_k": config.phase2_top_k,
     }
     payloads = []

@@ -52,9 +52,6 @@ from .sizeof import sizeof
 from .telemetry import (InMemorySink, JsonlSink, Sink, Span, Tracer,
                         current_trace, export_chrome_trace, read_jsonl,
                         trace_context)
-from .trace import (load_run_stats, run_stats_from_dict,
-                    run_stats_to_dict, save_run_stats)
-from .utils import distributed_equal
 
 __all__ = [
     "RoundStats", "RunStats", "WorkMeter", "add_work",
@@ -68,8 +65,7 @@ __all__ = [
     "blocks", "chunk",
     "Pipeline", "RoundSpec", "run_plan",
     "MPCSimulator", "prepare_broadcast", "sizeof",
-    "load_run_stats", "run_stats_from_dict", "run_stats_to_dict",
-    "save_run_stats", "isolated_meters", "distributed_equal",
+    "isolated_meters",
     "Span", "Sink", "InMemorySink", "JsonlSink", "Tracer",
     "current_trace", "trace_context",
     "read_jsonl", "export_chrome_trace",

@@ -91,11 +91,6 @@ class MPCSimulator:
     executor:
         How machines within a round run; defaults to
         :class:`repro.mpc.executor.SerialExecutor`.
-    strict:
-        When ``True`` (default), memory violations raise
-        :class:`~repro.mpc.errors.MemoryLimitExceeded`.  When ``False``
-        violations are recorded in :attr:`violations` but execution
-        continues — handy for exploratory parameter sweeps.
     tracer:
         Optional :class:`~repro.mpc.telemetry.Tracer`; when set, every
         machine attempt and every round emits a span — discarded
@@ -116,31 +111,25 @@ class MPCSimulator:
 
     def __init__(self, memory_limit: Optional[int] = None,
                  executor: Optional[Executor] = None,
-                 strict: bool = True,
                  tracer: Optional[Tracer] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  retry_policy: Optional[RetryPolicy] = None,
                  realtime: bool = False) -> None:
         self.memory_limit = memory_limit
         self.executor = executor or SerialExecutor()
-        self.strict = strict
         self.tracer = tracer
         self.fault_plan = fault_plan
         self.retry_policy = retry_policy or RetryPolicy()
         self.realtime = realtime
         self.stats = RunStats()
-        self.violations: List[MemoryLimitExceeded] = []
 
     # ------------------------------------------------------------------
     def _check(self, round_name: str, index: int, direction: str,
                words: int) -> None:
         if self.memory_limit is None or words <= self.memory_limit:
             return
-        err = MemoryLimitExceeded(round_name, index, direction, words,
+        raise MemoryLimitExceeded(round_name, index, direction, words,
                                   self.memory_limit)
-        if self.strict:
-            raise err
-        self.violations.append(err)
 
     # ------------------------------------------------------------------
     def run_round(self, name: str, fn: Callable[[Any], Any],
@@ -342,12 +331,11 @@ class MPCSimulator:
         back into the parent ledger.
         """
         return MPCSimulator(memory_limit=self.memory_limit,
-                            executor=self.executor, strict=self.strict,
-                            tracer=self.tracer, fault_plan=self.fault_plan,
+                            executor=self.executor, tracer=self.tracer,
+                            fault_plan=self.fault_plan,
                             retry_policy=self.retry_policy,
                             realtime=self.realtime)
 
     def absorb(self, other: "MPCSimulator") -> None:
         """Merge a sibling simulator's rounds as if run concurrently."""
         self.stats = self.stats.merge(other.stats)
-        self.violations.extend(other.violations)

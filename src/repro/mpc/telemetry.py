@@ -166,7 +166,7 @@ def span_from_dict(data: dict) -> Span:
     """Inverse of :meth:`Span.to_dict`.
 
     Unknown keys raise ``ValueError`` (schema drift from a newer writer
-    should be loud, matching :mod:`repro.mpc.trace`).
+    should be loud).
     """
     unknown = sorted(set(data) - _SPAN_FIELDS)
     if unknown:

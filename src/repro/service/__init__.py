@@ -13,9 +13,8 @@ placement alive across rounds:
   front end: admission control (memory caps, bounded in-flight machine
   work), one shared executor, per-query scoped ledgers and guarantee
   verdicts, drain-and-assert-clean shutdown;
-* :class:`~repro.service.client.ServiceClient` /
-  :func:`~repro.service.client.run_workload` — programmatic clients
-  (the ``repro serve`` CLI subcommands sit on the latter);
+* :func:`~repro.service.client.run_workload` — the synchronous batch
+  client the ``repro serve`` CLI subcommands sit on;
 * :mod:`~repro.service.runner` — the synchronous driver the one-shot
   ``mpc_ulam`` / ``mpc_edit_distance`` wrappers use, so both paths
   execute the same resumable query objects and produce byte-identical
@@ -26,8 +25,8 @@ from .corpus import Corpus, content_id
 from .runner import drive, run_query
 from .service import (AdmissionError, DistanceService, QueryHandle,
                       QueryOutcome)
-from .client import ServiceClient, run_workload
+from .client import run_workload
 
 __all__ = ["Corpus", "content_id", "drive", "run_query",
            "AdmissionError", "DistanceService", "QueryHandle",
-           "QueryOutcome", "ServiceClient", "run_workload"]
+           "QueryOutcome", "run_workload"]

@@ -1,16 +1,14 @@
-"""Programmatic clients for :class:`~repro.service.DistanceService`.
+"""Programmatic client for :class:`~repro.service.DistanceService`.
 
-Two entry points:
-
-* :class:`ServiceClient` — a thin async convenience wrapper for code
-  already living in an event loop (``await client.ulam(corpus_id, ...)``).
-* :func:`run_workload` — the synchronous batch front door used by the
-  ``repro serve`` / ``repro serve-bench`` CLI subcommands and the E23
-  benchmark: build a service, register every distinct corpus once
-  (content addressing dedupes identical pairs), fire all queries
-  concurrently, drain, shut down, and return the outcomes in
-  *submission order* (so downstream aggregation is deterministic
-  regardless of completion interleaving).
+A synchronous batch front door, :func:`run_workload`, used by the
+``repro serve`` / ``repro serve-bench`` CLI subcommands and the E23
+benchmark: build a service, register every distinct corpus once
+(content addressing dedupes identical pairs), fire all queries
+concurrently, drain, shut down, and return the outcomes in
+*submission order* (so downstream aggregation is deterministic
+regardless of completion interleaving).  Code already living in an
+event loop calls :meth:`DistanceService.register_corpus` and
+:meth:`DistanceService.submit` directly.
 """
 
 from __future__ import annotations
@@ -22,41 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..mpc.telemetry import Tracer
 from .service import DistanceService, QueryOutcome
 
-__all__ = ["ServiceClient", "run_workload"]
-
-
-class ServiceClient:
-    """Async convenience facade over one :class:`DistanceService`."""
-
-    def __init__(self, service: DistanceService) -> None:
-        self._service = service
-
-    @property
-    def service(self) -> DistanceService:
-        return self._service
-
-    def register(self, s, t) -> str:
-        """Register (or dedupe onto) a corpus; return its id."""
-        return self._service.register_corpus(s, t)
-
-    async def ulam(self, corpus_id: str, **kwargs) -> QueryOutcome:
-        """Submit one ulam query and await its outcome."""
-        return await self._service.submit("ulam", corpus_id, **kwargs)
-
-    async def edit(self, corpus_id: str, **kwargs) -> QueryOutcome:
-        """Submit one edit-distance query and await its outcome."""
-        return await self._service.submit("edit", corpus_id, **kwargs)
-
-    async def batch(self, requests: Sequence[Tuple[str, str, dict]]
-                    ) -> List[QueryOutcome]:
-        """Submit ``(algo, corpus_id, kwargs)`` requests concurrently.
-
-        Outcomes come back in request order; the first query exception
-        propagates after the batch drains.
-        """
-        handles = [self._service.submit(algo, corpus_id, **kwargs)
-                   for algo, corpus_id, kwargs in requests]
-        return list(await asyncio.gather(*handles))
+__all__ = ["run_workload"]
 
 
 def run_workload(queries: Sequence[Dict[str, object]],

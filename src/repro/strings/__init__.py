@@ -19,7 +19,7 @@ from .approx import (InnerSolver, cgks_edit_upper_bound, geometric_offsets,
 from .banded import (levenshtein_banded, levenshtein_doubling,
                      levenshtein_doubling_batch, within_threshold,
                      within_threshold_batch)
-from .bitparallel import myers_last_rows, myers_levenshtein
+from .bitparallel import myers_last_rows
 from .edit_distance import (levenshtein, levenshtein_last_row,
                             levenshtein_script)
 from .fitting import fitting_alignment, fitting_last_row
@@ -35,7 +35,7 @@ __all__ = [
     "InnerSolver", "cgks_edit_upper_bound", "geometric_offsets", "make_inner",
     "levenshtein_banded", "levenshtein_doubling", "within_threshold",
     "levenshtein_doubling_batch", "within_threshold_batch",
-    "myers_last_rows", "myers_levenshtein",
+    "myers_last_rows",
     "levenshtein", "levenshtein_last_row", "levenshtein_script",
     "fitting_alignment", "fitting_last_row",
     "lcs_length_duplicate_free", "position_map",

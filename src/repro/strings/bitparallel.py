@@ -34,7 +34,7 @@ import numpy as np
 from ..mpc.accounting import charge
 from .types import StringLike, as_array
 
-__all__ = ["myers_last_rows", "myers_levenshtein"]
+__all__ = ["myers_last_rows"]
 
 
 def _cells(m: int, n: int) -> int:
@@ -101,11 +101,3 @@ def myers_last_rows(pattern: StringLike, texts: Sequence[StringLike],
         rows.cumsum(axis=1, out=rows)
         return [rows[k, :n + 1] for k, n in enumerate(lens)]
 
-
-def myers_levenshtein(a: StringLike, b: StringLike) -> int:
-    """Exact edit distance via Myers' bit-parallel algorithm.
-
-    Equivalent to :func:`repro.strings.levenshtein`, ledger included;
-    the bit-vectors span the *second* argument.
-    """
-    return int(myers_last_rows(a, [b])[0][-1])

@@ -80,8 +80,10 @@ def make_round1_broadcast(n_t: int, eps_prime: float, u_guesses: List[int],
         "max_hits": config.max_hits,
         "max_candidates": config.max_candidates_per_block,
         "top_k": config.phase2_top_k,
-        "local_radius_factor": int(config.local_radius_factor),
-        "hit_radius_factor": int(config.hit_radius_factor),
+        # Lemma 1 searches within 2·û_i of the lulam window, Lemma 2
+        # within û_i of a hit anchor.
+        "local_radius_factor": 2,
+        "hit_radius_factor": 1,
     }
 
 

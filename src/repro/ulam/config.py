@@ -37,20 +37,15 @@ class UlamConfig:
         approximately-optimal candidate of Lemma 3 has near-minimal
         distance among the block's candidates, so a generous ``k``
         preserves the guarantee in practice.
-    hitting_rate_constant:
-        The ``8`` of ``θ = (8/(ε'B))·log n``.
-    local_radius_factor:
-        The ``2`` of Lemma 1 (search within ``2û_i`` of the lulam window).
-    hit_radius_factor:
-        The ``1`` of Lemma 2 (search within ``û_i`` of a hit anchor).
+
+    The paper's fixed constants — the hitting rate ``θ = (8/(ε'B))·log
+    n`` (:attr:`~repro.params.UlamParams.hitting_rate`) and the search
+    radii ``2û_i`` (Lemma 1) and ``û_i`` (Lemma 2) — are not settable.
     """
 
     max_hits: Optional[int] = None
     max_candidates_per_block: Optional[int] = None
     phase2_top_k: Optional[int] = None
-    hitting_rate_constant: float = 8.0
-    local_radius_factor: int = 2
-    hit_radius_factor: int = 1
 
     @classmethod
     def paper(cls) -> "UlamConfig":

@@ -218,17 +218,15 @@ class TestEditGuarantees:
         report = check_edit_guarantees(s, t, bogus)
         assert [c.name for c in report.failures] == ["approximation_ratio"]
 
-    def test_equality_prefix_round_extends_round_budget(self):
-        # Identical inputs exercise the ed/0-equality sequential prefix;
-        # the round bound is 4 + 1 in that case and the check passes.
+    def test_identical_inputs_pass_with_no_round(self):
+        # ed = 0 is a driver-side comparison: no round, bound still 4.
         s = np.asarray(str_pair(128, 4, sigma=4, seed=0)[0])
         res = mpc_edit_distance(s, s, x=0.25, eps=1.0, seed=0)
         assert res.distance == 0
         report = check_edit_guarantees(s, s, res)
         rounds = next(c for c in report.checks if c.name == "round_count")
         assert rounds.passed
-        if any(r.name == "ed/0-equality" for r in res.stats.rounds):
-            assert rounds.bound == 5
+        assert (rounds.measured, rounds.bound) == (0, 4)
 
 
 class TestFormatGuarantees:

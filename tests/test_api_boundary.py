@@ -30,6 +30,24 @@ def test_checker_flags_a_violation(tmp_path):
     assert "rogue.py:2" in proc.stdout
 
 
+def test_checker_flags_run_round_in_a_new_mpc_module(tmp_path):
+    # Only the plan layer and the simulator may call run_round; the rest
+    # of src/repro/mpc/ is not exempt.
+    mpc = tmp_path / "src" / "repro" / "mpc"
+    mpc.mkdir(parents=True)
+    (mpc / "rogue.py").write_text(
+        "def f(sim):\n    return sim.run_round('r', id, [])\n")
+    (mpc / "plan.py").write_text(
+        "def g(sim):\n    return sim.run_round('r', id, [])\n")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "check_api_boundary.py"),
+         str(tmp_path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "src/repro/mpc/rogue.py:2" in proc.stdout
+    assert "src/repro/mpc/plan.py:2" not in proc.stdout
+
+
 def _check(root):
     return subprocess.run(
         [sys.executable, str(ROOT / "tools" / "check_api_boundary.py"),

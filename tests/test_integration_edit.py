@@ -127,6 +127,16 @@ class TestResourceContract:
         assert parallel.stats.total_work >= doubling.stats.total_work
         assert len(parallel.per_guess) >= len(doubling.per_guess)
 
+    def test_paper_preset_runs_every_guess(self):
+        # EditConfig.paper(): eps' = eps/22, no shipping cap, naive rep
+        # solver and parallel guessing.  n = 32 keeps it to seconds.
+        s, t, _ = planted_pair(32, 4, sigma=4, seed=13)
+        res = mpc_edit_distance(s, t, x=X, eps=EPS, seed=1,
+                                config=EditConfig.paper())
+        assert levenshtein(s, t) <= res.distance <= 2 * 32
+        assert [g["guess"] for g in res.per_guess] == \
+            res.params.distance_guesses()
+        assert res.params.eps_prime == EPS / 22
 
 class TestInnerSolverAblation:
     @pytest.mark.parametrize("inner", ["row", "banded", "cgks"])

@@ -28,7 +28,7 @@ from repro.mpc.shm import active_segments
 from repro.mpc.telemetry import current_trace
 from repro.params import EditParams, UlamParams
 from repro.service import (AdmissionError, Corpus, DistanceService,
-                           ServiceClient, content_id, run_workload)
+                           content_id, run_workload)
 from repro.strings import ulam_distance
 from repro.ulam import mpc_ulam
 from repro.workloads.permutations import planted_pair as perm_pair
@@ -104,6 +104,20 @@ class TestServiceBasics:
         # A zero semaphore would make every submission wait forever.
         with pytest.raises(ValueError, match=option):
             DistanceService(**{option: value})
+
+    def test_release_corpus_keeps_inflight_queries_alive(self):
+        (s_p, t_p), _ = _pairs()
+
+        async def main():
+            async with DistanceService() as service:
+                cid = service.register_corpus(s_p, t_p)
+                handle = service.submit("ulam", cid, seed=1)
+                service.release_corpus(cid)  # drop registration ref
+                outcome = await handle
+                assert outcome.distance >= 0
+
+        asyncio.run(main())
+        assert not active_segments()
 
     def test_single_query_matches_one_shot_byte_for_byte(self):
         (s_p, t_p), (s_s, t_s) = _pairs()
@@ -593,39 +607,3 @@ class TestPoolService:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
-
-
-class TestServiceClient:
-    def test_async_facade_and_batch(self):
-        (s_p, t_p), (s_s, t_s) = _pairs()
-
-        async def main():
-            async with DistanceService() as service:
-                client = ServiceClient(service)
-                perm = client.register(s_p, t_p)
-                strs = client.register(s_s, t_s)
-                solo = await client.ulam(perm, seed=1)
-                batch = await client.batch([
-                    ("ulam", perm, {"seed": 1}),
-                    ("edit", strs, {"seed": 2}),
-                ])
-                return solo, batch
-
-        solo, batch = asyncio.run(main())
-        assert solo.distance == batch[0].distance
-        assert batch[0].algo == "ulam" and batch[1].algo == "edit"
-        assert not active_segments()
-
-    def test_release_corpus_keeps_inflight_queries_alive(self):
-        (s_p, t_p), _ = _pairs()
-
-        async def main():
-            async with DistanceService() as service:
-                cid = service.register_corpus(s_p, t_p)
-                handle = service.submit("ulam", cid, seed=1)
-                service.release_corpus(cid)  # drop registration ref
-                outcome = await handle
-                assert outcome.distance >= 0
-
-        asyncio.run(main())
-        assert not active_segments()

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.strings import (fitting_last_row, levenshtein,
-                           levenshtein_last_row, myers_last_rows,
-                           myers_levenshtein)
+                           levenshtein_last_row, myers_last_rows)
 from repro.strings.edit_distance import _wf_table
 
 from .helpers import brute_edit_distance
@@ -167,36 +166,38 @@ class TestMyersLevenshtein:
             m, n = rng.integers(0, 20, 2)
             a = rng.integers(0, 5, m).tolist()
             b = rng.integers(0, 5, n).tolist()
-            assert myers_levenshtein(a, b) == brute_edit_distance(a, b)
+            assert levenshtein(a, b) == brute_edit_distance(a, b)
 
     def test_paper_example(self):
-        assert myers_levenshtein("elephant", "relevant") == 3
+        assert levenshtein("elephant", "relevant") == 3
 
     def test_empty_sides(self):
-        assert myers_levenshtein([], [1, 2]) == 2
-        assert myers_levenshtein([1, 2], []) == 2
-        assert myers_levenshtein([], []) == 0
+        assert levenshtein([], [1, 2]) == 2
+        assert levenshtein([1, 2], []) == 2
+        assert levenshtein([], []) == 0
 
     def test_crosses_word_boundary(self, rng):
         # patterns longer than 64 exercise the multi-word bigint path
         for m in (63, 64, 65, 130, 257):
             a = rng.integers(0, 4, m).tolist()
             b = rng.integers(0, 4, m + 7).tolist()
-            assert myers_levenshtein(a, b) == levenshtein(a, b)
+            assert levenshtein(a, b) == int(
+                _wf_table(np.asarray(a), np.asarray(b))[-1, -1])
 
     def test_unicode(self):
-        assert myers_levenshtein("naïve", "naive") == 1
+        assert levenshtein("naïve", "naive") == 1
 
     @pytest.mark.parametrize("m, n", [(0, 5), (70, 80), (120, 130)])
-    def test_meters_like_levenshtein(self, m, n):
+    def test_meters_like_last_row(self, m, n):
         rng = np.random.default_rng(m)
         a, b = rng.integers(0, 4, m), rng.integers(0, 4, n)
-        _, work_m, met_m, prof_m = _metered(lambda: myers_levenshtein(a, b))
-        _, work_l, met_l, prof_l = _metered(lambda: levenshtein(a, b))
-        assert work_m == work_l == max(m, 1) * n + (
+        _, work_d, met_d, prof_d = _metered(lambda: levenshtein(a, b))
+        _, work_r, met_r, prof_r = _metered(
+            lambda: levenshtein_last_row(a, b))
+        assert work_d == work_r == max(m, 1) * n + (
             n * (1 + m // 64) if m >= 96 else 0)
-        assert met_m == met_l
-        assert prof_m == prof_l
+        assert met_d == met_r
+        assert prof_d == prof_r
 
 
 class TestMyersRows:

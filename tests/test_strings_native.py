@@ -40,7 +40,6 @@ from repro.strings import (fitting_last_row, levenshtein,
 from repro.strings import native
 from repro.strings.types import INF
 from repro.ulam.config import UlamConfig
-from repro.strings.bitparallel import myers_levenshtein
 
 from .helpers import brute_edit_distance
 
@@ -398,12 +397,11 @@ class TestBlockMachineEquivalence:
 
 class TestMyersMultiWord:
     def test_distance_at_word_boundaries(self, rng):
-        from repro.strings.bitparallel import myers_levenshtein
         for m in (63, 64, 65, 128, 129):
             a = rng.integers(0, 4, m).astype(np.int64)
             b = a.copy()
             b[m // 2] = 7
-            assert myers_levenshtein(a, b) == \
+            assert levenshtein(a, b) == \
                 brute_edit_distance(a.tolist(), b.tolist())
 
 
@@ -517,8 +515,7 @@ _EMPTY = np.zeros(0, dtype=np.int64)
 #: ``WorkMeter`` before charging went through one bracket: ledgers are
 #: paper-facing and must not move.  The ``levenshtein`` and
 #: ``fitting_last_row`` cases straddle the 96-symbol pattern length from
-#: which the ledger charges the full table plus the Myers scan;
-#: ``myers_levenshtein`` charges the same as ``levenshtein``.
+#: which the ledger charges the full table plus the Myers scan.
 _KERNEL_CALLS = {
     "within_threshold": (
         lambda: within_threshold(_word(30, 1), _word(32, 2), 6), 423),
@@ -538,8 +535,6 @@ _KERNEL_CALLS = {
     "fitting_myers": (
         lambda: fitting_last_row(_word(100, 10), _word(150, 11)), 15300),
     "fitting_empty": (lambda: fitting_last_row(_EMPTY, _word(9, 12)), 9),
-    "myers_levenshtein": (
-        lambda: myers_levenshtein(_word(70, 13), _word(80, 14)), 5600),
     "levenshtein_script": (
         lambda: levenshtein_script(_word(12, 15), _word(14, 16)), 168),
 }

@@ -464,7 +464,6 @@ class TestConfigPresets:
         cfg = UlamConfig.paper()
         assert cfg.max_hits is None
         assert cfg.phase2_top_k is None
-        assert cfg.hitting_rate_constant == 8.0
 
     def test_default_preset_only_caps_phase2(self):
         cfg = UlamConfig.default()

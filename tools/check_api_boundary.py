@@ -6,8 +6,8 @@ Eight rules:
 * Algorithm drivers must submit rounds through :mod:`repro.mpc.plan`
   (``Pipeline``/``RoundSpec``/``run_plan``) so that shuffle volume and
   broadcast charges are metered.  Direct ``sim.run_round(...)`` calls
-  are the raw escape hatch and are allowed only *inside* the simulator
-  package itself.
+  are the raw escape hatch and are allowed only in the plan layer
+  (``src/repro/mpc/plan.py``) and the simulator that defines them.
 * Telemetry sinks (``InMemorySink``/``JsonlSink``) may be constructed
   only inside ``repro/mpc`` and ``repro/cli.py``.  Drivers and
   benchmarks receive a ready :class:`~repro.mpc.telemetry.Tracer` (or
@@ -73,8 +73,8 @@ RULES = {
     "run_round": (
         re.compile(r"\.run_round\s*\("),
         ("src", "benchmarks"),
-        ("src/repro/mpc/",),
-        "direct run_round call outside src/repro/mpc/",
+        ("src/repro/mpc/plan.py", "src/repro/mpc/simulator.py"),
+        "direct run_round call outside src/repro/mpc/plan.py",
         "Route rounds through repro.mpc.plan (Pipeline/RoundSpec) "
         "instead.",
     ),
